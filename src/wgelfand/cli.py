@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="multiplier spec JSON file (repeatable)",
             )
-        p.add_argument("--tolerance", type=float, default=1e-9)
+        p.add_argument("--tolerance", default="1e-9", help="positive finite tolerance")
         p.add_argument("--seed", default="0xC0FFEE", help="hex RNG seed")
         p.add_argument("--output", help="report file (default: stdout)")
         p.add_argument("--format", choices=["json", "text"], default="json")
@@ -109,8 +110,15 @@ def run(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     timings = {}
     inputs = {}
-    tol = args.tolerance
-    seed = int(args.seed, 16) if isinstance(args.seed, str) else int(args.seed)
+    try:
+        tol = float(args.tolerance)
+        seed = int(args.seed, 16) if isinstance(args.seed, str) else int(args.seed)
+    except ValueError as exc:
+        raise InputSpecError(f"bad --tolerance or --seed: {exc}") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputSpecError(f"--tolerance must be finite and > 0, got {args.tolerance}")
+    if seed < 0:
+        raise InputSpecError(f"--seed must be a non-negative hex integer, got {args.seed}")
 
     spec, digest = _load_json(args.group)
     inputs["group"] = {"path": args.group, "sha256": digest}
@@ -151,23 +159,21 @@ def run(args) -> tuple[dict, int]:
     }
 
     t1 = time.perf_counter()
-    gelfand = is_weighted_gelfand(group, K, w, partition=partition, tol=tol)
+    sc = hecke_structure_constants(group, K, w, partition=partition)
+    gelfand = is_weighted_gelfand(group, K, w, tol=tol, sc=sc)
     rap = None
     if theta is not None:
-        rap = check_rap_condition(group, K, w, theta, partition=partition, tol=tol)
+        rap = check_rap_condition(group, K, w, theta, tol=tol, sc=sc)
     gelfand_json = gelfand.to_json()
     gelfand_json["rap"] = rap
     report["gelfand"] = gelfand_json
     timings["gelfand"] = time.perf_counter() - t1
 
-    exit_code = EXIT_OK
-    if not gelfand.is_weighted_gelfand:
-        exit_code = EXIT_VERDICT
+    exit_code = EXIT_OK if gelfand.is_weighted_gelfand else EXIT_VERDICT
 
     wants_spherical = args.command in ("analyze", "spherical", "fourier", "multiplier-check")
     if gelfand.is_weighted_gelfand and flags.unit_at_identity and wants_spherical:
         t2 = time.perf_counter()
-        sc = hecke_structure_constants(group, K, w, partition=partition, tol=tol)
         sset = enumerate_spherical(
             group, K, w, partition=partition, sc=sc, seed=seed, tol=tol
         )

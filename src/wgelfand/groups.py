@@ -361,11 +361,9 @@ def theta_in_KxinvK(
     theta: GroupAutomorphism,
 ) -> tuple[bool, Optional[int]]:
     """Does theta(x) land in K x^-1 K for every x? Returns (ok, witness)."""
-    for x in range(group.order):
-        want = partition.inverse_coset[int(partition.coset_of[x])]
-        if int(partition.coset_of[theta(x)]) != want:
-            return False, x
-    return True, None
+    inverse_coset = np.asarray(partition.inverse_coset)
+    bad = np.flatnonzero(inverse_coset[partition.coset_of] != partition.coset_of[theta.perm])
+    return (False, int(bad[0])) if len(bad) else (True, None)
 
 
 def inner_automorphism(group: GroupTable, g: int) -> GroupAutomorphism:

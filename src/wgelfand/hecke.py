@@ -18,20 +18,27 @@ from .groups import (
     GroupAutomorphism,
     GroupTable,
     SubgroupEmbedding,
+    double_cosets,
     theta_in_KxinvK,
 )
-from .weighted import Weight, weight_checks, weighted_convolve
+from .weighted import Weight, weight_checks
 
 DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Tensor c with delta_i *_w delta_j = sum_k c[i,j,k] delta_k."""
+    """Tensor c with delta_i *_w delta_j = sum_k c[i,j,k] delta_k.
+
+    p[i,j,k] = #{y in D_i : y^-1 r_k in D_j} are the integer intersection
+    numbers of the double cosets (r_k the representative of D_k); they do not
+    depend on the weight. For a bi-invariant weight with coset values w_i,
+    c[i,j,k] = p[i,j,k] w_i w_j / w_k.
+    """
 
     c: np.ndarray
+    p: np.ndarray
     partition: DoubleCosetPartition
-    expansion_residual: float
 
     @property
     def dim(self) -> int:
@@ -83,40 +90,26 @@ def hecke_structure_constants(
     K: SubgroupEmbedding,
     w: Weight,
     partition: Optional[DoubleCosetPartition] = None,
-    tol: float = DEFAULT_TOL,
 ) -> StructureConstants:
-    """Expand every product of indicator basis elements in the basis.
+    """Intersection numbers p (one bincount per representative r_k) and c.
 
     Requires a K-bi-invariant weight; raises BiInvarianceError with a witness
-    otherwise. The expansion residual (departure of each product from
-    coset-constancy) is recorded and must stay below tol relative to the
-    largest coefficient.
+    otherwise.
     """
-    from .groups import double_cosets
-
     if partition is None:
         partition = double_cosets(group, K)
     require_bi_invariant(w, group, partition)
     d = partition.num_cosets
-    reps = [c[0] for c in partition.cosets]
-    indicators = [
-        (partition.coset_of == i).astype(complex) for i in range(d)
-    ]
-    c = np.empty((d, d, d), dtype=complex)
-    residual = 0.0
-    for i in range(d):
-        for j in range(d):
-            prod = weighted_convolve(indicators[i], indicators[j], group, w)
-            c[i, j] = prod[reps]
-            # departure from bi-invariance of the product
-            recon = c[i, j][partition.coset_of]
-            residual = max(residual, float(np.max(np.abs(prod - recon))))
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if residual > tol * scale:
-        raise WGelfandError(
-            f"indicator products do not close in the basis (residual {residual:g})"
-        )
-    return StructureConstants(c=c, partition=partition, expansion_residual=residual)
+    reps = [coset[0] for coset in partition.cosets]
+    row = partition.coset_of * d
+    p = np.empty((d, d, d), dtype=np.int32)
+    for k, r in enumerate(reps):
+        p[:, :, k] = np.bincount(
+            row + partition.coset_of[group.mul[group.inv, r]], minlength=d * d
+        ).reshape(d, d)
+    wd = w.values[reps]
+    c = np.einsum("ijk,i,j,k->ijk", p, wd, wd, 1.0 / wd, dtype=complex)
+    return StructureConstants(c=c, p=p, partition=partition)
 
 
 def is_weighted_gelfand(
@@ -125,30 +118,29 @@ def is_weighted_gelfand(
     w: Weight,
     partition: Optional[DoubleCosetPartition] = None,
     tol: float = DEFAULT_TOL,
+    sc: Optional[StructureConstants] = None,
 ) -> GelfandReport:
     """Test commutativity of the weighted Hecke algebra on the indicator basis.
 
-    On failure the witness is (i, j, x): an element x where
-    delta_i *_w delta_j and delta_j *_w delta_i differ. When w(e) = 1 the
-    inversion-sum identity is also evaluated and reported.
+    The verdict is exact and weight-independent: c[i,j,k] = c[j,i,k] iff
+    p[i,j,k] = p[j,i,k], as the weight rescales both by w_i w_j / w_k > 0.
+    On failure the witness is (i, j, x) at the first mismatch: an element x
+    where delta_i *_w delta_j and delta_j *_w delta_i differ. When w(e) = 1
+    the inversion-sum identity is also evaluated (within tol) and reported.
     """
-    from .groups import double_cosets
-
-    if partition is None:
-        partition = double_cosets(group, K)
-    sc = hecke_structure_constants(group, K, w, partition=partition, tol=tol)
-    scale = max(1.0, float(np.max(np.abs(sc.c))))
-    gap = np.abs(sc.c - sc.c.transpose(1, 0, 2))
+    if sc is None:
+        sc = hecke_structure_constants(group, K, w, partition=partition)
+    partition = sc.partition
+    mismatch = np.argwhere(sc.p != sc.p.transpose(1, 0, 2))
     witness = None
-    commutative = bool(np.max(gap) <= tol * scale)
-    if not commutative:
-        i, j, k = (int(v) for v in np.unravel_index(np.argmax(gap), gap.shape))
+    if len(mismatch):
+        i, j, k = (int(v) for v in mismatch[0])
         witness = (i, j, partition.representative(k))
     unimod = None
     if w.unit_at_identity(group, tol=tol):
         unimod = check_unimodularity_identity(group, K, w, partition=partition, tol=tol)
     return GelfandReport(
-        is_weighted_gelfand=commutative,
+        is_weighted_gelfand=witness is None,
         witness=witness,
         unimodularity_identity=unimod,
     )
@@ -161,6 +153,7 @@ def check_rap_condition(
     theta: GroupAutomorphism,
     partition: Optional[DoubleCosetPartition] = None,
     tol: float = DEFAULT_TOL,
+    sc: Optional[StructureConstants] = None,
 ) -> bool:
     """Sufficient condition for the weighted Gelfand property.
 
@@ -168,19 +161,17 @@ def check_rap_condition(
     for all x. Whenever all three hold, commutativity of the algebra is
     cross-validated and a failure raises (it would contradict the theorem).
     """
-    from .groups import double_cosets
-
     if not theta.involutive:
         raise NotInvolutiveError("rap condition requires an involutive automorphism")
     if partition is None:
-        partition = double_cosets(group, K)
+        partition = sc.partition if sc is not None else double_cosets(group, K)
     flags = weight_checks(w, group, partition, theta=theta)
     ok = flags.k_bi_invariant and bool(flags.theta_invariant)
     if ok:
         in_coset, _ = theta_in_KxinvK(group, partition, theta)
         ok = in_coset
     if ok:
-        report = is_weighted_gelfand(group, K, w, partition=partition, tol=tol)
+        report = is_weighted_gelfand(group, K, w, partition=partition, tol=tol, sc=sc)
         if not report.is_weighted_gelfand:
             raise WGelfandError(
                 "sufficient condition held but the algebra is noncommutative; "
@@ -201,8 +192,6 @@ def check_unimodularity_identity(
     For each double-coset indicator f, compares
     sum_x f(x) w(x) w(x^-1) with sum_x f(x^-1) w(x^-1) w(x). Requires w(e)=1.
     """
-    from .groups import double_cosets
-
     if not w.unit_at_identity(group, tol=tol):
         raise PreconditionError("identity requires w(e) = 1")
     if partition is None:

@@ -109,10 +109,12 @@ def enumerate_spherical(
     if not w.unit_at_identity(group, tol=tol):
         raise PreconditionError("spherical enumeration requires w(e) = 1")
     if sc is None:
-        sc = hecke_structure_constants(group, K, w, partition=partition, tol=tol)
-    report = is_weighted_gelfand(group, K, w, partition=partition, tol=tol)
+        sc = hecke_structure_constants(group, K, w, partition=partition)
+    report = is_weighted_gelfand(group, K, w, partition=partition, tol=tol, sc=sc)
     if not report.is_weighted_gelfand:
         raise NotGelfandError(*report.witness)
+    if not np.all(np.isfinite(sc.c)):
+        raise DegenerateSpectrumError("structure constants overflow: weight range too wide")
 
     d = sc.dim
     L = [sc.left_multiplication_matrix(i) for i in range(d)]

@@ -26,8 +26,8 @@ class Weight:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1:
             raise InputSpecError("weight values must be a flat list")
-        if not np.all(vals > 0):
-            raise InputSpecError("weight must be strictly positive")
+        if not np.all(np.isfinite(vals) & (vals > 0)):
+            raise InputSpecError("weight must be finite and strictly positive")
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, x) -> float:
@@ -73,26 +73,29 @@ def weight_from_spec(
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputSpecError('weight spec must be an object with a "kind" field')
     kind = spec["kind"]
-    if kind == "uniform":
-        return uniform_weight(group)
-    if kind == "by_element":
-        vals = np.asarray(spec.get("values", []), dtype=np.float64)
-        if vals.shape != (group.order,):
-            raise InputSpecError(
-                f"weight needs {group.order} values, got {vals.shape}"
-            )
-        return Weight(vals)
-    if kind == "by_double_coset":
-        if partition is None:
-            raise InputSpecError('kind "by_double_coset" requires double cosets')
-        table = spec.get("values", {})
-        vals = np.empty(group.order)
-        for cid in range(partition.num_cosets):
-            key = str(cid) if str(cid) in table else cid
-            if key not in table:
-                raise InputSpecError(f"missing weight for double coset {cid}")
-            vals[list(partition.cosets[cid])] = float(table[key])
-        return Weight(vals)
+    try:
+        if kind == "uniform":
+            return uniform_weight(group)
+        if kind == "by_element":
+            vals = np.asarray(spec.get("values", []), dtype=np.float64)
+            if vals.shape != (group.order,):
+                raise InputSpecError(
+                    f"weight needs {group.order} values, got {vals.shape}"
+                )
+            return Weight(vals)
+        if kind == "by_double_coset":
+            if partition is None:
+                raise InputSpecError('kind "by_double_coset" requires double cosets')
+            table = spec.get("values", {})
+            vals = np.empty(group.order)
+            for cid in range(partition.num_cosets):
+                key = str(cid) if str(cid) in table else cid
+                if key not in table:
+                    raise InputSpecError(f"missing weight for double coset {cid}")
+                vals[list(partition.cosets[cid])] = float(table[key])
+            return Weight(vals)
+    except (TypeError, ValueError) as exc:
+        raise InputSpecError(f"weight values must be numbers: {exc}") from exc
     raise InputSpecError(f"unknown weight kind: {kind!r}")
 
 

@@ -211,3 +211,73 @@ def test_report_numbers_match_library(tmp_path, capsys):
     ]
     from_lib = [phi.coset_values.tolist() for phi in sset.functions]
     assert np.allclose(from_report, from_lib)
+
+
+def assert_one_line_error(code, capsys, expected_code=1):
+    captured = capsys.readouterr()
+    assert code == expected_code
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        {"kind": "by_double_coset", "values": {"0": 1.0, "1": float("inf")}},
+        {"kind": "by_double_coset", "values": {"0": 1.0, "1": "abc"}},
+        {"kind": "by_element", "values": [1, "abc", 1, 1, 1, 1]},
+    ],
+    ids=["infinite", "non-numeric", "non-numeric-element"],
+)
+def test_bad_weight_values_exit_1(tmp_path, capsys, weight):
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"]]
+    )
+    assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--tolerance", "-1"),
+        ("--tolerance", "0"),
+        ("--tolerance", "abc"),
+        ("--seed", "zz"),
+        ("--seed", "-0x1"),
+    ],
+)
+def test_bad_flag_values_exit_1(tmp_path, capsys, flag, value):
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, UNIFORM)
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"], f"{flag}={value}"]
+    )
+    assert flag in assert_one_line_error(code, capsys)
+
+
+def test_tiny_tolerance_keeps_gelfand_verdict(tmp_path, capsys):
+    weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
+    code, out = run_cli(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"], "--tolerance", "1e-300"],
+        capsys,
+    )
+    assert json.loads(out)["gelfand"]["gelfand"] is True
+
+
+def test_overflowing_weight_exit_3(tmp_path, capsys):
+    weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 1e200}}
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
+    with np.errstate(over="ignore"):
+        code = main(
+            ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+             "--weight", paths["weight"]]
+        )
+    assert "overflow" in assert_one_line_error(code, capsys, expected_code=3)

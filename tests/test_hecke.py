@@ -1,13 +1,18 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 
 import wgelfand as wg
+from wgelfand.cli import main
 from wgelfand.errors import BiInvarianceError, NotInvolutiveError, PreconditionError
 
 from conftest import (
     classical_convolve_oracle,
     random_bi_invariant_weight,
     random_symmetric_weight,
+    weighted_convolve_oracle,
 )
 
 
@@ -166,3 +171,103 @@ def test_report_serialization(s3):
     assert blob["gelfand"] is False
     assert set(blob["witness"]) == {"basis_i", "basis_j", "element"}
     assert blob["unimodularity"] is True
+
+
+def _d6_trivial():
+    group = wg.dihedral_group(6)
+    return group, wg.subgroup_closure(group, [])
+
+
+def _d12_reflection():
+    group = wg.dihedral_group(12)
+    K = wg.subgroup_closure(group, [2])  # element 2 is the generating reflection
+    assert K.order == 2
+    return group, K
+
+
+def _indicator_products(group, part, w, i, j):
+    di = (part.coset_of == i).astype(complex)
+    dj = (part.coset_of == j).astype(complex)
+    return (
+        weighted_convolve_oracle(di, dj, group, w),
+        weighted_convolve_oracle(dj, di, group, w),
+    )
+
+
+@pytest.mark.parametrize("make_pair", [_d6_trivial, _d12_reflection], ids=["D6/1", "D12/s"])
+def test_structure_constants_match_double_loop_oracle(make_pair):
+    group, K = make_pair()
+    part = wg.double_cosets(group, K)
+    w = random_bi_invariant_weight(part, np.random.default_rng(4))
+    sc = wg.hecke_structure_constants(group, K, w, partition=part)
+    assert sc.p.dtype == np.int32
+    d = part.num_cosets
+    for i in range(d):
+        for j in range(d):
+            prod, _ = _indicator_products(group, part, w, i, j)
+            assert np.allclose(sc.c[i, j][part.coset_of], prod, rtol=1e-12, atol=1e-12)
+
+
+def _s4_transposition():
+    group = wg.symmetric_group(4)
+    return group, wg.subgroup_closure(group, [1])  # element 1 is (0 1)
+
+
+@pytest.mark.parametrize("make_pair", [_d6_trivial, _s4_transposition], ids=["D6/1", "S4/s"])
+def test_noncommutative_witness_is_genuine(make_pair):
+    group, K = make_pair()
+    part = wg.double_cosets(group, K)
+    w = random_bi_invariant_weight(part, np.random.default_rng(5), unit_at_identity=True)
+    report = wg.is_weighted_gelfand(group, K, w, partition=part)
+    assert not report.is_weighted_gelfand
+    i, j, x = report.witness
+    ij, ji = _indicator_products(group, part, w, i, j)
+    assert abs(ij[x] - ji[x]) > 1e-9
+
+
+def test_gelfand_verdict_ignores_weight_and_tolerance(s3_pair):
+    group, K, part = s3_pair
+    rng = np.random.default_rng(6)
+    for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
+        w = random_bi_invariant_weight(part, rng)
+        w = wg.Weight(w.values * scale)
+        for tol in (1e-300, 1e-9, 0.5):
+            assert wg.is_weighted_gelfand(group, K, w, partition=part, tol=tol).is_weighted_gelfand
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap `name` in every wgelfand module namespace that binds it."""
+    calls = []
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] != "wgelfand" or not hasattr(module, name):
+            continue
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
+    specs = {
+        "group": {"kind": "cyclic", "n": 5},
+        "subgroup": {"seeds": []},
+        "weight": {"kind": "by_element", "values": [1, 2, 3, 3, 2]},
+        "automorphism": {"kind": "inversion"},
+    }
+    argv = ["analyze"]
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        argv += [f"--{name}", str(path)]
+    builds = _count_calls(monkeypatch, "hecke_structure_constants")
+    convolutions = _count_calls(monkeypatch, "weighted_convolve")
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["gelfand"]["rap"] is True
+    assert report["spherical"]["count"] == 5
+    assert len(builds) == 1
+    assert convolutions == []
