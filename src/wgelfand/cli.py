@@ -25,7 +25,6 @@ from .fourier import (
     injectivity_check,
     is_multiplier,
     multiplier_from_spec,
-    spherical_transform,
     verify_commutation,
 )
 from .groups import automorphism_from_spec, double_cosets, group_from_spec, subgroup_from_spec
@@ -77,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="multiplier spec JSON file (repeatable)",
             )
         p.add_argument("--tolerance", default="1e-9", help="positive finite tolerance")
-        p.add_argument("--seed", default="0xC0FFEE", help="hex RNG seed")
+        p.add_argument(
+            "--seed", default="0xC0FFEE", help="ignored; the pipeline is deterministic"
+        )
         p.add_argument("--output", help="report file (default: stdout)")
         p.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -142,7 +143,6 @@ def run(args) -> tuple[dict, int]:
         "tool": {"name": "wgelfand", "version": __version__},
         "command": args.command,
         "inputs": inputs,
-        "seed": hex(seed),
         "tolerance": tol,
         "group": {
             "order": group.order,
@@ -174,11 +174,9 @@ def run(args) -> tuple[dict, int]:
     wants_spherical = args.command in ("analyze", "spherical", "fourier", "multiplier-check")
     if gelfand.is_weighted_gelfand and flags.unit_at_identity and wants_spherical:
         t2 = time.perf_counter()
-        sset = enumerate_spherical(
-            group, K, w, partition=partition, sc=sc, seed=seed, tol=tol
-        )
+        sset = enumerate_spherical(group, K, w, partition=partition, sc=sc, tol=tol)
         report["spherical"] = {"count": len(sset), "functions": sset.to_json()}
-        table = build_fourier_table(sset, group, w)
+        table = build_fourier_table(sset)
         rank, cond = injectivity_check(table)
         report["fourier"] = {
             "rank": rank,
@@ -200,10 +198,10 @@ def run(args) -> tuple[dict, int]:
                 ok, witness = is_multiplier(T, sc, tol=tol)
                 entry = {"path": mpath, "is_multiplier": ok}
                 if ok:
-                    sym = extract_symbol(T, table, sc, group, w, seed=seed, tol=tol)
+                    sym = extract_symbol(T, table, tol=tol)
                     entry.update(sym.to_json())
                     if T.kernel is not None:
-                        kt = spherical_transform(T.kernel, sset, group, w)
+                        kt = table.transform_coords(T.kernel.coset_values)
                         entry["symbol_matches_kernel_transform"] = bool(
                             np.max(np.abs(sym.values - kt)) <= max(tol, 1e-8)
                         )

@@ -51,7 +51,9 @@ class NotGelfandError(WGelfandError):
 
 
 class DegenerateSpectrumError(WGelfandError):
-    """Random probing failed to separate the spectrum within the retry budget."""
+    """The spectral step failed: the joint spectrum split into fewer than d
+    lines, a character failed multiplicativity, or the structure constants
+    overflowed."""
 
 
 class NotMultiplierError(WGelfandError):

@@ -1,8 +1,9 @@
 """The weighted spherical Fourier transform and multiplier analysis.
 
 Everything here works in coset coordinates: bi-invariant functions are
-vectors of length d, operators are d x d matrices, and the transform is the
-pairing against the spherical functions.
+vectors of length d, operators are d x d matrices, and the transform of the
+indicator delta_i is the character value chi_s(delta_i). The G-level sums
+(`spherical_transform`, `verify_convolution_theorem`) are test oracles.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InputSpecError, NotMultiplierError
+from .errors import InputSpecError, NotMultiplierError
 from .groups import GroupTable
 from .hecke import StructureConstants
 from .spherical import SphericalSet
 from .weighted import BiInvariantFunction, Weight
 
 DEFAULT_TOL = 1e-9
-PROBE_DRAWS = 16
 
 
 def spherical_transform(
@@ -28,7 +28,9 @@ def spherical_transform(
     group: GroupTable,
     w: Weight,
 ) -> np.ndarray:
-    """F(f)(phi_s) = sum_x w(x) f(x) w(x^-1) phi_s(x^-1), in SphericalSet order."""
+    """F(f)(phi_s) = sum_x w(x) f(x) w(x^-1) phi_s(x^-1), in SphericalSet order.
+
+    Sums over G; a test oracle for `FourierTable.transform_coords`."""
     if f.partition is not sset.partition and f.partition.cosets != sset.partition.cosets:
         raise InputSpecError("function and spherical set use different partitions")
     f_g = f.expand() * w.values
@@ -45,26 +47,17 @@ class FourierTable:
     matrix: np.ndarray
     sset: SphericalSet
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def transform_coords(self, coords: np.ndarray) -> np.ndarray:
         """Transform of sum_i coords[i] delta_i."""
         return np.asarray(coords, dtype=complex) @ self.matrix
 
 
-def build_fourier_table(
-    sset: SphericalSet, group: GroupTable, w: Weight
-) -> FourierTable:
-    d = sset.partition.num_cosets
-    rows = [
-        spherical_transform(
-            BiInvariantFunction.indicator(i, sset.partition), sset, group, w
-        )
-        for i in range(d)
-    ]
-    return FourierTable(matrix=np.array(rows), sset=sset)
+def build_fourier_table(sset: SphericalSet) -> FourierTable:
+    """F[i, s] = chi_s(delta_i): the transform of an indicator is the value of
+    the character on it, so the table is the stacked characters."""
+    return FourierTable(
+        matrix=np.array([chi.values for chi in sset.characters]).T, sset=sset
+    )
 
 
 def injectivity_check(table: FourierTable, rel_tol: float = 1e-9) -> tuple[int, float]:
@@ -134,12 +127,9 @@ def multiplier_from_kernel(
     h: BiInvariantFunction, sc: StructureConstants
 ) -> MultiplierOperator:
     """Matrix of f -> h *_w f on the indicator basis."""
-    d = sc.dim
-    # columns: coordinates of h *_w delta_j
-    cols = np.array(
-        [sc.convolve_coords(h.coset_values, np.eye(d)[j]) for j in range(d)]
-    ).T
-    return MultiplierOperator(matrix=cols, kernel=h)
+    # column j: coordinates of h *_w delta_j
+    matrix = np.einsum("i,ijk->kj", h.coset_values, sc.c)
+    return MultiplierOperator(matrix=matrix, kernel=h)
 
 
 def is_multiplier(
@@ -147,60 +137,34 @@ def is_multiplier(
     sc: StructureConstants,
     tol: float = DEFAULT_TOL,
 ) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Check T(delta_i *_w delta_j) = (T delta_i) *_w delta_j on all basis pairs."""
-    d = sc.dim
-    eye = np.eye(d)
+    """Check T(delta_i *_w delta_j) = (T delta_i) *_w delta_j on all basis pairs.
+
+    The witness is the first failing pair (i, j) in row-major order.
+    """
     scale = max(1.0, float(np.max(np.abs(T.matrix))), float(np.max(np.abs(sc.c))))
-    for i in range(d):
-        Tei = T.apply(eye[i])
-        for j in range(d):
-            lhs = T.apply(sc.c[i, j])
-            rhs = sc.convolve_coords(Tei, eye[j])
-            if np.max(np.abs(lhs - rhs)) > tol * scale:
-                return False, (i, j)
+    lhs = np.einsum("ijk,lk->ijl", sc.c, T.matrix)
+    rhs = np.einsum("mi,mjl->ijl", T.matrix, sc.c)
+    failing = np.argwhere(np.max(np.abs(lhs - rhs), axis=2) > tol * scale)
+    if len(failing):
+        return False, (int(failing[0][0]), int(failing[0][1]))
     return True, None
 
 
 def extract_symbol(
     T: MultiplierOperator,
     table: FourierTable,
-    sc: StructureConstants,
-    group: GroupTable,
-    w: Weight,
-    seed: int = 0xC0FFEE,
     tol: float = DEFAULT_TOL,
 ) -> MultiplierSymbol:
-    """Divide out the transform of a random probe to get the symbol.
+    """Symbol of a multiplier: the transform of T delta_i is sigma times the
+    transform of delta_i.
 
-    The probe g must have a nowhere-vanishing transform; fresh random basis
-    combinations are drawn until one does (up to 16 draws). The symbol is
-    verified against every basis element and re-extracted with a second
-    independent probe to confirm uniqueness.
+    With FT = T^T F, sigma_s = <F[:, s], FT[:, s]> / ||F[:, s]||^2 column by
+    column. The residual FT - F sigma is then checked on the full basis; as F
+    is invertible, this rejects every operator that is not a multiplier.
     """
-    ok, witness = is_multiplier(T, sc, tol=tol)
-    if not ok:
-        raise NotMultiplierError(f"operator fails defining identity at pair {witness}")
-    d = table.dim
-    rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.max(np.abs(table.matrix))))
-
-    def one_extraction() -> np.ndarray:
-        for _ in range(PROBE_DRAWS):
-            g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            Fg = table.transform_coords(g)
-            if np.min(np.abs(Fg)) > 1e-9 * scale:
-                return table.transform_coords(T.apply(g)) / Fg
-        raise DegenerateSpectrumError(
-            f"no probe with nowhere-vanishing transform in {PROBE_DRAWS} draws"
-        )
-
-    symbol = one_extraction()
-    second = one_extraction()
-    if np.max(np.abs(symbol - second)) > max(tol, 1e-8) * max(1.0, np.max(np.abs(symbol))):
-        raise NotMultiplierError("symbol is not unique across independent probes")
-    # verify on the full basis
     F = table.matrix
-    FT = np.array([table.transform_coords(T.apply(np.eye(d)[i])) for i in range(d)])
+    FT = T.matrix.T @ F
+    symbol = np.sum(F.conj() * FT, axis=0) / np.sum(np.abs(F) ** 2, axis=0)
     residual = float(np.max(np.abs(FT - F * symbol[None, :])))
     if residual > max(tol, 1e-8) * max(1.0, float(np.max(np.abs(FT)))):
         raise NotMultiplierError(
@@ -215,16 +179,10 @@ def verify_commutation(
     sc: StructureConstants,
 ) -> float:
     """Max over basis pairs of || T1 f *_w T2 g  -  T2 f *_w T1 g ||_inf."""
-    d = sc.dim
-    eye = np.eye(d)
-    worst = 0.0
-    for i in range(d):
-        a1, a2 = T1.apply(eye[i]), T2.apply(eye[i])
-        for j in range(d):
-            b1, b2 = T2.apply(eye[j]), T1.apply(eye[j])
-            gap = sc.convolve_coords(a1, b1) - sc.convolve_coords(a2, b2)
-            worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+    a, b = T1.matrix, T2.matrix
+    gap = np.einsum("mi,nj,mnl->ijl", a, b, sc.c, optimize=True)
+    gap -= np.einsum("mi,nj,mnl->ijl", b, a, sc.c, optimize=True)
+    return float(np.max(np.abs(gap)))
 
 
 def multiplier_from_spec(

@@ -1,8 +1,9 @@
 """Enumeration and verification of the weight-twisted spherical functions.
 
-Characters of the commutative Hecke algebra are found by joint eigen-
-decomposition of the left-multiplication matrices; each spherical function is
-then recovered from its character values on the indicator basis.
+The spherical functions are found deterministically in coset coordinates from
+the integer intersection numbers alone: the weight only rescales the classical
+functions and characters. The G-level checks (`verify_functional_equation`,
+`verify_eigen_property`, `classical_correspondence`) are test oracles.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from .groups import DoubleCosetPartition, GroupTable, SubgroupEmbedding, double_
 from .hecke import StructureConstants, hecke_structure_constants, is_weighted_gelfand
 from .weighted import BiInvariantFunction, Weight, weighted_convolve
 
-DEFAULT_SEED = 0xC0FFEE
 EIGENVALUE_SEPARATION = 1e-7
-DEDUP_TOL = 1e-7
-MAX_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -79,30 +77,25 @@ def _character_sort_key(values: np.ndarray) -> tuple:
     )
 
 
-def character_weight_sums(
-    group: GroupTable, partition: DoubleCosetPartition, w: Weight
-) -> np.ndarray:
-    """sum_{x in D_i} w(x) w(x^-1) for each double coset; always positive."""
-    ww = w.values * w.values[group.inv]
-    return np.array([np.sum(ww[list(c)]) for c in partition.cosets])
-
-
 def enumerate_spherical(
     group: GroupTable,
     K: SubgroupEmbedding,
     w: Weight,
     partition: Optional[DoubleCosetPartition] = None,
     sc: Optional[StructureConstants] = None,
-    seed: int = DEFAULT_SEED,
     tol: float = 1e-9,
 ) -> SphericalSet:
     """Find all d spherical functions of a weighted Gelfand pair.
 
-    Requires w(e) = 1 and a commutative algebra. The characters come from a
-    joint eigendecomposition: one random real combination of the left-
-    multiplication matrices is diagonalized (retried with fresh coefficients
-    on eigenvalue collision), and each character is read off a common
-    eigenvector. phi is recovered coset-by-coset from its character.
+    Requires w(e) = 1 and a commutative algebra. Deterministic, in coset
+    coordinates, and independent of the weight: the matrices
+    N_i[k, j] = p[i,j,k] sqrt(|D_k| / |D_j|) of f -> delta_i * f on the
+    orthonormal basis delta_k / sqrt(|D_k|) are normal and commute, so their
+    joint eigenlines are found by refining the identity basis with the
+    Hermitian parts of N_0, N_1, ... until there are d lines. Each line gives
+    a classical spherical function phi1; the weighted one is phi1 / w and its
+    character is chi(delta_i) = w_i |D_i| phi1(D_i^-1). Multiplicativity of
+    the classical characters is checked on the nonzeros of p.
     """
     if partition is None:
         partition = double_cosets(group, K)
@@ -117,52 +110,64 @@ def enumerate_spherical(
         raise DegenerateSpectrumError("structure constants overflow: weight range too wide")
 
     d = sc.dim
-    L = [sc.left_multiplication_matrix(i) for i in range(d)]
-    rng = np.random.default_rng(seed)
-    vecs = None
-    for _ in range(MAX_RETRIES):
-        coeffs = rng.standard_normal(d)
-        A = sum(t * Li for t, Li in zip(coeffs, L))
-        eigvals, eigvecs = np.linalg.eig(A)
-        sep = np.min(np.abs(np.diff(np.sort_complex(eigvals)))) if d > 1 else np.inf
-        if sep > EIGENVALUE_SEPARATION:
-            vecs = eigvecs
+    sizes = np.array(partition.sizes(), dtype=float)
+    root = np.sqrt(sizes)
+    blocks = [np.eye(d, dtype=complex)]
+    for i in range(d):
+        if len(blocks) == d:
             break
-    if vecs is None:
+        N = sc.p[i].T * (root[:, None] / root[None, :])
+        threshold = EIGENVALUE_SEPARATION * max(1.0, float(np.max(np.abs(N))))
+        for H in (N + N.T, 1j * (N - N.T)):
+            blocks = _refine(blocks, H, threshold)
+    if len(blocks) < d:
         raise DegenerateSpectrumError(
-            f"no separating combination found in {MAX_RETRIES} draws"
+            f"joint spectrum splits into {len(blocks)} lines, expected {d}"
         )
 
-    weight_sums = character_weight_sums(group, partition, w)
-    entries = []
-    for s in range(d):
-        v = vecs[:, s]
-        p = int(np.argmax(np.abs(v)))
-        chi = np.array([(Li @ v)[p] / v[p] for Li in L])
-        phi_vals = np.empty(d, dtype=complex)
-        for i in range(d):
-            phi_vals[partition.inverse_coset[i]] = chi[i] / weight_sums[i]
-        entries.append((chi, phi_vals))
-
-    # dedup (a genuinely semisimple commutative algebra yields d distinct tuples)
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
-    for chi, phi_vals in entries:
-        if all(np.max(np.abs(chi - k[0])) > DEDUP_TOL for k in kept):
-            kept.append((chi, phi_vals))
-    kept.sort(key=lambda e: _character_sort_key(e[0]))
-
-    functions = tuple(
-        SphericalFunction(coset_values=phi, partition=partition) for _, phi in kept
+    classical = np.hstack(blocks) / root[:, None]
+    classical /= classical[partition.identity_coset]
+    chi1 = sizes[:, None] * classical[list(partition.inverse_coset)]
+    _check_multiplicative(sc.p, chi1, tol)
+    wd = _coset_constants(w, partition)[:, None]
+    chars, phis = (wd * chi1).T, (classical / wd).T
+    order = sorted(range(d), key=lambda s: _character_sort_key(chars[s]))
+    return SphericalSet(
+        functions=tuple(SphericalFunction(phis[s], partition) for s in order),
+        characters=tuple(Character(chars[s]) for s in order),
+        partition=partition,
     )
-    characters = tuple(Character(values=chi) for chi, _ in kept)
-    sset = SphericalSet(functions=functions, characters=characters, partition=partition)
-    for phi in functions:
-        res = verify_functional_equation(phi, group, K, w)
-        if res > max(tol, 1e-8):
+
+
+def _refine(blocks: list[np.ndarray], H: np.ndarray, threshold: float) -> list[np.ndarray]:
+    """Split each block of orthonormal columns into eigenspaces of the
+    Hermitian H restricted to it, cutting where consecutive eigenvalues of
+    the restriction differ by more than threshold."""
+    out = []
+    for Q in blocks:
+        if Q.shape[1] == 1:
+            out.append(Q)
+            continue
+        vals, U = np.linalg.eigh(Q.conj().T @ H @ Q)
+        cuts = np.flatnonzero(np.diff(vals) > threshold) + 1
+        out.extend(np.split(Q @ U, cuts, axis=1))
+    return out
+
+
+def _check_multiplicative(p: np.ndarray, chi1: np.ndarray, tol: float) -> None:
+    """sum_k p[i,j,k] chi(k) = chi(i) chi(j) for every column chi of chi1,
+    relative to max |chi|^2. The sums run over the nonzeros of p; each (i, j)
+    has one, as delta_i * delta_j is nonzero."""
+    i, j, k = np.nonzero(p)
+    starts = np.flatnonzero(np.diff(i * len(p) + j, prepend=-1))
+    counts = p[i, j, k]
+    for chi in chi1.T:
+        gap = np.add.reduceat(counts * chi[k], starts) - np.outer(chi, chi).ravel()
+        res = np.max(np.abs(gap)) / np.max(np.abs(chi)) ** 2
+        if not res <= max(tol, 1e-8):  # also catches a NaN residual
             raise DegenerateSpectrumError(
-                f"recovered function fails the defining equation (residual {res:g})"
+                f"recovered character fails multiplicativity (residual {res:g})"
             )
-    return sset
 
 
 def verify_functional_equation(

@@ -103,6 +103,63 @@ def random_gfunction(n, rng):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def is_multiplier_oracle(T, sc, tol=1e-9):
+    """The defining identity T(delta_i * delta_j) = (T delta_i) * delta_j,
+    pair by pair in row-major order; returns (verdict, first failing pair)."""
+    d = sc.dim
+    eye = np.eye(d)
+    scale = max(1.0, float(np.max(np.abs(T.matrix))), float(np.max(np.abs(sc.c))))
+    for i in range(d):
+        for j in range(d):
+            lhs = T.apply(sc.c[i, j])
+            rhs = sc.convolve_coords(T.apply(eye[i]), eye[j])
+            if np.max(np.abs(lhs - rhs)) > tol * scale:
+                return False, (i, j)
+    return True, None
+
+
+def commutation_oracle(T1, T2, sc):
+    """Max over basis pairs of |T1 delta_i * T2 delta_j - T2 delta_i * T1 delta_j|."""
+    eye = np.eye(sc.dim)
+    return max(
+        float(np.max(np.abs(
+            sc.convolve_coords(T1.apply(eye[i]), T2.apply(eye[j]))
+            - sc.convolve_coords(T2.apply(eye[i]), T1.apply(eye[j]))
+        )))
+        for i in range(sc.dim)
+        for j in range(sc.dim)
+    )
+
+
+def _subgroup_pair(group, seeds):
+    K = wg.subgroup_closure(group, seeds)
+    return group, K, wg.double_cosets(group, K)
+
+
+def gelfand_instances():
+    """Weighted Gelfand instances with w(e) = 1, spanning the test groups."""
+    rng = np.random.default_rng(0xACCE97)
+    out = []
+    s3, K3, p3 = _subgroup_pair(wg.symmetric_group(3), [1])
+    out.append(("s3-uniform", s3, K3, p3, wg.uniform_weight(s3)))
+    w = wg.weight_from_spec(
+        {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}, s3, p3
+    )
+    out.append(("s3-weighted", s3, K3, p3, w))
+    gens4 = wg.symmetric_group_generators(4)
+    s4 = wg.build_group_from_generators(gens4)
+    K4 = wg.point_stabilizer(s4, gens4, 3)
+    p4 = wg.double_cosets(s4, K4)
+    out.append(("s4-uniform", s4, K4, p4, wg.uniform_weight(s4)))
+    out.append(("s4-weighted", s4, K4, p4,
+                random_bi_invariant_weight(p4, rng, unit_at_identity=True)))
+    c4, Kt, pt = _subgroup_pair(wg.cyclic_group(4), [])
+    out.append(("c4-uniform", c4, Kt, pt, wg.uniform_weight(c4)))
+    c5, K5, p5 = _subgroup_pair(wg.cyclic_group(5), [])
+    out.append(("c5-symmetric", c5, K5, p5, random_symmetric_weight(c5, rng)))
+    return out
+
+
 # ---------------------------------------------------------------- fixtures
 
 

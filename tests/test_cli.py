@@ -281,3 +281,60 @@ def test_overflowing_weight_exit_3(tmp_path, capsys):
              "--weight", paths["weight"]]
         )
     assert "overflow" in assert_one_line_error(code, capsys, expected_code=3)
+
+
+def test_overflowing_weight_exit_3_without_warnings(tmp_path, capsys):
+    weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 1e200}}
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"]]
+    )
+    assert "overflow" in assert_one_line_error(code, capsys, expected_code=3)
+
+
+def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypatch):
+    import wgelfand.cli
+    import wgelfand.fourier
+    import wgelfand.hecke
+    import wgelfand.spherical
+    import wgelfand.weighted
+
+    calls = []
+
+    def recorder(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called on the pipeline")
+        return record
+
+    oracles = ("verify_functional_equation", "spherical_transform", "weighted_convolve")
+    for module in (wg, wgelfand.cli, wgelfand.fourier, wgelfand.hecke,
+                   wgelfand.spherical, wgelfand.weighted):
+        for name in oracles:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorder(name))
+    monkeypatch.setattr(np.random, "default_rng", recorder("default_rng"))
+
+    kernels = [
+        {"kind": "kernel", "coset_values": [[1.0, 0.1 * k] for k in range(7)]},
+        {"kind": "kernel", "coset_values": [[-0.2 * k, 0.3] for k in range(7)]},
+    ]
+    paths = write_specs(
+        tmp_path, {"kind": "dihedral", "n": 12}, {"seeds": [2]}, UNIFORM,
+        multipliers=kernels,
+    )
+    code, out = run_cli(
+        ["multiplier-check", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"],
+         "--multiplier", paths["multipliers"][0],
+         "--multiplier", paths["multipliers"][1]],
+        capsys,
+    )
+    assert calls == []
+    assert code == 0
+    report = json.loads(out)
+    assert report["spherical"]["count"] == 7
+    assert all(m["symbol_matches_kernel_transform"] for m in report["multipliers"])
+    assert report["commutation"][0]["residual"] < 1e-9
+    assert "seed" not in report

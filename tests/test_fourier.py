@@ -4,7 +4,13 @@ import pytest
 import wgelfand as wg
 from wgelfand.errors import InputSpecError, NotMultiplierError
 
-from conftest import random_bi_invariant_weight, random_gfunction
+from conftest import (
+    commutation_oracle,
+    gelfand_instances,
+    is_multiplier_oracle,
+    random_bi_invariant_weight,
+    random_gfunction,
+)
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +21,7 @@ def s3_setup(s3_pair):
     )
     sc = wg.hecke_structure_constants(group, K, w, partition=part)
     sset = wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
-    table = wg.build_fourier_table(sset, group, w)
+    table = wg.build_fourier_table(sset)
     return group, K, part, w, sc, sset, table
 
 
@@ -25,7 +31,7 @@ def s3_uniform_setup(s3_pair):
     w = wg.uniform_weight(group)
     sc = wg.hecke_structure_constants(group, K, w, partition=part)
     sset = wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
-    table = wg.build_fourier_table(sset, group, w)
+    table = wg.build_fourier_table(sset)
     return group, K, part, w, sc, sset, table
 
 
@@ -110,7 +116,7 @@ def test_injectivity_rank_one_for_full_subgroup(s3):
     part = wg.double_cosets(s3, K)
     w = wg.uniform_weight(s3)
     sset = wg.enumerate_spherical(s3, K, w, partition=part)
-    table = wg.build_fourier_table(sset, s3, w)
+    table = wg.build_fourier_table(sset)
     rank, _ = wg.injectivity_check(table)
     assert rank == 1
 
@@ -170,9 +176,9 @@ def test_non_multiplier_rejected_with_witness(s3_setup):
 
 def test_symbol_identity_and_scalar(s3_setup):
     group, K, part, w, sc, sset, table = s3_setup
-    sym = wg.extract_symbol(wg.MultiplierOperator.identity(2), table, sc, group, w)
+    sym = wg.extract_symbol(wg.MultiplierOperator.identity(2), table)
     assert np.allclose(sym.values, 1.0, atol=1e-10)
-    sym = wg.extract_symbol(wg.MultiplierOperator.scalar(2, 3.0), table, sc, group, w)
+    sym = wg.extract_symbol(wg.MultiplierOperator.scalar(2, 3.0), table)
     assert np.allclose(sym.values, 3.0, atol=1e-10)
 
 
@@ -182,7 +188,7 @@ def test_symbol_equals_kernel_transform(s3_setup):
     for _ in range(10):
         h = wg.BiInvariantFunction(random_gfunction(2, rng), part)
         T = wg.multiplier_from_kernel(h, sc)
-        sym = wg.extract_symbol(T, table, sc, group, w)
+        sym = wg.extract_symbol(T, table)
         assert np.allclose(
             sym.values, wg.spherical_transform(h, sset, group, w), atol=1e-9
         )
@@ -195,9 +201,9 @@ def test_symbol_of_composition_multiplies(s3_setup):
     h2 = wg.BiInvariantFunction(random_gfunction(2, rng), part)
     T1 = wg.multiplier_from_kernel(h1, sc)
     T2 = wg.multiplier_from_kernel(h2, sc)
-    s1 = wg.extract_symbol(T1, table, sc, group, w).values
-    s2 = wg.extract_symbol(T2, table, sc, group, w).values
-    s12 = wg.extract_symbol(T1.compose(T2), table, sc, group, w).values
+    s1 = wg.extract_symbol(T1, table).values
+    s2 = wg.extract_symbol(T2, table).values
+    s12 = wg.extract_symbol(T1.compose(T2), table).values
     assert np.max(np.abs(s12 - s1 * s2)) < 1e-9
 
 
@@ -207,7 +213,7 @@ def test_symbol_extraction_rejects_non_multiplier(s3_setup):
     ok, _ = wg.is_multiplier(bad, sc)
     if not ok:
         with pytest.raises(NotMultiplierError):
-            wg.extract_symbol(bad, table, sc, group, w)
+            wg.extract_symbol(bad, table)
 
 
 def test_commutation_identity_operator(s3_setup):
@@ -257,6 +263,57 @@ def test_multiplier_from_spec(s3_setup):
 
 def test_symbol_serialization(s3_setup):
     group, K, part, w, sc, sset, table = s3_setup
-    sym = wg.extract_symbol(wg.MultiplierOperator.identity(2), table, sc, group, w)
+    sym = wg.extract_symbol(wg.MultiplierOperator.identity(2), table)
     blob = sym.to_json()
     assert len(blob["symbol"]) == 2
+
+
+def test_fourier_table_matches_transform_oracle():
+    for name, group, K, part, w in gelfand_instances():
+        sset = wg.enumerate_spherical(group, K, w, partition=part)
+        indicators = [
+            wg.BiInvariantFunction.indicator(i, part) for i in range(part.num_cosets)
+        ]
+        oracle = np.array([wg.spherical_transform(f, sset, group, w) for f in indicators])
+        table = wg.build_fourier_table(sset)
+        assert np.allclose(table.matrix, oracle, rtol=1e-12, atol=1e-12), name
+
+
+@pytest.fixture(scope="module")
+def d12_reflection_setup():
+    group = wg.dihedral_group(12)
+    K = wg.subgroup_closure(group, [2])  # element 2 is the generating reflection
+    part = wg.double_cosets(group, K)
+    w = random_bi_invariant_weight(part, np.random.default_rng(11), unit_at_identity=True)
+    return part, wg.hecke_structure_constants(group, K, w, partition=part)
+
+
+def test_multiplier_checks_match_loop_oracle(d12_reflection_setup):
+    part, sc = d12_reflection_setup
+    d = part.num_cosets
+    rng = np.random.default_rng(12)
+    kernels = [
+        wg.multiplier_from_kernel(
+            wg.BiInvariantFunction(random_gfunction(d, rng), part), sc
+        )
+        for _ in range(3)
+    ]
+    bump = 0.5 * np.outer(np.eye(d)[1], np.eye(d)[3])
+    others = [
+        wg.MultiplierOperator(
+            matrix=rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ),
+        wg.MultiplierOperator(matrix=np.diag(np.arange(1.0, d + 1))),
+        wg.MultiplierOperator.scalar(d, 2.0 - 1.0j),
+        wg.MultiplierOperator(matrix=kernels[0].matrix + bump),
+    ]
+    for T in kernels + others:
+        assert wg.is_multiplier(T, sc) == is_multiplier_oracle(T, sc)
+    assert not wg.is_multiplier(others[0], sc)[0]
+    # a kernel operator changed in column 3 only first fails at the pair (0, 3)
+    assert wg.is_multiplier(others[-1], sc) == (False, (0, 3))
+    for T1 in kernels + others:
+        for T2 in kernels + others:
+            assert wg.verify_commutation(T1, T2, sc) == pytest.approx(
+                commutation_oracle(T1, T2, sc), rel=1e-9, abs=1e-9
+            )

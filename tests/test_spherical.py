@@ -6,6 +6,7 @@ from wgelfand.errors import NotGelfandError, PreconditionError
 
 from conftest import (
     brute_force_spherical,
+    gelfand_instances,
     match_sets,
     random_bi_invariant_weight,
     random_gfunction,
@@ -182,3 +183,56 @@ def test_spherical_set_serialization(s3_pair):
         assert len(entry["coset_values"]) == 2
         assert len(entry["character"]) == 2
         assert all(len(pair) == 2 for pair in entry["coset_values"])
+
+
+def multiplicities(sset, group, part, w):
+    """m_s = |G| / sum_i |chi_s(delta_i) / (w_i |D_i|)|^2 |D_i|: the dimension
+    of the representation behind each spherical function."""
+    sizes = np.array(part.sizes())
+    wd = np.array([w.values[c[0]] for c in part.cosets])
+    return np.array([
+        group.order / np.sum(np.abs(chi.values / (wd * sizes)) ** 2 * sizes)
+        for chi in sset.characters
+    ])
+
+
+def assert_integer_multiplicities(m, index):
+    assert np.all(np.abs(m - np.round(m)) < 1e-9)
+    assert np.all(np.round(m) >= 1)
+    assert round(float(np.sum(m))) == index
+
+
+def test_elementary_abelian_needs_three_refinements():
+    # every N_i of (C2)^3 has eigenvalues +-1 only, so no single one splits it
+    gens = [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)]
+    group = wg.build_group_from_generators(gens)
+    K = wg.subgroup_closure(group, [])
+    part = wg.double_cosets(group, K)
+    w = wg.uniform_weight(group)
+    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    assert len(sset) == 8
+    for phi in sset.functions:
+        assert wg.verify_functional_equation(phi, group, K, w) < 1e-12
+    m = multiplicities(sset, group, part, w)
+    assert np.allclose(m, 1.0, atol=1e-9)
+
+
+def test_spectrum_does_not_depend_on_weight_range():
+    group = wg.dihedral_group(50)
+    K = wg.subgroup_closure(group, [50])
+    part = wg.double_cosets(group, K)
+    rng = np.random.default_rng(5)
+    vals = 10.0 ** rng.uniform(-15, 15, part.num_cosets)
+    vals[part.identity_coset] = 1.0
+    w = wg.Weight(vals[part.coset_of])
+    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    assert len(sset) == part.num_cosets
+    m = multiplicities(sset, group, part, w)
+    assert_integer_multiplicities(m, group.order // K.order)
+
+
+def test_multiplicities_are_integers_on_gelfand_instances():
+    for name, group, K, part, w in gelfand_instances():
+        sset = wg.enumerate_spherical(group, K, w, partition=part)
+        m = multiplicities(sset, group, part, w)
+        assert_integer_multiplicities(m, group.order // K.order)
