@@ -55,8 +55,16 @@ def _load_json(path: str) -> tuple[dict, str]:
         raise InputSpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as InputSpecError (exit 1, one line) instead of
+    argparse's exit 2, which is the code for a negative verdict."""
+
+    def error(self, message: str):
+        raise InputSpecError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wgelfand",
         description="Weighted Gelfand pair analysis on finite groups",
     )
@@ -76,9 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="multiplier spec JSON file (repeatable)",
             )
         p.add_argument("--tolerance", default="1e-9", help="positive finite tolerance")
-        p.add_argument(
-            "--seed", default="0xC0FFEE", help="ignored; the pipeline is deterministic"
-        )
         p.add_argument("--output", help="report file (default: stdout)")
         p.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -113,13 +118,10 @@ def run(args) -> tuple[dict, int]:
     inputs = {}
     try:
         tol = float(args.tolerance)
-        seed = int(args.seed, 16) if isinstance(args.seed, str) else int(args.seed)
     except ValueError as exc:
-        raise InputSpecError(f"bad --tolerance or --seed: {exc}") from exc
+        raise InputSpecError(f"bad --tolerance: {exc}") from exc
     if not (math.isfinite(tol) and tol > 0):
         raise InputSpecError(f"--tolerance must be finite and > 0, got {args.tolerance}")
-    if seed < 0:
-        raise InputSpecError(f"--seed must be a non-negative hex integer, got {args.seed}")
 
     spec, digest = _load_json(args.group)
     inputs["group"] = {"path": args.group, "sha256": digest}
@@ -160,10 +162,10 @@ def run(args) -> tuple[dict, int]:
 
     t1 = time.perf_counter()
     sc = hecke_structure_constants(group, K, w, partition=partition)
-    gelfand = is_weighted_gelfand(group, K, w, tol=tol, sc=sc)
+    gelfand = is_weighted_gelfand(group, K, w, sc=sc)
     rap = None
     if theta is not None:
-        rap = check_rap_condition(group, K, w, theta, tol=tol, sc=sc)
+        rap = check_rap_condition(group, K, w, theta, sc=sc)
     gelfand_json = gelfand.to_json()
     gelfand_json["rap"] = rap
     report["gelfand"] = gelfand_json
@@ -253,8 +255,6 @@ def _format_text(report: dict) -> str:
         add(f"{'witness':<24}{gf['witness']}")
     if gf.get("rap") is not None:
         add(f"{'sufficient condition':<24}{gf['rap']}")
-    if gf.get("unimodularity") is not None:
-        add(f"{'inversion-sum identity':<24}{gf['unimodularity']}")
     if "spherical" in report:
         add(f"{'spherical functions':<24}{report['spherical']['count']}")
         for idx, fn in enumerate(report["spherical"]["functions"]):
@@ -276,9 +276,8 @@ def _format_text(report: dict) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report, exit_code = run(args)
     except InputSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,14 @@
 """Finite groups as index tables: closure, subgroups, double cosets, automorphisms.
 
 Elements are integers 0..n-1; the identity is always index 0 for groups built
-by generator closure. Permutations are tuples p with p[i] the image of i, and
-the group product a*b acts as "apply b, then a": (a*b)[i] = a[b[i]].
+by generator closure. Permutations are integer rows p with p[i] the image of
+i, and the group product a*b acts as "apply b, then a": (a*b)[i] = a[b[i]].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class GroupTable:
     mul: np.ndarray
     inv: np.ndarray
     identity: int = 0
-    labels: Optional[tuple[str, ...]] = None
 
     @property
     def order(self) -> int:
@@ -51,9 +50,6 @@ class GroupTable:
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
-
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels is not None else str(x)
 
 
 @dataclass(frozen=True)
@@ -101,15 +97,63 @@ class GroupAutomorphism:
         return int(self.perm[x])
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a[b[i]] for i in range(len(a)))
+def _integers(value, what: str, ndim: int) -> np.ndarray:
+    """A JSON value (a number or nested lists of numbers) as an int64 array
+    of `ndim` dimensions; an empty list passes for any ndim. Strings,
+    booleans, ragged lists and non-integral or inexact numbers raise
+    InputSpecError instead of being cast or truncated."""
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError):
+        raise InputSpecError(f"{what} must be a rectangular array of integers") from None
+    exact = arr.dtype.kind == "i" or (
+        arr.dtype.kind == "f" and np.all((np.abs(arr) <= 2**53) & (arr == np.trunc(arr)))
+    )
+    if (arr.size or ndim == 0) and not (exact and arr.ndim == ndim):
+        shape = "an integer" if ndim == 0 else f"a {ndim}-dimensional array of integers"
+        raise InputSpecError(f"{what} must be {shape}")
+    return arr.astype(np.int64)
 
 
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    q = [0] * len(p)
-    for i, pi in enumerate(p):
-        q[pi] = i
-    return tuple(q)
+def _closure(
+    generators: Sequence[Sequence[int]], element_cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first closure of permutation generators.
+
+    Returns (perms, R, born). perms[x] is element x as a permutation: the
+    identity is 0 and elements follow in discovery order (frontier element,
+    then generator index). R[x, j] is the index of perms[x] * generator j, and
+    element y >= 1 was first found as R.flat[born[y - 1]]. Each frontier is
+    composed with all generators in one gather; new rows are recognised by
+    their bytes.
+    """
+    gens = _integers(generators, "generators", ndim=2)
+    if gens.ndim != 2:  # no generators: the trivial group on one point
+        gens = gens.reshape(0, 1)
+    m, degree = gens.shape
+    bad = np.flatnonzero(np.any(np.sort(gens, axis=1) != np.arange(degree), axis=1))
+    if len(bad):
+        raise InputSpecError(f"not a permutation of 0..{degree - 1}: {gens[bad[0]].tolist()}")
+
+    frontier = np.arange(degree)[None, :]
+    index = {frontier[0].tobytes(): 0}
+    levels, rows, born = [frontier], [], []
+    start = 0  # index of frontier[0]
+    while len(frontier):
+        cand = frontier[:, gens].reshape(len(frontier) * m, degree)  # (x*g)[i] = x[g[i]]
+        hits = np.array(
+            [index.setdefault(row.tobytes(), len(index)) for row in cand], dtype=np.int64
+        )
+        if len(index) > element_cap:
+            raise SizeLimitError(f"closure exceeds element cap {element_cap}")
+        rows.append(hits.reshape(len(frontier), m))
+        values, first = np.unique(hits, return_index=True)
+        first = first[values >= start + len(frontier)]
+        born.append(start * m + first)
+        start += len(frontier)
+        frontier = cand[first]
+        levels.append(frontier)
+    return np.concatenate(levels), np.concatenate(rows), np.concatenate(born)
 
 
 def validate_group(group: GroupTable, rng: Optional[np.random.Generator] = None) -> None:
@@ -142,55 +186,41 @@ def validate_group(group: GroupTable, rng: Optional[np.random.Generator] = None)
 def build_group_from_generators(
     generators: Sequence[Sequence[int]],
     element_cap: int = DEFAULT_ELEMENT_CAP,
-    labels: bool = False,
 ) -> GroupTable:
     """Close a set of permutations under composition into a GroupTable.
 
     Element order is breadth-first discovery from the identity, with
     generator index as tiebreak, so tables are reproducible. Identity is 0.
+    The table is filled column by column: if y = p * g was found from its
+    parent p, then x * y = (x * p) * g.
     """
-    gens = [tuple(int(i) for i in g) for g in generators]
-    if gens:
-        degree = len(gens[0])
-        for g in gens:
-            if len(g) != degree or sorted(g) != list(range(degree)):
-                raise InputSpecError(f"not a permutation of 0..{degree - 1}: {g}")
-    else:
-        degree = 1
-
-    ident = tuple(range(degree))
-    elements: list[tuple[int, ...]] = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = _compose(x, g)
-                if y not in index:
-                    index[y] = len(elements)
-                    elements.append(y)
-                    new_frontier.append(y)
-                    if len(elements) > element_cap:
-                        raise SizeLimitError(
-                            f"closure exceeds element cap {element_cap}"
-                        )
-        frontier = new_frontier
-
-    n = len(elements)
+    perms, R, born = _closure(generators, element_cap)
+    n = len(perms)
+    parent, gen = np.divmod(born, R.shape[1])
     mul = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            mul[i, j] = index[_compose(a, b)]
-    inv = np.array([index[_invert(p)] for p in elements], dtype=np.int64)
-    lab = tuple(str(p) for p in elements) if labels else None
-    return GroupTable(mul=mul, inv=inv, identity=0, labels=lab)
+    mul[:, 0] = np.arange(n)
+    for y in range(1, n):
+        mul[:, y] = R[mul[:, parent[y - 1]], gen[y - 1]]
+    inv = mul.argmin(axis=1)  # x * x^-1 is the identity, the smallest index
+    return GroupTable(mul=mul, inv=inv, identity=0)
+
+
+def _check_known_order(factors: Iterable[int]) -> None:
+    """Raise SizeLimitError as soon as the partial products of `factors` (a
+    group's known order) pass the element cap, before any permutation is
+    built."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > DEFAULT_ELEMENT_CAP:
+            raise SizeLimitError(f"group order exceeds element cap {DEFAULT_ELEMENT_CAP}")
 
 
 def cyclic_group(n: int) -> GroupTable:
     """Cyclic group of order n; element index equals the exponent."""
     if n < 1:
         raise InputSpecError("cyclic group order must be >= 1")
+    _check_known_order([n])
     if n == 1:
         return build_group_from_generators([])
     cycle = tuple((i + 1) % n for i in range(n))
@@ -201,6 +231,7 @@ def dihedral_group(n: int) -> GroupTable:
     """Dihedral group with n rotations (order 2n)."""
     if n < 1:
         raise InputSpecError("dihedral parameter must be >= 1")
+    _check_known_order([2, n])
     if n == 1:
         return build_group_from_generators([(1, 0)])
     rot = tuple((i + 1) % n for i in range(n))
@@ -223,12 +254,13 @@ def symmetric_group_generators(n: int) -> list[tuple[int, ...]]:
 
 def symmetric_group(n: int) -> GroupTable:
     """Symmetric group on n points (order n!)."""
+    _check_known_order(range(2, n + 1))
     return build_group_from_generators(symmetric_group_generators(n))
 
 
 def group_from_table(table: Sequence[Sequence[int]]) -> GroupTable:
     """Build and validate a GroupTable from an explicit multiplication table."""
-    mul = np.asarray(table, dtype=np.int64)
+    mul = _integers(table, "table", ndim=2)
     if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
         raise InputSpecError("multiplication table must be square")
     n = mul.shape[0]
@@ -254,25 +286,20 @@ def group_from_table(table: Sequence[Sequence[int]]) -> GroupTable:
 def subgroup_closure(group: GroupTable, seeds: Sequence[int]) -> SubgroupEmbedding:
     """Smallest subgroup of `group` containing the seed elements."""
     n = group.order
-    for s in seeds:
-        if not 0 <= s < n:
-            raise InputSpecError(f"seed index {s} out of range for order {n}")
-    members = {group.identity}
-    frontier = [group.identity]
-    seeds_and_invs = set(int(s) for s in seeds) | {group.inverse(s) for s in seeds}
-    members |= seeds_and_invs
-    frontier = list(members)
-    gens = sorted(seeds_and_invs)
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = group.multiply(x, g)
-                if y not in members:
-                    members.add(y)
-                    new_frontier.append(y)
-        frontier = new_frontier
-    return SubgroupEmbedding(elements=tuple(sorted(members)))
+    seeds = _integers(seeds, "seeds", ndim=1)
+    out = seeds[(seeds < 0) | (seeds >= n)]
+    if len(out):
+        raise InputSpecError(f"seed index {out[0]} out of range for order {n}")
+    gens = np.union1d(seeds, group.inv[seeds])
+    members = np.zeros(n, dtype=bool)
+    members[group.identity] = True
+    members[gens] = True
+    frontier = np.flatnonzero(members)
+    while len(frontier):
+        step = group.mul[np.ix_(frontier, gens)].ravel()
+        frontier = np.unique(step[~members[step]])
+        members[frontier] = True
+    return SubgroupEmbedding(elements=tuple(np.flatnonzero(members).tolist()))
 
 
 def point_stabilizer(group: GroupTable, generators: Sequence[Sequence[int]], point: int) -> SubgroupEmbedding:
@@ -280,28 +307,16 @@ def point_stabilizer(group: GroupTable, generators: Sequence[Sequence[int]], poi
 
     Only valid when `group` was produced by build_group_from_generators with
     the same generator list (element order must match); used by tests to form
-    S_{n-1}-type subgroups. Works by re-deriving the element permutations.
+    S_{n-1}-type subgroups. Re-derives the element permutations by the same
+    closure and keeps those that fix `point`.
     """
-    gens = [tuple(int(i) for i in g) for g in generators]
-    degree = len(gens[0]) if gens else 1
-    ident = tuple(range(degree))
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = _compose(x, g)
-                if y not in index:
-                    index[y] = len(elements)
-                    elements.append(y)
-                    new_frontier.append(y)
-        frontier = new_frontier
-    if len(elements) != group.order:
+    try:
+        perms = _closure(generators, element_cap=group.order)[0]
+    except SizeLimitError:
+        perms = None
+    if perms is None or len(perms) != group.order:
         raise InputSpecError("generators do not regenerate this group")
-    fixed = [i for i, p in enumerate(elements) if p[point] == point]
-    return SubgroupEmbedding(elements=tuple(sorted(fixed)))
+    return SubgroupEmbedding(elements=tuple(np.flatnonzero(perms[:, point] == point).tolist()))
 
 
 def double_cosets(group: GroupTable, K: SubgroupEmbedding) -> DoubleCosetPartition:
@@ -389,7 +404,7 @@ def group_from_spec(spec: dict, element_cap: int = DEFAULT_ELEMENT_CAP) -> Group
     if kind in ("cyclic", "dihedral", "symmetric"):
         if "n" not in spec:
             raise InputSpecError(f'kind "{kind}" requires an "n" field')
-        n = int(spec["n"])
+        n = int(_integers(spec["n"], '"n"', ndim=0))
         builder = {
             "cyclic": cyclic_group,
             "dihedral": dihedral_group,
@@ -410,23 +425,26 @@ def subgroup_from_spec(group: GroupTable, spec: dict) -> SubgroupEmbedding:
     if "seeds" in spec:
         return subgroup_closure(group, spec["seeds"])
     if "elements" in spec:
-        elems = sorted(int(x) for x in spec["elements"])
-        sub = SubgroupEmbedding(elements=tuple(elems))
+        elems = np.unique(_integers(spec["elements"], "elements", ndim=1))
+        if len(elems) and not (0 <= elems[0] and elems[-1] < group.order):
+            raise InputSpecError(f"element index out of range for order {group.order}")
+        sub = SubgroupEmbedding(elements=tuple(elems.tolist()))
         _check_subgroup(group, sub)
         return sub
     raise InputSpecError('subgroup spec needs "seeds" or "elements"')
 
 
 def _check_subgroup(group: GroupTable, sub: SubgroupEmbedding) -> None:
-    members = set(sub.elements)
-    if group.identity not in members:
+    """A finite set containing the identity and closed under products is a
+    subgroup (inverses are powers); the witness is the first pair (x, y) in
+    row-major order whose product leaves the set."""
+    k = np.asarray(sub.elements, dtype=np.int64)
+    if group.identity not in sub.elements:
         raise InputSpecError("subgroup must contain the identity")
-    for x in sub.elements:
-        if group.inverse(x) not in members:
-            raise InputSpecError(f"subgroup not closed under inversion at {x}")
-        for y in sub.elements:
-            if group.multiply(x, y) not in members:
-                raise InputSpecError(f"subgroup not closed under product at ({x}, {y})")
+    bad = np.argwhere(~np.isin(group.mul[np.ix_(k, k)], k))
+    if len(bad):
+        x, y = k[bad[0]].tolist()
+        raise InputSpecError(f"subgroup not closed under product at ({x}, {y})")
 
 
 def automorphism_from_spec(group: GroupTable, spec: dict) -> GroupAutomorphism:

@@ -1,18 +1,18 @@
 """The weighted Hecke algebra on the double-coset indicator basis.
 
-Structure constants, commutativity (the weighted Gelfand property), the
-automorphism-based sufficient condition and the inversion-sum necessary
-identity.
+Structure constants, commutativity (the weighted Gelfand property) and the
+automorphism-based sufficient condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import BiInvarianceError, NotInvolutiveError, PreconditionError, WGelfandError
+from .errors import BiInvarianceError, NotInvolutiveError, WGelfandError
 from .groups import (
     DoubleCosetPartition,
     GroupAutomorphism,
@@ -22,8 +22,6 @@ from .groups import (
     theta_in_KxinvK,
 )
 from .weighted import Weight, weight_checks
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,17 @@ class StructureConstants:
         """Coordinates of (sum u_i delta_i) *_w (sum v_j delta_j)."""
         return np.einsum("i,j,ijk->k", u, v, self.c)
 
+    @cached_property
+    def commutativity_witness(self) -> Optional[tuple[int, int, int]]:
+        """None if the algebra commutes, else (i, j, x) at the first k with
+        p[i,j,k] != p[j,i,k]: delta_i * delta_j and delta_j * delta_i differ
+        at x = r_k. Computed once per instance."""
+        mismatch = np.argwhere(self.p != self.p.transpose(1, 0, 2))
+        if not len(mismatch):
+            return None
+        i, j, k = (int(v) for v in mismatch[0])
+        return i, j, self.partition.representative(k)
+
 
 @dataclass(frozen=True)
 class GelfandReport:
@@ -57,7 +66,6 @@ class GelfandReport:
     witness: Optional[tuple[int, int, int]] = None
     rap_condition: Optional[bool] = None
     rap_theta: Optional[GroupAutomorphism] = None
-    unimodularity_identity: Optional[bool] = None
 
     def to_json(self) -> dict:
         witness = None
@@ -68,7 +76,6 @@ class GelfandReport:
             "gelfand": self.is_weighted_gelfand,
             "witness": witness,
             "rap": self.rap_condition,
-            "unimodularity": self.unimodularity_identity,
         }
 
 
@@ -113,7 +120,6 @@ def is_weighted_gelfand(
     K: SubgroupEmbedding,
     w: Weight,
     partition: Optional[DoubleCosetPartition] = None,
-    tol: float = DEFAULT_TOL,
     sc: Optional[StructureConstants] = None,
 ) -> GelfandReport:
     """Test commutativity of the weighted Hecke algebra on the indicator basis.
@@ -121,25 +127,12 @@ def is_weighted_gelfand(
     The verdict is exact and weight-independent: c[i,j,k] = c[j,i,k] iff
     p[i,j,k] = p[j,i,k], as the weight rescales both by w_i w_j / w_k > 0.
     On failure the witness is (i, j, x) at the first mismatch: an element x
-    where delta_i *_w delta_j and delta_j *_w delta_i differ. When w(e) = 1
-    the inversion-sum identity is also evaluated (within tol) and reported.
+    where delta_i *_w delta_j and delta_j *_w delta_i differ.
     """
     if sc is None:
         sc = hecke_structure_constants(group, K, w, partition=partition)
-    partition = sc.partition
-    mismatch = np.argwhere(sc.p != sc.p.transpose(1, 0, 2))
-    witness = None
-    if len(mismatch):
-        i, j, k = (int(v) for v in mismatch[0])
-        witness = (i, j, partition.representative(k))
-    unimod = None
-    if w.unit_at_identity(group, tol=tol):
-        unimod = check_unimodularity_identity(group, K, w, partition=partition, tol=tol)
-    return GelfandReport(
-        is_weighted_gelfand=witness is None,
-        witness=witness,
-        unimodularity_identity=unimod,
-    )
+    witness = sc.commutativity_witness
+    return GelfandReport(is_weighted_gelfand=witness is None, witness=witness)
 
 
 def check_rap_condition(
@@ -148,7 +141,6 @@ def check_rap_condition(
     w: Weight,
     theta: GroupAutomorphism,
     partition: Optional[DoubleCosetPartition] = None,
-    tol: float = DEFAULT_TOL,
     sc: Optional[StructureConstants] = None,
 ) -> bool:
     """Sufficient condition for the weighted Gelfand property.
@@ -167,33 +159,10 @@ def check_rap_condition(
         in_coset, _ = theta_in_KxinvK(group, partition, theta)
         ok = in_coset
     if ok:
-        report = is_weighted_gelfand(group, K, w, partition=partition, tol=tol, sc=sc)
+        report = is_weighted_gelfand(group, K, w, partition=partition, sc=sc)
         if not report.is_weighted_gelfand:
             raise WGelfandError(
                 "sufficient condition held but the algebra is noncommutative; "
                 f"witness {report.witness}"
             )
     return ok
-
-
-def check_unimodularity_identity(
-    group: GroupTable,
-    K: SubgroupEmbedding,
-    w: Weight,
-    partition: Optional[DoubleCosetPartition] = None,
-    tol: float = 1e-10,
-) -> bool:
-    """Inversion-sum identity on every indicator: a necessary condition.
-
-    For each double-coset indicator f, compares
-    sum_x f(x) w(x) w(x^-1) with sum_x f(x^-1) w(x^-1) w(x). Requires w(e)=1.
-    Both sides sum the same multiset {w(x) w(x^-1) : x in D_i}, so the
-    identity is exactly |D_i| = |D_{i^-1}|; it is evaluated on those integers,
-    which no weight can overflow.
-    """
-    if not w.unit_at_identity(group, tol=tol):
-        raise PreconditionError("identity requires w(e) = 1")
-    if partition is None:
-        partition = double_cosets(group, K)
-    sizes = np.array(partition.sizes())
-    return bool(np.array_equal(sizes, sizes[list(partition.inverse_coset)]))

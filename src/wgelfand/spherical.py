@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NotGelfandError, PreconditionError
 from .groups import DoubleCosetPartition, GroupTable, SubgroupEmbedding, double_cosets
-from .hecke import StructureConstants, hecke_structure_constants, is_weighted_gelfand
+from .hecke import StructureConstants, hecke_structure_constants
 from .weighted import BiInvariantFunction, Weight, weighted_convolve
 
 EIGENVALUE_SEPARATION = 1e-7
@@ -103,9 +103,8 @@ def enumerate_spherical(
         raise PreconditionError("spherical enumeration requires w(e) = 1")
     if sc is None:
         sc = hecke_structure_constants(group, K, w, partition=partition)
-    report = is_weighted_gelfand(group, K, w, partition=partition, tol=tol, sc=sc)
-    if not report.is_weighted_gelfand:
-        raise NotGelfandError(*report.witness)
+    if sc.commutativity_witness is not None:
+        raise NotGelfandError(*sc.commutativity_witness)
     if not np.all(np.isfinite(sc.c)):
         raise DegenerateSpectrumError("structure constants overflow: weight range too wide")
 

@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
-The oracles here deliberately avoid the library's fast paths: convolutions
-are plain double loops over group elements, and spherical functions are found
-by solving the averaged-product equation symbolically with sympy.
+The oracles here deliberately avoid the library's fast paths: group closure
+composes permutation tuples one pair at a time, convolutions are plain double
+loops over group elements, and spherical functions are found by solving the
+averaged-product equation symbolically with sympy.
 """
 
 from __future__ import annotations
@@ -15,6 +16,66 @@ import wgelfand as wg
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def closure_oracle(generators):
+    """(mul, inv) of the group generated by permutation tuples: breadth-first
+    discovery from the identity (index 0) with generator index as tiebreak,
+    then one tuple composition (a*b)[i] = a[b[i]] per table entry."""
+    gens = [tuple(int(i) for i in g) for g in generators]
+    degree = len(gens[0]) if gens else 1
+
+    def compose(a, b):
+        return tuple(a[b[i]] for i in range(len(a)))
+
+    def invert(p):
+        q = [0] * len(p)
+        for i, pi in enumerate(p):
+            q[pi] = i
+        return tuple(q)
+
+    ident = tuple(range(degree))
+    elements, index, frontier = [ident], {ident: 0}, [ident]
+    while frontier:
+        new_frontier = []
+        for x in frontier:
+            for g in gens:
+                y = compose(x, g)
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    new_frontier.append(y)
+        frontier = new_frontier
+    mul = np.array(
+        [[index[compose(a, b)] for b in elements] for a in elements], dtype=np.int64
+    )
+    inv = np.array([index[invert(p)] for p in elements], dtype=np.int64)
+    return mul, inv
+
+
+def subgroup_closure_oracle(group, seeds):
+    """Sorted elements of the subgroup generated by the seeds, as a set
+    grown by right multiplication until it stops changing."""
+    members = {group.identity} | {int(s) for s in seeds}
+    while True:
+        grown = members | {group.multiply(x, y) for x in members for y in members}
+        if grown == members:
+            return tuple(sorted(members))
+        members = grown
+
+
+def check_subgroup_oracle(group, elements):
+    """The error _check_subgroup should raise for a sorted element list, or
+    None: the identity first, then the first (x, y) in row-major order whose
+    product leaves the set."""
+    members = set(elements)
+    if group.identity not in members:
+        return "subgroup must contain the identity"
+    for x in elements:
+        for y in elements:
+            if group.multiply(x, y) not in members:
+                return f"subgroup not closed under product at ({x}, {y})"
+    return None
 
 
 def classical_convolve_oracle(f, g, group):

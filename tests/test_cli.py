@@ -338,3 +338,39 @@ def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypat
     assert all(m["symbol_matches_kernel_transform"] for m in report["multipliers"])
     assert report["commutation"][0]["residual"] < 1e-9
     assert "seed" not in report
+
+
+@pytest.mark.parametrize(
+    "group, subgroup",
+    [
+        ({"kind": "cyclic", "n": "abc"}, {"seeds": []}),
+        ({"kind": "dihedral", "n": 2.5}, {"seeds": []}),
+        ({"kind": "cyclic", "n": 10**12}, {"seeds": []}),
+        ({"kind": "symmetric", "n": 10**12}, {"seeds": []}),
+        ({"kind": "table", "table": [[0, 1], [1]]}, {"seeds": []}),
+        ({"kind": "generators", "generators": "abc"}, {"seeds": []}),
+        (S3, {"seeds": ["a"]}),
+        (S3, {"seeds": [1.5]}),
+        (S3, {"elements": ["x"]}),
+        (S3, {"elements": [0, 9]}),
+    ],
+    ids=["n-string", "n-fraction", "cyclic-too-large", "symmetric-too-large",
+         "ragged-table", "generators-string", "seeds-string", "seeds-fraction",
+         "elements-string", "elements-out-of-range"],
+)
+def test_malformed_group_and_subgroup_specs_exit_1(tmp_path, capsys, group, subgroup):
+    paths = write_specs(tmp_path, group, subgroup, UNIFORM)
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"]]
+    )
+    assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], [], ["nonsense"], ["analyze", "--group"], ["fourier", "--seed", "1"]],
+    ids=["missing-flags", "no-command", "unknown-command", "missing-value", "seed-removed"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    assert_one_line_error(main(argv), capsys)

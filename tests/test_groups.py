@@ -9,6 +9,32 @@ from wgelfand.errors import (
     SizeLimitError,
 )
 
+from conftest import check_subgroup_oracle, closure_oracle, subgroup_closure_oracle
+
+
+def _cycle(n):
+    return tuple((i + 1) % n for i in range(n))
+
+
+CLOSURE_CASES = {
+    "C1": [],
+    "C2": [(1, 0)],
+    "C128": [_cycle(128)],
+    "D1": [(1, 0)],
+    "D60": [_cycle(60), tuple((60 - i) % 60 for i in range(60))],
+    **{f"S{n}": wg.symmetric_group_generators(n) for n in range(1, 7)},
+    "C2^3": [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)],
+    "repeated-and-identity": [(1, 2, 0), (0, 1, 2), (1, 2, 0), (1, 0, 2)],
+}
+
+
+@pytest.mark.parametrize("gens", CLOSURE_CASES.values(), ids=CLOSURE_CASES.keys())
+def test_closure_matches_tuple_oracle(gens):
+    g = wg.build_group_from_generators(gens)
+    mul, inv = closure_oracle(gens)
+    assert np.array_equal(g.mul, mul)
+    assert np.array_equal(g.inv, inv)
+
 
 def test_cyclic_closure_from_cycle():
     g = wg.build_group_from_generators([(1, 2, 3, 0)])
@@ -39,6 +65,29 @@ def test_identity_is_index_zero(s3):
 def test_element_cap():
     with pytest.raises(SizeLimitError):
         wg.build_group_from_generators(wg.symmetric_group_generators(5), element_cap=50)
+
+
+def test_element_cap_boundary():
+    gens = wg.symmetric_group_generators(4)
+    assert wg.build_group_from_generators(gens, element_cap=24).order == 24
+    with pytest.raises(SizeLimitError):
+        wg.build_group_from_generators(gens, element_cap=23)
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(wg.cyclic_group, 10**12), (wg.dihedral_group, 10**12), (wg.symmetric_group, 10**12),
+     (wg.symmetric_group, 8)],
+    ids=["cyclic", "dihedral", "symmetric", "S8"],
+)
+def test_known_order_checked_before_closure(build, n):
+    with pytest.raises(SizeLimitError):
+        build(n)
+
+
+def test_integral_floats_accepted():
+    assert wg.build_group_from_generators([[1.0, 2.0, 0.0]]).order == 3
+    assert wg.group_from_spec({"kind": "cyclic", "n": 4.0}).order == 4
 
 
 def test_group_axioms_hold_on_builders():
@@ -182,6 +231,38 @@ def test_point_stabilizer_order(s4_pair):
     assert K.order == 6
 
 
+@pytest.mark.parametrize("n", [3, 5], ids=["smaller", "larger"])
+def test_point_stabilizer_rejects_other_generators(s4_pair, n):
+    group, _, _ = s4_pair
+    with pytest.raises(InputSpecError):
+        wg.point_stabilizer(group, wg.symmetric_group_generators(n), 0)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [wg.symmetric_group(5), wg.dihedral_group(12)],
+    ids=["S5", "D12"],
+)
+def test_subgroups_match_set_oracle(group):
+    rng = np.random.default_rng(11)
+    n = group.order
+    for _ in range(40):
+        seeds = rng.integers(0, n, size=rng.integers(0, 3)).tolist()
+        K = wg.subgroup_closure(group, seeds)
+        assert K.elements == subgroup_closure_oracle(group, seeds)
+        assert wg.subgroup_from_spec(group, {"elements": list(K.elements)}) == K
+        # a closed set with one member dropped, or a random subset, may fail
+        for elements in (K.elements[:-1], sorted(set(rng.integers(0, n, size=4).tolist()))):
+            elements = list(elements)
+            expected = check_subgroup_oracle(group, elements)
+            if expected is None:
+                assert wg.subgroup_from_spec(group, {"elements": elements}).elements == tuple(elements)
+            else:
+                with pytest.raises(InputSpecError) as exc:
+                    wg.subgroup_from_spec(group, {"elements": elements})
+                assert str(exc.value) == expected
+
+
 def test_group_from_spec_kinds():
     assert wg.group_from_spec({"kind": "cyclic", "n": 6}).order == 6
     assert wg.group_from_spec({"kind": "dihedral", "n": 4}).order == 8
@@ -193,6 +274,39 @@ def test_group_from_spec_kinds():
     assert wg.group_from_spec({"kind": "table", "table": table}).order == 2
     with pytest.raises(InputSpecError):
         wg.group_from_spec({"kind": "nonsense"})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "cyclic", "n": "abc"},
+        {"kind": "cyclic", "n": 2.5},
+        {"kind": "dihedral", "n": [3]},
+        {"kind": "symmetric", "n": True},
+        {"kind": "cyclic", "n": 1e300},
+        {"kind": "table", "table": [[0, 1], [1]]},
+        {"kind": "table", "table": [[0, 1], [1, 0.5]]},
+        {"kind": "generators", "generators": "abc"},
+        {"kind": "generators", "generators": [[1, 0], [0, 1, 2]]},
+        {"kind": "generators", "generators": [[1.5, 0]]},
+        {"kind": "generators", "generators": [[True, False]]},
+        {"kind": "generators", "generators": [[1, 1, 0]]},
+        {"kind": "generators", "generators": [[0, 1, 3]]},
+    ],
+)
+def test_group_from_spec_rejects_malformed(spec):
+    with pytest.raises(InputSpecError):
+        wg.group_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"seeds": ["a"]}, {"seeds": [1.5]}, {"seeds": [6]}, {"seeds": 1},
+     {"elements": ["x"]}, {"elements": [0, 1.5]}, {"elements": [0, 6]}],
+)
+def test_subgroup_from_spec_rejects_malformed(s3, spec):
+    with pytest.raises(InputSpecError):
+        wg.subgroup_from_spec(s3, spec)
 
 
 def test_subgroup_from_spec(s3):

@@ -6,12 +6,11 @@ import pytest
 
 import wgelfand as wg
 from wgelfand.cli import main
-from wgelfand.errors import BiInvarianceError, NotInvolutiveError, PreconditionError
+from wgelfand.errors import BiInvarianceError, NotGelfandError, NotInvolutiveError
 
 from conftest import (
     classical_convolve_oracle,
     random_bi_invariant_weight,
-    random_symmetric_weight,
     weighted_convolve_oracle,
 )
 
@@ -70,7 +69,6 @@ def test_gelfand_s3_pair(s3_pair):
     report = wg.is_weighted_gelfand(group, K, wg.uniform_weight(group))
     assert report.is_weighted_gelfand
     assert report.witness is None
-    assert report.unimodularity_identity
 
 
 def test_not_gelfand_s3_trivial(s3):
@@ -137,40 +135,12 @@ def test_rap_condition_requires_involutive():
         wg.check_rap_condition(c5, K, wg.uniform_weight(c5), doubling)
 
 
-def test_unimodularity_identity_uniform(s4_pair):
-    group, K, part = s4_pair
-    assert wg.check_unimodularity_identity(group, K, wg.uniform_weight(group))
-
-
-def test_unimodularity_identity_weighted_s3(s3_weighted):
-    group, K, part, w = s3_weighted
-    assert wg.check_unimodularity_identity(group, K, w, partition=part)
-
-
-def test_unimodularity_requires_unit_weight(s3_pair):
-    group, K, part = s3_pair
-    with pytest.raises(PreconditionError):
-        wg.check_unimodularity_identity(group, K, wg.Weight(np.full(6, 2.0)))
-
-
-def test_unimodularity_holds_on_gelfand_instances():
-    rng = np.random.default_rng(3)
-    c7 = wg.cyclic_group(7)
-    K = wg.subgroup_closure(c7, [])
-    for _ in range(5):
-        w = random_symmetric_weight(c7, rng)
-        report = wg.is_weighted_gelfand(c7, K, w)
-        assert report.is_weighted_gelfand
-        assert report.unimodularity_identity
-
-
 def test_report_serialization(s3):
     K = wg.subgroup_closure(s3, [])
     report = wg.is_weighted_gelfand(s3, K, wg.uniform_weight(s3))
     blob = report.to_json()
     assert blob["gelfand"] is False
     assert set(blob["witness"]) == {"basis_i", "basis_j", "element"}
-    assert blob["unimodularity"] is True
 
 
 def _d6_trivial():
@@ -231,8 +201,7 @@ def test_gelfand_verdict_ignores_weight_and_tolerance(s3_pair):
     for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
         w = random_bi_invariant_weight(part, rng)
         w = wg.Weight(w.values * scale)
-        for tol in (1e-300, 1e-9, 0.5):
-            assert wg.is_weighted_gelfand(group, K, w, partition=part, tol=tol).is_weighted_gelfand
+        assert wg.is_weighted_gelfand(group, K, w, partition=part).is_weighted_gelfand
 
 
 def _count_calls(monkeypatch, name):
@@ -265,9 +234,25 @@ def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
         argv += [f"--{name}", str(path)]
     builds = _count_calls(monkeypatch, "hecke_structure_constants")
     convolutions = _count_calls(monkeypatch, "weighted_convolve")
+    verdicts = _count_calls(monkeypatch, "is_weighted_gelfand")
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["gelfand"]["rap"] is True
     assert report["spherical"]["count"] == 5
     assert len(builds) == 1
     assert convolutions == []
+    assert len(verdicts) == 2  # the verdict and the sufficient condition
+
+
+@pytest.mark.parametrize("make_pair", [_d6_trivial, _s4_transposition], ids=["D6/1", "S4/s"])
+def test_spherical_reads_the_verdict_of_its_structure_constants(make_pair, monkeypatch):
+    group, K = make_pair()
+    part = wg.double_cosets(group, K)
+    w = random_bi_invariant_weight(part, np.random.default_rng(7), unit_at_identity=True)
+    sc = wg.hecke_structure_constants(group, K, w, partition=part)
+    report = wg.is_weighted_gelfand(group, K, w, sc=sc)
+    verdicts = _count_calls(monkeypatch, "is_weighted_gelfand")
+    with pytest.raises(NotGelfandError) as exc:
+        wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
+    assert exc.value.witness == report.witness
+    assert verdicts == []
