@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -34,6 +33,7 @@ from .hecke import (
     is_weighted_gelfand,
 )
 from .spherical import enumerate_spherical
+from .tolerance import RTOL, within
 from .weighted import weight_checks, weight_from_spec
 
 EXIT_OK = 0
@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="multiplier spec JSON file (repeatable)",
             )
-        p.add_argument("--tolerance", default="1e-9", help="positive finite tolerance")
         p.add_argument("--output", help="report file (default: stdout)")
         p.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -116,13 +115,6 @@ def run(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     timings = {}
     inputs = {}
-    try:
-        tol = float(args.tolerance)
-    except ValueError as exc:
-        raise InputSpecError(f"bad --tolerance: {exc}") from exc
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputSpecError(f"--tolerance must be finite and > 0, got {args.tolerance}")
-
     spec, digest = _load_json(args.group)
     inputs["group"] = {"path": args.group, "sha256": digest}
     group = group_from_spec(spec)
@@ -145,7 +137,7 @@ def run(args) -> tuple[dict, int]:
         "tool": {"name": "wgelfand", "version": __version__},
         "command": args.command,
         "inputs": inputs,
-        "tolerance": tol,
+        "tolerance": RTOL,
         "group": {
             "order": group.order,
             "subgroup_order": K.order,
@@ -163,20 +155,22 @@ def run(args) -> tuple[dict, int]:
     t1 = time.perf_counter()
     sc = hecke_structure_constants(group, K, w, partition=partition)
     gelfand = is_weighted_gelfand(group, K, w, sc=sc)
-    rap = None
-    if theta is not None:
-        rap = check_rap_condition(group, K, w, theta, sc=sc)
-    gelfand_json = gelfand.to_json()
-    gelfand_json["rap"] = rap
-    report["gelfand"] = gelfand_json
+    rap = None if theta is None else check_rap_condition(group, K, w, theta, sc=sc)
+    report["gelfand"] = {**gelfand.to_json(), "rap": rap}
     timings["gelfand"] = time.perf_counter() - t1
 
     exit_code = EXIT_OK if gelfand.is_weighted_gelfand else EXIT_VERDICT
 
-    wants_spherical = args.command in ("analyze", "spherical", "fourier", "multiplier-check")
-    if gelfand.is_weighted_gelfand and flags.unit_at_identity and wants_spherical:
+    if not gelfand.is_weighted_gelfand:
+        if args.command != "analyze":
+            report["note"] = "not a weighted Gelfand pair; downstream stages skipped"
+    elif not flags.unit_at_identity:
+        if args.command != "analyze":
+            raise InputSpecError("spherical analysis requires a weight with w(e) = 1")
+        report["note"] = "weight has w(e) != 1; spherical stages skipped"
+    else:
         t2 = time.perf_counter()
-        sset = enumerate_spherical(group, K, w, partition=partition, sc=sc, tol=tol)
+        sset = enumerate_spherical(group, K, w, partition=partition, sc=sc)
         report["spherical"] = {"count": len(sset), "functions": sset.to_json()}
         table = build_fourier_table(sset)
         rank, cond = injectivity_check(table)
@@ -197,15 +191,15 @@ def run(args) -> tuple[dict, int]:
                     {"path": mpath, "sha256": digest}
                 )
                 T = multiplier_from_spec(mspec, sc)
-                ok, witness = is_multiplier(T, sc, tol=tol)
+                ok, witness = is_multiplier(T, sc)
                 entry = {"path": mpath, "is_multiplier": ok}
                 if ok:
-                    sym = extract_symbol(T, table, tol=tol)
+                    sym = extract_symbol(T, table)
                     entry.update(sym.to_json())
                     if T.kernel is not None:
                         kt = table.transform_coords(T.kernel.coset_values)
                         entry["symbol_matches_kernel_transform"] = bool(
-                            np.max(np.abs(sym.values - kt)) <= max(tol, 1e-8)
+                            within(np.max(np.abs(sym.values - kt)), np.max(np.abs(kt)))
                         )
                     operators.append(T)
                 else:
@@ -225,11 +219,6 @@ def run(args) -> tuple[dict, int]:
             if commutation:
                 report["commutation"] = commutation
             timings["multiplier"] = time.perf_counter() - t3
-    elif args.command in ("spherical", "fourier", "multiplier-check"):
-        if not gelfand.is_weighted_gelfand:
-            report["note"] = "not a weighted Gelfand pair; downstream stages skipped"
-        else:
-            raise InputSpecError("spherical analysis requires a weight with w(e) = 1")
 
     timings["total"] = time.perf_counter() - t0
     report["timings"] = {k: round(v, 6) for k, v in timings.items()}
@@ -290,7 +279,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
 
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
+        text = json.dumps(report, sort_keys=True, default=_json_default) + "\n"
     else:
         text = _format_text(report)
     if args.output:

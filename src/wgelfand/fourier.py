@@ -17,9 +17,8 @@ from .errors import InputSpecError, NotMultiplierError
 from .groups import GroupTable
 from .hecke import StructureConstants
 from .spherical import SphericalSet
+from .tolerance import within
 from .weighted import BiInvariantFunction, Weight
-
-DEFAULT_TOL = 1e-9
 
 
 def spherical_transform(
@@ -60,11 +59,12 @@ def build_fourier_table(sset: SphericalSet) -> FourierTable:
     )
 
 
-def injectivity_check(table: FourierTable, rel_tol: float = 1e-9) -> tuple[int, float]:
-    """Numerical rank and condition estimate of the transform matrix."""
+def injectivity_check(table: FourierTable) -> tuple[int, float]:
+    """Numerical rank and condition estimate of the transform matrix; the
+    rank counts the singular values beyond the tolerance at the largest."""
     svals = np.linalg.svd(table.matrix, compute_uv=False)
     top = float(svals[0]) if len(svals) else 0.0
-    rank = int(np.sum(svals > rel_tol * top)) if top > 0 else 0
+    rank = int(np.sum(~within(svals, top)))
     cond = float(top / svals[-1]) if top > 0 and svals[-1] > 0 else np.inf
     return rank, cond
 
@@ -135,16 +135,16 @@ def multiplier_from_kernel(
 def is_multiplier(
     T: MultiplierOperator,
     sc: StructureConstants,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Check T(delta_i *_w delta_j) = (T delta_i) *_w delta_j on all basis pairs.
+    """Check T(delta_i *_w delta_j) = (T delta_i) *_w delta_j on all basis pairs,
+    at the scale of the largest entry of T and c.
 
     The witness is the first failing pair (i, j) in row-major order.
     """
-    scale = max(1.0, float(np.max(np.abs(T.matrix))), float(np.max(np.abs(sc.c))))
+    scale = max(float(np.max(np.abs(T.matrix))), float(np.max(np.abs(sc.c))))
     lhs = np.einsum("ijk,lk->ijl", sc.c, T.matrix)
     rhs = np.einsum("mi,mjl->ijl", T.matrix, sc.c)
-    failing = np.argwhere(np.max(np.abs(lhs - rhs), axis=2) > tol * scale)
+    failing = np.argwhere(~within(np.max(np.abs(lhs - rhs), axis=2), scale))
     if len(failing):
         return False, (int(failing[0][0]), int(failing[0][1]))
     return True, None
@@ -153,20 +153,20 @@ def is_multiplier(
 def extract_symbol(
     T: MultiplierOperator,
     table: FourierTable,
-    tol: float = DEFAULT_TOL,
 ) -> MultiplierSymbol:
     """Symbol of a multiplier: the transform of T delta_i is sigma times the
     transform of delta_i.
 
     With FT = T^T F, sigma_s = <F[:, s], FT[:, s]> / ||F[:, s]||^2 column by
     column. The residual FT - F sigma is then checked on the full basis; as F
-    is invertible, this rejects every operator that is not a multiplier.
+    is invertible, this rejects every operator that is not a multiplier. The
+    scale of the check is the largest entry of FT.
     """
     F = table.matrix
     FT = T.matrix.T @ F
     symbol = np.sum(F.conj() * FT, axis=0) / np.sum(np.abs(F) ** 2, axis=0)
     residual = float(np.max(np.abs(FT - F * symbol[None, :])))
-    if residual > max(tol, 1e-8) * max(1.0, float(np.max(np.abs(FT)))):
+    if not within(residual, np.max(np.abs(FT))):
         raise NotMultiplierError(
             f"symbol verification failed on the basis (residual {residual:g})"
         )

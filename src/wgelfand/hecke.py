@@ -64,19 +64,13 @@ class GelfandReport:
 
     is_weighted_gelfand: bool
     witness: Optional[tuple[int, int, int]] = None
-    rap_condition: Optional[bool] = None
-    rap_theta: Optional[GroupAutomorphism] = None
 
     def to_json(self) -> dict:
         witness = None
         if self.witness is not None:
             i, j, x = self.witness
             witness = {"basis_i": i, "basis_j": j, "element": x}
-        return {
-            "gelfand": self.is_weighted_gelfand,
-            "witness": witness,
-            "rap": self.rap_condition,
-        }
+        return {"gelfand": self.is_weighted_gelfand, "witness": witness}
 
 
 def require_bi_invariant(

@@ -16,9 +16,8 @@ import numpy as np
 from .errors import DegenerateSpectrumError, NotGelfandError, PreconditionError
 from .groups import DoubleCosetPartition, GroupTable, SubgroupEmbedding, double_cosets
 from .hecke import StructureConstants, hecke_structure_constants
-from .weighted import BiInvariantFunction, Weight, weighted_convolve
-
-EIGENVALUE_SEPARATION = 1e-7
+from .tolerance import within
+from .weighted import BiInvariantFunction, Weight, uniform_weight, weighted_convolve
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,11 @@ class SphericalSet:
         ]
 
 
-def _character_sort_key(values: np.ndarray) -> tuple:
-    return tuple(
-        (round(float(z.real), 9), round(float(z.imag), 9)) for z in values
-    )
+def _character_order(chars: np.ndarray) -> np.ndarray:
+    """Stable lexicographic order of the rows of chars by their values rounded
+    to 9 decimals, real part before imaginary part."""
+    keys = np.stack([np.round(chars.real, 9), np.round(chars.imag, 9)], axis=2)
+    return np.lexsort(keys.reshape(len(chars), -1).T[::-1])
 
 
 def enumerate_spherical(
@@ -83,7 +83,6 @@ def enumerate_spherical(
     w: Weight,
     partition: Optional[DoubleCosetPartition] = None,
     sc: Optional[StructureConstants] = None,
-    tol: float = 1e-9,
 ) -> SphericalSet:
     """Find all d spherical functions of a weighted Gelfand pair.
 
@@ -99,7 +98,7 @@ def enumerate_spherical(
     """
     if partition is None:
         partition = double_cosets(group, K)
-    if not w.unit_at_identity(group, tol=tol):
+    if not w.unit_at_identity(group):
         raise PreconditionError("spherical enumeration requires w(e) = 1")
     if sc is None:
         sc = hecke_structure_constants(group, K, w, partition=partition)
@@ -116,9 +115,9 @@ def enumerate_spherical(
         if len(blocks) == d:
             break
         N = sc.p[i].T * (root[:, None] / root[None, :])
-        threshold = EIGENVALUE_SEPARATION * max(1.0, float(np.max(np.abs(N))))
+        scale = float(np.max(np.abs(N)))
         for H in (N + N.T, 1j * (N - N.T)):
-            blocks = _refine(blocks, H, threshold)
+            blocks = _refine(blocks, H, scale)
     if len(blocks) < d:
         raise DegenerateSpectrumError(
             f"joint spectrum splits into {len(blocks)} lines, expected {d}"
@@ -127,10 +126,10 @@ def enumerate_spherical(
     classical = np.hstack(blocks) / root[:, None]
     classical /= classical[partition.identity_coset]
     chi1 = sizes[:, None] * classical[list(partition.inverse_coset)]
-    _check_multiplicative(sc.p, chi1, tol)
+    _check_multiplicative(sc.p, chi1)
     wd = _coset_constants(w, partition)[:, None]
     chars, phis = (wd * chi1).T, (classical / wd).T
-    order = sorted(range(d), key=lambda s: _character_sort_key(chars[s]))
+    order = _character_order(chars)
     return SphericalSet(
         functions=tuple(SphericalFunction(phis[s], partition) for s in order),
         characters=tuple(Character(chars[s]) for s in order),
@@ -138,32 +137,32 @@ def enumerate_spherical(
     )
 
 
-def _refine(blocks: list[np.ndarray], H: np.ndarray, threshold: float) -> list[np.ndarray]:
+def _refine(blocks: list[np.ndarray], H: np.ndarray, scale: float) -> list[np.ndarray]:
     """Split each block of orthonormal columns into eigenspaces of the
     Hermitian H restricted to it, cutting where consecutive eigenvalues of
-    the restriction differ by more than threshold."""
+    the restriction differ by more than the tolerance at scale."""
     out = []
     for Q in blocks:
         if Q.shape[1] == 1:
             out.append(Q)
             continue
         vals, U = np.linalg.eigh(Q.conj().T @ H @ Q)
-        cuts = np.flatnonzero(np.diff(vals) > threshold) + 1
+        cuts = np.flatnonzero(~within(np.diff(vals), scale)) + 1
         out.extend(np.split(Q @ U, cuts, axis=1))
     return out
 
 
-def _check_multiplicative(p: np.ndarray, chi1: np.ndarray, tol: float) -> None:
+def _check_multiplicative(p: np.ndarray, chi1: np.ndarray) -> None:
     """sum_k p[i,j,k] chi(k) = chi(i) chi(j) for every column chi of chi1,
-    relative to max |chi|^2. The sums run over the nonzeros of p; each (i, j)
+    at scale max |chi|^2. The sums run over the nonzeros of p; each (i, j)
     has one, as delta_i * delta_j is nonzero."""
     i, j, k = np.nonzero(p)
     starts = np.flatnonzero(np.diff(i * len(p) + j, prepend=-1))
     counts = p[i, j, k]
     for chi in chi1.T:
         gap = np.add.reduceat(counts * chi[k], starts) - np.outer(chi, chi).ravel()
-        res = np.max(np.abs(gap)) / np.max(np.abs(chi)) ** 2
-        if not res <= max(tol, 1e-8):  # also catches a NaN residual
+        res = np.max(np.abs(gap))
+        if not within(res, np.max(np.abs(chi)) ** 2):
             raise DegenerateSpectrumError(
                 f"recovered character fails multiplicativity (residual {res:g})"
             )
@@ -190,16 +189,15 @@ def verify_eigen_property(
     phi: SphericalFunction,
     group: GroupTable,
     w: Weight,
-    tol: float = 1e-9,
 ) -> tuple[complex, float]:
     """Check f *_w phi = chi(f) phi with chi(f) = sum_x (wf)(x) (w phi)(x^-1).
 
     Returns (chi(f), sup-norm residual). Requires w(e) = 1 and phi(e) = 1.
     """
-    if not w.unit_at_identity(group, tol=tol):
+    if not w.unit_at_identity(group):
         raise PreconditionError("eigen property requires w(e) = 1")
     phi_g = phi.expand()
-    if abs(phi_g[group.identity] - 1.0) > max(tol, 1e-8):
+    if not within(abs(phi_g[group.identity] - 1.0)):
         raise PreconditionError("spherical function must have phi(e) = 1")
     f_g = f.expand()
     chi = complex(np.sum(f_g * w.values * (phi_g * w.values)[group.inv]))
@@ -213,20 +211,18 @@ def classical_correspondence(
     group: GroupTable,
     K: SubgroupEmbedding,
     w: Weight,
-    tol: float = 1e-9,
 ) -> bool:
     """True iff w*phi solves the unweighted spherical equation.
 
-    Equivalent to verify_functional_equation(phi, ..., w) < tol: the same
-    averaged products appear with weight folded into the function.
+    Equivalent to verify_functional_equation(phi, ..., w) passing the
+    tolerance: the same averaged products appear with weight folded into the
+    function.
     """
-    from .weighted import uniform_weight
-
     scaled = SphericalFunction(
         coset_values=phi.coset_values * _coset_constants(w, phi.partition),
         partition=phi.partition,
     )
-    return verify_functional_equation(scaled, group, K, uniform_weight(group)) <= tol
+    return bool(within(verify_functional_equation(scaled, group, K, uniform_weight(group))))
 
 
 def _coset_constants(w: Weight, partition: DoubleCosetPartition) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InputSpecError, PreconditionError
 from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable, SubgroupEmbedding
+from .tolerance import RTOL
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,9 @@ class Weight:
         """The weight x -> w(x^-1)."""
         return Weight(self.values[group.inv])
 
-    def unit_at_identity(self, group: GroupTable, tol: float = 0.0) -> bool:
-        return abs(self.values[group.identity] - 1.0) <= tol
+    def unit_at_identity(self, group: GroupTable) -> bool:
+        """w(e) = 1, exactly: the one test of this precondition."""
+        return bool(self.values[group.identity] == 1.0)
 
 
 @dataclass(frozen=True)
@@ -104,31 +106,25 @@ def weight_checks(
     group: GroupTable,
     partition: Optional[DoubleCosetPartition] = None,
     theta: Optional[GroupAutomorphism] = None,
-    tol: float = 0.0,
 ) -> WeightFlags:
-    """Fill the invariance flags of a weight."""
+    """Fill the invariance flags of a weight; the values are compared exactly."""
     vals = w.values
     witness = None
-    bi_invariant = True
     if partition is not None:
-        for coset in partition.cosets:
-            ref = coset[0]
-            for x in coset[1:]:
-                if abs(vals[x] - vals[ref]) > tol:
-                    bi_invariant = False
-                    witness = (ref, x)
-                    break
-            if witness:
-                break
-    symmetric = bool(np.all(np.abs(vals - vals[group.inv]) <= tol))
-    unit = abs(vals[group.identity] - 1.0) <= tol
+        # elements coset by coset, each against its coset's first element
+        flat = np.concatenate(partition.cosets)
+        ref = np.repeat([c[0] for c in partition.cosets], partition.sizes())
+        bad = np.flatnonzero(vals[flat] != vals[ref])
+        if len(bad):
+            witness = (int(ref[bad[0]]), int(flat[bad[0]]))
+    symmetric = bool(np.all(vals == vals[group.inv]))
     theta_inv = None
     if theta is not None:
-        theta_inv = bool(np.all(np.abs(vals - vals[theta.perm]) <= tol))
+        theta_inv = bool(np.all(vals == vals[theta.perm]))
     return WeightFlags(
-        k_bi_invariant=bi_invariant,
+        k_bi_invariant=witness is None,
         symmetric=symmetric,
-        unit_at_identity=unit,
+        unit_at_identity=w.unit_at_identity(group),
         theta_invariant=theta_inv,
         bi_invariance_witness=witness,
     )
@@ -195,18 +191,15 @@ def reflect(f: np.ndarray, group: GroupTable) -> np.ndarray:
 
 
 def is_bi_invariant(
-    f: np.ndarray, partition: DoubleCosetPartition, tol: float = 1e-12
+    f: np.ndarray, partition: DoubleCosetPartition, tol: float = RTOL
 ) -> bool:
     f = np.asarray(f)
-    for coset in partition.cosets:
-        block = f[list(coset)]
-        if np.max(np.abs(block - block[0])) > tol:
-            return False
-    return True
+    reps = [c[0] for c in partition.cosets]
+    return bool(np.all(np.abs(f - f[reps][partition.coset_of]) <= tol))
 
 
 def is_left_invariant(
-    f: np.ndarray, group: GroupTable, K: SubgroupEmbedding, tol: float = 1e-12
+    f: np.ndarray, group: GroupTable, K: SubgroupEmbedding, tol: float = RTOL
 ) -> bool:
     f = np.asarray(f)
     return all(
@@ -236,10 +229,9 @@ class BiInvariantFunction:
         cls,
         f: np.ndarray,
         partition: DoubleCosetPartition,
-        tol: float = 1e-9,
     ) -> "BiInvariantFunction":
         f = np.asarray(f, dtype=complex)
-        if not is_bi_invariant(f, partition, tol=tol):
+        if not is_bi_invariant(f, partition):
             raise PreconditionError("function is not constant on double cosets")
         vals = np.array([f[c[0]] for c in partition.cosets])
         return cls(coset_values=vals, partition=partition)

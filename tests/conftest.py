@@ -192,6 +192,17 @@ def commutation_oracle(T1, T2, sc):
     )
 
 
+def character_order_oracle(chars):
+    """Row order of chars under a stable sort by the Python-rounded key
+    ((round(re, 9), round(im, 9)) for each value)."""
+    return sorted(
+        range(len(chars)),
+        key=lambda s: tuple(
+            (round(float(z.real), 9), round(float(z.imag), 9)) for z in chars[s]
+        ),
+    )
+
+
 def _subgroup_pair(group, seeds):
     K = wg.subgroup_closure(group, seeds)
     return group, K, wg.double_cosets(group, K)

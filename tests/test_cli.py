@@ -151,6 +151,48 @@ def test_multiplier_check_kernel(tmp_path, capsys):
     assert report["commutation"][0]["residual"] < 1e-9
 
 
+D6 = {"kind": "dihedral", "n": 6}
+K_REFLECTION = {"seeds": [2]}  # element 2 is the generating reflection
+
+
+def test_scaled_kernel_matches_its_transform(tmp_path, capsys):
+    # the match is relative to the size of the transform, not an absolute 1e-8
+    weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 1.5, "2": 0.7, "3": 2.0}}
+    kernel = {"kind": "kernel",
+              "coset_values": [[1e8, 0.0], [2e8, 5e7], [-3e8, 0.0], [7e7, -1e8]]}
+    paths = write_specs(tmp_path, D6, K_REFLECTION, weight, multipliers=[kernel])
+    code, out = run_cli(
+        ["multiplier-check", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"], "--multiplier", paths["multipliers"][0]],
+        capsys,
+    )
+    assert code == 0
+    entry = json.loads(out)["multipliers"][0]
+    assert entry["is_multiplier"] is True
+    assert entry["symbol_matches_kernel_transform"] is True
+
+
+def test_weight_off_one_at_identity_gets_one_decision(tmp_path, capsys):
+    weight = {"kind": "by_double_coset",
+              "values": {"0": 1.0 + 1e-12, "1": 1.5, "2": 0.7, "3": 2.0}}
+    paths = write_specs(tmp_path, D6, K_REFLECTION, weight)
+    args = ["--group", paths["group"], "--subgroup", paths["subgroup"],
+            "--weight", paths["weight"]]
+    code, out = run_cli(["analyze"] + args, capsys)
+    report = json.loads(out)
+    assert code == 0
+    assert report["weight"]["unit_at_identity"] is False
+    assert "w(e)" in report["note"] and "spherical" not in report
+    assert "w(e)" in assert_one_line_error(main(["spherical"] + args), capsys)
+
+    group = wg.dihedral_group(6)
+    K = wg.subgroup_closure(group, [2])
+    part = wg.double_cosets(group, K)
+    w = wg.weight_from_spec(weight, group, part)
+    with pytest.raises(wg.PreconditionError):
+        wg.enumerate_spherical(group, K, w, partition=part)
+
+
 def test_multiplier_check_rejects_bad_matrix(tmp_path, capsys):
     bad = {"kind": "matrix", "rows": [[[1, 0], [7, 0]], [[0, 0], [1, 0]]]}
     paths = write_specs(tmp_path, S3, K_TRANSPOSITION, UNIFORM, multipliers=[bad])
@@ -259,17 +301,6 @@ def test_bad_flag_values_exit_1(tmp_path, capsys, flag, value):
          "--weight", paths["weight"], f"{flag}={value}"]
     )
     assert flag in assert_one_line_error(code, capsys)
-
-
-def test_tiny_tolerance_keeps_gelfand_verdict(tmp_path, capsys):
-    weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}
-    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
-    code, out = run_cli(
-        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
-         "--weight", paths["weight"], "--tolerance", "1e-300"],
-        capsys,
-    )
-    assert json.loads(out)["gelfand"]["gelfand"] is True
 
 
 def test_overflowing_weight_exit_3(tmp_path, capsys):

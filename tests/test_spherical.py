@@ -3,9 +3,11 @@ import pytest
 
 import wgelfand as wg
 from wgelfand.errors import NotGelfandError, PreconditionError
+from wgelfand.spherical import _character_order
 
 from conftest import (
     brute_force_spherical,
+    character_order_oracle,
     gelfand_instances,
     match_sets,
     random_bi_invariant_weight,
@@ -236,3 +238,21 @@ def test_multiplicities_are_integers_on_gelfand_instances():
         sset = wg.enumerate_spherical(group, K, w, partition=part)
         m = multiplicities(sset, group, part, w)
         assert_integer_multiplicities(m, group.order // K.order)
+
+
+def test_character_order_matches_rounded_key_oracle():
+    rng = np.random.default_rng(0x50F7)
+    cases = gelfand_instances()
+    for name, group, seeds in (("c128", wg.cyclic_group(128), []),
+                               ("d100-reflection", wg.dihedral_group(100), [2])):
+        K = wg.subgroup_closure(group, seeds)
+        part = wg.double_cosets(group, K)
+        cases.append((name, group, K, part,
+                      random_bi_invariant_weight(part, rng, unit_at_identity=True)))
+    for name, group, K, part, w in cases:
+        sset = wg.enumerate_spherical(group, K, w, partition=part)
+        chars = np.array([chi.values for chi in sset.characters])
+        assert character_order_oracle(chars) == list(range(len(chars))), name
+        # shuffled, with every row twice: ties must keep their order
+        rows = np.vstack([chars, chars])[rng.permutation(2 * len(chars))]
+        assert _character_order(rows).tolist() == character_order_oracle(rows), name
