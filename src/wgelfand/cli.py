@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -32,7 +33,7 @@ from .hecke import (
     hecke_structure_constants,
     is_weighted_gelfand,
 )
-from .spherical import enumerate_spherical
+from .spherical import complex_pairs, enumerate_spherical
 from .tolerance import RTOL, within
 from .weighted import weight_checks, weight_from_spec
 
@@ -96,40 +97,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _complex_pairs(vec) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
-
-
 def run(args) -> tuple[dict, int]:
     """Execute one command; returns (report, exit_code)."""
     t0 = time.perf_counter()
     timings = {}
     inputs = {}
-    spec, digest = _load_json(args.group)
-    inputs["group"] = {"path": args.group, "sha256": digest}
-    group = group_from_spec(spec)
-    spec, digest = _load_json(args.subgroup)
-    inputs["subgroup"] = {"path": args.subgroup, "sha256": digest}
-    K = subgroup_from_spec(group, spec)
+
+    def load(name: str, path: str) -> dict:
+        spec, digest = _load_json(path)
+        inputs[name] = {"path": path, "sha256": digest}
+        return spec
+
+    group = group_from_spec(load("group", args.group))
+    K = subgroup_from_spec(group, load("subgroup", args.subgroup))
     partition = double_cosets(group, K)
-    spec, digest = _load_json(args.weight)
-    inputs["weight"] = {"path": args.weight, "sha256": digest}
-    w = weight_from_spec(spec, group, partition)
+    w = weight_from_spec(load("weight", args.weight), group, partition)
     theta = None
     if args.automorphism:
-        spec, digest = _load_json(args.automorphism)
-        inputs["automorphism"] = {"path": args.automorphism, "sha256": digest}
-        theta = automorphism_from_spec(group, spec)
+        theta = automorphism_from_spec(group, load("automorphism", args.automorphism))
     timings["setup"] = time.perf_counter() - t0
 
     flags = weight_checks(w, group, partition, theta=theta)
@@ -162,8 +147,7 @@ def run(args) -> tuple[dict, int]:
     exit_code = EXIT_OK if gelfand.is_weighted_gelfand else EXIT_VERDICT
 
     if not gelfand.is_weighted_gelfand:
-        if args.command != "analyze":
-            report["note"] = "not a weighted Gelfand pair; downstream stages skipped"
+        report["note"] = "not a weighted Gelfand pair; downstream stages skipped"
     elif not flags.unit_at_identity:
         if args.command != "analyze":
             raise InputSpecError("spherical analysis requires a weight with w(e) = 1")
@@ -177,7 +161,7 @@ def run(args) -> tuple[dict, int]:
         report["fourier"] = {
             "rank": rank,
             "condition": cond,
-            "matrix": [_complex_pairs(row) for row in table.matrix],
+            "matrix": complex_pairs(table.matrix),
         }
         timings["spherical_fourier"] = time.perf_counter() - t2
 
@@ -206,15 +190,10 @@ def run(args) -> tuple[dict, int]:
                     entry["witness"] = {"basis_i": witness[0], "basis_j": witness[1]}
                     exit_code = max(exit_code, EXIT_VERDICT)
                 results.append(entry)
-            commutation = []
-            for a in range(len(operators)):
-                for b in range(a + 1, len(operators)):
-                    commutation.append(
-                        {
-                            "pair": [a, b],
-                            "residual": verify_commutation(operators[a], operators[b], sc),
-                        }
-                    )
+            commutation = [
+                {"pair": [a, b], "residual": verify_commutation(operators[a], operators[b], sc)}
+                for a, b in itertools.combinations(range(len(operators)), 2)
+            ]
             report["multipliers"] = results
             if commutation:
                 report["commutation"] = commutation
@@ -279,7 +258,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
 
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, default=_json_default) + "\n"
+        text = json.dumps(report, sort_keys=True) + "\n"
     else:
         text = _format_text(report)
     if args.output:

@@ -1,9 +1,10 @@
 """The weighted spherical Fourier transform and multiplier analysis.
 
 Everything here works in coset coordinates: bi-invariant functions are
-vectors of length d, operators are d x d matrices, and the transform of the
-indicator delta_i is the character value chi_s(delta_i). The G-level sums
-(`spherical_transform`, `verify_convolution_theorem`) are test oracles.
+vectors of length d, operators are d x d matrices (the product with h is
+`StructureConstants.left(h)`), and the transform of delta_i is the character
+value chi_s(delta_i). The G-level sums (`spherical_transform`,
+`verify_convolution_theorem`) are test oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import InputSpecError, NotMultiplierError
 from .groups import GroupTable
 from .hecke import StructureConstants
-from .spherical import SphericalSet
+from .spherical import SphericalSet, complex_pairs
 from .tolerance import within
 from .weighted import BiInvariantFunction, Weight
 
@@ -120,33 +121,30 @@ class MultiplierSymbol:
     values: np.ndarray
 
     def to_json(self) -> dict:
-        return {"symbol": [[z.real, z.imag] for z in self.values]}
+        return {"symbol": complex_pairs(self.values)}
 
 
-def multiplier_from_kernel(
-    h: BiInvariantFunction, sc: StructureConstants
-) -> MultiplierOperator:
+def multiplier_from_kernel(h: BiInvariantFunction, sc: StructureConstants) -> MultiplierOperator:
     """Matrix of f -> h *_w f on the indicator basis."""
-    # column j: coordinates of h *_w delta_j
-    matrix = np.einsum("i,ijk->kj", h.coset_values, sc.c)
-    return MultiplierOperator(matrix=matrix, kernel=h)
+    return MultiplierOperator(matrix=sc.left(h.coset_values), kernel=h)
 
 
 def is_multiplier(
-    T: MultiplierOperator,
-    sc: StructureConstants,
+    T: MultiplierOperator, sc: StructureConstants
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """Check T(delta_i *_w delta_j) = (T delta_i) *_w delta_j on all basis pairs,
     at the scale of the largest entry of T and c.
 
-    The witness is the first failing pair (i, j) in row-major order.
+    Pair (i, j) is column j of T L_i - L_{T delta_i}, with L_h = sc.left(h)
+    and L_i = L_{delta_i}; the witness is the first failing pair in row-major
+    order.
     """
-    scale = max(float(np.max(np.abs(T.matrix))), float(np.max(np.abs(sc.c))))
-    lhs = np.einsum("ijk,lk->ijl", sc.c, T.matrix)
-    rhs = np.einsum("mi,mjl->ijl", T.matrix, sc.c)
-    failing = np.argwhere(~within(np.max(np.abs(lhs - rhs), axis=2), scale))
-    if len(failing):
-        return False, (int(failing[0][0]), int(failing[0][1]))
+    scale = max(float(np.max(np.abs(T.matrix))), sc.max_constant)
+    for i, e in enumerate(np.eye(sc.dim)):
+        gap = T.matrix @ sc.left(e) - sc.left(T.matrix[:, i])
+        failing = np.flatnonzero(~within(np.max(np.abs(gap), axis=0), scale))
+        if len(failing):
+            return False, (i, int(failing[0]))
     return True, None
 
 
@@ -174,20 +172,18 @@ def extract_symbol(
 
 
 def verify_commutation(
-    T1: MultiplierOperator,
-    T2: MultiplierOperator,
-    sc: StructureConstants,
+    T1: MultiplierOperator, T2: MultiplierOperator, sc: StructureConstants
 ) -> float:
-    """Max over basis pairs of || T1 f *_w T2 g  -  T2 f *_w T1 g ||_inf."""
+    """Max over basis pairs of || T1 f *_w T2 g  -  T2 f *_w T1 g ||_inf: for
+    f = delta_i, column j of L_{T1 delta_i} T2 - L_{T2 delta_i} T1."""
     a, b = T1.matrix, T2.matrix
-    gap = np.einsum("mi,nj,mnl->ijl", a, b, sc.c, optimize=True)
-    gap -= np.einsum("mi,nj,mnl->ijl", b, a, sc.c, optimize=True)
-    return float(np.max(np.abs(gap)))
+    return max(
+        float(np.max(np.abs(sc.left(a[:, i]) @ b - sc.left(b[:, i]) @ a)))
+        for i in range(sc.dim)
+    )
 
 
-def multiplier_from_spec(
-    spec: dict, sc: StructureConstants
-) -> MultiplierOperator:
+def multiplier_from_spec(spec: dict, sc: StructureConstants) -> MultiplierOperator:
     """Build an operator from {"kind": "kernel"|"matrix"} JSON specs."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputSpecError('multiplier spec must be an object with a "kind" field')

@@ -350,7 +350,7 @@ def check_automorphism(
 ) -> GroupAutomorphism:
     """Verify that perm is a group automorphism; raises with a witness pair."""
     n = group.order
-    p = np.asarray(perm, dtype=np.int64)
+    p = _integers(perm, "automorphism", ndim=1)
     if p.shape != (n,) or sorted(p.tolist()) != list(range(n)):
         raise InputSpecError(f"not a permutation of 0..{n - 1}")
     lhs = p[group.mul]
@@ -379,13 +379,6 @@ def theta_in_KxinvK(
     inverse_coset = np.asarray(partition.inverse_coset)
     bad = np.flatnonzero(inverse_coset[partition.coset_of] != partition.coset_of[theta.perm])
     return (False, int(bad[0])) if len(bad) else (True, None)
-
-
-def inner_automorphism(group: GroupTable, g: int) -> GroupAutomorphism:
-    """Conjugation x -> g x g^-1."""
-    ginv = group.inverse(g)
-    perm = group.mul[group.mul[g], ginv]
-    return check_automorphism(group, perm)
 
 
 def group_from_spec(spec: dict, element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupTable:

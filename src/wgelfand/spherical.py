@@ -20,6 +20,11 @@ from .tolerance import within
 from .weighted import BiInvariantFunction, Weight, uniform_weight, weighted_convolve
 
 
+def complex_pairs(values: np.ndarray) -> list:
+    """Complex values as nested [re, im] lists of Python floats, for JSON."""
+    return np.stack([values.real, values.imag], -1).tolist()
+
+
 @dataclass(frozen=True)
 class SphericalFunction:
     """A bi-invariant function phi with phi(e) = 1 solving the averaged
@@ -30,9 +35,6 @@ class SphericalFunction:
 
     def expand(self) -> np.ndarray:
         return self.coset_values[self.partition.coset_of]
-
-    def as_bi_invariant(self) -> BiInvariantFunction:
-        return BiInvariantFunction(self.coset_values, self.partition)
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,8 @@ class SphericalSet:
     def to_json(self) -> list[dict]:
         return [
             {
-                "coset_values": [[z.real, z.imag] for z in phi.coset_values],
-                "character": [[z.real, z.imag] for z in chi.values],
+                "coset_values": complex_pairs(phi.coset_values),
+                "character": complex_pairs(chi.values),
             }
             for phi, chi in self
         ]
@@ -89,12 +91,13 @@ def enumerate_spherical(
     Requires w(e) = 1 and a commutative algebra. Deterministic, in coset
     coordinates, and independent of the weight: the matrices
     N_i[k, j] = p[i,j,k] sqrt(|D_k| / |D_j|) of f -> delta_i * f on the
-    orthonormal basis delta_k / sqrt(|D_k|) are normal and commute, so their
-    joint eigenlines are found by refining the identity basis with the
-    Hermitian parts of N_0, N_1, ... until there are d lines. Each line gives
-    a classical spherical function phi1; the weighted one is phi1 / w and its
-    character is chi(delta_i) = w_i |D_i| phi1(D_i^-1). Multiplicativity of
-    the classical characters is checked on the nonzeros of p.
+    orthonormal basis delta_k / sqrt(|D_k|), each built from the i-slice of
+    the sparse p, are normal and commute, so their joint eigenlines are found
+    by refining the identity basis with the Hermitian parts of N_0, N_1, ...
+    until there are d lines. Each line gives a classical spherical function
+    phi1; the weighted one is phi1 / w and its character is chi(delta_i) =
+    w_i |D_i| phi1(D_i^-1). Multiplicativity of the classical characters is
+    checked on the nonzeros of p.
     """
     if partition is None:
         partition = double_cosets(group, K)
@@ -104,17 +107,22 @@ def enumerate_spherical(
         sc = hecke_structure_constants(group, K, w, partition=partition)
     if sc.commutativity_witness is not None:
         raise NotGelfandError(*sc.commutativity_witness)
-    if not np.all(np.isfinite(sc.c)):
+    if not np.isfinite(sc.max_constant):
         raise DegenerateSpectrumError("structure constants overflow: weight range too wide")
 
     d = sc.dim
     sizes = np.array(partition.sizes(), dtype=float)
     root = np.sqrt(sizes)
     blocks = [np.eye(d, dtype=complex)]
+    _, j, k = sc.ijk
+    entries = sc.counts * (root[k] / root[j])
+    bounds = np.searchsorted(sc.keys, np.arange(d + 1) * d * d)
     for i in range(d):
         if len(blocks) == d:
             break
-        N = sc.p[i].T * (root[:, None] / root[None, :])
+        s = slice(bounds[i], bounds[i + 1])  # the i-slice of p
+        N = np.zeros((d, d))
+        N[k[s], j[s]] = entries[s]
         scale = float(np.max(np.abs(N)))
         for H in (N + N.T, 1j * (N - N.T)):
             blocks = _refine(blocks, H, scale)
@@ -126,8 +134,8 @@ def enumerate_spherical(
     classical = np.hstack(blocks) / root[:, None]
     classical /= classical[partition.identity_coset]
     chi1 = sizes[:, None] * classical[list(partition.inverse_coset)]
-    _check_multiplicative(sc.p, chi1)
-    wd = _coset_constants(w, partition)[:, None]
+    _check_multiplicative(sc, chi1)
+    wd = sc.wd[:, None]
     chars, phis = (wd * chi1).T, (classical / wd).T
     order = _character_order(chars)
     return SphericalSet(
@@ -152,15 +160,14 @@ def _refine(blocks: list[np.ndarray], H: np.ndarray, scale: float) -> list[np.nd
     return out
 
 
-def _check_multiplicative(p: np.ndarray, chi1: np.ndarray) -> None:
+def _check_multiplicative(sc: StructureConstants, chi1: np.ndarray) -> None:
     """sum_k p[i,j,k] chi(k) = chi(i) chi(j) for every column chi of chi1,
-    at scale max |chi|^2. The sums run over the nonzeros of p; each (i, j)
-    has one, as delta_i * delta_j is nonzero."""
-    i, j, k = np.nonzero(p)
-    starts = np.flatnonzero(np.diff(i * len(p) + j, prepend=-1))
-    counts = p[i, j, k]
+    at scale max |chi|^2, one character at a time. The sums run over the
+    nonzeros of p; each (i, j) has one, as delta_i * delta_j is nonzero."""
+    k = sc.ijk[2]
+    starts = np.flatnonzero(np.diff(sc.keys // sc.dim, prepend=-1))
     for chi in chi1.T:
-        gap = np.add.reduceat(counts * chi[k], starts) - np.outer(chi, chi).ravel()
+        gap = np.add.reduceat(sc.counts * chi[k], starts) - np.outer(chi, chi).ravel()
         res = np.max(np.abs(gap))
         if not within(res, np.max(np.abs(chi)) ** 2):
             raise DegenerateSpectrumError(
@@ -219,11 +226,7 @@ def classical_correspondence(
     function.
     """
     scaled = SphericalFunction(
-        coset_values=phi.coset_values * _coset_constants(w, phi.partition),
+        coset_values=phi.coset_values * w.values[[c[0] for c in phi.partition.cosets]],
         partition=phi.partition,
     )
     return bool(within(verify_functional_equation(scaled, group, K, uniform_weight(group))))
-
-
-def _coset_constants(w: Weight, partition: DoubleCosetPartition) -> np.ndarray:
-    return np.array([w.values[c[0]] for c in partition.cosets])

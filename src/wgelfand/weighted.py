@@ -79,12 +79,10 @@ def weight_from_spec(
         if kind == "uniform":
             return uniform_weight(group)
         if kind == "by_element":
-            vals = np.asarray(spec.get("values", []), dtype=np.float64)
-            if vals.shape != (group.order,):
-                raise InputSpecError(
-                    f"weight needs {group.order} values, got {vals.shape}"
-                )
-            return Weight(vals)
+            raw = spec.get("values", [])
+            if np.shape(raw) != (group.order,):
+                raise InputSpecError(f"weight needs {group.order} values, got {np.shape(raw)}")
+            return Weight(np.array([_number(v) for v in raw]))
         if kind == "by_double_coset":
             if partition is None:
                 raise InputSpecError('kind "by_double_coset" requires double cosets')
@@ -94,11 +92,18 @@ def weight_from_spec(
                 key = str(cid) if str(cid) in table else cid
                 if key not in table:
                     raise InputSpecError(f"missing weight for double coset {cid}")
-                vals[list(partition.cosets[cid])] = float(table[key])
+                vals[list(partition.cosets[cid])] = _number(table[key])
             return Weight(vals)
     except (TypeError, ValueError) as exc:
         raise InputSpecError(f"weight values must be numbers: {exc}") from exc
     raise InputSpecError(f"unknown weight kind: {kind!r}")
+
+
+def _number(value) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputSpecError(f"weight values must be numbers, got {value!r}")
+    return float(value)
 
 
 def weight_checks(

@@ -164,31 +164,72 @@ def random_gfunction(n, rng):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def is_multiplier_oracle(T, sc, tol=1e-9):
-    """The defining identity T(delta_i * delta_j) = (T delta_i) * delta_j,
-    pair by pair in row-major order; returns (verdict, first failing pair)."""
-    d = sc.dim
-    eye = np.eye(d)
-    scale = max(1.0, float(np.max(np.abs(T.matrix))), float(np.max(np.abs(sc.c))))
+def dense_p_oracle(group, partition):
+    """Dense intersection numbers p[i,j,k] = #{y in D_i : y^-1 r_k in D_j},
+    one bincount over the group per representative r_k."""
+    d = partition.num_cosets
+    row = partition.coset_of * d
+    p = np.empty((d, d, d), dtype=np.int32)
+    for k, coset in enumerate(partition.cosets):
+        p[:, :, k] = np.bincount(
+            row + partition.coset_of[group.mul[group.inv, coset[0]]], minlength=d * d
+        ).reshape(d, d)
+    return p
+
+
+def dense_c_oracle(group, partition, w):
+    """Dense weighted structure constants c[i,j,k] = p[i,j,k] w_i w_j / w_k."""
+    wd = np.array([w.values[c[0]] for c in partition.cosets])
+    return dense_p_oracle(group, partition) * (
+        wd[:, None, None] * wd[None, :, None] / wd[None, None, :]
+    )
+
+
+def structure_tensor(sc):
+    """The library's c[i,j,k] as a dense array, one sc.left(delta_i) at a time."""
+    eye = np.eye(sc.dim)
+    return np.stack([sc.left(e).T for e in eye])
+
+
+def commutativity_oracle(p, partition):
+    """None or (i, j, r_k) at the first (i, j, k) in row-major order with
+    p[i,j,k] != p[j,i,k], read off the dense p."""
+    mismatch = np.argwhere(p != p.transpose(1, 0, 2))
+    if not len(mismatch):
+        return None
+    i, j, k = (int(v) for v in mismatch[0])
+    return i, j, partition.representative(k)
+
+
+def is_multiplier_oracle(T, c, tol=1e-9):
+    """The defining identity T(delta_i * delta_j) = (T delta_i) * delta_j on
+    the dense c, pair by pair in row-major order; returns (verdict, first
+    failing pair)."""
+    d = len(c)
+    scale = max(1.0, float(np.max(np.abs(T.matrix))), float(np.max(np.abs(c))))
     for i in range(d):
         for j in range(d):
-            lhs = T.apply(sc.c[i, j])
-            rhs = sc.convolve_coords(T.apply(eye[i]), eye[j])
+            lhs = T.apply(c[i, j])
+            rhs = T.matrix[:, i] @ c[:, j]
             if np.max(np.abs(lhs - rhs)) > tol * scale:
                 return False, (i, j)
     return True, None
 
 
-def commutation_oracle(T1, T2, sc):
-    """Max over basis pairs of |T1 delta_i * T2 delta_j - T2 delta_i * T1 delta_j|."""
-    eye = np.eye(sc.dim)
+def commutation_oracle(T1, T2, c):
+    """Max over basis pairs of |T1 delta_i * T2 delta_j - T2 delta_i * T1 delta_j|
+    on the dense c."""
+    d = len(c)
+
+    def product(u, v):
+        return np.einsum("i,j,ijk->k", u, v, c)
+
     return max(
         float(np.max(np.abs(
-            sc.convolve_coords(T1.apply(eye[i]), T2.apply(eye[j]))
-            - sc.convolve_coords(T2.apply(eye[i]), T1.apply(eye[j]))
+            product(T1.matrix[:, i], T2.matrix[:, j]) - product(T2.matrix[:, i], T1.matrix[:, j])
         )))
-        for i in range(sc.dim)
-        for j in range(sc.dim)
+        for i in range(d)
+        for j in range(d)
     )
 
 

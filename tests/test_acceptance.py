@@ -19,6 +19,7 @@ from conftest import (
     random_bi_invariant_weight,
     random_gfunction,
     random_symmetric_weight,
+    structure_tensor,
 )
 
 
@@ -93,14 +94,14 @@ def test_criterion_3_weighted_transfer():
         ]
         for group, K, part in pairs:
             base = wg.is_weighted_gelfand(group, K, wg.uniform_weight(group), partition=part)
-            c1 = wg.hecke_structure_constants(
+            c1 = structure_tensor(wg.hecke_structure_constants(
                 group, K, wg.uniform_weight(group), partition=part
-            ).c
+            ))
             for _ in range(20):
                 w = random_bi_invariant_weight(part, rng)
                 report = wg.is_weighted_gelfand(group, K, w, partition=part)
                 assert report.is_weighted_gelfand == base.is_weighted_gelfand
-                cw = wg.hecke_structure_constants(group, K, w, partition=part).c
+                cw = structure_tensor(wg.hecke_structure_constants(group, K, w, partition=part))
                 wd = np.array([w.values[c[0]] for c in part.cosets])
                 lhs = cw * wd[None, None, :]
                 rhs = c1 * wd[:, None, None] * wd[None, :, None]

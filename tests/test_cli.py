@@ -63,6 +63,54 @@ def test_analyze_not_gelfand_exit_2(tmp_path, capsys):
     assert report["gelfand"]["witness"] is not None
 
 
+@pytest.mark.parametrize(
+    "group, subgroup",
+    [(S3, {"seeds": []}), ({"kind": "symmetric", "n": 4}, K_TRANSPOSITION)],
+    ids=["S3/1", "S4/(0 1)"],
+)
+def test_not_gelfand_note_is_the_same_for_every_command(tmp_path, capsys, group, subgroup):
+    paths = write_specs(tmp_path, group, subgroup, UNIFORM)
+    notes = []
+    for command in ("analyze", "spherical", "fourier"):
+        code, out = run_cli(
+            [command, "--group", paths["group"], "--subgroup", paths["subgroup"],
+             "--weight", paths["weight"]],
+            capsys,
+        )
+        report = json.loads(out)
+        assert code == 2 and "spherical" not in report
+        notes.append(report.get("note"))
+    assert notes[0] == "not a weighted Gelfand pair; downstream stages skipped"
+    assert notes == notes[:1] * 3
+
+
+def test_complex_pairs_serialise_like_per_element_lists():
+    from wgelfand.spherical import complex_pairs
+
+    rng = np.random.default_rng(13)
+    vec = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    vec[:6] = [0.1 + 0.2j, -0.0 + 0.0j, complex(0.0, -0.0), 1e-300 - 1e300j, 1 / 3, 7.0 - 2.5j]
+    mat = vec.reshape(5, 8)
+    old = [[float(z.real), float(z.imag)] for z in vec]
+    assert json.dumps(complex_pairs(vec)) == json.dumps(old)
+    old_rows = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    assert json.dumps(complex_pairs(mat)) == json.dumps(old_rows)
+    symbol = wg.MultiplierSymbol(values=vec)
+    assert json.dumps(symbol.to_json()) == json.dumps({"symbol": [[z.real, z.imag] for z in vec]})
+    group = wg.symmetric_group(3)
+    K = wg.subgroup_closure(group, [1])
+    part = wg.double_cosets(group, K)
+    weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}
+    w = wg.weight_from_spec(weight, group, part)
+    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    old_sset = [
+        {"coset_values": [[z.real, z.imag] for z in phi.coset_values],
+         "character": [[z.real, z.imag] for z in chi.values]}
+        for phi, chi in sset
+    ]
+    assert json.dumps(sset.to_json()) == json.dumps(old_sset)
+
+
 def test_malformed_weight_exit_1(tmp_path, capsys):
     bad = {"kind": "by_element", "values": [1, 1, 1, 0, 1, 1]}
     paths = write_specs(tmp_path, S3, K_TRANSPOSITION, bad)
@@ -301,6 +349,40 @@ def test_bad_flag_values_exit_1(tmp_path, capsys, flag, value):
          "--weight", paths["weight"], f"{flag}={value}"]
     )
     assert flag in assert_one_line_error(code, capsys)
+
+
+D3 = {"kind": "dihedral", "n": 3}
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        {"kind": "by_element", "values": [1, True, 1, 1, 1, 1]},
+        {"kind": "by_element", "values": [1, "1.5", 1, 1, 1, 1]},
+        {"kind": "by_double_coset", "values": {"0": 1.0, "1": True}},
+        {"kind": "by_double_coset", "values": {"0": 1.0, "1": "2.0"}},
+    ],
+    ids=["element-true", "element-string", "coset-true", "coset-string"],
+)
+def test_boolean_and_string_weights_exit_1(tmp_path, capsys, weight):
+    paths = write_specs(tmp_path, D3, {"seeds": []}, weight)
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"]]
+    )
+    assert "must be numbers" in assert_one_line_error(code, capsys)
+
+
+def test_non_integer_automorphism_exit_1(tmp_path, capsys):
+    paths = write_specs(
+        tmp_path, D3, {"seeds": []}, UNIFORM,
+        automorphism={"kind": "perm", "perm": ["a", "b", "c", "d", "e", "f"]},
+    )
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"], "--automorphism", paths["automorphism"]]
+    )
+    assert "automorphism" in assert_one_line_error(code, capsys)
 
 
 def test_overflowing_weight_exit_3(tmp_path, capsys):

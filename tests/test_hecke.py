@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from wgelfand.errors import BiInvarianceError, NotGelfandError, NotInvolutiveErr
 
 from conftest import (
     classical_convolve_oracle,
+    commutativity_oracle,
+    dense_c_oracle,
+    dense_p_oracle,
+    gelfand_instances,
     random_bi_invariant_weight,
+    structure_tensor,
     weighted_convolve_oracle,
 )
 
@@ -21,7 +27,7 @@ def test_structure_constants_full_subgroup():
     w = wg.uniform_weight(s3)
     sc = wg.hecke_structure_constants(s3, K, w)
     assert sc.dim == 1
-    assert sc.c[0, 0, 0] == pytest.approx(6.0)
+    assert sc.convolve_coords([1.0], [1.0])[0] == pytest.approx(6.0)
 
     # general weight: c = sum_y w(y) w(y^-1 x) / w(x) at any fixed x
     rng = np.random.default_rng(0)
@@ -32,14 +38,14 @@ def test_structure_constants_full_subgroup():
     expected = sum(
         wv[y] * wv[s3.multiply(s3.inverse(y), x)] / wv[x] for y in range(6)
     )
-    assert sc2.c[0, 0, 0] == pytest.approx(expected)
+    assert sc2.convolve_coords([1.0], [1.0])[0] == pytest.approx(expected)
 
 
 def test_structure_constants_s3(s3_pair):
     group, K, part = s3_pair
     sc = wg.hecke_structure_constants(group, K, wg.uniform_weight(group), partition=part)
     # delta_1 * delta_1 = 4 delta_0 + 2 delta_1
-    assert np.allclose(sc.c[1, 1], [4.0, 2.0])
+    assert np.allclose(sc.convolve_coords([0.0, 1.0], [0.0, 1.0]), [4.0, 2.0])
     # cross-check against the double-loop classical oracle
     d1 = (part.coset_of == 1).astype(complex)
     prod = classical_convolve_oracle(d1, d1, group)
@@ -49,11 +55,12 @@ def test_structure_constants_s3(s3_pair):
 def test_structure_constants_trivial_subgroup_group_algebra(s3):
     K = wg.subgroup_closure(s3, [])
     sc = wg.hecke_structure_constants(s3, K, wg.uniform_weight(s3))
+    eye = np.eye(6)
     for i in range(6):
         for j in range(6):
             expected = np.zeros(6)
             expected[s3.multiply(i, j)] = 1.0
-            assert np.allclose(sc.c[i, j], expected)
+            assert np.allclose(sc.convolve_coords(eye[i], eye[j]), expected)
 
 
 def test_structure_constants_reject_non_invariant_weight(s3_pair):
@@ -92,11 +99,11 @@ def test_gelfand_abelian_any_subgroup():
 
 def test_weighted_transfer_invariant(s3_pair):
     group, K, part = s3_pair
-    c1 = wg.hecke_structure_constants(group, K, wg.uniform_weight(group), partition=part).c
+    c1 = dense_c_oracle(group, part, wg.uniform_weight(group))
     rng = np.random.default_rng(2)
     for _ in range(10):
         w = random_bi_invariant_weight(part, rng)
-        cw = wg.hecke_structure_constants(group, K, w, partition=part).c
+        cw = structure_tensor(wg.hecke_structure_constants(group, K, w, partition=part))
         wd = np.array([w.values[c[0]] for c in part.cosets])
         expected = c1 * wd[:, None, None] * wd[None, :, None] / wd[None, None, :]
         assert np.max(np.abs(cw - expected)) < 1e-9
@@ -170,12 +177,14 @@ def test_structure_constants_match_double_loop_oracle(make_pair):
     part = wg.double_cosets(group, K)
     w = random_bi_invariant_weight(part, np.random.default_rng(4))
     sc = wg.hecke_structure_constants(group, K, w, partition=part)
-    assert sc.p.dtype == np.int32
+    assert sc.counts.dtype == np.int32
     d = part.num_cosets
+    eye = np.eye(d)
     for i in range(d):
         for j in range(d):
             prod, _ = _indicator_products(group, part, w, i, j)
-            assert np.allclose(sc.c[i, j][part.coset_of], prod, rtol=1e-12, atol=1e-12)
+            cij = sc.convolve_coords(eye[i], eye[j])
+            assert np.allclose(cij[part.coset_of], prod, rtol=1e-12, atol=1e-12)
 
 
 def _s4_transposition():
@@ -256,3 +265,78 @@ def test_spherical_reads_the_verdict_of_its_structure_constants(make_pair, monke
         wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
     assert exc.value.witness == report.witness
     assert verdicts == []
+
+
+def _s6_transposition():
+    group = wg.symmetric_group(6)
+    return group, wg.subgroup_closure(group, [1])  # element 1 is (0 1)
+
+
+def _s5_five_cycle():
+    group = wg.symmetric_group(5)
+    return group, wg.subgroup_closure(group, [2])  # element 2 is the 5-cycle
+
+
+def _dense_cases():
+    cases = [pytest.param(group, K, part, w, id=name)
+             for name, group, K, part, w in gelfand_instances()]
+    for name, make_pair in (("D6/1", _d6_trivial), ("S4/s", _s4_transposition),
+                            ("S6/s", _s6_transposition), ("S5/C5", _s5_five_cycle)):
+        group, K = make_pair()
+        part = wg.double_cosets(group, K)
+        w = random_bi_invariant_weight(part, np.random.default_rng(8))
+        cases.append(pytest.param(group, K, part, w, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("group, K, part, w", _dense_cases())
+def test_sparse_intersection_numbers_match_dense_oracle(group, K, part, w):
+    """The COO keys and counts, the verdict and the witness against the dense
+    p. S6/(0 1) has d = 192 and is not Gelfand; on S5/C5 the first mismatch
+    is a zero p[i,j,k] whose swap p[j,i,k] is not, so the witness comes from
+    a swapped key."""
+    sc = wg.hecke_structure_constants(group, K, w, partition=part)
+    p = dense_p_oracle(group, part)
+    assert np.array_equal(sc.keys, np.flatnonzero(p))
+    assert np.array_equal(sc.counts, p.ravel()[sc.keys])
+    assert sc.commutativity_witness == commutativity_oracle(p, part)
+    if part.num_cosets <= 24:
+        assert np.allclose(structure_tensor(sc), dense_c_oracle(group, part, w),
+                           rtol=1e-12, atol=0)
+
+
+def test_commutativity_witness_on_synthetic_sparse_p():
+    """The sorted-key lookup against the dense comparison on random integer
+    arrays p: with a random support, with a support closed under the swap
+    but counts that differ, and with p equal to its swap."""
+    c5 = wg.cyclic_group(5)
+    part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
+    rng = np.random.default_rng(14)
+    for trial in range(60):
+        p = rng.integers(1, 4, size=(5, 5, 5)) * (rng.random((5, 5, 5)) < 0.3)
+        if trial % 3 == 1:
+            p = np.where((p > 0) | (p.transpose(1, 0, 2) > 0), rng.integers(1, 3, size=p.shape), 0)
+        elif trial % 3 == 2:
+            p = p + p.transpose(1, 0, 2)
+        keys = np.flatnonzero(p)
+        sc = wg.StructureConstants(keys=keys, counts=p.ravel()[keys].astype(np.int32),
+                                   wd=np.ones(5), partition=part)
+        assert sc.commutativity_witness == commutativity_oracle(p, part)
+
+
+def test_structure_constants_and_spherical_stay_below_dense_size():
+    """C128/1 builds its structure constants and spherical functions in less
+    than the d^3 * 4 bytes of a dense int32 p."""
+    group = wg.cyclic_group(128)
+    K = wg.subgroup_closure(group, [])
+    part = wg.double_cosets(group, K)
+    w = random_bi_invariant_weight(part, np.random.default_rng(9), unit_at_identity=True)
+    tracemalloc.start()
+    try:
+        sc = wg.hecke_structure_constants(group, K, w, partition=part)
+        sset = wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sset) == 128
+    assert peak < 128 ** 3 * 4
