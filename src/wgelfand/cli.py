@@ -28,11 +28,7 @@ from .fourier import (
     verify_commutation,
 )
 from .groups import automorphism_from_spec, double_cosets, group_from_spec, subgroup_from_spec
-from .hecke import (
-    check_rap_condition,
-    hecke_structure_constants,
-    is_weighted_gelfand,
-)
+from .hecke import check_rap_condition, hecke_structure_constants, is_weighted_gelfand
 from .spherical import complex_pairs, enumerate_spherical
 from .tolerance import RTOL, within
 from .weighted import weight_checks, weight_from_spec
@@ -138,9 +134,9 @@ def run(args) -> tuple[dict, int]:
     }
 
     t1 = time.perf_counter()
-    sc = hecke_structure_constants(group, K, w, partition=partition)
-    gelfand = is_weighted_gelfand(group, K, w, sc=sc)
-    rap = None if theta is None else check_rap_condition(group, K, w, theta, sc=sc)
+    sc = hecke_structure_constants(group, partition, w)
+    gelfand = is_weighted_gelfand(sc)
+    rap = None if theta is None else check_rap_condition(sc, w, theta)
     report["gelfand"] = {**gelfand.to_json(), "rap": rap}
     timings["gelfand"] = time.perf_counter() - t1
 
@@ -154,7 +150,7 @@ def run(args) -> tuple[dict, int]:
         report["note"] = "weight has w(e) != 1; spherical stages skipped"
     else:
         t2 = time.perf_counter()
-        sset = enumerate_spherical(group, K, w, partition=partition, sc=sc)
+        sset = enumerate_spherical(sc)
         report["spherical"] = {"count": len(sset), "functions": sset.to_json()}
         table = build_fourier_table(sset)
         rank, cond = injectivity_check(table)

@@ -132,20 +132,20 @@ def multiplier_from_kernel(h: BiInvariantFunction, sc: StructureConstants) -> Mu
 def is_multiplier(
     T: MultiplierOperator, sc: StructureConstants
 ) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Check T(delta_i *_w delta_j) = (T delta_i) *_w delta_j on all basis pairs,
-    at the scale of the largest entry of T and c.
+    """Check T(delta_e *_w delta_j) = (T delta_e) *_w delta_j for every j, at
+    the scale of the largest entry of T and c, with e the identity coset.
 
-    Pair (i, j) is column j of T L_i - L_{T delta_i}, with L_h = sc.left(h)
-    and L_i = L_{delta_i}; the witness is the first failing pair in row-major
-    order.
+    c[e,j,k] = |K| w_e [j = k], so u = delta_e / (|K| w_e) is the unit and
+    the check reads T = L_{T u}; then T(f * g) = (T u) * f * g = (T f) * g
+    for all f, g, so a check that passes on row e passes on every row (Wendel
+    1952). Pair (e, j) is column j of T L_e - L_{T delta_e}, with
+    L_h = sc.left(h); the witness is the first failing pair.
     """
+    e = sc.partition.identity_coset
     scale = max(float(np.max(np.abs(T.matrix))), sc.max_constant)
-    for i, e in enumerate(np.eye(sc.dim)):
-        gap = T.matrix @ sc.left(e) - sc.left(T.matrix[:, i])
-        failing = np.flatnonzero(~within(np.max(np.abs(gap), axis=0), scale))
-        if len(failing):
-            return False, (i, int(failing[0]))
-    return True, None
+    gap = T.matrix @ sc.left(np.eye(sc.dim)[e]) - sc.left(T.matrix[:, e])
+    failing = np.flatnonzero(~within(np.max(np.abs(gap), axis=0), scale))
+    return (False, (e, int(failing[0]))) if len(failing) else (True, None)
 
 
 def extract_symbol(
@@ -203,9 +203,18 @@ def multiplier_from_spec(spec: dict, sc: StructureConstants) -> MultiplierOperat
 
 
 def _complex_list(raw, d: int, field: str) -> np.ndarray:
+    """d [re, im] pairs of finite JSON numbers as a complex vector; booleans,
+    strings, NaN and infinities raise InputSpecError."""
     if not isinstance(raw, list) or len(raw) != d:
         raise InputSpecError(f'"{field}" must list {d} [re, im] pairs')
+    pairs = all(
+        isinstance(z, list) and len(z) == 2 and all(type(v) in (int, float) for v in z)
+        for z in raw
+    )
     try:
-        return np.array([complex(re, im) for re, im in raw])
-    except (TypeError, ValueError) as exc:
-        raise InputSpecError(f'"{field}" entries must be [re, im] pairs') from exc
+        parts = np.array(raw, dtype=float) if pairs else None
+    except OverflowError:
+        parts = None
+    if parts is None or not np.all(np.isfinite(parts)):
+        raise InputSpecError(f'"{field}" entries must be [re, im] pairs of finite numbers')
+    return parts.view(complex).ravel()

@@ -13,14 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BiInvarianceError, NotInvolutiveError, WGelfandError
-from .groups import (
-    DoubleCosetPartition,
-    GroupAutomorphism,
-    GroupTable,
-    SubgroupEmbedding,
-    double_cosets,
-    theta_in_KxinvK,
-)
+from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable, theta_in_KxinvK
 from .weighted import Weight, weight_checks
 
 
@@ -107,20 +100,16 @@ class GelfandReport:
 
 
 def hecke_structure_constants(
-    group: GroupTable,
-    K: SubgroupEmbedding,
-    w: Weight,
-    partition: Optional[DoubleCosetPartition] = None,
+    group: GroupTable, partition: DoubleCosetPartition, w: Weight
 ) -> StructureConstants:
-    """Sparse intersection numbers p and the coset weights.
+    """Sparse intersection numbers p and the coset weights: the one step
+    after the double cosets that reads the group table.
 
     One np.unique over the |G| d codes (i d + j) d + k of (coset of y, coset
     of y^-1 r_k, k) counts p[i,j,k] and returns the keys in row-major order.
     Requires a K-bi-invariant weight; raises BiInvarianceError with a witness
     otherwise.
     """
-    if partition is None:
-        partition = double_cosets(group, K)
     flags = weight_checks(w, group, partition)
     if not flags.k_bi_invariant:
         raise BiInvarianceError(*flags.bi_invariance_witness)
@@ -136,13 +125,7 @@ def hecke_structure_constants(
     )
 
 
-def is_weighted_gelfand(
-    group: GroupTable,
-    K: SubgroupEmbedding,
-    w: Weight,
-    partition: Optional[DoubleCosetPartition] = None,
-    sc: Optional[StructureConstants] = None,
-) -> GelfandReport:
+def is_weighted_gelfand(sc: StructureConstants) -> GelfandReport:
     """Test commutativity of the weighted Hecke algebra on the indicator basis.
 
     The verdict is exact and weight-independent: c[i,j,k] = c[j,i,k] iff
@@ -150,38 +133,25 @@ def is_weighted_gelfand(
     On failure the witness is (i, j, x) at the first mismatch: an element x
     where delta_i *_w delta_j and delta_j *_w delta_i differ.
     """
-    if sc is None:
-        sc = hecke_structure_constants(group, K, w, partition=partition)
     witness = sc.commutativity_witness
     return GelfandReport(is_weighted_gelfand=witness is None, witness=witness)
 
 
-def check_rap_condition(
-    group: GroupTable,
-    K: SubgroupEmbedding,
-    w: Weight,
-    theta: GroupAutomorphism,
-    partition: Optional[DoubleCosetPartition] = None,
-    sc: Optional[StructureConstants] = None,
-) -> bool:
+def check_rap_condition(sc: StructureConstants, w: Weight, theta: GroupAutomorphism) -> bool:
     """Sufficient condition for the weighted Gelfand property.
 
-    True iff w is K-bi-invariant, w∘theta = w, and theta(x) lies in K x^-1 K
-    for all x. Whenever all three hold, commutativity of the algebra is
-    cross-validated and a failure raises (it would contradict the theorem).
+    True iff w∘theta = w and theta(x) lies in K x^-1 K for all x; w is
+    K-bi-invariant, as sc was built from it. Whenever both hold, the
+    commutativity of sc is cross-validated and a failure raises (it would
+    contradict the theorem).
     """
     if not theta.involutive:
         raise NotInvolutiveError("rap condition requires an involutive automorphism")
-    if partition is None:
-        partition = sc.partition if sc is not None else double_cosets(group, K)
-    flags = weight_checks(w, group, partition, theta=theta)
-    ok = flags.k_bi_invariant and flags.theta_invariant
-    ok = ok and theta_in_KxinvK(group, partition, theta)[0]
-    if ok:
-        report = is_weighted_gelfand(group, K, w, partition=partition, sc=sc)
-        if not report.is_weighted_gelfand:
-            raise WGelfandError(
-                "sufficient condition held but the algebra is noncommutative; "
-                f"witness {report.witness}"
-            )
+    ok = bool(np.array_equal(w.values[theta.perm], w.values))
+    ok = ok and theta_in_KxinvK(sc.partition, theta)[0]
+    if ok and sc.commutativity_witness is not None:
+        raise WGelfandError(
+            "sufficient condition held but the algebra is noncommutative; "
+            f"witness {sc.commutativity_witness}"
+        )
     return ok

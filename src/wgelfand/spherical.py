@@ -9,13 +9,12 @@ functions and characters. The G-level checks (`verify_functional_equation`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NotGelfandError, PreconditionError
-from .groups import DoubleCosetPartition, GroupTable, SubgroupEmbedding, double_cosets
-from .hecke import StructureConstants, hecke_structure_constants
+from .groups import DoubleCosetPartition, GroupTable, SubgroupEmbedding
+from .hecke import StructureConstants
 from .tolerance import within
 from .weighted import BiInvariantFunction, Weight, uniform_weight, weighted_convolve
 
@@ -79,17 +78,12 @@ def _character_order(chars: np.ndarray) -> np.ndarray:
     return np.lexsort(keys.reshape(len(chars), -1).T[::-1])
 
 
-def enumerate_spherical(
-    group: GroupTable,
-    K: SubgroupEmbedding,
-    w: Weight,
-    partition: Optional[DoubleCosetPartition] = None,
-    sc: Optional[StructureConstants] = None,
-) -> SphericalSet:
+def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     """Find all d spherical functions of a weighted Gelfand pair.
 
-    Requires w(e) = 1 and a commutative algebra. Deterministic, in coset
-    coordinates, and independent of the weight: the matrices
+    Requires w(e) = 1, read exactly as the weight of the identity coset, and
+    a commutative algebra. Deterministic, in coset coordinates, and
+    independent of the weight: the matrices
     N_i[k, j] = p[i,j,k] sqrt(|D_k| / |D_j|) of f -> delta_i * f on the
     orthonormal basis delta_k / sqrt(|D_k|), each built from the i-slice of
     the sparse p, are normal and commute, so their joint eigenlines are found
@@ -99,12 +93,9 @@ def enumerate_spherical(
     w_i |D_i| phi1(D_i^-1). Multiplicativity of the classical characters is
     checked on the nonzeros of p.
     """
-    if partition is None:
-        partition = double_cosets(group, K)
-    if not w.unit_at_identity(group):
+    partition = sc.partition
+    if sc.wd[partition.identity_coset] != 1.0:
         raise PreconditionError("spherical enumeration requires w(e) = 1")
-    if sc is None:
-        sc = hecke_structure_constants(group, K, w, partition=partition)
     if sc.commutativity_witness is not None:
         raise NotGelfandError(*sc.commutativity_witness)
     if not np.isfinite(sc.max_constant):

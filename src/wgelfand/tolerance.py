@@ -1,8 +1,13 @@
 """The one numerical tolerance policy of the library.
 
-1. Weights are inputs and are compared exactly: bi-invariance, symmetry,
-   theta-invariance (`weighted.weight_checks`) and w(e) = 1
-   (`Weight.unit_at_identity`, the one test of that precondition).
+1. Weights are inputs and are compared exactly: bi-invariance, symmetry
+   and theta-invariance (`weighted.weight_checks`; `check_rap_condition`
+   compares w∘theta = w once more for the sufficient condition), and
+   w(e) = 1. The precondition w(e) = 1 is tested in one place,
+   `enumerate_spherical`, by one exact comparison of the identity coset's
+   entry of `StructureConstants.wd`, which is w(e) as w is bi-invariant;
+   `Weight.unit_at_identity` reads the same equality for the report's flag
+   and the G-level oracles.
 2. A computed quantity passes when its residual is at most
    RTOL * max(1, scale), where scale is the magnitude of what the residual
    compares (1 where a check has none). A NaN residual fails. This covers

@@ -60,25 +60,27 @@ def test_criterion_2_gelfand_detection():
     def body():
         start = time.perf_counter()
         s3, K3, p3 = _pair(wg.symmetric_group(3), [1])
-        assert wg.is_weighted_gelfand(s3, K3, wg.uniform_weight(s3)).is_weighted_gelfand
+        uniform = wg.uniform_weight(s3)
+        assert wg.is_weighted_gelfand(
+            wg.hecke_structure_constants(s3, p3, uniform)
+        ).is_weighted_gelfand
 
-        report = wg.is_weighted_gelfand(
-            s3, wg.subgroup_closure(s3, []), wg.uniform_weight(s3)
-        )
+        _, _, p1 = _pair(s3, [])
+        report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, p1, uniform))
         assert not report.is_weighted_gelfand and report.witness is not None
 
         gens4 = wg.symmetric_group_generators(4)
         s4 = wg.build_group_from_generators(gens4)
         K4 = wg.point_stabilizer(s4, gens4, 3)
-        assert wg.is_weighted_gelfand(s4, K4, wg.uniform_weight(s4)).is_weighted_gelfand
+        sc4 = wg.hecke_structure_constants(s4, wg.double_cosets(s4, K4), wg.uniform_weight(s4))
+        assert wg.is_weighted_gelfand(sc4).is_weighted_gelfand
 
         for order in (4, 6, 8, 9, 12):
             g = wg.cyclic_group(order)
             for seed in range(order):
-                K = wg.subgroup_closure(g, [seed])
-                assert wg.is_weighted_gelfand(
-                    g, K, wg.uniform_weight(g)
-                ).is_weighted_gelfand
+                _, _, part = _pair(g, [seed])
+                sc = wg.hecke_structure_constants(g, part, wg.uniform_weight(g))
+                assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
         assert time.perf_counter() - start < 5.0
 
     _run(2, "Gelfand detection on S3, S4 and abelian families", body)
@@ -93,15 +95,14 @@ def test_criterion_3_weighted_transfer():
             _pair(wg.dihedral_group(4), [1]),
         ]
         for group, K, part in pairs:
-            base = wg.is_weighted_gelfand(group, K, wg.uniform_weight(group), partition=part)
-            c1 = structure_tensor(wg.hecke_structure_constants(
-                group, K, wg.uniform_weight(group), partition=part
-            ))
+            sc1 = wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
+            base, c1 = wg.is_weighted_gelfand(sc1), structure_tensor(sc1)
             for _ in range(20):
                 w = random_bi_invariant_weight(part, rng)
-                report = wg.is_weighted_gelfand(group, K, w, partition=part)
+                sc = wg.hecke_structure_constants(group, part, w)
+                report = wg.is_weighted_gelfand(sc)
                 assert report.is_weighted_gelfand == base.is_weighted_gelfand
-                cw = structure_tensor(wg.hecke_structure_constants(group, K, w, partition=part))
+                cw = structure_tensor(sc)
                 wd = np.array([w.values[c[0]] for c in part.cosets])
                 lhs = cw * wd[None, None, :]
                 rhs = c1 * wd[:, None, None] * wd[None, :, None]
@@ -118,10 +119,9 @@ def test_criterion_4_sufficient_condition():
             theta = wg.inversion_automorphism(group)
             for _ in range(10):
                 w = random_symmetric_weight(group, rng)
-                assert wg.check_rap_condition(group, K, w, theta, partition=part)
-                assert wg.is_weighted_gelfand(
-                    group, K, w, partition=part
-                ).is_weighted_gelfand
+                sc = wg.hecke_structure_constants(group, part, w)
+                assert wg.check_rap_condition(sc, w, theta)
+                assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
         group, K, part = _pair(wg.symmetric_group(3), [1])
         theta = wg.check_automorphism(group, np.arange(6), require_involutive=True)
         for _ in range(10):
@@ -129,8 +129,9 @@ def test_criterion_4_sufficient_condition():
             # coset-constant weights here are symmetric: both cosets are
             # closed under inversion
             assert wg.weight_checks(w, group, part).symmetric
-            assert wg.check_rap_condition(group, K, w, theta, partition=part)
-            assert wg.is_weighted_gelfand(group, K, w, partition=part).is_weighted_gelfand
+            sc = wg.hecke_structure_constants(group, part, w)
+            assert wg.check_rap_condition(sc, w, theta)
+            assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
     _run(4, "automorphism-based sufficient condition implies detection", body)
 
@@ -138,7 +139,7 @@ def test_criterion_4_sufficient_condition():
 def test_criterion_5_necessary_identity():
     def body():
         for name, group, K, part, w in gelfand_instances():
-            report = wg.is_weighted_gelfand(group, K, w, partition=part)
+            report = wg.is_weighted_gelfand(wg.hecke_structure_constants(group, part, w))
             assert report.is_weighted_gelfand, name
             assert w.unit_at_identity(group), name
             # sum_x f(x) w(x) w(x^-1) = sum_x f(x^-1) w(x^-1) w(x) for every
@@ -156,7 +157,7 @@ def test_criterion_5_necessary_identity():
 def test_criterion_6_spherical_enumeration():
     def body():
         s3, K3, p3 = _pair(wg.symmetric_group(3), [1])
-        sset = wg.enumerate_spherical(s3, K3, wg.uniform_weight(s3), partition=p3)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, p3, wg.uniform_weight(s3)))
         assert match_sets(
             [phi.coset_values for phi in sset.functions],
             [np.array([1.0, 1.0]), np.array([1.0, -0.5])],
@@ -165,14 +166,14 @@ def test_criterion_6_spherical_enumeration():
         w = wg.weight_from_spec(
             {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}, s3, p3
         )
-        sset = wg.enumerate_spherical(s3, K3, w, partition=p3)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, p3, w))
         assert match_sets(
             [phi.coset_values for phi in sset.functions],
             [np.array([1.0, 0.5]), np.array([1.0, -0.25])],
             1e-8,
         )
         c4, Kt, pt = _pair(wg.cyclic_group(4), [])
-        sset = wg.enumerate_spherical(c4, Kt, wg.uniform_weight(c4), partition=pt)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(c4, pt, wg.uniform_weight(c4)))
         dft = [np.array([1j ** (j * x) for x in range(4)]) for j in range(4)]
         assert match_sets([phi.coset_values for phi in sset.functions], dft, 1e-9)
 
@@ -185,7 +186,7 @@ def test_criterion_6_spherical_enumeration():
         ]
         for group, K, part, weight in small:
             assert part.num_cosets <= 3
-            sset = wg.enumerate_spherical(group, K, weight, partition=part)
+            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, weight))
             oracle = brute_force_spherical(group, K, weight, partition=part)
             assert match_sets(
                 [phi.coset_values for phi in sset.functions], oracle, 1e-7
@@ -198,7 +199,7 @@ def test_criterion_7_characterizations():
     def body():
         rng = np.random.default_rng(7)
         for name, group, K, part, w in gelfand_instances():
-            sset = wg.enumerate_spherical(group, K, w, partition=part)
+            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
             for phi in sset.functions:
                 assert wg.verify_functional_equation(phi, group, K, w) < 1e-9, name
                 assert abs(phi.coset_values[part.identity_coset] - 1.0) < 1e-9, name
@@ -216,7 +217,7 @@ def test_criterion_8_convolution_theorem():
     def body():
         rng = np.random.default_rng(8)
         for name, group, K, part, w in gelfand_instances():
-            sset = wg.enumerate_spherical(group, K, w, partition=part)
+            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
             for _ in range(100):
                 f = wg.BiInvariantFunction(random_gfunction(part.num_cosets, rng), part)
                 g = wg.BiInvariantFunction(random_gfunction(part.num_cosets, rng), part)
@@ -228,14 +229,14 @@ def test_criterion_8_convolution_theorem():
 def test_criterion_9_injectivity():
     def body():
         for name, group, K, part, w in gelfand_instances():
-            sset = wg.enumerate_spherical(group, K, w, partition=part)
+            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
             table = wg.build_fourier_table(sset)
             rank, _ = wg.injectivity_check(table)
             assert rank == part.num_cosets, name
 
         # sensitivity: a sign-flipped spherical function must be caught
         _, group, K, part, w = gelfand_instances()[0]
-        sset = wg.enumerate_spherical(group, K, w, partition=part)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
         good = sset.functions[-1]
         flipped = good.coset_values.copy()
         flipped[1 - part.identity_coset] *= -1.0
@@ -252,8 +253,8 @@ def test_criterion_10_multipliers():
     def body():
         rng = np.random.default_rng(10)
         for name, group, K, part, w in gelfand_instances():
-            sc = wg.hecke_structure_constants(group, K, w, partition=part)
-            sset = wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
+            sc = wg.hecke_structure_constants(group, part, w)
+            sset = wg.enumerate_spherical(sc)
             table = wg.build_fourier_table(sset)
             d = part.num_cosets
             operators = []
@@ -321,7 +322,7 @@ def test_criterion_11_projection_and_pullback_identities():
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
             # theta landing in K x^-1 K forces pullback = reflection
-            ok, _ = wg.theta_in_KxinvK(s3, p3, theta_id)
+            ok, _ = wg.theta_in_KxinvK(p3, theta_id)
             assert ok
             assert np.max(
                 np.abs(wg.theta_pullback(f, theta_id) - wg.reflect(f, s3))
@@ -341,10 +342,9 @@ def test_criterion_12_scale_s5():
         part = wg.double_cosets(s5, K)
         rng = np.random.default_rng(12)
         w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
-        report = wg.is_weighted_gelfand(s5, K, w, partition=part)
-        assert report.is_weighted_gelfand
-        sc = wg.hecke_structure_constants(s5, K, w, partition=part)
-        sset = wg.enumerate_spherical(s5, K, w, partition=part, sc=sc)
+        sc = wg.hecke_structure_constants(s5, part, w)
+        assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
+        sset = wg.enumerate_spherical(sc)
         assert len(sset) == part.num_cosets
         table = wg.build_fourier_table(sset)
         rank, _ = wg.injectivity_check(table)

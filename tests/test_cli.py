@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,7 +104,7 @@ def test_complex_pairs_serialise_like_per_element_lists():
     part = wg.double_cosets(group, K)
     weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}
     w = wg.weight_from_spec(weight, group, part)
-    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     old_sset = [
         {"coset_values": [[z.real, z.imag] for z in phi.coset_values],
          "character": [[z.real, z.imag] for z in chi.values]}
@@ -237,8 +239,9 @@ def test_weight_off_one_at_identity_gets_one_decision(tmp_path, capsys):
     K = wg.subgroup_closure(group, [2])
     part = wg.double_cosets(group, K)
     w = wg.weight_from_spec(weight, group, part)
+    sc = wg.hecke_structure_constants(group, part, w)
     with pytest.raises(wg.PreconditionError):
-        wg.enumerate_spherical(group, K, w, partition=part)
+        wg.enumerate_spherical(sc)
 
 
 def test_multiplier_check_rejects_bad_matrix(tmp_path, capsys):
@@ -253,6 +256,28 @@ def test_multiplier_check_rejects_bad_matrix(tmp_path, capsys):
     report = json.loads(out)
     assert report["multipliers"][0]["is_multiplier"] is False
     assert "witness" in report["multipliers"][0]
+
+
+@pytest.mark.parametrize(
+    "multiplier",
+    [
+        {"kind": "kernel", "coset_values": [[True, False], [1, 0]]},
+        {"kind": "kernel", "coset_values": [["1", 0], [1, 0]]},
+        {"kind": "kernel", "coset_values": [[float("nan"), 0], [1, 0]]},
+        {"kind": "kernel", "coset_values": [[10**400, 0], [1, 0]]},
+        {"kind": "matrix", "rows": [[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]},
+    ],
+    ids=["boolean", "string", "nan", "int-overflow", "infinity"],
+)
+def test_malformed_multiplier_parts_exit_1(tmp_path, capsys, multiplier):
+    """Every kernel operator is a multiplier, so a NaN kernel must not be
+    reported as a failed one; it is an input error, like a boolean part."""
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, UNIFORM, multipliers=[multiplier])
+    code = main(
+        ["multiplier-check", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"], "--multiplier", paths["multipliers"][0]]
+    )
+    assert "finite numbers" in assert_one_line_error(code, capsys)
 
 
 def test_text_format(tmp_path, capsys):
@@ -294,7 +319,7 @@ def test_report_numbers_match_library(tmp_path, capsys):
     K = wg.subgroup_closure(group, [1])
     part = wg.double_cosets(group, K)
     w = wg.weight_from_spec(weight, group, part)
-    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     from_report = [
         [complex(re, im) for re, im in fn["coset_values"]]
         for fn in report["spherical"]["functions"]
@@ -374,15 +399,17 @@ def test_boolean_and_string_weights_exit_1(tmp_path, capsys, weight):
 
 
 def test_non_integer_automorphism_exit_1(tmp_path, capsys):
-    paths = write_specs(
-        tmp_path, D3, {"seeds": []}, UNIFORM,
-        automorphism={"kind": "perm", "perm": ["a", "b", "c", "d", "e", "f"]},
-    )
-    code = main(
-        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
-         "--weight", paths["weight"], "--automorphism", paths["automorphism"]]
-    )
-    assert "automorphism" in assert_one_line_error(code, capsys)
+    # a boolean among integers would otherwise be read as 1: the identity here
+    for perm in (["a", "b", "c", "d", "e", "f"], [0, True, 2, 3, 4, 5]):
+        paths = write_specs(
+            tmp_path, D3, {"seeds": []}, UNIFORM,
+            automorphism={"kind": "perm", "perm": perm},
+        )
+        code = main(
+            ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+             "--weight", paths["weight"], "--automorphism", paths["automorphism"]]
+        )
+        assert "automorphism" in assert_one_line_error(code, capsys)
 
 
 def test_overflowing_weight_exit_3(tmp_path, capsys):
@@ -466,10 +493,12 @@ def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypat
         (S3, {"seeds": [1.5]}),
         (S3, {"elements": ["x"]}),
         (S3, {"elements": [0, 9]}),
+        (S3, {"seeds": [0, True]}),
+        (S3, {"elements": [0, True]}),
     ],
     ids=["n-string", "n-fraction", "cyclic-too-large", "symmetric-too-large",
          "ragged-table", "generators-string", "seeds-string", "seeds-fraction",
-         "elements-string", "elements-out-of-range"],
+         "elements-string", "elements-out-of-range", "seeds-boolean", "elements-boolean"],
 )
 def test_malformed_group_and_subgroup_specs_exit_1(tmp_path, capsys, group, subgroup):
     paths = write_specs(tmp_path, group, subgroup, UNIFORM)
@@ -487,3 +516,12 @@ def test_malformed_group_and_subgroup_specs_exit_1(tmp_path, capsys, group, subg
 )
 def test_usage_errors_exit_1(capsys, argv):
     assert_one_line_error(main(argv), capsys)
+
+
+def test_readme_python_example_runs(capsys):
+    """The README's Python example uses the public signatures as they are."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out == "True 2\n"

@@ -20,8 +20,8 @@ def s3_setup(s3_pair):
     w = wg.weight_from_spec(
         {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}, group, part
     )
-    sc = wg.hecke_structure_constants(group, K, w, partition=part)
-    sset = wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
+    sc = wg.hecke_structure_constants(group, part, w)
+    sset = wg.enumerate_spherical(sc)
     table = wg.build_fourier_table(sset)
     return group, K, part, w, sc, sset, table
 
@@ -30,8 +30,8 @@ def s3_setup(s3_pair):
 def s3_uniform_setup(s3_pair):
     group, K, part = s3_pair
     w = wg.uniform_weight(group)
-    sc = wg.hecke_structure_constants(group, K, w, partition=part)
-    sset = wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
+    sc = wg.hecke_structure_constants(group, part, w)
+    sset = wg.enumerate_spherical(sc)
     table = wg.build_fourier_table(sset)
     return group, K, part, w, sc, sset, table
 
@@ -52,7 +52,7 @@ def test_transform_of_zero(s3_setup):
 def test_transform_cyclic4_against_dft(c4_pair):
     group, K, part = c4_pair
     w = wg.uniform_weight(group)
-    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     f = wg.BiInvariantFunction.indicator(1, part)  # delta at element 1
     values = wg.spherical_transform(f, sset, group, w)
     for s, phi in enumerate(sset.functions):
@@ -91,7 +91,7 @@ def test_convolution_theorem_identity_element():
     K = wg.subgroup_closure(c3, [])
     part = wg.double_cosets(c3, K)
     w = wg.uniform_weight(c3)
-    sset = wg.enumerate_spherical(c3, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(c3, part, w))
     f = wg.BiInvariantFunction(np.array([2.0, 1.0j, -1.0]), part)
     e = wg.BiInvariantFunction.indicator(part.identity_coset, part)
     assert wg.verify_convolution_theorem(f, e, sset, c3, w) < 1e-12
@@ -116,7 +116,7 @@ def test_injectivity_rank_one_for_full_subgroup(s3):
     K = wg.subgroup_closure(s3, [1, 2])
     part = wg.double_cosets(s3, K)
     w = wg.uniform_weight(s3)
-    sset = wg.enumerate_spherical(s3, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, part, w))
     table = wg.build_fourier_table(sset)
     rank, _ = wg.injectivity_check(table)
     assert rank == 1
@@ -273,7 +273,7 @@ def test_symbol_serialization(s3_setup):
 
 def test_fourier_table_matches_transform_oracle():
     for name, group, K, part, w in gelfand_instances():
-        sset = wg.enumerate_spherical(group, K, w, partition=part)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
         indicators = [
             wg.BiInvariantFunction.indicator(i, part) for i in range(part.num_cosets)
         ]
@@ -288,7 +288,7 @@ def d12_reflection_setup():
     K = wg.subgroup_closure(group, [2])  # element 2 is the generating reflection
     part = wg.double_cosets(group, K)
     w = random_bi_invariant_weight(part, np.random.default_rng(11), unit_at_identity=True)
-    sc = wg.hecke_structure_constants(group, K, w, partition=part)
+    sc = wg.hecke_structure_constants(group, part, w)
     return part, sc, dense_c_oracle(group, part, w)
 
 
@@ -321,3 +321,34 @@ def test_multiplier_checks_match_loop_oracle(d12_reflection_setup):
             assert wg.verify_commutation(T1, T2, sc) == pytest.approx(
                 commutation_oracle(T1, T2, c), rel=1e-9, abs=1e-9
             )
+
+
+def test_multiplier_witness_is_on_the_identity_row():
+    """C4 relabelled so that the identity is index 2: the check runs on the
+    unit's row, so a failing operator is caught at a pair (2, j), and that
+    pair really fails the defining identity on the dense c."""
+    label = [2, 0, 3, 1]  # label[a] is the index of the rotation by a
+    table = [[0] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            table[label[a]][label[b]] = label[(a + b) % 4]
+    group = wg.group_from_spec({"kind": "table", "table": table})
+    assert group.identity == 2
+    part = wg.double_cosets(group, wg.subgroup_closure(group, []))
+    assert part.identity_coset == 2
+    rng = np.random.default_rng(13)
+    w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
+    sc = wg.hecke_structure_constants(group, part, w)
+    c = dense_c_oracle(group, part, w)
+
+    T = wg.MultiplierOperator(matrix=rng.standard_normal((4, 4)))
+    ok, (i, j) = wg.is_multiplier(T, sc)
+    assert not ok and i == 2
+    assert is_multiplier_oracle(T, c)[0] is False
+    scale = max(1.0, float(np.max(np.abs(T.matrix))), float(np.max(np.abs(c))))
+    gaps = [np.max(np.abs(T.apply(c[2, k]) - T.matrix[:, 2] @ c[:, k])) for k in range(4)]
+    assert gaps[j] > 1e-9 * scale
+    assert all(gap <= 1e-9 * scale for gap in gaps[:j])
+
+    kernel = wg.multiplier_from_kernel(wg.BiInvariantFunction(random_gfunction(4, rng), part), sc)
+    assert wg.is_multiplier(kernel, sc) == is_multiplier_oracle(kernel, c) == (True, None)

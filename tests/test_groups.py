@@ -205,14 +205,14 @@ def test_theta_in_KxinvK_inversion_abelian():
     c6 = wg.cyclic_group(6)
     K = wg.subgroup_closure(c6, [])
     part = wg.double_cosets(c6, K)
-    ok, witness = wg.theta_in_KxinvK(c6, part, wg.inversion_automorphism(c6))
+    ok, witness = wg.theta_in_KxinvK(part, wg.inversion_automorphism(c6))
     assert ok and witness is None
 
 
 def test_theta_in_KxinvK_identity_on_s3(s3_pair):
     group, K, part = s3_pair
     theta = wg.check_automorphism(group, np.arange(6))
-    ok, _ = wg.theta_in_KxinvK(group, part, theta)
+    ok, _ = wg.theta_in_KxinvK(part, theta)
     assert ok  # both double cosets are inverse-closed
 
 
@@ -221,7 +221,7 @@ def test_theta_in_KxinvK_identity_fails_on_cyclic5():
     K = wg.subgroup_closure(c5, [])
     part = wg.double_cosets(c5, K)
     theta = wg.check_automorphism(c5, np.arange(5))
-    ok, witness = wg.theta_in_KxinvK(c5, part, theta)
+    ok, witness = wg.theta_in_KxinvK(part, theta)
     assert not ok
     assert witness == 1
 
@@ -302,7 +302,8 @@ def test_group_from_spec_rejects_malformed(spec):
 @pytest.mark.parametrize(
     "spec",
     [{"seeds": ["a"]}, {"seeds": [1.5]}, {"seeds": [6]}, {"seeds": 1},
-     {"elements": ["x"]}, {"elements": [0, 1.5]}, {"elements": [0, 6]}],
+     {"elements": ["x"]}, {"elements": [0, 1.5]}, {"elements": [0, 6]},
+     {"seeds": [0, True]}, {"elements": [0, True]}],
 )
 def test_subgroup_from_spec_rejects_malformed(s3, spec):
     with pytest.raises(InputSpecError):

@@ -25,7 +25,7 @@ def test_structure_constants_full_subgroup():
     s3 = wg.symmetric_group(3)
     K = wg.subgroup_closure(s3, [1, 2])
     w = wg.uniform_weight(s3)
-    sc = wg.hecke_structure_constants(s3, K, w)
+    sc = wg.hecke_structure_constants(s3, wg.double_cosets(s3, K), w)
     assert sc.dim == 1
     assert sc.convolve_coords([1.0], [1.0])[0] == pytest.approx(6.0)
 
@@ -33,7 +33,7 @@ def test_structure_constants_full_subgroup():
     rng = np.random.default_rng(0)
     wv = np.full(6, rng.uniform(0.5, 2.0))  # bi-invariant for K = G means constant
     w2 = wg.Weight(wv)
-    sc2 = wg.hecke_structure_constants(s3, K, w2)
+    sc2 = wg.hecke_structure_constants(s3, wg.double_cosets(s3, K), w2)
     x = 3
     expected = sum(
         wv[y] * wv[s3.multiply(s3.inverse(y), x)] / wv[x] for y in range(6)
@@ -43,7 +43,7 @@ def test_structure_constants_full_subgroup():
 
 def test_structure_constants_s3(s3_pair):
     group, K, part = s3_pair
-    sc = wg.hecke_structure_constants(group, K, wg.uniform_weight(group), partition=part)
+    sc = wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
     # delta_1 * delta_1 = 4 delta_0 + 2 delta_1
     assert np.allclose(sc.convolve_coords([0.0, 1.0], [0.0, 1.0]), [4.0, 2.0])
     # cross-check against the double-loop classical oracle
@@ -54,7 +54,7 @@ def test_structure_constants_s3(s3_pair):
 
 def test_structure_constants_trivial_subgroup_group_algebra(s3):
     K = wg.subgroup_closure(s3, [])
-    sc = wg.hecke_structure_constants(s3, K, wg.uniform_weight(s3))
+    sc = wg.hecke_structure_constants(s3, wg.double_cosets(s3, K), wg.uniform_weight(s3))
     eye = np.eye(6)
     for i in range(6):
         for j in range(6):
@@ -66,21 +66,22 @@ def test_structure_constants_trivial_subgroup_group_algebra(s3):
 def test_structure_constants_reject_non_invariant_weight(s3_pair):
     group, K, part = s3_pair
     with pytest.raises(BiInvarianceError) as exc:
-        wg.hecke_structure_constants(group, K, wg.Weight(np.arange(1.0, 7.0)))
+        wg.hecke_structure_constants(group, part, wg.Weight(np.arange(1.0, 7.0)))
     x, y = exc.value.witness
     assert part.coset_of[x] == part.coset_of[y]
 
 
 def test_gelfand_s3_pair(s3_pair):
     group, K, part = s3_pair
-    report = wg.is_weighted_gelfand(group, K, wg.uniform_weight(group))
+    sc = wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
+    report = wg.is_weighted_gelfand(sc)
     assert report.is_weighted_gelfand
     assert report.witness is None
 
 
 def test_not_gelfand_s3_trivial(s3):
-    K = wg.subgroup_closure(s3, [])
-    report = wg.is_weighted_gelfand(s3, K, wg.uniform_weight(s3))
+    part = wg.double_cosets(s3, wg.subgroup_closure(s3, []))
+    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, part, wg.uniform_weight(s3)))
     assert not report.is_weighted_gelfand
     i, j, x = report.witness
     # the witness pair genuinely fails to commute
@@ -94,7 +95,8 @@ def test_gelfand_abelian_any_subgroup():
         K = wg.subgroup_closure(c6, seeds)
         part = wg.double_cosets(c6, K)
         w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
-        assert wg.is_weighted_gelfand(c6, K, w, partition=part).is_weighted_gelfand
+        sc = wg.hecke_structure_constants(c6, part, w)
+        assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
 
 def test_weighted_transfer_invariant(s3_pair):
@@ -103,48 +105,52 @@ def test_weighted_transfer_invariant(s3_pair):
     rng = np.random.default_rng(2)
     for _ in range(10):
         w = random_bi_invariant_weight(part, rng)
-        cw = structure_tensor(wg.hecke_structure_constants(group, K, w, partition=part))
+        sc = wg.hecke_structure_constants(group, part, w)
         wd = np.array([w.values[c[0]] for c in part.cosets])
         expected = c1 * wd[:, None, None] * wd[None, :, None] / wd[None, None, :]
-        assert np.max(np.abs(cw - expected)) < 1e-9
+        assert np.max(np.abs(structure_tensor(sc) - expected)) < 1e-9
         # commutativity verdict does not depend on the weight
-        assert wg.is_weighted_gelfand(group, K, w, partition=part).is_weighted_gelfand
+        assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
 
 def test_rap_condition_cyclic5():
     c5 = wg.cyclic_group(5)
-    K = wg.subgroup_closure(c5, [])
+    part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
     theta = wg.inversion_automorphism(c5)
     w = wg.Weight(np.array([1.0, 2.0, 3.0, 3.0, 2.0]))
-    assert wg.check_rap_condition(c5, K, w, theta)
-    assert wg.is_weighted_gelfand(c5, K, w).is_weighted_gelfand
+    sc = wg.hecke_structure_constants(c5, part, w)
+    assert wg.check_rap_condition(sc, w, theta)
+    assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
 
 def test_rap_condition_s3_identity_theta(s3_pair):
     group, K, part = s3_pair
     theta = wg.check_automorphism(group, np.arange(6), require_involutive=True)
-    assert wg.check_rap_condition(group, K, wg.uniform_weight(group), theta)
+    w = wg.uniform_weight(group)
+    assert wg.check_rap_condition(wg.hecke_structure_constants(group, part, w), w, theta)
 
 
 def test_rap_condition_fails_without_theta_invariance():
     c5 = wg.cyclic_group(5)
-    K = wg.subgroup_closure(c5, [])
+    part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
     theta = wg.inversion_automorphism(c5)
     w = wg.Weight(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))  # not symmetric
-    assert not wg.check_rap_condition(c5, K, w, theta)
+    assert not wg.check_rap_condition(wg.hecke_structure_constants(c5, part, w), w, theta)
 
 
 def test_rap_condition_requires_involutive():
     c5 = wg.cyclic_group(5)
-    K = wg.subgroup_closure(c5, [])
+    part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
     doubling = wg.check_automorphism(c5, [(2 * x) % 5 for x in range(5)])
+    w = wg.uniform_weight(c5)
+    sc = wg.hecke_structure_constants(c5, part, w)
     with pytest.raises(NotInvolutiveError):
-        wg.check_rap_condition(c5, K, wg.uniform_weight(c5), doubling)
+        wg.check_rap_condition(sc, w, doubling)
 
 
 def test_report_serialization(s3):
-    K = wg.subgroup_closure(s3, [])
-    report = wg.is_weighted_gelfand(s3, K, wg.uniform_weight(s3))
+    part = wg.double_cosets(s3, wg.subgroup_closure(s3, []))
+    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, part, wg.uniform_weight(s3)))
     blob = report.to_json()
     assert blob["gelfand"] is False
     assert set(blob["witness"]) == {"basis_i", "basis_j", "element"}
@@ -176,7 +182,7 @@ def test_structure_constants_match_double_loop_oracle(make_pair):
     group, K = make_pair()
     part = wg.double_cosets(group, K)
     w = random_bi_invariant_weight(part, np.random.default_rng(4))
-    sc = wg.hecke_structure_constants(group, K, w, partition=part)
+    sc = wg.hecke_structure_constants(group, part, w)
     assert sc.counts.dtype == np.int32
     d = part.num_cosets
     eye = np.eye(d)
@@ -197,7 +203,7 @@ def test_noncommutative_witness_is_genuine(make_pair):
     group, K = make_pair()
     part = wg.double_cosets(group, K)
     w = random_bi_invariant_weight(part, np.random.default_rng(5), unit_at_identity=True)
-    report = wg.is_weighted_gelfand(group, K, w, partition=part)
+    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(group, part, w))
     assert not report.is_weighted_gelfand
     i, j, x = report.witness
     ij, ji = _indicator_products(group, part, w, i, j)
@@ -210,7 +216,8 @@ def test_gelfand_verdict_ignores_weight_and_tolerance(s3_pair):
     for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
         w = random_bi_invariant_weight(part, rng)
         w = wg.Weight(w.values * scale)
-        assert wg.is_weighted_gelfand(group, K, w, partition=part).is_weighted_gelfand
+        sc = wg.hecke_structure_constants(group, part, w)
+        assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
 
 def _count_calls(monkeypatch, name):
@@ -244,13 +251,17 @@ def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
     builds = _count_calls(monkeypatch, "hecke_structure_constants")
     convolutions = _count_calls(monkeypatch, "weighted_convolve")
     verdicts = _count_calls(monkeypatch, "is_weighted_gelfand")
+    checks = _count_calls(monkeypatch, "weight_checks")
+    partitions = _count_calls(monkeypatch, "double_cosets")
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["gelfand"]["rap"] is True
     assert report["spherical"]["count"] == 5
     assert len(builds) == 1
     assert convolutions == []
-    assert len(verdicts) == 2  # the verdict and the sufficient condition
+    assert len(verdicts) == 1  # the sufficient condition reads sc's witness
+    assert len(checks) == 2  # the report's flags and the build's bi-invariance
+    assert len(partitions) == 1
 
 
 @pytest.mark.parametrize("make_pair", [_d6_trivial, _s4_transposition], ids=["D6/1", "S4/s"])
@@ -258,11 +269,11 @@ def test_spherical_reads_the_verdict_of_its_structure_constants(make_pair, monke
     group, K = make_pair()
     part = wg.double_cosets(group, K)
     w = random_bi_invariant_weight(part, np.random.default_rng(7), unit_at_identity=True)
-    sc = wg.hecke_structure_constants(group, K, w, partition=part)
-    report = wg.is_weighted_gelfand(group, K, w, sc=sc)
+    sc = wg.hecke_structure_constants(group, part, w)
+    report = wg.is_weighted_gelfand(sc)
     verdicts = _count_calls(monkeypatch, "is_weighted_gelfand")
     with pytest.raises(NotGelfandError) as exc:
-        wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
+        wg.enumerate_spherical(sc)
     assert exc.value.witness == report.witness
     assert verdicts == []
 
@@ -295,7 +306,7 @@ def test_sparse_intersection_numbers_match_dense_oracle(group, K, part, w):
     p. S6/(0 1) has d = 192 and is not Gelfand; on S5/C5 the first mismatch
     is a zero p[i,j,k] whose swap p[j,i,k] is not, so the witness comes from
     a swapped key."""
-    sc = wg.hecke_structure_constants(group, K, w, partition=part)
+    sc = wg.hecke_structure_constants(group, part, w)
     p = dense_p_oracle(group, part)
     assert np.array_equal(sc.keys, np.flatnonzero(p))
     assert np.array_equal(sc.counts, p.ravel()[sc.keys])
@@ -333,8 +344,8 @@ def test_structure_constants_and_spherical_stay_below_dense_size():
     w = random_bi_invariant_weight(part, np.random.default_rng(9), unit_at_identity=True)
     tracemalloc.start()
     try:
-        sc = wg.hecke_structure_constants(group, K, w, partition=part)
-        sset = wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
+        sc = wg.hecke_structure_constants(group, part, w)
+        sset = wg.enumerate_spherical(sc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -22,7 +22,8 @@ def coset_value_set(sset):
 
 def test_enumerate_s3_uniform(s3_pair):
     group, K, part = s3_pair
-    sset = wg.enumerate_spherical(group, K, wg.uniform_weight(group), partition=part)
+    sc = wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
+    sset = wg.enumerate_spherical(sc)
     assert len(sset) == 2
     assert match_sets(
         coset_value_set(sset), [np.array([1, 1.0]), np.array([1, -0.5])], 1e-9
@@ -31,7 +32,7 @@ def test_enumerate_s3_uniform(s3_pair):
 
 def test_enumerate_s3_weighted(s3_weighted):
     group, K, part, w = s3_weighted
-    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     assert match_sets(
         coset_value_set(sset), [np.array([1, 0.5]), np.array([1, -0.25])], 1e-9
     )
@@ -39,27 +40,30 @@ def test_enumerate_s3_weighted(s3_weighted):
 
 def test_enumerate_cyclic4_dft(c4_pair):
     group, K, part = c4_pair
-    sset = wg.enumerate_spherical(group, K, wg.uniform_weight(group), partition=part)
+    sc = wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
+    sset = wg.enumerate_spherical(sc)
     expected = [np.array([1j ** (j * x) for x in range(4)]) for j in range(4)]
     assert match_sets(coset_value_set(sset), expected, 1e-9)
 
 
 def test_enumerate_requires_gelfand(s3):
-    K = wg.subgroup_closure(s3, [])
+    part = wg.double_cosets(s3, wg.subgroup_closure(s3, []))
+    sc = wg.hecke_structure_constants(s3, part, wg.uniform_weight(s3))
     with pytest.raises(NotGelfandError):
-        wg.enumerate_spherical(s3, K, wg.uniform_weight(s3))
+        wg.enumerate_spherical(sc)
 
 
 def test_enumerate_requires_unit_weight(s3_pair):
     group, K, part = s3_pair
+    sc = wg.hecke_structure_constants(group, part, wg.Weight(np.full(6, 2.0)))
     with pytest.raises(PreconditionError):
-        wg.enumerate_spherical(group, K, wg.Weight(np.full(6, 2.0)), partition=part)
+        wg.enumerate_spherical(sc)
 
 
 def test_enumeration_is_deterministic(s3_weighted):
     group, K, part, w = s3_weighted
-    a = wg.enumerate_spherical(group, K, w, partition=part)
-    b = wg.enumerate_spherical(group, K, w, partition=part)
+    a = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
+    b = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     for pa, pb in zip(a.functions, b.functions):
         assert np.array_equal(pa.coset_values, pb.coset_values)
 
@@ -89,7 +93,7 @@ def test_functional_equation_rejects_wrong_sign(s3_pair):
 def test_eigen_property_sharp_delta(s3_pair):
     group, K, part = s3_pair
     w = wg.uniform_weight(group)
-    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     delta_e = np.zeros(6, dtype=complex)
     delta_e[group.identity] = 1.0
     f = wg.BiInvariantFunction.from_gfunction(
@@ -114,7 +118,7 @@ def test_eigen_property_constant_phi(s4_pair):
 def test_eigen_property_zero_function(s3_pair):
     group, K, part = s3_pair
     w = wg.uniform_weight(group)
-    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     f = wg.BiInvariantFunction(np.zeros(part.num_cosets, dtype=complex), part)
     chi, residual = wg.verify_eigen_property(f, sset.functions[0], group, w)
     assert chi == 0
@@ -123,8 +127,8 @@ def test_eigen_property_zero_function(s3_pair):
 
 def test_character_multiplicativity(s3_weighted):
     group, K, part, w = s3_weighted
-    sc = wg.hecke_structure_constants(group, K, w, partition=part)
-    sset = wg.enumerate_spherical(group, K, w, partition=part, sc=sc)
+    sc = wg.hecke_structure_constants(group, part, w)
+    sset = wg.enumerate_spherical(sc)
     c = dense_c_oracle(group, part, w)
     for _, chi in sset:
         for i in range(sc.dim):
@@ -136,7 +140,7 @@ def test_character_multiplicativity(s3_weighted):
 
 def test_classical_correspondence(s3_weighted):
     group, K, part, w = s3_weighted
-    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     for phi in sset.functions:
         assert wg.classical_correspondence(phi, group, K, w)
         assert wg.verify_functional_equation(phi, group, K, w) < 1e-9
@@ -154,7 +158,7 @@ def test_phi_e_equals_one_and_count(s4_pair):
     group, K, part = s4_pair
     rng = np.random.default_rng(1)
     w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
-    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     assert len(sset) == part.num_cosets
     for phi in sset.functions:
         assert abs(phi.coset_values[part.identity_coset] - 1.0) < 1e-9
@@ -163,7 +167,7 @@ def test_phi_e_equals_one_and_count(s4_pair):
 def test_eigen_route_matches_brute_force_s3(s3_pair, s3_weighted):
     group, K, part = s3_pair
     for w in (wg.uniform_weight(group), s3_weighted[3]):
-        sset = wg.enumerate_spherical(group, K, w, partition=part)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
         oracle = brute_force_spherical(group, K, w, partition=part)
         assert match_sets(coset_value_set(sset), oracle, 1e-7)
 
@@ -173,14 +177,15 @@ def test_eigen_route_matches_brute_force_cyclic3():
     K = wg.subgroup_closure(c3, [])
     part = wg.double_cosets(c3, K)
     for w in (wg.uniform_weight(c3), wg.Weight(np.array([1.0, 2.0, 2.0]))):
-        sset = wg.enumerate_spherical(c3, K, w, partition=part)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(c3, part, w))
         oracle = brute_force_spherical(c3, K, w, partition=part)
         assert match_sets(coset_value_set(sset), oracle, 1e-7)
 
 
 def test_spherical_set_serialization(s3_pair):
     group, K, part = s3_pair
-    sset = wg.enumerate_spherical(group, K, wg.uniform_weight(group), partition=part)
+    sc = wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
+    sset = wg.enumerate_spherical(sc)
     blob = sset.to_json()
     assert len(blob) == 2
     for entry in blob:
@@ -213,7 +218,7 @@ def test_elementary_abelian_needs_three_refinements():
     K = wg.subgroup_closure(group, [])
     part = wg.double_cosets(group, K)
     w = wg.uniform_weight(group)
-    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     assert len(sset) == 8
     for phi in sset.functions:
         assert wg.verify_functional_equation(phi, group, K, w) < 1e-12
@@ -229,7 +234,7 @@ def test_spectrum_does_not_depend_on_weight_range():
     vals = 10.0 ** rng.uniform(-15, 15, part.num_cosets)
     vals[part.identity_coset] = 1.0
     w = wg.Weight(vals[part.coset_of])
-    sset = wg.enumerate_spherical(group, K, w, partition=part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     assert len(sset) == part.num_cosets
     m = multiplicities(sset, group, part, w)
     assert_integer_multiplicities(m, group.order // K.order)
@@ -237,7 +242,7 @@ def test_spectrum_does_not_depend_on_weight_range():
 
 def test_multiplicities_are_integers_on_gelfand_instances():
     for name, group, K, part, w in gelfand_instances():
-        sset = wg.enumerate_spherical(group, K, w, partition=part)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
         m = multiplicities(sset, group, part, w)
         assert_integer_multiplicities(m, group.order // K.order)
 
@@ -252,7 +257,7 @@ def test_character_order_matches_rounded_key_oracle():
         cases.append((name, group, K, part,
                       random_bi_invariant_weight(part, rng, unit_at_identity=True)))
     for name, group, K, part, w in cases:
-        sset = wg.enumerate_spherical(group, K, w, partition=part)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
         chars = np.array([chi.values for chi in sset.characters])
         assert character_order_oracle(chars) == list(range(len(chars))), name
         # shuffled, with every row twice: ties must keep their order

@@ -178,7 +178,7 @@ def test_theta_pullback_and_reflect(s3):
 def test_theta_pullback_equals_reflect_for_bi_invariant(s3_pair):
     group, K, part = s3_pair
     theta = wg.check_automorphism(group, np.arange(6), require_involutive=True)
-    ok, _ = wg.theta_in_KxinvK(group, part, theta)
+    ok, _ = wg.theta_in_KxinvK(part, theta)
     assert ok
     f = wg.BiInvariantFunction(np.array([1.0, 2.0 - 1.0j]), part).expand()
     assert np.allclose(wg.theta_pullback(f, theta), wg.reflect(f, group))
