@@ -136,7 +136,7 @@ def run(args) -> tuple[dict, int]:
     t1 = time.perf_counter()
     sc = hecke_structure_constants(group, partition, w)
     gelfand = is_weighted_gelfand(sc)
-    rap = None if theta is None else check_rap_condition(sc, w, theta)
+    rap = None if theta is None else check_rap_condition(sc, theta)
     report["gelfand"] = {**gelfand.to_json(), "rap": rap}
     timings["gelfand"] = time.perf_counter() - t1
 

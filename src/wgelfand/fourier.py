@@ -19,7 +19,7 @@ from .groups import GroupTable
 from .hecke import StructureConstants
 from .spherical import SphericalSet, complex_pairs
 from .tolerance import within
-from .weighted import BiInvariantFunction, Weight
+from .weighted import BiInvariantFunction, Weight, json_number
 
 
 def spherical_transform(
@@ -132,19 +132,20 @@ def multiplier_from_kernel(h: BiInvariantFunction, sc: StructureConstants) -> Mu
 def is_multiplier(
     T: MultiplierOperator, sc: StructureConstants
 ) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Check T(delta_e *_w delta_j) = (T delta_e) *_w delta_j for every j, at
-    the scale of the largest entry of T and c, with e the identity coset.
+    """Check T(delta_e *_w delta_j) = (T delta_e) *_w delta_j for every j,
+    with e the identity coset.
 
-    c[e,j,k] = |K| w_e [j = k], so u = delta_e / (|K| w_e) is the unit and
-    the check reads T = L_{T u}; then T(f * g) = (T u) * f * g = (T f) * g
-    for all f, g, so a check that passes on row e passes on every row (Wendel
-    1952). Pair (e, j) is column j of T L_e - L_{T delta_e}, with
-    L_h = sc.left(h); the witness is the first failing pair.
+    c[e,j,k] = |K| w_e [j = k], so u = delta_e / (|K| w_e) is the unit and,
+    divided by |K| w_e, the check reads T = L_{T u}, with L_h = sc.left(h).
+    It compares T with L_{T u}, at the scale of their largest entry. Then
+    T(f * g) = (T u) * f * g = (T f) * g for all f, g, so a check that passes
+    on row e passes on every row (Wendel 1952). The witness is the first
+    failing pair (e, j): column j of T - L_{T u}.
     """
     e = sc.partition.identity_coset
-    scale = max(float(np.max(np.abs(T.matrix))), sc.max_constant)
-    gap = T.matrix @ sc.left(np.eye(sc.dim)[e]) - sc.left(T.matrix[:, e])
-    failing = np.flatnonzero(~within(np.max(np.abs(gap), axis=0), scale))
+    L = sc.left(T.matrix[:, e] / (len(sc.partition.cosets[e]) * sc.wd[e]))
+    scale = max(float(np.max(np.abs(T.matrix))), float(np.max(np.abs(L))))
+    failing = np.flatnonzero(~within(np.max(np.abs(T.matrix - L), axis=0), scale))
     return (False, (e, int(failing[0]))) if len(failing) else (True, None)
 
 
@@ -203,18 +204,12 @@ def multiplier_from_spec(spec: dict, sc: StructureConstants) -> MultiplierOperat
 
 
 def _complex_list(raw, d: int, field: str) -> np.ndarray:
-    """d [re, im] pairs of finite JSON numbers as a complex vector; booleans,
-    strings, NaN and infinities raise InputSpecError."""
-    if not isinstance(raw, list) or len(raw) != d:
+    """d [re, im] pairs of finite JSON numbers as a complex vector."""
+    if not isinstance(raw, list) or len(raw) != d or not all(
+        isinstance(z, list) and len(z) == 2 for z in raw
+    ):
         raise InputSpecError(f'"{field}" must list {d} [re, im] pairs')
-    pairs = all(
-        isinstance(z, list) and len(z) == 2 and all(type(v) in (int, float) for v in z)
-        for z in raw
-    )
-    try:
-        parts = np.array(raw, dtype=float) if pairs else None
-    except OverflowError:
-        parts = None
-    if parts is None or not np.all(np.isfinite(parts)):
+    parts = np.array([[json_number(v, f'"{field}" parts') for v in z] for z in raw])
+    if not np.all(np.isfinite(parts)):
         raise InputSpecError(f'"{field}" entries must be [re, im] pairs of finite numbers')
     return parts.view(complex).ravel()

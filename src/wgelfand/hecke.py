@@ -137,17 +137,18 @@ def is_weighted_gelfand(sc: StructureConstants) -> GelfandReport:
     return GelfandReport(is_weighted_gelfand=witness is None, witness=witness)
 
 
-def check_rap_condition(sc: StructureConstants, w: Weight, theta: GroupAutomorphism) -> bool:
+def check_rap_condition(sc: StructureConstants, theta: GroupAutomorphism) -> bool:
     """Sufficient condition for the weighted Gelfand property.
 
-    True iff w∘theta = w and theta(x) lies in K x^-1 K for all x; w is
-    K-bi-invariant, as sc was built from it. Whenever both hold, the
-    commutativity of sc is cross-validated and a failure raises (it would
-    contradict the theorem).
+    True iff w∘theta = w and theta(x) lies in K x^-1 K for all x, with w
+    read from sc (the weight is K-bi-invariant, so it is wd on each coset).
+    Whenever both hold, the commutativity of sc is cross-validated and a
+    failure raises (it would contradict the theorem).
     """
     if not theta.involutive:
         raise NotInvolutiveError("rap condition requires an involutive automorphism")
-    ok = bool(np.array_equal(w.values[theta.perm], w.values))
+    w = sc.wd[sc.partition.coset_of]
+    ok = bool(np.array_equal(w[theta.perm], w))
     ok = ok and theta_in_KxinvK(sc.partition, theta)[0]
     if ok and sc.commutativity_witness is not None:
         raise WGelfandError(

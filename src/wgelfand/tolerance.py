@@ -2,7 +2,8 @@
 
 1. Weights are inputs and are compared exactly: bi-invariance, symmetry
    and theta-invariance (`weighted.weight_checks`; `check_rap_condition`
-   compares w∘theta = w once more for the sufficient condition), and
+   compares w∘theta = w once more, on the weight read back from
+   `StructureConstants.wd`, for the sufficient condition), and
    w(e) = 1. The precondition w(e) = 1 is tested in one place,
    `enumerate_spherical`, by one exact comparison of the identity coset's
    entry of `StructureConstants.wd`, which is w(e) as w is bi-invariant;

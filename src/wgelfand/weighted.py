@@ -82,7 +82,7 @@ def weight_from_spec(
             raw = spec.get("values", [])
             if np.shape(raw) != (group.order,):
                 raise InputSpecError(f"weight needs {group.order} values, got {np.shape(raw)}")
-            return Weight(np.array([_number(v) for v in raw]))
+            return Weight(np.array([json_number(v) for v in raw]))
         if kind == "by_double_coset":
             if partition is None:
                 raise InputSpecError('kind "by_double_coset" requires double cosets')
@@ -92,18 +92,23 @@ def weight_from_spec(
                 key = str(cid) if str(cid) in table else cid
                 if key not in table:
                     raise InputSpecError(f"missing weight for double coset {cid}")
-                vals[list(partition.cosets[cid])] = _number(table[key])
+                vals[list(partition.cosets[cid])] = json_number(table[key])
             return Weight(vals)
     except (TypeError, ValueError) as exc:
         raise InputSpecError(f"weight values must be numbers: {exc}") from exc
     raise InputSpecError(f"unknown weight kind: {kind!r}")
 
 
-def _number(value) -> float:
-    """A JSON number as a float; booleans and strings are not numbers."""
+def json_number(value, what: str = "weight values") -> float:
+    """A JSON number as a float: the one rule for the numbers of every spec.
+    Booleans and strings are not numbers; an integer beyond the float range
+    is rejected too."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise InputSpecError(f"weight values must be numbers, got {value!r}")
-    return float(value)
+        raise InputSpecError(f"{what} must be numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputSpecError(f"{what} must be finite numbers, got {value!r}") from None
 
 
 def weight_checks(

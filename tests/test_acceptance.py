@@ -120,7 +120,7 @@ def test_criterion_4_sufficient_condition():
             for _ in range(10):
                 w = random_symmetric_weight(group, rng)
                 sc = wg.hecke_structure_constants(group, part, w)
-                assert wg.check_rap_condition(sc, w, theta)
+                assert wg.check_rap_condition(sc, theta)
                 assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
         group, K, part = _pair(wg.symmetric_group(3), [1])
         theta = wg.check_automorphism(group, np.arange(6), require_involutive=True)
@@ -130,7 +130,7 @@ def test_criterion_4_sufficient_condition():
             # closed under inversion
             assert wg.weight_checks(w, group, part).symmetric
             sc = wg.hecke_structure_constants(group, part, w)
-            assert wg.check_rap_condition(sc, w, theta)
+            assert wg.check_rap_condition(sc, theta)
             assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
     _run(4, "automorphism-based sufficient condition implies detection", body)

@@ -352,3 +352,27 @@ def test_multiplier_witness_is_on_the_identity_row():
 
     kernel = wg.multiplier_from_kernel(wg.BiInvariantFunction(random_gfunction(4, rng), part), sc)
     assert wg.is_multiplier(kernel, sc) == is_multiplier_oracle(kernel, c) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "wide, diagonal",
+    [(1e5, [1.0, 2.0]), (1e3, [1.0, 1.0 + 1e-4])],
+    ids=["gap-1", "gap-1e-4"],
+)
+def test_multiplier_check_scale_ignores_weight_spread(wide, diagonal):
+    """On C2 with K trivial, T u = u for T = diag(1, t), so T is a
+    multiplier only if t = 1. The structure constants reach w_1^2, but the
+    identity row compares T with L_{T u} = I: a wide weight must not widen
+    the tolerance of that comparison."""
+    c2 = wg.cyclic_group(2)
+    part = wg.double_cosets(c2, wg.subgroup_closure(c2, []))
+    w = wg.Weight(np.array([1.0, wide]))
+    sc = wg.hecke_structure_constants(c2, part, w)
+    assert sc.max_constant == wide**2
+    T = wg.MultiplierOperator(matrix=np.diag(diagonal).astype(complex))
+    assert wg.is_multiplier(T, sc) == (False, (0, 1))
+
+    kernel = wg.multiplier_from_kernel(
+        wg.BiInvariantFunction(np.array([1.0, -0.5 + 2j]), part), sc
+    )
+    assert wg.is_multiplier(kernel, sc) == (True, None)

@@ -119,7 +119,7 @@ def test_rap_condition_cyclic5():
     theta = wg.inversion_automorphism(c5)
     w = wg.Weight(np.array([1.0, 2.0, 3.0, 3.0, 2.0]))
     sc = wg.hecke_structure_constants(c5, part, w)
-    assert wg.check_rap_condition(sc, w, theta)
+    assert wg.check_rap_condition(sc, theta)
     assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
 
@@ -127,7 +127,7 @@ def test_rap_condition_s3_identity_theta(s3_pair):
     group, K, part = s3_pair
     theta = wg.check_automorphism(group, np.arange(6), require_involutive=True)
     w = wg.uniform_weight(group)
-    assert wg.check_rap_condition(wg.hecke_structure_constants(group, part, w), w, theta)
+    assert wg.check_rap_condition(wg.hecke_structure_constants(group, part, w), theta)
 
 
 def test_rap_condition_fails_without_theta_invariance():
@@ -135,7 +135,7 @@ def test_rap_condition_fails_without_theta_invariance():
     part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
     theta = wg.inversion_automorphism(c5)
     w = wg.Weight(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))  # not symmetric
-    assert not wg.check_rap_condition(wg.hecke_structure_constants(c5, part, w), w, theta)
+    assert not wg.check_rap_condition(wg.hecke_structure_constants(c5, part, w), theta)
 
 
 def test_rap_condition_requires_involutive():
@@ -145,7 +145,7 @@ def test_rap_condition_requires_involutive():
     w = wg.uniform_weight(c5)
     sc = wg.hecke_structure_constants(c5, part, w)
     with pytest.raises(NotInvolutiveError):
-        wg.check_rap_condition(sc, w, doubling)
+        wg.check_rap_condition(sc, doubling)
 
 
 def test_report_serialization(s3):
