@@ -113,7 +113,7 @@ def run(args) -> tuple[dict, int]:
         theta = automorphism_from_spec(group, load("automorphism", args.automorphism))
     timings["setup"] = time.perf_counter() - t0
 
-    flags = weight_checks(w, group, partition, theta=theta)
+    flags = weight_checks(w, group, theta=theta)
     report = {
         "tool": {"name": "wgelfand", "version": __version__},
         "command": args.command,
@@ -126,7 +126,9 @@ def run(args) -> tuple[dict, int]:
             "coset_sizes": list(partition.sizes()),
         },
         "weight": {
-            "k_bi_invariant": flags.k_bi_invariant,
+            # scanned once, by hecke_structure_constants below, which
+            # raises BiInvarianceError unless w is K-bi-invariant
+            "k_bi_invariant": True,
             "symmetric": flags.symmetric,
             "unit_at_identity": flags.unit_at_identity,
             "theta_invariant": flags.theta_invariant,
@@ -187,7 +189,7 @@ def run(args) -> tuple[dict, int]:
                     exit_code = max(exit_code, EXIT_VERDICT)
                 results.append(entry)
             commutation = [
-                {"pair": [a, b], "residual": verify_commutation(operators[a], operators[b], sc)}
+                {"pair": [a, b], "residual": verify_commutation(operators[a], operators[b])}
                 for a, b in itertools.combinations(range(len(operators)), 2)
             ]
             report["multipliers"] = results

@@ -153,17 +153,19 @@ def extract_symbol(
     T: MultiplierOperator,
     table: FourierTable,
 ) -> MultiplierSymbol:
-    """Symbol of a multiplier: the transform of T delta_i is sigma times the
-    transform of delta_i.
+    """Symbol of a multiplier: the transform of T u, with u the unit.
 
-    With FT = T^T F, sigma_s = <F[:, s], FT[:, s]> / ||F[:, s]||^2 column by
-    column. The residual FT - F sigma is then checked on the full basis; as F
-    is invertible, this rejects every operator that is not a multiplier. The
-    scale of the check is the largest entry of FT.
+    T delta_i = (T u) * delta_i, so with FT = T^T F (row i the transform of
+    T delta_i) the symbol is read off the identity coset's row:
+    sigma = FT[e] / F[e], as F[e, s] = chi_s(delta_e) = |K| w_e and
+    delta_e = |K| w_e u. The residual FT - F sigma is then checked on the
+    full basis; as F is invertible, this rejects every operator that is not
+    a multiplier. The scale of the check is the largest entry of FT.
     """
     F = table.matrix
     FT = T.matrix.T @ F
-    symbol = np.sum(F.conj() * FT, axis=0) / np.sum(np.abs(F) ** 2, axis=0)
+    e = table.sset.partition.identity_coset
+    symbol = FT[e] / F[e]
     residual = float(np.max(np.abs(FT - F * symbol[None, :])))
     if not within(residual, np.max(np.abs(FT))):
         raise NotMultiplierError(
@@ -172,16 +174,15 @@ def extract_symbol(
     return MultiplierSymbol(values=symbol)
 
 
-def verify_commutation(
-    T1: MultiplierOperator, T2: MultiplierOperator, sc: StructureConstants
-) -> float:
-    """Max over basis pairs of || T1 f *_w T2 g  -  T2 f *_w T1 g ||_inf: for
-    f = delta_i, column j of L_{T1 delta_i} T2 - L_{T2 delta_i} T1."""
+def verify_commutation(T1: MultiplierOperator, T2: MultiplierOperator) -> float:
+    """max |T1 T2 - T2 T1|, for two operators that passed `is_multiplier`.
+
+    Multipliers satisfy T(f * g) = T f * g = f * T g, so
+    T1 f * T2 g - T2 f * T1 g = [T1, T2](f * g); the algebra has a unit, so
+    this vanishes for all f, g exactly when the matrix commutator does.
+    """
     a, b = T1.matrix, T2.matrix
-    return max(
-        float(np.max(np.abs(sc.left(a[:, i]) @ b - sc.left(b[:, i]) @ a)))
-        for i in range(sc.dim)
-    )
+    return float(np.max(np.abs(a @ b - b @ a)))
 
 
 def multiplier_from_spec(spec: dict, sc: StructureConstants) -> MultiplierOperator:

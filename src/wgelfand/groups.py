@@ -21,10 +21,6 @@ from .errors import (
 
 DEFAULT_ELEMENT_CAP = 10080
 
-# above this order associativity is spot-checked on random triples
-EXHAUSTIVE_ORDER = 256
-ASSOC_SAMPLES = 20000
-
 
 @dataclass(frozen=True)
 class GroupTable:
@@ -170,8 +166,12 @@ def _closure(
 def validate_group(group: GroupTable) -> None:
     """Check the group axioms on a table; raises InputSpecError on failure.
 
-    Associativity is exhaustive up to order 256, sampled above that on
-    triples drawn from a fixed seed.
+    Associativity is Light's test, exhaustive at every order: the set of z
+    with (x y) z = x (y z) for all x, y contains e and is closed under
+    products, so it is enough to check z on a generating set. The set is
+    grown greedily: each new z is the least element that the products of the
+    earlier ones do not reach, so it has at most log2(n) elements for a group
+    and the test costs O(n^2 log n).
     """
     n = group.order
     mul, inv, e = group.mul, group.inv, group.identity
@@ -183,15 +183,26 @@ def validate_group(group: GroupTable) -> None:
         raise InputSpecError("identity law fails")
     if not np.array_equal(mul[np.arange(n), inv], np.full(n, e)):
         raise InputSpecError("inverse law fails")
-    if n <= EXHAUSTIVE_ORDER:
-        for x in range(n):
-            # (x*y)*z vs x*(y*z) for all y, z at once
-            if not np.array_equal(mul[mul[x]], mul[x][mul]):
-                raise InputSpecError(f"associativity fails at x={x}")
-    else:
-        xs, ys, zs = np.random.default_rng(0).integers(0, n, size=(3, ASSOC_SAMPLES))
-        if not np.array_equal(mul[mul[xs, ys], zs], mul[xs, mul[ys, zs]]):
-            raise InputSpecError("associativity fails on sampled triples")
+    reached = np.zeros(n, dtype=bool)
+    reached[e] = True
+    gens: list[int] = []
+    while not reached.all():
+        z = int(np.argmin(reached))
+        # (x*y)*z vs x*(y*z) for all x, y at once
+        if not np.array_equal(mul[mul, z], mul[:, mul[:, z]]):
+            raise InputSpecError(f"associativity fails at z={z}")
+        gens.append(z)
+        _right_closure(mul, reached, gens)
+
+
+def _right_closure(mul: np.ndarray, members: np.ndarray, gens) -> None:
+    """Grow the boolean mask `members` in place until m * g is a member for
+    every member m and every g in gens."""
+    frontier = np.flatnonzero(members)
+    while len(frontier):
+        step = mul[np.ix_(frontier, gens)].ravel()
+        frontier = np.unique(step[~members[step]])
+        members[frontier] = True
 
 
 def build_group_from_generators(
@@ -283,12 +294,12 @@ def group_from_table(table: Sequence[Sequence[int]]) -> GroupTable:
             break
     if identity is None:
         raise InputSpecError("table has no two-sided identity")
-    inv = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        hits = np.flatnonzero(mul[x] == identity)
-        if len(hits) != 1 or mul[hits[0], x] != identity:
-            raise InputSpecError(f"element {x} has no two-sided inverse")
-        inv[x] = hits[0]
+    # x's right inverse is the one column where row x holds the identity
+    hits = mul == identity
+    inv = hits.argmax(axis=1)
+    bad = np.flatnonzero((hits.sum(axis=1) != 1) | (mul[inv, np.arange(n)] != identity))
+    if len(bad):
+        raise InputSpecError(f"element {bad[0]} has no two-sided inverse")
     group = GroupTable(mul=mul, inv=inv, identity=identity)
     validate_group(group)
     return group
@@ -305,11 +316,7 @@ def subgroup_closure(group: GroupTable, seeds: Sequence[int]) -> SubgroupEmbeddi
     members = np.zeros(n, dtype=bool)
     members[group.identity] = True
     members[gens] = True
-    frontier = np.flatnonzero(members)
-    while len(frontier):
-        step = group.mul[np.ix_(frontier, gens)].ravel()
-        frontier = np.unique(step[~members[step]])
-        members[frontier] = True
+    _right_closure(group.mul, members, gens)
     return SubgroupEmbedding(elements=tuple(np.flatnonzero(members).tolist()))
 
 

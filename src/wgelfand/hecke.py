@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BiInvarianceError, NotInvolutiveError, WGelfandError
 from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable, theta_in_KxinvK
-from .weighted import Weight, weight_checks
+from .weighted import Weight, bi_invariance_witness
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def hecke_structure_constants(
     Requires a K-bi-invariant weight; raises BiInvarianceError with a witness
     otherwise.
     """
-    flags = weight_checks(w, group, partition)
-    if not flags.k_bi_invariant:
-        raise BiInvarianceError(*flags.bi_invariance_witness)
+    witness = bi_invariance_witness(w, partition)
+    if witness is not None:
+        raise BiInvarianceError(*witness)
     d = partition.num_cosets
     reps = np.array([coset[0] for coset in partition.cosets], dtype=np.int64)
     codes = partition.coset_of[group.mul[np.ix_(group.inv, reps)]]

@@ -1,6 +1,7 @@
 """The one numerical tolerance policy of the library.
 
-1. Weights are inputs and are compared exactly: bi-invariance, symmetry
+1. Weights are inputs and are compared exactly: bi-invariance
+   (`weighted.bi_invariance_witness`), symmetry
    and theta-invariance (`weighted.weight_checks`; `check_rap_condition`
    compares w∘theta = w once more, on the weight read back from
    `StructureConstants.wd`, for the sufficient condition), and
@@ -13,9 +14,11 @@
    RTOL * max(1, scale), where scale is the magnitude of what the residual
    compares (1 where a check has none). A NaN residual fails. This covers
    the character multiplicativity, the eigenvalue split, the multiplier
-   identity, the symbol residual, the Fourier rank cut and the test oracles.
+   identity T = L_{T u}, the symbol residual, the kernel match, the Fourier
+   rank cut and the test oracles. The commutation residual is reported only.
 
-The Gelfand verdict needs neither: it is an exact test on integers.
+The Gelfand verdict and the group axioms of a table (`validate_group`,
+Light's associativity test) need neither: they are exact tests on integers.
 Reference: Higham, Accuracy and Stability of Numerical Algorithms (2002),
 ch. 1-2.
 """

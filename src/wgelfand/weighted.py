@@ -111,22 +111,28 @@ def json_number(value, what: str = "weight values") -> float:
         raise InputSpecError(f"{what} must be finite numbers, got {value!r}") from None
 
 
+def bi_invariance_witness(
+    w: Weight, partition: DoubleCosetPartition
+) -> Optional[tuple[int, int]]:
+    """None if w is constant on every double coset, else the first pair
+    (first element of a coset, element of that coset) with different values,
+    coset by coset; compared exactly."""
+    flat = np.concatenate(partition.cosets)
+    ref = np.repeat([c[0] for c in partition.cosets], partition.sizes())
+    bad = np.flatnonzero(w.values[flat] != w.values[ref])
+    return (int(ref[bad[0]]), int(flat[bad[0]])) if len(bad) else None
+
+
 def weight_checks(
     w: Weight,
     group: GroupTable,
     partition: Optional[DoubleCosetPartition] = None,
     theta: Optional[GroupAutomorphism] = None,
 ) -> WeightFlags:
-    """Fill the invariance flags of a weight; the values are compared exactly."""
+    """Fill the invariance flags of a weight; the values are compared exactly.
+    Bi-invariance is only checked when a partition is given."""
     vals = w.values
-    witness = None
-    if partition is not None:
-        # elements coset by coset, each against its coset's first element
-        flat = np.concatenate(partition.cosets)
-        ref = np.repeat([c[0] for c in partition.cosets], partition.sizes())
-        bad = np.flatnonzero(vals[flat] != vals[ref])
-        if len(bad):
-            witness = (int(ref[bad[0]]), int(flat[bad[0]]))
+    witness = None if partition is None else bi_invariance_witness(w, partition)
     symmetric = bool(np.all(vals == vals[group.inv]))
     theta_inv = None
     if theta is not None:

@@ -309,3 +309,19 @@ def c4_pair():
     group = wg.cyclic_group(4)
     K = wg.subgroup_closure(group, [])
     return group, K, wg.double_cosets(group, K)
+
+
+# C300 with one wrong entry: row 3 repeats 11, every element keeps a two-sided
+# inverse, and (3 * 6) * 1 = 10 differs from 3 * (6 * 1) = 11
+C300_ONE_WRONG = [[(a + b) % 300 for b in range(300)] for a in range(300)]
+C300_ONE_WRONG[3][7] = 11
+
+# a Latin square with identity 0 and every element its own inverse: a loop of
+# order 5, not a group, as no group of order 5 has exponent 2
+LOOP_5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]

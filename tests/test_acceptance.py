@@ -274,7 +274,7 @@ def test_criterion_10_multipliers():
                 for b in range(a + 1, len(operators)):
                     if pairs >= 10:
                         break
-                    assert wg.verify_commutation(operators[a], operators[b], sc) < 1e-9
+                    assert wg.verify_commutation(operators[a], operators[b]) < 1e-9
                     pairs += 1
             if d > 1:
                 # a generic random matrix is not a multiplier

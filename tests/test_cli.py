@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 import wgelfand as wg
 from wgelfand.cli import main
+
+from conftest import C300_ONE_WRONG, LOOP_5
 
 
 def write_specs(tmp_path, group, subgroup, weight, automorphism=None, multipliers=()):
@@ -434,6 +437,10 @@ def test_overflowing_weight_exit_3_without_warnings(tmp_path, capsys):
 
 
 def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypatch):
+    """multiplier-check on D12 and, given as a table of order 260, on D130
+    (both over a reflection): no G-level oracle and no random draw runs, and
+    each multiplier file costs one `StructureConstants.left` call in
+    `is_multiplier` (kernels one more to build their operator)."""
     import wgelfand.cli
     import wgelfand.fourier
     import wgelfand.hecke
@@ -456,28 +463,41 @@ def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypat
                 monkeypatch.setattr(module, name, recorder(name))
     monkeypatch.setattr(np.random, "default_rng", recorder("default_rng"))
 
-    kernels = [
-        {"kind": "kernel", "coset_values": [[1.0, 0.1 * k] for k in range(7)]},
-        {"kind": "kernel", "coset_values": [[-0.2 * k, 0.3] for k in range(7)]},
+    left_callers = []
+    left = wg.StructureConstants.left
+
+    def counted_left(self, h):
+        left_callers.append(sys._getframe(1).f_code.co_name)
+        return left(self, h)
+
+    monkeypatch.setattr(wg.StructureConstants, "left", counted_left)
+
+    groups = [
+        ({"kind": "dihedral", "n": 12}, 7),
+        ({"kind": "table", "table": wg.dihedral_group(130).mul.tolist()}, 66),
     ]
-    paths = write_specs(
-        tmp_path, {"kind": "dihedral", "n": 12}, {"seeds": [2]}, UNIFORM,
-        multipliers=kernels,
-    )
-    code, out = run_cli(
-        ["multiplier-check", "--group", paths["group"], "--subgroup", paths["subgroup"],
-         "--weight", paths["weight"],
-         "--multiplier", paths["multipliers"][0],
-         "--multiplier", paths["multipliers"][1]],
-        capsys,
-    )
-    assert calls == []
-    assert code == 0
-    report = json.loads(out)
-    assert report["spherical"]["count"] == 7
-    assert all(m["symbol_matches_kernel_transform"] for m in report["multipliers"])
-    assert report["commutation"][0]["residual"] < 1e-9
-    assert "seed" not in report
+    for group, d in groups:
+        kernels = [
+            {"kind": "kernel", "coset_values": [[1.0, 0.1 * k] for k in range(d)]},
+            {"kind": "kernel", "coset_values": [[-0.2 * k, 0.3] for k in range(d)]},
+        ]
+        paths = write_specs(tmp_path, group, {"seeds": [2]}, UNIFORM, multipliers=kernels)
+        left_callers.clear()
+        code, out = run_cli(
+            ["multiplier-check", "--group", paths["group"], "--subgroup", paths["subgroup"],
+             "--weight", paths["weight"],
+             "--multiplier", paths["multipliers"][0],
+             "--multiplier", paths["multipliers"][1]],
+            capsys,
+        )
+        assert calls == []
+        assert code == 0
+        assert sorted(left_callers) == ["is_multiplier"] * 2 + ["multiplier_from_kernel"] * 2
+        report = json.loads(out)
+        assert report["spherical"]["count"] == d
+        assert all(m["symbol_matches_kernel_transform"] for m in report["multipliers"])
+        assert report["commutation"][0]["residual"] < 1e-9
+        assert "seed" not in report
 
 
 @pytest.mark.parametrize(
@@ -495,10 +515,13 @@ def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypat
         (S3, {"elements": [0, 9]}),
         (S3, {"seeds": [0, True]}),
         (S3, {"elements": [0, True]}),
+        ({"kind": "table", "table": C300_ONE_WRONG}, {"seeds": []}),
+        ({"kind": "table", "table": LOOP_5}, {"seeds": []}),
     ],
     ids=["n-string", "n-fraction", "cyclic-too-large", "symmetric-too-large",
          "ragged-table", "generators-string", "seeds-string", "seeds-fraction",
-         "elements-string", "elements-out-of-range", "seeds-boolean", "elements-boolean"],
+         "elements-string", "elements-out-of-range", "seeds-boolean", "elements-boolean",
+         "table-c300-one-entry", "table-loop-5"],
 )
 def test_malformed_group_and_subgroup_specs_exit_1(tmp_path, capsys, group, subgroup):
     paths = write_specs(tmp_path, group, subgroup, UNIFORM)

@@ -3,6 +3,7 @@ import pytest
 
 import wgelfand as wg
 from wgelfand.errors import InputSpecError, NotMultiplierError
+from wgelfand.tolerance import within
 
 from conftest import (
     commutation_oracle,
@@ -224,7 +225,7 @@ def test_commutation_identity_operator(s3_setup):
     rng = np.random.default_rng(6)
     h = wg.BiInvariantFunction(random_gfunction(2, rng), part)
     T = wg.multiplier_from_kernel(h, sc)
-    assert wg.verify_commutation(T, wg.MultiplierOperator.identity(2), sc) < 1e-9
+    assert wg.verify_commutation(T, wg.MultiplierOperator.identity(2)) < 1e-9
 
 
 def test_commutation_same_operator_is_exact(s3_setup):
@@ -232,7 +233,7 @@ def test_commutation_same_operator_is_exact(s3_setup):
     rng = np.random.default_rng(7)
     h = wg.BiInvariantFunction(random_gfunction(2, rng), part)
     T = wg.multiplier_from_kernel(h, sc)
-    assert wg.verify_commutation(T, T, sc) == 0.0
+    assert wg.verify_commutation(T, T) == 0.0
 
 
 def test_commutation_random_kernel_pairs(s3_setup):
@@ -245,7 +246,7 @@ def test_commutation_random_kernel_pairs(s3_setup):
         T2 = wg.multiplier_from_kernel(
             wg.BiInvariantFunction(random_gfunction(2, rng), part), sc
         )
-        assert wg.verify_commutation(T1, T2, sc) < 1e-9
+        assert wg.verify_commutation(T1, T2) < 1e-9
 
 
 def test_multiplier_from_spec(s3_setup):
@@ -318,9 +319,45 @@ def test_multiplier_checks_match_loop_oracle(d12_reflection_setup):
     assert wg.is_multiplier(others[-1], sc) == (False, (0, 3))
     for T1 in kernels + others:
         for T2 in kernels + others:
-            assert wg.verify_commutation(T1, T2, sc) == pytest.approx(
-                commutation_oracle(T1, T2, c), rel=1e-9, abs=1e-9
-            )
+            a, b = T1.matrix, T2.matrix
+            assert wg.verify_commutation(T1, T2) == np.max(np.abs(a @ b - b @ a))
+    # on multipliers both the matrix commutator and the pairwise products vanish
+    accepted = kernels + [others[2]]
+    assert all(wg.is_multiplier(T, sc)[0] for T in accepted)
+    for T1 in accepted:
+        for T2 in accepted:
+            scale = d * np.max(np.abs(T1.matrix)) * np.max(np.abs(T2.matrix))
+            assert within(wg.verify_commutation(T1, T2), scale)
+            assert within(commutation_oracle(T1, T2, c), d * scale * np.max(np.abs(c)))
+
+    table = wg.build_fourier_table(wg.enumerate_spherical(sc))
+    e = part.identity_coset
+    k_order = len(part.cosets[e])
+    for T in accepted:
+        assert np.allclose(
+            wg.extract_symbol(T, table).values,
+            table.transform_coords(T.matrix[:, e] / k_order),
+            rtol=1e-12, atol=1e-12,
+        )
+    with pytest.raises(NotMultiplierError):
+        wg.extract_symbol(others[-1], table)
+
+
+def test_kernel_multipliers_compose_through_the_product(d12_reflection_setup):
+    """T1 f * T2 g = T1 T2 (f * g) for kernel multipliers, so the pairwise
+    commutation residual is the commutator applied to f * g."""
+    part, sc, _ = d12_reflection_setup
+    d = part.num_cosets
+    rng = np.random.default_rng(14)
+    T1, T2 = (
+        wg.multiplier_from_kernel(wg.BiInvariantFunction(random_gfunction(d, rng), part), sc)
+        for _ in range(2)
+    )
+    for _ in range(5):
+        f, g = random_gfunction(d, rng), random_gfunction(d, rng)
+        lhs = sc.convolve_coords(T1.apply(f), T2.apply(g))
+        rhs = T1.apply(T2.apply(sc.convolve_coords(f, g)))
+        assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * np.max(np.abs(rhs)))
 
 
 def test_multiplier_witness_is_on_the_identity_row():

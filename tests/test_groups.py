@@ -9,7 +9,13 @@ from wgelfand.errors import (
     SizeLimitError,
 )
 
-from conftest import check_subgroup_oracle, closure_oracle, subgroup_closure_oracle
+from conftest import (
+    C300_ONE_WRONG,
+    LOOP_5,
+    check_subgroup_oracle,
+    closure_oracle,
+    subgroup_closure_oracle,
+)
 
 
 def _cycle(n):
@@ -109,6 +115,42 @@ def test_group_from_table_roundtrip():
 def test_group_from_table_rejects_garbage():
     with pytest.raises(InputSpecError):
         wg.group_from_table([[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("table", [C300_ONE_WRONG, LOOP_5], ids=["c300-one-entry", "loop-5"])
+def test_group_from_table_rejects_non_associative(table):
+    with pytest.raises(InputSpecError, match="associativity"):
+        wg.group_from_table(table)
+
+
+def test_associativity_is_checked_at_every_order():
+    """Each of mul[a][7] = a + 8 for a < 40 on C300 breaks the table, and
+    each is found: the check is exhaustive, not sampled."""
+    c300 = np.add.outer(np.arange(300), np.arange(300)) % 300
+    for a in range(40):
+        table = c300.copy()
+        table[a, 7] = a + 8
+        with pytest.raises(InputSpecError):
+            wg.group_from_table(table.tolist())
+
+
+def test_group_from_table_reports_the_first_element_without_inverse():
+    table = [[0, 1, 2], [1, 2, 2], [2, 0, 0]]  # rows 1 and 2 hold 0 never and twice
+    with pytest.raises(InputSpecError, match="element 1 has no two-sided inverse"):
+        wg.group_from_table(table)
+
+
+@pytest.mark.parametrize(
+    "build, sizes",
+    [(wg.cyclic_group, (1, 2, 7, 12, 300)), (wg.dihedral_group, (1, 2, 3, 12, 60, 130)),
+     (wg.symmetric_group, (1, 2, 3, 4, 5, 6))],
+    ids=["cyclic", "dihedral", "symmetric"],
+)
+def test_builder_tables_pass_validation(build, sizes):
+    for n in sizes:
+        g = build(n)
+        rebuilt = wg.group_from_table(g.mul.tolist())
+        assert np.array_equal(rebuilt.mul, g.mul) and np.array_equal(rebuilt.inv, g.inv)
 
 
 def test_subgroup_of_transposition(s3):

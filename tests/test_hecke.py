@@ -260,7 +260,7 @@ def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
     assert len(builds) == 1
     assert convolutions == []
     assert len(verdicts) == 1  # the sufficient condition reads sc's witness
-    assert len(checks) == 2  # the report's flags and the build's bi-invariance
+    assert len(checks) == 1  # the report's flags; the build scans bi-invariance
     assert len(partitions) == 1
 
 
