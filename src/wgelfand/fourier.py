@@ -158,18 +158,22 @@ def extract_symbol(
     T delta_i = (T u) * delta_i, so with FT = T^T F (row i the transform of
     T delta_i) the symbol is read off the identity coset's row:
     sigma = FT[e] / F[e], as F[e, s] = chi_s(delta_e) = |K| w_e and
-    delta_e = |K| w_e u. The residual FT - F sigma is then checked on the
+    delta_e = |K| w_e u. The residual R = FT - F sigma is then checked on the
     full basis; as F is invertible, this rejects every operator that is not
-    a multiplier. The scale of the check is the largest entry of FT.
+    a multiplier. R = (T - L_{T u})^T F, so column s of R is at most
+    max|T - L_{T u}| times sum_j |F[j, s]|: each column is compared at
+    max(1, max|T|) times that sum, the bound that passing `is_multiplier`
+    gives, so an operator it accepts is not rejected here (up to rounding).
     """
     F = table.matrix
     FT = T.matrix.T @ F
     e = table.sset.partition.identity_coset
     symbol = FT[e] / F[e]
-    residual = float(np.max(np.abs(FT - F * symbol[None, :])))
-    if not within(residual, np.max(np.abs(FT))):
+    residual = np.max(np.abs(FT - F * symbol[None, :]), axis=0)
+    scale = max(1.0, float(np.max(np.abs(T.matrix)))) * np.sum(np.abs(F), axis=0)
+    if not np.all(within(residual, scale)):
         raise NotMultiplierError(
-            f"symbol verification failed on the basis (residual {residual:g})"
+            f"symbol verification failed on the basis (residual {np.max(residual):g})"
         )
     return MultiplierSymbol(values=symbol)
 

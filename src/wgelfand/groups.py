@@ -20,6 +20,8 @@ from .errors import (
 )
 
 DEFAULT_ELEMENT_CAP = 10080
+# products (x*y)*z compared at once by validate_group
+ASSOC_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,8 @@ def validate_group(group: GroupTable) -> None:
     products, so it is enough to check z on a generating set. The set is
     grown greedily: each new z is the least element that the products of the
     earlier ones do not reach, so it has at most log2(n) elements for a group
-    and the test costs O(n^2 log n).
+    and the test costs O(n^2 log n). Rows of x are compared in blocks of
+    about ASSOC_BLOCK products, so the extra memory stays bounded.
     """
     n = group.order
     mul, inv, e = group.mul, group.inv, group.identity
@@ -188,9 +191,11 @@ def validate_group(group: GroupTable) -> None:
     gens: list[int] = []
     while not reached.all():
         z = int(np.argmin(reached))
-        # (x*y)*z vs x*(y*z) for all x, y at once
-        if not np.array_equal(mul[mul, z], mul[:, mul[:, z]]):
-            raise InputSpecError(f"associativity fails at z={z}")
+        yz = mul[:, z]
+        # (x*y)*z vs x*(y*z) for all y and a block of x at a time
+        for rows in np.array_split(mul, -(-n * n // ASSOC_BLOCK)):
+            if not np.array_equal(mul[rows, z], rows[:, yz]):
+                raise InputSpecError(f"associativity fails at z={z}")
         gens.append(z)
         _right_closure(mul, reached, gens)
 

@@ -45,17 +45,12 @@ class Weight:
 
 @dataclass(frozen=True)
 class WeightFlags:
-    """Cached invariance properties of a weight, with a witness on failure.
+    """Invariance properties of a weight; K-bi-invariance is
+    `bi_invariance_witness`, which the structure-constant build runs."""
 
-    bi_invariance_witness is a pair of elements in one double coset carrying
-    different weight values (present iff k_bi_invariant is False).
-    """
-
-    k_bi_invariant: bool
     symmetric: bool
     unit_at_identity: bool
     theta_invariant: Optional[bool] = None
-    bi_invariance_witness: Optional[tuple[int, int]] = None
 
 
 def uniform_weight(group: GroupTable) -> Weight:
@@ -126,23 +121,18 @@ def bi_invariance_witness(
 def weight_checks(
     w: Weight,
     group: GroupTable,
-    partition: Optional[DoubleCosetPartition] = None,
     theta: Optional[GroupAutomorphism] = None,
 ) -> WeightFlags:
-    """Fill the invariance flags of a weight; the values are compared exactly.
-    Bi-invariance is only checked when a partition is given."""
+    """Fill the invariance flags of a weight; the values are compared exactly."""
     vals = w.values
-    witness = None if partition is None else bi_invariance_witness(w, partition)
     symmetric = bool(np.all(vals == vals[group.inv]))
     theta_inv = None
     if theta is not None:
         theta_inv = bool(np.all(vals == vals[theta.perm]))
     return WeightFlags(
-        k_bi_invariant=witness is None,
         symmetric=symmetric,
         unit_at_identity=w.unit_at_identity(group),
         theta_invariant=theta_inv,
-        bi_invariance_witness=witness,
     )
 
 

@@ -128,7 +128,7 @@ def test_criterion_4_sufficient_condition():
             w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
             # coset-constant weights here are symmetric: both cosets are
             # closed under inversion
-            assert wg.weight_checks(w, group, part).symmetric
+            assert wg.weight_checks(w, group).symmetric
             sc = wg.hecke_structure_constants(group, part, w)
             assert wg.check_rap_condition(sc, theta)
             assert wg.is_weighted_gelfand(sc).is_weighted_gelfand

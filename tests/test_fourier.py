@@ -413,3 +413,28 @@ def test_multiplier_check_scale_ignores_weight_spread(wide, diagonal):
         wg.BiInvariantFunction(np.array([1.0, -0.5 + 2j]), part), sc
     )
     assert wg.is_multiplier(kernel, sc) == (True, None)
+
+
+def test_symbol_check_accepts_what_is_multiplier_accepts():
+    """On C2 with K trivial and w = [1, 1e5], L_h for h = (1, 1) has an entry
+    1e10, so a bump of 1e-3 in T[1, 1] is within is_multiplier's tolerance.
+    Row 1 of F is 1e5 times row 0, and reading the symbol off row e puts the
+    bump, times 1e5, into row 1 of the residual: the symbol check must scale
+    it the same way and return the transform of T u. A gap of 1 on the same
+    weight is still rejected by both checks."""
+    c2 = wg.cyclic_group(2)
+    part = wg.double_cosets(c2, wg.subgroup_closure(c2, []))
+    sc = wg.hecke_structure_constants(c2, part, wg.Weight(np.array([1.0, 1e5])))
+    table = wg.build_fourier_table(wg.enumerate_spherical(sc))
+    bumped = sc.left(np.array([1.0, 1.0]))
+    assert np.max(np.abs(bumped)) == 1e10
+    bumped[1, 1] += 1e-3
+    T = wg.MultiplierOperator(matrix=bumped)
+    assert wg.is_multiplier(T, sc) == (True, None)
+    sym = wg.extract_symbol(T, table).values
+    assert np.array_equal(sym, table.transform_coords(T.matrix[:, 0]))
+
+    bad = wg.MultiplierOperator(matrix=np.diag([1.0, 2.0]).astype(complex))
+    assert wg.is_multiplier(bad, sc) == (False, (0, 1))
+    with pytest.raises(NotMultiplierError):
+        wg.extract_symbol(bad, table)

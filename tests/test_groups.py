@@ -134,6 +134,19 @@ def test_associativity_is_checked_at_every_order():
             wg.group_from_table(table.tolist())
 
 
+def test_associativity_blocks_cover_every_row(monkeypatch):
+    """With blocks of 7 rows, C300 is checked in 43 blocks: a wrong entry in
+    the last row (299 * 7 = 7, where 6 belongs) is found there, and only
+    there, as the one generator is z = 1 and row 299 is read only as x."""
+    monkeypatch.setattr(wg.groups, "ASSOC_BLOCK", 7 * 300)
+    c300 = np.add.outer(np.arange(300), np.arange(300)) % 300
+    wg.group_from_table(c300.tolist())
+    wg.group_from_table(wg.symmetric_group(5).mul.tolist())
+    c300[299, 7] = 7
+    with pytest.raises(InputSpecError, match="associativity fails at z=1"):
+        wg.group_from_table(c300.tolist())
+
+
 def test_group_from_table_reports_the_first_element_without_inverse():
     table = [[0, 1, 2], [1, 2, 2], [2, 0, 0]]  # rows 1 and 2 hold 0 never and twice
     with pytest.raises(InputSpecError, match="element 1 has no two-sided inverse"):

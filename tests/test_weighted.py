@@ -187,15 +187,16 @@ def test_theta_pullback_equals_reflect_for_bi_invariant(s3_pair):
 def test_weight_checks_uniform(s3_pair):
     group, K, part = s3_pair
     theta = wg.check_automorphism(group, np.arange(6))
-    flags = wg.weight_checks(wg.uniform_weight(group), group, part, theta=theta)
-    assert flags.k_bi_invariant and flags.symmetric
+    w = wg.uniform_weight(group)
+    flags = wg.weight_checks(w, group, theta=theta)
+    assert wg.bi_invariance_witness(w, part) is None and flags.symmetric
     assert flags.unit_at_identity and flags.theta_invariant
 
 
 def test_weight_checks_coset_constant(s3_weighted):
     group, K, part, w = s3_weighted
-    flags = wg.weight_checks(w, group, part)
-    assert flags.k_bi_invariant
+    flags = wg.weight_checks(w, group)
+    assert wg.bi_invariance_witness(w, part) is None
     assert flags.symmetric
     assert flags.unit_at_identity
 
@@ -203,9 +204,7 @@ def test_weight_checks_coset_constant(s3_weighted):
 def test_weight_checks_witness(s3_pair):
     group, K, part = s3_pair
     w = wg.Weight(np.arange(1.0, 7.0))
-    flags = wg.weight_checks(w, group, part)
-    assert not flags.k_bi_invariant
-    x, y = flags.bi_invariance_witness
+    x, y = wg.bi_invariance_witness(w, part)
     assert part.coset_of[x] == part.coset_of[y]
     assert w.values[x] != w.values[y]
 
@@ -272,7 +271,7 @@ def test_weight_from_spec_kinds(s3_pair):
     w = wg.weight_from_spec(
         {"kind": "by_double_coset", "values": {"0": 1.0, "1": 3.0}}, group, part
     )
-    assert wg.weight_checks(w, group, part).k_bi_invariant
+    assert wg.bi_invariance_witness(w, part) is None
     with pytest.raises(InputSpecError):
         wg.weight_from_spec({"kind": "by_element", "values": [1.0]}, group)
 
