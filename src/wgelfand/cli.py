@@ -50,6 +50,10 @@ def _load_json(path: str) -> tuple[dict, str]:
         return json.loads(raw), digest
     except json.JSONDecodeError as exc:
         raise InputSpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:  # bytes that are not UTF-8, -16 or -32
+        raise InputSpecError(f"{path}: {exc}") from exc
+    except RecursionError:  # arrays or objects nested too deeply to parse
+        raise InputSpecError(f"{path}: JSON nested too deeply") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,7 +264,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         text = _format_text(report)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"error: {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return exit_code

@@ -115,7 +115,7 @@ def hecke_structure_constants(
         raise BiInvarianceError(*witness)
     d = partition.num_cosets
     reps = np.array([coset[0] for coset in partition.cosets], dtype=np.int64)
-    codes = partition.coset_of[group.mul[np.ix_(group.inv, reps)]]
+    codes = partition.coset_of[group.product(group.inv[:, None], reps)]
     codes += partition.coset_of[:, None] * d
     codes *= d
     codes += np.arange(d)

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's fast paths: group closure
-composes permutation tuples one pair at a time, convolutions are plain double
-loops over group elements, and spherical functions are found by solving the
-averaged-product equation symbolically with sympy.
+composes permutation tuples one pair at a time, products read the |G|^2
+table (`group.mul`) where the library looks up base images, convolutions
+are plain double loops over group elements, and spherical functions are
+found by solving the averaged-product equation symbolically with sympy.
 """
 
 from __future__ import annotations
@@ -53,12 +54,66 @@ def closure_oracle(generators):
     return mul, inv
 
 
+def mul_oracle(generators):
+    """The |G| x |G| table of the group generated by permutation rows, filled
+    column by column: R[x, j] is the index of x * g_j from a breadth-first
+    closure, and if y was first found as p * g_j, then x * y = (x * p) * g_j.
+    Element order is the library's: discovery order, identity 0."""
+    gens = [tuple(int(i) for i in g) for g in generators]
+    degree = len(gens[0]) if gens else 1
+    elements = [tuple(range(degree))]
+    index = {elements[0]: 0}
+    R = []
+    for x in elements:  # grows while it is read: breadth first
+        row = []
+        for g in gens:
+            y = tuple(x[i] for i in g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+            row.append(index[y])
+        R.append(row)
+    R = np.array(R, dtype=np.int64).reshape(len(elements), len(gens))
+    values, first = np.unique(R, return_index=True)
+    born = first[values > 0]  # element y >= 1 was first found at R.flat[born[y - 1]]
+    parent, gen = np.divmod(born, len(gens) or 1)
+    n = len(elements)
+    mul = np.empty((n, n), dtype=np.int64)
+    mul[:, 0] = np.arange(n)
+    for y in range(1, n):
+        mul[:, y] = R[mul[:, parent[y - 1]], gen[y - 1]]
+    return mul
+
+
+def automorphism_oracle(mul, perm):
+    """None if theta(x y) = theta(x) theta(y) for every pair, else the first
+    failing (x, y) in row-major order: the |G|^2 check on the table."""
+    p = np.asarray(perm)
+    bad = np.argwhere(p[mul] != mul[np.ix_(p, p)])
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def double_cosets_oracle(mul, K):
+    """(cosets, coset_of) by one orbit KxK per unassigned x, in order."""
+    n = len(mul)
+    kidx = np.array(K.elements, dtype=np.int64)
+    coset_of = np.full(n, -1, dtype=np.int64)
+    cosets = []
+    for x in range(n):
+        if coset_of[x] < 0:
+            orbit = np.unique(mul[np.ix_(mul[kidx, x], kidx)])
+            coset_of[orbit] = len(cosets)
+            cosets.append(tuple(orbit.tolist()))
+    return tuple(cosets), coset_of
+
+
 def subgroup_closure_oracle(group, seeds):
     """Sorted elements of the subgroup generated by the seeds, as a set
     grown by right multiplication until it stops changing."""
+    mul = group.mul
     members = {group.identity} | {int(s) for s in seeds}
     while True:
-        grown = members | {group.multiply(x, y) for x in members for y in members}
+        grown = members | {int(mul[x, y]) for x in members for y in members}
         if grown == members:
             return tuple(sorted(members))
         members = grown
@@ -68,33 +123,33 @@ def check_subgroup_oracle(group, elements):
     """The error _check_subgroup should raise for a sorted element list, or
     None: the identity first, then the first (x, y) in row-major order whose
     product leaves the set."""
-    members = set(elements)
+    mul, members = group.mul, set(elements)
     if group.identity not in members:
         return "subgroup must contain the identity"
     for x in elements:
         for y in elements:
-            if group.multiply(x, y) not in members:
+            if mul[x, y] not in members:
                 return f"subgroup not closed under product at ({x}, {y})"
     return None
 
 
 def classical_convolve_oracle(f, g, group):
     """(f * g)(x) = sum_y f(y) g(y^-1 x), element by element."""
-    n = group.order
+    n, mul = group.order, group.mul
     out = np.zeros(n, dtype=complex)
     for x in range(n):
         for y in range(n):
-            out[x] += f[y] * g[group.multiply(group.inverse(y), x)]
+            out[x] += f[y] * g[mul[group.inv[y], x]]
     return out
 
 
 def weighted_convolve_oracle(f, g, group, w):
     """The weighted product by its defining double loop."""
-    n = group.order
+    n, mul = group.order, group.mul
     out = np.zeros(n, dtype=complex)
     for x in range(n):
         for y in range(n):
-            z = group.multiply(group.inverse(y), x)
+            z = mul[group.inv[y], x]
             out[x] += f[y] * g[z] * w.values[y] * w.values[z] / w.values[x]
     return out
 
@@ -114,7 +169,7 @@ def brute_force_spherical(group, K, w, partition=None):
         for yj in reps:
             lhs = sympy.Integer(0)
             for k in K.elements:
-                z = group.multiply(group.multiply(xi, k), yj)
+                z = group.mul[group.mul[xi, k], yj]
                 lhs += wvals[z] * u[partition.coset_of[z]]
             lhs = lhs / K.order
             rhs = wvals[xi] * u[partition.coset_of[xi]] * wvals[yj] * u[partition.coset_of[yj]]

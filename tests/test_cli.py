@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,32 @@ def test_invalid_json_reports_position(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert ":1:" in captured.err  # line/column diagnostics
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{", b"\xc3\x28", b"[" * 100_000 + b"]" * 100_000],
+    ids=["utf16-bom-truncated", "invalid-utf8", "nested-100000-deep"],
+)
+def test_undecodable_spec_exit_1(tmp_path, capsys, raw):
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, UNIFORM)
+    Path(paths["group"]).write_bytes(raw)
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"]]
+    )
+    assert paths["group"] in assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exit_1(tmp_path, capsys, where):
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, UNIFORM)
+    output = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"], "--output", str(output)]
+    )
+    assert str(output) in assert_one_line_error(code, capsys)
 
 
 def test_analyze_with_automorphism_rap(tmp_path, capsys):
@@ -530,6 +557,69 @@ def test_malformed_group_and_subgroup_specs_exit_1(tmp_path, capsys, group, subg
          "--weight", paths["weight"]]
     )
     assert_one_line_error(code, capsys)
+
+
+def _forbid_table(monkeypatch):
+    def read(self):
+        raise AssertionError("GroupTable.mul read on a permutation group")
+    monkeypatch.setattr(wg.GroupTable, "mul", property(read))
+
+
+S4_OVER_S3 = {"elements": list(wg.point_stabilizer(
+    wg.symmetric_group(4), wg.symmetric_group_generators(4), 3).elements)}
+
+
+@pytest.mark.parametrize("command", ["analyze", "spherical", "fourier", "multiplier-check"])
+@pytest.mark.parametrize(
+    "group, subgroup, automorphism, d",
+    [({"kind": "dihedral", "n": 6}, {"seeds": [2]}, {"kind": "identity"}, 4),
+     ({"kind": "cyclic", "n": 8}, {"seeds": []}, {"kind": "inversion"}, 8),
+     ({"kind": "symmetric", "n": 4}, S4_OVER_S3, None, 2)],
+    ids=["D6-identity", "C8-inversion", "S4-none"],
+)
+def test_pipeline_never_reads_the_table(tmp_path, capsys, monkeypatch, command, group,
+                                        subgroup, automorphism, d):
+    """Every command on groups built from generators, with and without an
+    automorphism, runs with GroupTable.mul forbidden."""
+    kernel = {"kind": "kernel", "coset_values": [[1.0, 0.5]] * d}
+    paths = write_specs(tmp_path, group, subgroup, UNIFORM, automorphism, [kernel])
+    argv = [command, "--group", paths["group"], "--subgroup", paths["subgroup"],
+            "--weight", paths["weight"]]
+    if automorphism is not None:
+        argv += ["--automorphism", paths["automorphism"]]
+    if command == "multiplier-check":
+        argv += ["--multiplier", paths["multipliers"][0]]
+    _forbid_table(monkeypatch)
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["group"]["double_cosets"] == d
+    assert report["spherical"]["count"] == d
+
+
+def test_s7_over_s6_runs_without_the_table(tmp_path, capsys, monkeypatch):
+    """analyze on S7/S6 (|G| = 5040) with GroupTable.mul forbidden traces a
+    peak below 20 MB; the |G|^2 int64 table alone would take 203 MB."""
+    s7 = wg.symmetric_group(7)
+    six_cycle = (1, 2, 3, 4, 5, 0, 6)  # with (0 1), element 1, it generates S6
+    seeds = [1, int(np.flatnonzero((s7.perms == six_cycle).all(axis=1))[0])]
+    paths = write_specs(tmp_path, {"kind": "symmetric", "n": 7}, {"seeds": seeds}, UNIFORM)
+    _forbid_table(monkeypatch)
+    tracemalloc.start()
+    try:
+        code, out = run_cli(
+            ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+             "--weight", paths["weight"]],
+            capsys,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads(out)
+    assert report["group"]["coset_sizes"] == [720, 4320]
+    assert report["spherical"]["count"] == 2
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,11 @@ from wgelfand.errors import (
 from conftest import (
     C300_ONE_WRONG,
     LOOP_5,
+    automorphism_oracle,
     check_subgroup_oracle,
     closure_oracle,
+    double_cosets_oracle,
+    mul_oracle,
     subgroup_closure_oracle,
 )
 
@@ -40,6 +45,71 @@ def test_closure_matches_tuple_oracle(gens):
     mul, inv = closure_oracle(gens)
     assert np.array_equal(g.mul, mul)
     assert np.array_equal(g.inv, inv)
+
+
+def _transpositions(pairs, degree):
+    """One generator per pair: the transposition of its two points."""
+    out = []
+    for a, b in pairs:
+        p = list(range(degree))
+        p[a], p[b] = b, a
+        out.append(tuple(p))
+    return out
+
+
+# beyond the closure cases, whose elements are found by a rank table: uint16
+# permutations with a rank table, and three groups whose degree^|B| is too
+# large for one, so their elements are found by sorted np.void keys (uint16
+# images; 8 and 9 base points)
+PRODUCT_CASES = {
+    **CLOSURE_CASES,
+    "C300": [_cycle(300)],
+    "C2^2-degree-300": _transpositions([(0, 1), (2, 299)], 300),
+    "C2^8": _transpositions([(2 * i, 2 * i + 1) for i in range(8)], 16),
+    "C2^9": _transpositions([(2 * i, 2 * i + 1) for i in range(9)], 18),
+}
+
+
+@pytest.mark.parametrize("gens", PRODUCT_CASES.values(), ids=PRODUCT_CASES.keys())
+def test_group_layer_matches_table_oracle(gens):
+    """product, inv, subgroups (from seeds and from elements), double cosets
+    and the sparse p of a permutation group equal those read off the
+    column-filled table, and those of the same group given by that table."""
+    g = wg.build_group_from_generators(gens)
+    mul = mul_oracle(gens)
+    n = len(mul)
+    x = np.arange(n)
+    assert np.array_equal(g.product(x[:, None], x), mul)
+    assert np.array_equal(g.product(x, x[::-1]), mul[x, x[::-1]])
+    assert g.multiply(n - 1, n // 2) == mul[n - 1, n // 2]
+    inv = mul.argmin(axis=1)
+    assert np.array_equal(g.inv, inv)
+    assert 2 ** len(g.base) <= n
+    table = wg.group_from_table(mul)
+    rng = np.random.default_rng(n)
+    for seeds in ([], [n - 1], rng.integers(0, n, size=2).tolist()):
+        K = wg.subgroup_closure(g, seeds)
+        assert K.elements == wg.subgroup_closure(table, seeds).elements
+        assert K.elements == subgroup_closure_oracle(table, seeds)
+        cosets, coset_of = double_cosets_oracle(mul, K)
+        by_elements = wg.subgroup_from_spec(g, {"elements": list(K.elements)})
+        for part in (wg.double_cosets(g, K), wg.double_cosets(g, by_elements),
+                     wg.double_cosets(table, K)):
+            assert part.cosets == cosets
+            assert np.array_equal(part.coset_of, coset_of)
+            assert part.inverse_coset == tuple(int(coset_of[inv[c[0]]]) for c in cosets)
+        part = wg.double_cosets(g, K)
+        w = wg.uniform_weight(g)
+        sc = wg.hecke_structure_constants(g, part, w)
+        ref = wg.hecke_structure_constants(table, wg.double_cosets(table, K), w)
+        assert np.array_equal(sc.keys, ref.keys) and np.array_equal(sc.counts, ref.counts)
+
+
+def test_base_grows_past_eight_points():
+    """(C2)^8 and (C2)^9 on pairs of points need one base point per pair."""
+    for k in (8, 9):
+        g = wg.build_group_from_generators(PRODUCT_CASES[f"C2^{k}"])
+        assert g.order == 2**k and len(g.base) == k
 
 
 def test_cyclic_closure_from_cycle():
@@ -247,6 +317,56 @@ def test_identity_automorphism(s3):
     assert theta.involutive
 
 
+def _verdict_matches_oracle(group, mul, perm):
+    """check_automorphism on group agrees with the |G|^2 oracle on mul, and
+    its witness (x, z) really fails: theta(x z) != theta(x) theta(z)."""
+    p = np.asarray(perm)
+    if automorphism_oracle(mul, p) is None:
+        assert np.array_equal(wg.check_automorphism(group, p).perm, p)
+        return True
+    with pytest.raises(NotAutomorphismError) as exc:
+        wg.check_automorphism(group, p)
+    x, z = exc.value.witness
+    assert p[mul[x, z]] != mul[p[x], p[z]]
+    return False
+
+
+def test_automorphism_verdicts_on_all_permutations_of_s3():
+    """All 720 permutations of S3's elements, on S3 built from generators and
+    given by its table: the 6 automorphisms (the inner ones) pass."""
+    gens = wg.symmetric_group_generators(3)
+    mul = mul_oracle(gens)
+    groups = (wg.build_group_from_generators(gens), wg.group_from_table(mul))
+    passed = [
+        all([_verdict_matches_oracle(g, mul, perm) for g in groups])
+        for perm in itertools.permutations(range(6))
+    ]
+    assert sum(passed) == 6
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[_cycle(6), tuple((6 - i) % 6 for i in range(6))], wg.symmetric_group_generators(4)],
+    ids=["D6", "S4"],
+)
+def test_automorphism_verdicts_on_random_permutations(gens):
+    """Seeded random permutations, with and without e fixed, and the inner
+    automorphisms x -> g x g^-1, which must pass."""
+    mul = mul_oracle(gens)
+    n = len(mul)
+    inv = mul.argmin(axis=1)
+    groups = (wg.build_group_from_generators(gens), wg.group_from_table(mul))
+    rng = np.random.default_rng(n)
+    perms = [rng.permutation(n) for _ in range(100)]
+    perms += [np.concatenate([[0], 1 + rng.permutation(n - 1)]) for _ in range(100)]
+    for perm in perms:
+        for g in groups:
+            _verdict_matches_oracle(g, mul, perm)
+    for c in range(n):
+        inner = mul[c][mul[:, inv[c]]]
+        assert all(_verdict_matches_oracle(g, mul, inner) for g in groups)
+
+
 def test_require_involutive():
     c5 = wg.cyclic_group(5)
     doubling = [(2 * x) % 5 for x in range(5)]
@@ -284,6 +404,19 @@ def test_theta_in_KxinvK_identity_fails_on_cyclic5():
 def test_point_stabilizer_order(s4_pair):
     _, K, _ = s4_pair
     assert K.order == 6
+
+
+def test_point_stabilizer_rejects_reordered_generators():
+    """S4 from [(0 1), 4-cycle] and from the same generators swapped has its
+    elements in another order: the swapped list is rejected, where it once
+    returned (0, 2, 12, 18, 20, 21), which is not a subgroup."""
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    s4 = wg.build_group_from_generators(gens)
+    K = wg.point_stabilizer(s4, gens, 3)
+    assert K.order == 6
+    assert wg.subgroup_from_spec(s4, {"elements": list(K.elements)}) == K
+    with pytest.raises(InputSpecError, match="do not regenerate"):
+        wg.point_stabilizer(s4, gens[::-1], 3)
 
 
 @pytest.mark.parametrize("n", [3, 5], ids=["smaller", "larger"])
