@@ -10,6 +10,7 @@ Algorithms, 2003, ch. 4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -28,9 +29,6 @@ DEFAULT_ELEMENT_CAP = 10080
 ASSOC_BLOCK = 1 << 20
 # products looked up at once by GroupTable.product on a permutation group
 PRODUCT_BLOCK = 1 << 16
-# a permutation group indexes its elements by a table of degree^|B| entries
-# when that is at most this many per element, else by sorted keys
-RANK_TABLE_FACTOR = 64
 
 
 @dataclass(frozen=True)
@@ -56,47 +54,50 @@ class GroupTable:
         return len(self.inv)
 
     @cached_property
-    def base(self) -> np.ndarray:
-        """Points whose images determine an element of a permutation group.
+    def _tree(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(base, steps): points whose images determine an element of a
+        permutation group, and the tree that finds the element from them.
 
-        A point joins the base only if its images split a class of elements
-        with equal images on the earlier base points. Each class is a coset
-        of the pointwise stabiliser of those points, so every new point at
-        least halves the stabiliser and the base has at most log2 |G| points.
+        Elements with equal images on the base points so far form a class,
+        numbered from 0. A point joins the base only if its images split a
+        class. Each class is a coset of the pointwise stabiliser of those
+        points, so every new point at least halves the stabiliser and the
+        base has at most log2 |G| points. steps[j] is a flat table of
+        (classes before b_j) x degree entries: entry c * degree + i holds
+        c' * degree for the class c' of the elements of class c with image i
+        at b_j, and in the last step the element itself. Entries are below
+        |G| * degree, and the class counts at least double from step to
+        step, so there are fewer than |G| * degree of them.
         """
         n, degree = self.perms.shape
-        labels, base = np.zeros(n, dtype=np.int64), []
+        dtype = np.min_scalar_type(n * degree)
+        labels, base, steps = np.zeros(n, dtype=np.intp), [], []
         for point in range(degree):
             if labels.max() == n - 1:
                 break
-            split = np.unique(labels * degree + self.perms[:, point], return_inverse=True)[1]
+            key = labels * degree + self.perms[:, point]
+            split = np.unique(key, return_inverse=True)[1].reshape(n)
             if split.max() > labels.max():
-                labels = split.reshape(n)
+                step = np.zeros((labels.max() + 1) * degree, dtype=dtype)
+                step[key] = split * degree
+                labels, last = split, key
                 base.append(point)
-        return np.array(base, dtype=np.intp)
+                steps.append(step)
+        if steps:  # the last classes are single elements
+            steps[-1][last] = np.arange(n)
+        return np.array(base, dtype=np.intp), steps
 
-    @cached_property
-    def _index(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """(table, None) when degree^|B| <= RANK_TABLE_FACTOR |G|: table[r]
-        is the element whose base images, read as a base-degree number, are
-        r. Otherwise (keys, elements): the base images of every element as
-        sorted keys, and the element each key belongs to."""
-        n, degree = self.perms.shape
-        images = self.perms[:, self.base]
-        if degree ** len(self.base) <= RANK_TABLE_FACTOR * n:
-            table = np.zeros(degree ** len(self.base), dtype=np.int64)
-            table[_rank(images, degree)] = np.arange(n)
-            return table, None
-        keys = _keys(images)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], order
+    @property
+    def base(self) -> np.ndarray:
+        return self._tree[0]
 
     def _lookup(self, images: np.ndarray) -> np.ndarray:
-        """Indices of the elements with the base images `images` (..., |B|)."""
-        table, elements = self._index
-        if elements is None:
-            return table[_rank(images, self.perms.shape[1])]
-        return elements[np.searchsorted(table, _keys(images))]
+        """Indices of the elements with the base images `images` (..., |B|):
+        one gather per base point down the tree."""
+        found = np.zeros(images.shape[:-1], dtype=np.intp)
+        for j, step in enumerate(self._tree[1]):
+            found = step.take(found + images[..., j])
+        return found.astype(np.intp, copy=False)
 
     def _images(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Base images (x*y)[b] = x[y[b]], shape broadcast(x, y) + (|B|,),
@@ -109,14 +110,14 @@ class GroupTable:
         """Index of x*y, broadcast over index arrays x and y.
 
         On a permutation group the base images of x*y are looked up in the
-        index (_index), PRODUCT_BLOCK products at a time along the first
+        base's tree (_tree), PRODUCT_BLOCK products at a time along the first
         axis, so the temporaries stay small beside the int64 result.
         """
         if self.perms is None:
             return self.table[x, y]
         x, y = np.asarray(x), np.asarray(y)
         shape = np.broadcast_shapes(x.shape, y.shape)
-        if not shape:
+        if math.prod(shape) <= PRODUCT_BLOCK:
             return self._lookup(self._images(x, y))
         x, y = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (x, y))
         out = np.empty(shape, dtype=np.int64)
@@ -147,26 +148,11 @@ class GroupTable:
         return bool(np.array_equal(self.product(g[:, None], g), self.product(g, g[:, None])))
 
 
-def _rank(images: np.ndarray, degree: int) -> np.ndarray:
-    """Rows of base images (..., |B|) read as base-degree numbers."""
-    rank = np.zeros(images.shape[:-1], dtype=np.int64)
-    for j in range(images.shape[-1]):
-        rank *= degree
-        rank += images[..., j]
-    return rank
-
-
-def _keys(images: np.ndarray) -> np.ndarray:
-    """Rows of base images (..., |B|) as one np.void key each: the row's
-    bytes, comparable and exact at any degree."""
-    rows = np.ascontiguousarray(images).view(np.uint8)
-    return rows.view(np.dtype((np.void, rows.shape[-1])))[..., 0]
-
-
 @dataclass(frozen=True)
 class SubgroupEmbedding:
     """A subgroup as a sorted tuple of element indices into the parent group,
-    with the indices of a generating set when one is known."""
+    with the indices of a generating set when one is known (subgroup_closure
+    keeps its seeds and their inverses)."""
 
     elements: tuple[int, ...]
     generators: Optional[tuple[int, ...]] = field(default=None, compare=False)
@@ -443,7 +429,8 @@ def subgroup_closure(group: GroupTable, seeds: Sequence[int]) -> SubgroupEmbeddi
     out = seeds[(seeds < 0) | (seeds >= n)]
     if len(out):
         raise InputSpecError(f"seed index {out[0]} out of range for order {n}")
-    gens = np.unique(seeds)
+    # with the inverses, a cyclic subgroup is reached from both ends
+    gens = np.union1d(seeds, group.inv[seeds])
     members = np.zeros(n, dtype=bool)
     members[group.identity] = True
     _right_closure(group, members, gens)
@@ -469,14 +456,24 @@ def point_stabilizer(group: GroupTable, generators: Sequence[Sequence[int]], poi
     return SubgroupEmbedding(elements=tuple(np.flatnonzero(perms[:, point] == point).tolist()))
 
 
+def _label_round(label: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """One round of min-label propagation: the least label among x and its
+    neighbours, then one pointer jump (label <- label[label])."""
+    new = np.minimum(label, label[neighbours].min(axis=0))
+    return new[new]
+
+
 def double_cosets(group: GroupTable, K: SubgroupEmbedding) -> DoubleCosetPartition:
     """Partition G into double cosets KxK, ordered by smallest member.
 
-    Every element starts as its own label; each round takes the least label
-    among x, k x and x k over a generating set of K, then jumps pointers
-    (label <- label[label]). Labels only fall and stay in their double coset,
-    and every generator edge lies on a cycle (k has finite order), so they
-    settle on the smallest member of each double coset.
+    Every element starts as its own label. The neighbours of x are k x and
+    x k for k and k^-1 in a generating set of K (K.generators, or else one
+    grown greedily on K's elements), so labels flow both ways along every
+    generator edge; each round takes the least label among x and its
+    neighbours, then jumps pointers. Labels only fall and stay in their
+    double coset, which is a connected component of this undirected graph,
+    so they settle on its smallest member. On a path of length L the jump
+    doubles how far a label has come, so about log2 L rounds suffice.
     """
     n = group.order
     label = np.arange(n)
@@ -485,12 +482,12 @@ def double_cosets(group: GroupTable, K: SubgroupEmbedding) -> DoubleCosetPartiti
     else:
         kgens = np.array(K.generators, dtype=np.int64)
     if len(kgens):
+        kgens = np.union1d(kgens, group.inv[kgens])
         neighbours = np.concatenate(
             [group.product(kgens[:, None], label), group.product(label, kgens[:, None])]
         )
         while True:
-            new = np.minimum(label, label[neighbours].min(axis=0))
-            new = new[new]
+            new = _label_round(label, neighbours)
             if np.array_equal(new, label):
                 break
             label = new

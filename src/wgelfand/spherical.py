@@ -174,10 +174,10 @@ def verify_functional_equation(
 ) -> float:
     """Max over (x, y) of |(1/|K|) sum_k (w phi)(x k y) - (w phi)(x)(w phi)(y)|."""
     mphi = phi.expand() * w.values
-    mul = group.mul
+    x = np.arange(group.order)
     acc = np.zeros((group.order, group.order), dtype=complex)
     for k in K.elements:
-        acc += mphi[mul[mul[:, k]]]
+        acc += mphi[group.product(group.product(x, k)[:, None], x)]
     acc /= K.order
     return float(np.max(np.abs(acc - np.outer(mphi, mphi))))
 

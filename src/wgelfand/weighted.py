@@ -143,8 +143,7 @@ def weighted_l1_norm(f: np.ndarray, w: Weight) -> float:
 
 def classical_convolve(f: np.ndarray, g: np.ndarray, group: GroupTable) -> np.ndarray:
     """(f * g)(x) = sum_y f(y) g(y^-1 x)."""
-    # rows of mul[inv] give y^-1 x across x
-    return np.asarray(f, dtype=complex) @ np.asarray(g, dtype=complex)[group.mul[group.inv]]
+    return np.asarray(f, dtype=complex) @ np.asarray(g, dtype=complex)[_left_quotients(group)]
 
 def weighted_convolve(
     f: np.ndarray, g: np.ndarray, group: GroupTable, w: Weight
@@ -152,7 +151,13 @@ def weighted_convolve(
     """(f *_w g)(x) = sum_y f(y) g(y^-1 x) w(y) w(y^-1 x) / w(x)."""
     fw = np.asarray(f, dtype=complex) * w.values
     gw = np.asarray(g, dtype=complex) * w.values
-    return fw @ gw[group.mul[group.inv]] / w.values
+    return fw @ gw[_left_quotients(group)] / w.values
+
+
+def _left_quotients(group: GroupTable) -> np.ndarray:
+    """The |G| x |G| array of y^-1 x, row y and column x."""
+    x = np.arange(group.order)
+    return group.product(group.inv[:, None], x)
 
 
 def multiplication_operator(f: np.ndarray, w: Weight) -> np.ndarray:
@@ -162,7 +167,7 @@ def multiplication_operator(f: np.ndarray, w: Weight) -> np.ndarray:
 
 def translate(f: np.ndarray, group: GroupTable, s: int) -> np.ndarray:
     """(tau_s f)(x) = f(s^-1 x)."""
-    return np.asarray(f, dtype=complex)[group.mul[group.inverse(s)]]
+    return np.asarray(f, dtype=complex)[group.product(group.inverse(s), np.arange(group.order))]
 
 
 def gamma(f: np.ndarray, group: GroupTable, s: int, w: Weight) -> np.ndarray:
@@ -176,13 +181,13 @@ def sharp_projection(f: np.ndarray, group: GroupTable, K: SubgroupEmbedding) -> 
     Idempotent, lands in the bi-invariant functions, and preserves sum_G f.
     """
     f = np.asarray(f, dtype=complex)
-    mul = group.mul
+    x = np.arange(group.order)
     left = np.zeros_like(f)
     for k in K.elements:
-        left += f[mul[k]]
+        left += f[group.product(k, x)]
     out = np.zeros_like(f)
     for k in K.elements:
-        out += left[mul[:, k]]
+        out += left[group.product(x, k)]
     return out / (K.order ** 2)
 
 
@@ -209,7 +214,8 @@ def is_left_invariant(
 ) -> bool:
     f = np.asarray(f)
     return all(
-        np.max(np.abs(f[group.mul[k]] - f)) <= tol for k in K.elements
+        np.max(np.abs(f[group.product(k, np.arange(group.order))] - f)) <= tol
+        for k in K.elements
     )
 
 

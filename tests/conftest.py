@@ -107,6 +107,14 @@ def double_cosets_oracle(mul, K):
     return tuple(cosets), coset_of
 
 
+def forbid_table(monkeypatch):
+    """Make every read of GroupTable.mul fail, to show that a code path
+    finds its products with GroupTable.product."""
+    def read(self):
+        raise AssertionError("GroupTable.mul read on a permutation group")
+    monkeypatch.setattr(wg.GroupTable, "mul", property(read))
+
+
 def subgroup_closure_oracle(group, seeds):
     """Sorted elements of the subgroup generated by the seeds, as a set
     grown by right multiplication until it stops changing."""

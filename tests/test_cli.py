@@ -10,7 +10,7 @@ import pytest
 import wgelfand as wg
 from wgelfand.cli import main
 
-from conftest import C300_ONE_WRONG, LOOP_5
+from conftest import C300_ONE_WRONG, LOOP_5, forbid_table
 
 
 def write_specs(tmp_path, group, subgroup, weight, automorphism=None, multipliers=()):
@@ -559,12 +559,6 @@ def test_malformed_group_and_subgroup_specs_exit_1(tmp_path, capsys, group, subg
     assert_one_line_error(code, capsys)
 
 
-def _forbid_table(monkeypatch):
-    def read(self):
-        raise AssertionError("GroupTable.mul read on a permutation group")
-    monkeypatch.setattr(wg.GroupTable, "mul", property(read))
-
-
 S4_OVER_S3 = {"elements": list(wg.point_stabilizer(
     wg.symmetric_group(4), wg.symmetric_group_generators(4), 3).elements)}
 
@@ -589,7 +583,7 @@ def test_pipeline_never_reads_the_table(tmp_path, capsys, monkeypatch, command, 
         argv += ["--automorphism", paths["automorphism"]]
     if command == "multiplier-check":
         argv += ["--multiplier", paths["multipliers"][0]]
-    _forbid_table(monkeypatch)
+    forbid_table(monkeypatch)
     code, out = run_cli(argv, capsys)
     assert code == 0
     report = json.loads(out)
@@ -604,7 +598,7 @@ def test_s7_over_s6_runs_without_the_table(tmp_path, capsys, monkeypatch):
     six_cycle = (1, 2, 3, 4, 5, 0, 6)  # with (0 1), element 1, it generates S6
     seeds = [1, int(np.flatnonzero((s7.perms == six_cycle).all(axis=1))[0])]
     paths = write_specs(tmp_path, {"kind": "symmetric", "n": 7}, {"seeds": seeds}, UNIFORM)
-    _forbid_table(monkeypatch)
+    forbid_table(monkeypatch)
     tracemalloc.start()
     try:
         code, out = run_cli(

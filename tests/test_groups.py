@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wgelfand as wg
+from wgelfand import groups
 from wgelfand.errors import (
     InputSpecError,
     NotAutomorphismError,
@@ -57,10 +58,9 @@ def _transpositions(pairs, degree):
     return out
 
 
-# beyond the closure cases, whose elements are found by a rank table: uint16
-# permutations with a rank table, and three groups whose degree^|B| is too
-# large for one, so their elements are found by sorted np.void keys (uint16
-# images; 8 and 9 base points)
+# beyond the closure cases: uint16 permutations (C300 and C2^2 of degree
+# 300, whose keys are two bytes per base point), and groups with 8 and 9
+# base points
 PRODUCT_CASES = {
     **CLOSURE_CASES,
     "C300": [_cycle(300)],
@@ -85,6 +85,7 @@ def test_group_layer_matches_table_oracle(gens):
     inv = mul.argmin(axis=1)
     assert np.array_equal(g.inv, inv)
     assert 2 ** len(g.base) <= n
+    assert sum(map(len, g._tree[1])) < n * g.perms.shape[1]
     table = wg.group_from_table(mul)
     rng = np.random.default_rng(n)
     for seeds in ([], [n - 1], rng.integers(0, n, size=2).tolist()):
@@ -289,6 +290,35 @@ def test_double_coset_invariants(s4_pair):
             for k2 in K.elements:
                 y = group.multiply(group.multiply(k1, x), k2)
                 assert part.coset_of[y] == part.coset_of[x]
+
+
+@pytest.mark.parametrize("given", ["seeds", "elements"])
+@pytest.mark.parametrize("step", [1, 2])
+def test_double_cosets_settle_in_logarithmic_rounds(monkeypatch, step, given):
+    """C2000 over the subgroup generated by `step`, given by its seed (whose
+    inverse joins it) or by its elements (whose greedy generator is `step`
+    alone): each element's only neighbours are x - step and x + step, on a
+    cycle of 2000 / step elements. Labels must flow both ways along it and
+    the pointer jumps must double their reach, so the partition settles in
+    at most 2 log2 n rounds; labels pulled one way only would take up to
+    2000 / step - 1."""
+    n = 2000
+    g = wg.cyclic_group(n)
+    K = wg.subgroup_closure(g, [step])
+    if given == "elements":
+        K = wg.SubgroupEmbedding(elements=K.elements)
+    rounds = []
+    label_round = groups._label_round
+
+    def counted(label, neighbours):
+        rounds.append(1)
+        return label_round(label, neighbours)
+
+    monkeypatch.setattr(groups, "_label_round", counted)
+    part = wg.double_cosets(g, K)
+    assert part.cosets == tuple(tuple(range(r, n, step)) for r in range(step))
+    assert np.array_equal(part.coset_of, np.arange(n) % step)
+    assert len(rounds) <= 2 * np.log2(n)
 
 
 def test_double_cosets_idempotent(s3_pair):

@@ -8,6 +8,8 @@ from wgelfand.errors import InputSpecError
 
 from conftest import (
     classical_convolve_oracle,
+    forbid_table,
+    mul_oracle,
     random_bi_invariant_weight,
     random_gfunction,
     random_symmetric_weight,
@@ -111,6 +113,40 @@ def test_multiplication_operator():
     rng = np.random.default_rng(5)
     g = random_gfunction(4, rng)
     assert np.allclose(wg.multiplication_operator(g, w) / w.values, g, atol=1e-15)
+
+
+def test_g_level_helpers_never_read_the_table(monkeypatch):
+    """The G-level helpers find their products with GroupTable.product: on
+    D5 built from generators they run with GroupTable.mul forbidden, and
+    agree with the same group given by its table."""
+    gens = [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)]
+    g = wg.build_group_from_generators(gens)
+    table = wg.group_from_table(mul_oracle(gens))
+    rng = np.random.default_rng(5)
+    f, h = random_gfunction(10, rng), random_gfunction(10, rng)
+    w = random_symmetric_weight(g, rng)
+    forbid_table(monkeypatch)
+    results = []
+    for group in (g, table):
+        K = wg.subgroup_closure(group, [int(g.generators[-1])])
+        part = wg.double_cosets(group, K)
+        phi = wg.enumerate_spherical(
+            wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
+        ).functions[-1]
+        projected = wg.sharp_projection(f, group, K)
+        results.append([
+            wg.translate(f, group, 3),
+            wg.gamma(f, group, 7, w),
+            wg.classical_convolve(f, h, group),
+            wg.weighted_convolve(f, h, group, w),
+            projected,
+            [wg.is_left_invariant(projected, group, K), wg.is_left_invariant(f, group, K)],
+            wg.verify_functional_equation(phi, group, K, wg.uniform_weight(group)),
+        ])
+    for ours, theirs in zip(*results):
+        assert np.allclose(ours, theirs, atol=1e-12)
+    assert results[0][5] == [True, False]
+    assert results[0][6] < 1e-12
 
 
 def test_translate_and_gamma_identity_element(s3):
