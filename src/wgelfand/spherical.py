@@ -62,13 +62,9 @@ class SphericalSet:
         return iter(zip(self.functions, self.characters))
 
     def to_json(self) -> list[dict]:
-        return [
-            {
-                "coset_values": complex_pairs(phi.coset_values),
-                "character": complex_pairs(chi.values),
-            }
-            for phi, chi in self
-        ]
+        phis = complex_pairs(np.array([phi.coset_values for phi in self.functions]))
+        chars = complex_pairs(np.array([chi.values for chi in self.characters]))
+        return [{"coset_values": phi, "character": chi} for phi, chi in zip(phis, chars)]
 
 
 def _character_order(chars: np.ndarray) -> np.ndarray:
@@ -88,10 +84,11 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     orthonormal basis delta_k / sqrt(|D_k|), each built from the i-slice of
     the sparse p, are normal and commute, so their joint eigenlines are found
     by refining the identity basis with the Hermitian parts of N_0, N_1, ...
-    until there are d lines. Each line gives a classical spherical function
-    phi1; the weighted one is phi1 / w and its character is chi(delta_i) =
-    w_i |D_i| phi1(D_i^-1). Multiplicativity of the classical characters is
-    checked on the nonzeros of p.
+    until there are d lines. N_e = |K| I of the identity coset is skipped.
+    Each line gives a classical spherical function phi1; the weighted one is
+    phi1 / w and its character is chi(delta_i) = w_i |D_i| phi1(D_i^-1).
+    Multiplicativity of the classical characters is checked on the nonzeros
+    of p with i <= j.
     """
     partition = sc.partition
     if sc.wd[partition.identity_coset] != 1.0:
@@ -104,19 +101,22 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     d = sc.dim
     sizes = np.array(partition.sizes(), dtype=float)
     root = np.sqrt(sizes)
-    blocks = [np.eye(d, dtype=complex)]
+    blocks = None  # the identity basis, until the first split
     _, j, k = sc.ijk
     entries = sc.counts * (root[k] / root[j])
     bounds = np.searchsorted(sc.keys, np.arange(d + 1) * d * d)
     for i in range(d):
-        if len(blocks) == d:
+        if blocks and len(blocks) == d:
             break
+        if i == partition.identity_coset:
+            continue  # N_e = |K| I: its Hermitian parts 2|K| I and 0 split nothing
         s = slice(bounds[i], bounds[i + 1])  # the i-slice of p
         N = np.zeros((d, d))
         N[k[s], j[s]] = entries[s]
         scale = float(np.max(np.abs(N)))
         for H in (N + N.T, 1j * (N - N.T)):
             blocks = _refine(blocks, H, scale)
+    blocks = blocks or [np.eye(d, dtype=complex)]
     if len(blocks) < d:
         raise DegenerateSpectrumError(
             f"joint spectrum splits into {len(blocks)} lines, expected {d}"
@@ -136,34 +136,54 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     )
 
 
-def _refine(blocks: list[np.ndarray], H: np.ndarray, scale: float) -> list[np.ndarray]:
+def _refine(blocks: list[np.ndarray] | None, H: np.ndarray, scale: float) -> list[np.ndarray]:
     """Split each block of orthonormal columns into eigenspaces of the
     Hermitian H restricted to it, cutting where consecutive eigenvalues of
-    the restriction differ by more than the tolerance at scale."""
-    out = []
-    for Q in blocks:
-        if Q.shape[1] == 1:
-            out.append(Q)
-            continue
-        vals, U = np.linalg.eigh(Q.conj().T @ H @ Q)
-        cuts = np.flatnonzero(~within(np.diff(vals), scale)) + 1
-        out.extend(np.split(Q @ U, cuts, axis=1))
-    return out
+    the restriction differ by more than the tolerance at scale. Blocks of one
+    width share one stacked eigh; the split blocks keep their order. None
+    stands for the identity basis, whose restriction is H itself: it is
+    solved as complex, as I^H H I is, so that it rounds the same."""
+    if blocks is None:
+        vals, U = np.linalg.eigh(H.astype(complex))
+        return np.split(U, np.flatnonzero(~within(np.diff(vals), scale)) + 1, axis=1)
+    widths = np.array([Q.shape[1] for Q in blocks])
+    pieces = [[Q] for Q in blocks]
+    for width in np.unique(widths[widths > 1]):
+        idx = np.flatnonzero(widths == width)
+        Q = np.stack([blocks[b] for b in idx])
+        vals, U = np.linalg.eigh(Q.conj().transpose(0, 2, 1) @ H @ Q)
+        cuts = ~within(np.diff(vals), scale)
+        for b, QU, cut in zip(idx, Q @ U, cuts):
+            pieces[b] = np.split(QU, np.flatnonzero(cut) + 1, axis=1)
+    return [Q for piece in pieces for Q in piece]
+
+
+def _multiplicativity_residuals(sc: StructureConstants, chi1: np.ndarray) -> np.ndarray:
+    """max over (i, j) of |sum_k p[i,j,k] chi(k) - chi(i) chi(j)| for every
+    column chi of chi1, one character at a time. The sums run over the
+    nonzeros of p with i <= j: the verdict has proved p[i,j,k] = p[j,i,k],
+    so the (j, i) sum is the (i, j) one, bit for bit. Each (i, j) has a
+    nonzero, as delta_i * delta_j is nonzero."""
+    i, j, k = sc.ijk
+    upper = i <= j
+    k, counts, ij = k[upper], sc.counts[upper], sc.keys[upper] // sc.dim
+    starts = np.flatnonzero(np.diff(ij, prepend=-1))
+    pi, pj = np.divmod(ij[starts], sc.dim)
+    return np.array([
+        np.max(np.abs(np.add.reduceat(counts * chi[k], starts) - chi[pi] * chi[pj]))
+        for chi in chi1.T
+    ])
 
 
 def _check_multiplicative(sc: StructureConstants, chi1: np.ndarray) -> None:
-    """sum_k p[i,j,k] chi(k) = chi(i) chi(j) for every column chi of chi1,
-    at scale max |chi|^2, one character at a time. The sums run over the
-    nonzeros of p; each (i, j) has one, as delta_i * delta_j is nonzero."""
-    k = sc.ijk[2]
-    starts = np.flatnonzero(np.diff(sc.keys // sc.dim, prepend=-1))
-    for chi in chi1.T:
-        gap = np.add.reduceat(sc.counts * chi[k], starts) - np.outer(chi, chi).ravel()
-        res = np.max(np.abs(gap))
-        if not within(res, np.max(np.abs(chi)) ** 2):
-            raise DegenerateSpectrumError(
-                f"recovered character fails multiplicativity (residual {res:g})"
-            )
+    """Multiplicativity of every column chi of chi1 at scale max |chi|^2;
+    the first failing character raises."""
+    res = _multiplicativity_residuals(sc, chi1)
+    bad = np.flatnonzero(~within(res, np.max(np.abs(chi1), axis=0) ** 2))
+    if len(bad):
+        raise DegenerateSpectrumError(
+            f"recovered character fails multiplicativity (residual {res[bad[0]]:g})"
+        )
 
 
 def verify_functional_equation(

@@ -82,6 +82,18 @@ def weight_from_spec(
             if partition is None:
                 raise InputSpecError('kind "by_double_coset" requires double cosets')
             table = spec.get("values", {})
+            if not isinstance(table, dict):
+                raise InputSpecError(
+                    '"by_double_coset" values must be an object {cosetId: value}, '
+                    f"got {type(table).__name__}"
+                )
+            ids = {str(cid) for cid in range(partition.num_cosets)}
+            unknown = [key for key in table if str(key) not in ids]
+            if unknown:
+                raise InputSpecError(
+                    f"weight for unknown double coset {unknown[0]!r}: "
+                    f"ids are 0..{partition.num_cosets - 1}"
+                )
             vals = np.empty(group.order)
             for cid in range(partition.num_cosets):
                 key = str(cid) if str(cid) in table else cid

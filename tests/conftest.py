@@ -14,6 +14,8 @@ import pytest
 import sympy
 
 import wgelfand as wg
+from wgelfand.errors import DegenerateSpectrumError
+from wgelfand.tolerance import within
 
 
 # ---------------------------------------------------------------- oracles
@@ -294,6 +296,63 @@ def commutation_oracle(T1, T2, c):
         for i in range(d)
         for j in range(d)
     )
+
+
+def multiplicativity_oracle(sc, chi1, check=True):
+    """Per-character residuals max over every (i, j) of
+    |sum_k p[i,j,k] chi(k) - chi(i) chi(j)|: one reduceat over all nonzeros
+    of p and one d x d outer product per column chi of chi1. With check,
+    the first character whose residual exceeds the tolerance at scale
+    max |chi|^2 raises DegenerateSpectrumError."""
+    k = sc.ijk[2]
+    starts = np.flatnonzero(np.diff(sc.keys // sc.dim, prepend=-1))
+    residuals = []
+    for chi in chi1.T:
+        gap = np.add.reduceat(sc.counts * chi[k], starts) - np.outer(chi, chi).ravel()
+        res = np.max(np.abs(gap))
+        if check and not within(res, np.max(np.abs(chi)) ** 2):
+            raise DegenerateSpectrumError(
+                f"recovered character fails multiplicativity (residual {res:g})"
+            )
+        residuals.append(res)
+    return np.array(residuals)
+
+
+def refine_oracle(sc):
+    """(characters, functions) as rows in the library's order, from the
+    joint eigenlines found by refining the identity basis with the
+    Hermitian parts of every N_i, the identity coset's included, one eigh
+    per block of width above 1."""
+    partition, d = sc.partition, sc.dim
+    sizes = np.array(partition.sizes(), dtype=float)
+    root = np.sqrt(sizes)
+    blocks = [np.eye(d, dtype=complex)]
+    _, j, k = sc.ijk
+    entries = sc.counts * (root[k] / root[j])
+    bounds = np.searchsorted(sc.keys, np.arange(d + 1) * d * d)
+    for i in range(d):
+        s = slice(bounds[i], bounds[i + 1])
+        N = np.zeros((d, d))
+        N[k[s], j[s]] = entries[s]
+        scale = float(np.max(np.abs(N)))
+        for H in (N + N.T, 1j * (N - N.T)):
+            out = []
+            for Q in blocks:
+                if Q.shape[1] == 1:
+                    out.append(Q)
+                    continue
+                vals, U = np.linalg.eigh(Q.conj().T @ H @ Q)
+                cuts = np.flatnonzero(~within(np.diff(vals), scale)) + 1
+                out.extend(np.split(Q @ U, cuts, axis=1))
+            blocks = out
+    assert len(blocks) == d
+    classical = np.hstack(blocks) / root[:, None]
+    classical /= classical[partition.identity_coset]
+    chi1 = sizes[:, None] * classical[list(partition.inverse_coset)]
+    wd = sc.wd[:, None]
+    chars, phis = (wd * chi1).T, (classical / wd).T
+    order = character_order_oracle(chars)
+    return chars[order], phis[order]
 
 
 def character_order_oracle(chars):

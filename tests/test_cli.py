@@ -386,6 +386,27 @@ def test_bad_weight_values_exit_1(tmp_path, capsys, weight):
 
 
 @pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1, 0.5, 0], "must be an object"),
+        ([1, 0.5], "must be an object"),
+        ({"0": 1, "1": 0.5, "7": 3}, "unknown double coset '7'"),
+    ],
+    ids=["list-with-zero", "list", "unknown-key"],
+)
+def test_coset_weight_map_is_read_by_key_exit_1(tmp_path, capsys, values, message):
+    """S3 over a transposition has d = 2: a list is not read by membership,
+    and a key that names no double coset is not ignored."""
+    weight = {"kind": "by_double_coset", "values": values}
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"]]
+    )
+    assert message in assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--tolerance", "nan"),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,43 @@ def test_subgroups_match_set_oracle(group):
                 with pytest.raises(InputSpecError) as exc:
                     wg.subgroup_from_spec(group, {"elements": elements})
                 assert str(exc.value) == expected
+
+
+def test_subgroup_check_blocks_keep_the_row_major_witness(monkeypatch):
+    """With blocks of 3 rows, the elements of S5 that fix 4, less or plus
+    one element, are checked block by block: the first failing pair is the
+    oracle's, found in whichever block holds it."""
+    monkeypatch.setattr(wg.groups, "ASSOC_BLOCK", 3 * 24)
+    group = wg.symmetric_group(5)
+    K = [int(x) for x in np.flatnonzero(group.perms[:, 4] == 4)]
+    assert wg.subgroup_from_spec(group, {"elements": K}).elements == tuple(K)
+    outside = int(np.flatnonzero(group.perms[:, 4] != 4)[0])
+    for elements in (K[:-1], K[:5], sorted(K + [outside])):
+        expected = check_subgroup_oracle(group, elements)
+        assert expected is not None
+        with pytest.raises(InputSpecError) as exc:
+            wg.subgroup_from_spec(group, {"elements": elements})
+        assert str(exc.value) == expected
+
+
+def test_subgroup_check_memory_stays_bounded():
+    """A7 given by its 2520 elements in S7: 6.35M products, checked in
+    blocks of about ASSOC_BLOCK, not all at once (once 164 MiB)."""
+    group = wg.symmetric_group(7)
+    perms = group.perms.astype(np.int64)
+    inversions = sum(
+        perms[:, a] > perms[:, b] for a in range(7) for b in range(a + 1, 7)
+    )
+    elements = np.flatnonzero(inversions % 2 == 0).tolist()
+    assert len(elements) == 2520
+    tracemalloc.start()
+    try:
+        K = wg.subgroup_from_spec(group, {"elements": elements})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.order == 2520
+    assert peak < 48 * 2**20
 
 
 def test_group_from_spec_kinds():

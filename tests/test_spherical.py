@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import wgelfand as wg
-from wgelfand.errors import NotGelfandError, PreconditionError
+from wgelfand import spherical
+from wgelfand.errors import DegenerateSpectrumError, NotGelfandError, PreconditionError
 from wgelfand.spherical import _character_order
+from wgelfand.tolerance import within
 
 from conftest import (
     brute_force_spherical,
@@ -11,8 +13,10 @@ from conftest import (
     dense_c_oracle,
     gelfand_instances,
     match_sets,
+    multiplicativity_oracle,
     random_bi_invariant_weight,
     random_gfunction,
+    refine_oracle,
 )
 
 
@@ -263,3 +267,147 @@ def test_character_order_matches_rounded_key_oracle():
         # shuffled, with every row twice: ties must keep their order
         rows = np.vstack([chars, chars])[rng.permutation(2 * len(chars))]
         assert _character_order(rows).tolist() == character_order_oracle(rows), name
+
+
+def _pair(group, seeds):
+    K = wg.subgroup_closure(group, seeds)
+    return group, K, wg.double_cosets(group, K)
+
+
+def _elementary_abelian_8():
+    gens = [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)]
+    return _pair(wg.build_group_from_generators(gens), [])
+
+
+def _cyclic4_identity_at_2():
+    """C4 as a table in which the identity is index 2."""
+    label = [2, 0, 3, 1]  # label[a] is the index of the rotation by a
+    table = [[0] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            table[label[a]][label[b]] = label[(a + b) % 4]
+    return _pair(wg.group_from_spec({"kind": "table", "table": table}), [])
+
+
+def _s7_over_s6():
+    gens = wg.symmetric_group_generators(7)
+    group = wg.build_group_from_generators(gens)
+    K = wg.point_stabilizer(group, gens, 6)
+    return group, K, wg.double_cosets(group, K)
+
+
+def _weighted(cases, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (name, group, K, part, random_bi_invariant_weight(part, rng, unit_at_identity=True))
+        for name, (group, K, part) in cases
+    ]
+
+
+def _chi1_of(monkeypatch, sc):
+    """The classical characters that enumerate_spherical checks, as columns."""
+    seen = []
+    check = spherical._check_multiplicative
+    monkeypatch.setattr(
+        spherical, "_check_multiplicative", lambda sc, chi1: seen.append(chi1) or check(sc, chi1)
+    )
+    wg.enumerate_spherical(sc)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _check_cases():
+    return gelfand_instances() + _weighted([
+        ("c128", _pair(wg.cyclic_group(128), [])),
+        ("d100-reflection", _pair(wg.dihedral_group(100), [100])),
+        ("c2^3", _elementary_abelian_8()),
+    ], 0xC4EC)
+
+
+def test_multiplicativity_on_i_le_j_matches_the_full_check(monkeypatch):
+    """The sums over pairs with i <= j give the residuals of the check over
+    every (i, j) up to the last bit of chi(i) chi(j)."""
+    for name, group, K, part, w in _check_cases():
+        sc = wg.hecke_structure_constants(group, part, w)
+        chi1 = _chi1_of(monkeypatch, sc)
+        scale = np.maximum(1.0, np.max(np.abs(chi1), axis=0) ** 2)
+        got = spherical._multiplicativity_residuals(sc, chi1)
+        want = multiplicativity_oracle(sc, chi1)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale), name
+
+
+def test_multiplicativity_catches_single_entry_mutations(monkeypatch):
+    """One wrong entry chi(k) of one character fails both checks, with the
+    same residual. k runs over the identity coset, a middle coset and the
+    last coset, whose row i = k of the full check holds only pairs with
+    i >= j: the check over i <= j reads chi(k) through its column."""
+    for name, group, K, part, w in _check_cases()[-3:]:
+        sc = wg.hecke_structure_constants(group, part, w)
+        chi1 = _chi1_of(monkeypatch, sc)
+        d = sc.dim
+        for k in (part.identity_coset, d // 2, d - 1):
+            for s in (0, d - 1):
+                bad = chi1.copy()
+                bad[k, s] += 1e-3 * np.max(np.abs(bad[:, s]))
+                with pytest.raises(DegenerateSpectrumError) as got:
+                    spherical._check_multiplicative(sc, bad)
+                with pytest.raises(DegenerateSpectrumError) as want:
+                    multiplicativity_oracle(sc, bad)
+                assert str(got.value) == str(want.value), (name, k, s)
+                res = spherical._multiplicativity_residuals(sc, bad)
+                ref = multiplicativity_oracle(sc, bad, check=False)
+                scale = np.maximum(1.0, np.max(np.abs(bad), axis=0) ** 2)
+                assert np.all(np.abs(res - ref) <= 1e-15 * scale), (name, k, s)
+                assert not within(res[s], scale[s])
+
+
+def _refine_cases():
+    return _weighted([
+        ("c4-identity-2", _cyclic4_identity_at_2()),
+        ("c5-over-c5", _pair(wg.cyclic_group(5), [1])),
+        ("c2^3", _elementary_abelian_8()),
+        ("s7-s6", _s7_over_s6()),
+    ], 0x4EF1)
+
+
+def test_refinement_matches_the_per_block_oracle():
+    cases = _refine_cases()
+    assert [part.num_cosets for _, _, _, part, _ in cases] == [4, 1, 8, 2]
+    assert cases[0][3].identity_coset == 2
+    for name, group, K, part, w in cases:
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
+        chars, phis = refine_oracle(wg.hecke_structure_constants(group, part, w))
+        got_chars = np.array([chi.values for chi in sset.characters])
+        got_phis = np.array([phi.coset_values for phi in sset.functions])
+        for got, want in ((got_chars, chars), (got_phis, phis)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
+
+
+def test_refinement_skips_the_identity_coset_and_stacks_blocks(monkeypatch):
+    """C128 over the trivial subgroup splits into lines in two stacked eigh
+    calls (N_1 + N_1^T, then 1j (N_1 - N_1^T) on its 63 planes), and the
+    Hermitian parts 2|K| I and 0 of N_e never reach the refinement."""
+    calls, seen = [0], []
+    eigh, refine = np.linalg.eigh, spherical._refine
+
+    def counting(a):
+        calls[0] += 1
+        return eigh(a)
+
+    def recording(blocks, H, scale):
+        seen.append(H)
+        return refine(blocks, H, scale)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(spherical, "_refine", recording)
+    c128 = _pair(wg.cyclic_group(128), [])
+    for name, group, K, part, w in [("c128", *c128, wg.uniform_weight(c128[0]))] + _refine_cases():
+        calls[0], seen[:] = 0, []
+        sc = wg.hecke_structure_constants(group, part, w)
+        assert len(wg.enumerate_spherical(sc)) == part.num_cosets
+        n_e = 2 * K.order * np.eye(part.num_cosets)
+        assert not any(np.array_equal(H, n_e) for H in seen), name
+        if name == "c128":
+            assert calls[0] == 2 and len(seen) == 2
+            N1 = sc.left(np.eye(128)[1]).real  # unit sizes and weight: N_i = L_i
+            assert np.array_equal(seen[0], N1 + N1.T)
