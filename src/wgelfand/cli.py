@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .errors import DegenerateSpectrumError, InputSpecError, WGelfandError
 from .fourier import (
-    build_fourier_table,
     extract_symbol,
     injectivity_check,
     is_multiplier,
@@ -127,7 +126,7 @@ def run(args) -> tuple[dict, int]:
             "order": group.order,
             "subgroup_order": K.order,
             "double_cosets": partition.num_cosets,
-            "coset_sizes": list(partition.sizes()),
+            "coset_sizes": partition.sizes.tolist(),
         },
         "weight": {
             # scanned once, by hecke_structure_constants below, which
@@ -158,12 +157,11 @@ def run(args) -> tuple[dict, int]:
         t2 = time.perf_counter()
         sset = enumerate_spherical(sc)
         report["spherical"] = {"count": len(sset), "functions": sset.to_json()}
-        table = build_fourier_table(sset)
-        rank, cond = injectivity_check(table)
+        rank, cond = injectivity_check(sset)
         report["fourier"] = {
             "rank": rank,
             "condition": cond,
-            "matrix": complex_pairs(table.matrix),
+            "matrix": complex_pairs(sset.characters.T),
         }
         timings["spherical_fourier"] = time.perf_counter() - t2
 
@@ -180,10 +178,10 @@ def run(args) -> tuple[dict, int]:
                 ok, witness = is_multiplier(T, sc)
                 entry = {"path": mpath, "is_multiplier": ok}
                 if ok:
-                    sym = extract_symbol(T, table)
+                    sym = extract_symbol(T, sset)
                     entry.update(sym.to_json())
                     if T.kernel is not None:
-                        kt = table.transform_coords(T.kernel.coset_values)
+                        kt = sset.characters @ T.kernel.coset_values
                         entry["symbol_matches_kernel_transform"] = bool(
                             within(np.max(np.abs(sym.values - kt)), np.max(np.abs(kt)))
                         )

@@ -30,40 +30,22 @@ def spherical_transform(
 ) -> np.ndarray:
     """F(f)(phi_s) = sum_x w(x) f(x) w(x^-1) phi_s(x^-1), in SphericalSet order.
 
-    Sums over G; a test oracle for `FourierTable.transform_coords`."""
-    if f.partition is not sset.partition and f.partition.cosets != sset.partition.cosets:
+    Sums over G; a test oracle for `sset.characters @ f.coset_values`."""
+    if not np.array_equal(f.partition.coset_of, sset.partition.coset_of):
         raise InputSpecError("function and spherical set use different partitions")
     f_g = f.expand() * w.values
     out = np.empty(len(sset), dtype=complex)
     for s, phi in enumerate(sset.functions):
-        out[s] = np.sum(f_g * (phi.expand() * w.values)[group.inv])
+        out[s] = np.sum(f_g * (phi[sset.partition.coset_of] * w.values)[group.inv])
     return out
 
 
-@dataclass(frozen=True)
-class FourierTable:
-    """Transform values of every indicator basis element: F[i, s]."""
-
-    matrix: np.ndarray
-    sset: SphericalSet
-
-    def transform_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Transform of sum_i coords[i] delta_i."""
-        return np.asarray(coords, dtype=complex) @ self.matrix
-
-
-def build_fourier_table(sset: SphericalSet) -> FourierTable:
-    """F[i, s] = chi_s(delta_i): the transform of an indicator is the value of
-    the character on it, so the table is the stacked characters."""
-    return FourierTable(
-        matrix=np.array([chi.values for chi in sset.characters]).T, sset=sset
-    )
-
-
-def injectivity_check(table: FourierTable) -> tuple[int, float]:
-    """Numerical rank and condition estimate of the transform matrix; the
-    rank counts the singular values beyond the tolerance at the largest."""
-    svals = np.linalg.svd(table.matrix, compute_uv=False)
+def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
+    """Numerical rank and condition estimate of the transform matrix
+    F[i, s] = chi_s(delta_i), which is `sset.characters.T`: the transform of
+    an indicator is the value of the character on it. The rank counts the
+    singular values beyond the tolerance at the largest."""
+    svals = np.linalg.svd(sset.characters.T, compute_uv=False)
     top = float(svals[0]) if len(svals) else 0.0
     rank = int(np.sum(~within(svals, top)))
     cond = float(top / svals[-1]) if top > 0 and svals[-1] > 0 else np.inf
@@ -101,17 +83,6 @@ class MultiplierOperator:
     def apply(self, coords: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(coords, dtype=complex)
 
-    def compose(self, other: "MultiplierOperator") -> "MultiplierOperator":
-        return MultiplierOperator(matrix=self.matrix @ other.matrix)
-
-    @classmethod
-    def identity(cls, d: int) -> "MultiplierOperator":
-        return cls(matrix=np.eye(d, dtype=complex))
-
-    @classmethod
-    def scalar(cls, d: int, value: complex) -> "MultiplierOperator":
-        return cls(matrix=value * np.eye(d, dtype=complex))
-
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
@@ -143,16 +114,13 @@ def is_multiplier(
     failing pair (e, j): column j of T - L_{T u}.
     """
     e = sc.partition.identity_coset
-    L = sc.left(T.matrix[:, e] / (len(sc.partition.cosets[e]) * sc.wd[e]))
+    L = sc.left(T.matrix[:, e] / (sc.partition.sizes[e] * sc.wd[e]))
     scale = max(float(np.max(np.abs(T.matrix))), float(np.max(np.abs(L))))
     failing = np.flatnonzero(~within(np.max(np.abs(T.matrix - L), axis=0), scale))
     return (False, (e, int(failing[0]))) if len(failing) else (True, None)
 
 
-def extract_symbol(
-    T: MultiplierOperator,
-    table: FourierTable,
-) -> MultiplierSymbol:
+def extract_symbol(T: MultiplierOperator, sset: SphericalSet) -> MultiplierSymbol:
     """Symbol of a multiplier: the transform of T u, with u the unit.
 
     T delta_i = (T u) * delta_i, so with FT = T^T F (row i the transform of
@@ -165,9 +133,9 @@ def extract_symbol(
     max(1, max|T|) times that sum, the bound that passing `is_multiplier`
     gives, so an operator it accepts is not rejected here (up to rounding).
     """
-    F = table.matrix
+    F = sset.characters.T
     FT = T.matrix.T @ F
-    e = table.sset.partition.identity_coset
+    e = sset.partition.identity_coset
     symbol = FT[e] / F[e]
     residual = np.max(np.abs(FT - F * symbol[None, :]), axis=0)
     scale = max(1.0, float(np.max(np.abs(T.matrix)))) * np.sum(np.abs(F), axis=0)

@@ -167,22 +167,21 @@ class SubgroupEmbedding:
 
 @dataclass(frozen=True)
 class DoubleCosetPartition:
-    """The partition of G into double cosets KxK."""
+    """The partition of G into double cosets KxK, numbered by least member.
 
-    cosets: tuple[tuple[int, ...], ...]
+    coset_of[x] is the coset of x; reps[i] is the least member of coset i,
+    sizes[i] its size, and inverse_coset[i] the coset of its inverses.
+    """
+
     coset_of: np.ndarray
-    inverse_coset: tuple[int, ...]
+    reps: np.ndarray
+    sizes: np.ndarray
+    inverse_coset: np.ndarray
     identity_coset: int
 
     @property
     def num_cosets(self) -> int:
-        return len(self.cosets)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cosets)
-
-    def representative(self, i: int) -> int:
-        return self.cosets[i][0]
+        return len(self.reps)
 
 
 @dataclass(frozen=True)
@@ -368,12 +367,19 @@ def cyclic_group(n: int) -> GroupTable:
 
 
 def dihedral_group(n: int) -> GroupTable:
-    """Dihedral group with n rotations (order 2n)."""
+    """Dihedral group with n rotations (order 2n).
+
+    For n >= 3 it acts on the n vertices. On 2 points the reflection would be
+    the identity, so D2, the Klein four-group, acts on 4 points as a rotation
+    and a reflection that commute.
+    """
     if n < 1:
         raise InputSpecError("dihedral parameter must be >= 1")
     _check_known_order([2, n])
     if n == 1:
         return build_group_from_generators([(1, 0)])
+    if n == 2:
+        return build_group_from_generators([(1, 0, 3, 2), (2, 3, 0, 1)])
     rot = tuple((i + 1) % n for i in range(n))
     refl = tuple((n - i) % n for i in range(n))
     return build_group_from_generators([rot, refl])
@@ -491,13 +497,12 @@ def double_cosets(group: GroupTable, K: SubgroupEmbedding) -> DoubleCosetPartiti
             if np.array_equal(new, label):
                 break
             label = new
-    roots, coset_of = np.unique(label, return_inverse=True)
-    members = np.argsort(coset_of, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(coset_of)).tolist()
+    reps, coset_of, sizes = np.unique(label, return_inverse=True, return_counts=True)
     return DoubleCosetPartition(
-        cosets=tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
         coset_of=coset_of,
-        inverse_coset=tuple(coset_of[group.inv[roots]].tolist()),
+        reps=reps,
+        sizes=sizes,
+        inverse_coset=coset_of[group.inv[reps]],
         identity_coset=int(coset_of[group.identity]),
     )
 
@@ -540,8 +545,9 @@ def theta_in_KxinvK(
     partition: DoubleCosetPartition, theta: GroupAutomorphism
 ) -> tuple[bool, Optional[int]]:
     """Does theta(x) land in K x^-1 K for every x? Returns (ok, witness)."""
-    inverse_coset = np.asarray(partition.inverse_coset)
-    bad = np.flatnonzero(inverse_coset[partition.coset_of] != partition.coset_of[theta.perm])
+    bad = np.flatnonzero(
+        partition.inverse_coset[partition.coset_of] != partition.coset_of[theta.perm]
+    )
     return (False, int(bad[0])) if len(bad) else (True, None)
 
 

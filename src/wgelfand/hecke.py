@@ -84,7 +84,7 @@ class StructureConstants:
         if not len(bad):
             return None
         ij, k = divmod(int(min(keys[bad[0]], swapped[bad].min())), d)
-        return ij // d, ij % d, self.partition.representative(k)
+        return ij // d, ij % d, int(self.partition.reps[k])
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,14 @@ def hecke_structure_constants(
     if witness is not None:
         raise BiInvarianceError(*witness)
     d = partition.num_cosets
-    reps = np.array([coset[0] for coset in partition.cosets], dtype=np.int64)
-    codes = partition.coset_of[group.product(group.inv[:, None], reps)]
+    codes = partition.coset_of[group.product(group.inv[:, None], partition.reps)]
     codes += partition.coset_of[:, None] * d
     codes *= d
     codes += np.arange(d)
     keys, counts = np.unique(codes, return_counts=True)
     return StructureConstants(
-        keys=keys, counts=counts.astype(np.int32), wd=w.values[reps], partition=partition
+        keys=keys, counts=counts.astype(np.int32), wd=w.values[partition.reps],
+        partition=partition,
     )
 
 

@@ -25,45 +25,23 @@ def complex_pairs(values: np.ndarray) -> list:
 
 
 @dataclass(frozen=True)
-class SphericalFunction:
-    """A bi-invariant function phi with phi(e) = 1 solving the averaged
-    product equation (1/|K|) sum_k (w phi)(x k y) = (w phi)(x) (w phi)(y)."""
-
-    coset_values: np.ndarray
-    partition: DoubleCosetPartition
-
-    def expand(self) -> np.ndarray:
-        return self.coset_values[self.partition.coset_of]
-
-
-@dataclass(frozen=True)
-class Character:
-    """Values of a multiplicative functional on the indicator basis."""
-
-    values: np.ndarray
-
-    def __call__(self, i: int) -> complex:
-        return complex(self.values[i])
-
-
-@dataclass(frozen=True)
 class SphericalSet:
-    """All spherical functions of a weighted Gelfand pair, paired with their
-    characters, in a canonical (sorted-by-character) order."""
+    """All spherical functions of a weighted Gelfand pair and their
+    characters, in a canonical (sorted-by-character) order: row s of
+    `functions` holds phi_s on the double cosets, and row s of `characters`
+    holds chi_s on the indicator basis. A spherical function is bi-invariant
+    with phi(e) = 1 and solves the averaged product equation
+    (1/|K|) sum_k (w phi)(x k y) = (w phi)(x) (w phi)(y)."""
 
-    functions: tuple[SphericalFunction, ...]
-    characters: tuple[Character, ...]
+    functions: np.ndarray
+    characters: np.ndarray
     partition: DoubleCosetPartition
 
     def __len__(self) -> int:
         return len(self.functions)
 
-    def __iter__(self):
-        return iter(zip(self.functions, self.characters))
-
     def to_json(self) -> list[dict]:
-        phis = complex_pairs(np.array([phi.coset_values for phi in self.functions]))
-        chars = complex_pairs(np.array([chi.values for chi in self.characters]))
+        phis, chars = complex_pairs(self.functions), complex_pairs(self.characters)
         return [{"coset_values": phi, "character": chi} for phi, chi in zip(phis, chars)]
 
 
@@ -99,7 +77,7 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
         raise DegenerateSpectrumError("structure constants overflow: weight range too wide")
 
     d = sc.dim
-    sizes = np.array(partition.sizes(), dtype=float)
+    sizes = partition.sizes.astype(float)
     root = np.sqrt(sizes)
     blocks = None  # the identity basis, until the first split
     _, j, k = sc.ijk
@@ -124,16 +102,12 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
 
     classical = np.hstack(blocks) / root[:, None]
     classical /= classical[partition.identity_coset]
-    chi1 = sizes[:, None] * classical[list(partition.inverse_coset)]
+    chi1 = sizes[:, None] * classical[partition.inverse_coset]
     _check_multiplicative(sc, chi1)
     wd = sc.wd[:, None]
     chars, phis = (wd * chi1).T, (classical / wd).T
     order = _character_order(chars)
-    return SphericalSet(
-        functions=tuple(SphericalFunction(phis[s], partition) for s in order),
-        characters=tuple(Character(chars[s]) for s in order),
-        partition=partition,
-    )
+    return SphericalSet(functions=phis[order], characters=chars[order], partition=partition)
 
 
 def _refine(blocks: list[np.ndarray] | None, H: np.ndarray, scale: float) -> list[np.ndarray]:
@@ -187,7 +161,7 @@ def _check_multiplicative(sc: StructureConstants, chi1: np.ndarray) -> None:
 
 
 def verify_functional_equation(
-    phi: SphericalFunction,
+    phi: BiInvariantFunction,
     group: GroupTable,
     K: SubgroupEmbedding,
     w: Weight,
@@ -204,7 +178,7 @@ def verify_functional_equation(
 
 def verify_eigen_property(
     f: BiInvariantFunction,
-    phi: SphericalFunction,
+    phi: BiInvariantFunction,
     group: GroupTable,
     w: Weight,
 ) -> tuple[complex, float]:
@@ -225,7 +199,7 @@ def verify_eigen_property(
 
 
 def classical_correspondence(
-    phi: SphericalFunction,
+    phi: BiInvariantFunction,
     group: GroupTable,
     K: SubgroupEmbedding,
     w: Weight,
@@ -236,8 +210,5 @@ def classical_correspondence(
     tolerance: the same averaged products appear with weight folded into the
     function.
     """
-    scaled = SphericalFunction(
-        coset_values=phi.coset_values * w.values[[c[0] for c in phi.partition.cosets]],
-        partition=phi.partition,
-    )
+    scaled = BiInvariantFunction(phi.coset_values * w.values[phi.partition.reps], phi.partition)
     return bool(within(verify_functional_equation(scaled, group, K, uniform_weight(group))))

@@ -94,13 +94,13 @@ def weight_from_spec(
                     f"weight for unknown double coset {unknown[0]!r}: "
                     f"ids are 0..{partition.num_cosets - 1}"
                 )
-            vals = np.empty(group.order)
+            vals = np.empty(partition.num_cosets)
             for cid in range(partition.num_cosets):
                 key = str(cid) if str(cid) in table else cid
                 if key not in table:
                     raise InputSpecError(f"missing weight for double coset {cid}")
-                vals[list(partition.cosets[cid])] = json_number(table[key])
-            return Weight(vals)
+                vals[cid] = json_number(table[key])
+            return Weight(vals[partition.coset_of])
     except (TypeError, ValueError) as exc:
         raise InputSpecError(f"weight values must be numbers: {exc}") from exc
     raise InputSpecError(f"unknown weight kind: {kind!r}")
@@ -124,8 +124,8 @@ def bi_invariance_witness(
     """None if w is constant on every double coset, else the first pair
     (first element of a coset, element of that coset) with different values,
     coset by coset; compared exactly."""
-    flat = np.concatenate(partition.cosets)
-    ref = np.repeat([c[0] for c in partition.cosets], partition.sizes())
+    flat = np.argsort(partition.coset_of, kind="stable")
+    ref = partition.reps[partition.coset_of[flat]]
     bad = np.flatnonzero(w.values[flat] != w.values[ref])
     return (int(ref[bad[0]]), int(flat[bad[0]])) if len(bad) else None
 
@@ -217,8 +217,7 @@ def is_bi_invariant(
     f: np.ndarray, partition: DoubleCosetPartition, tol: float = RTOL
 ) -> bool:
     f = np.asarray(f)
-    reps = [c[0] for c in partition.cosets]
-    return bool(np.all(np.abs(f - f[reps][partition.coset_of]) <= tol))
+    return bool(np.all(np.abs(f - f[partition.reps][partition.coset_of]) <= tol))
 
 
 def is_left_invariant(
@@ -257,8 +256,7 @@ class BiInvariantFunction:
         f = np.asarray(f, dtype=complex)
         if not is_bi_invariant(f, partition):
             raise PreconditionError("function is not constant on double cosets")
-        vals = np.array([f[c[0]] for c in partition.cosets])
-        return cls(coset_values=vals, partition=partition)
+        return cls(coset_values=f[partition.reps], partition=partition)
 
     @classmethod
     def indicator(cls, i: int, partition: DoubleCosetPartition) -> "BiInvariantFunction":

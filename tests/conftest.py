@@ -173,7 +173,7 @@ def brute_force_spherical(group, K, w, partition=None):
     d = partition.num_cosets
     wvals = [sympy.nsimplify(v, rational=True) for v in w.values]
     u = sympy.symbols(f"u0:{d}", complex=True)
-    reps = [c[0] for c in partition.cosets]
+    reps = partition.reps.tolist()
     equations = []
     for xi in reps:
         for yj in reps:
@@ -191,6 +191,12 @@ def brute_force_spherical(group, K, w, partition=None):
         if np.max(np.abs(vec)) > 1e-12:
             out.append(vec)
     return out
+
+
+def spherical_functions(sset):
+    """The rows of sset.functions as bi-invariant functions, the form the
+    G-level checks take."""
+    return [wg.BiInvariantFunction(phi, sset.partition) for phi in sset.functions]
 
 
 def match_sets(found, expected, tol):
@@ -235,16 +241,16 @@ def dense_p_oracle(group, partition):
     d = partition.num_cosets
     row = partition.coset_of * d
     p = np.empty((d, d, d), dtype=np.int32)
-    for k, coset in enumerate(partition.cosets):
+    for k, r in enumerate(partition.reps):
         p[:, :, k] = np.bincount(
-            row + partition.coset_of[group.mul[group.inv, coset[0]]], minlength=d * d
+            row + partition.coset_of[group.mul[group.inv, r]], minlength=d * d
         ).reshape(d, d)
     return p
 
 
 def dense_c_oracle(group, partition, w):
     """Dense weighted structure constants c[i,j,k] = p[i,j,k] w_i w_j / w_k."""
-    wd = np.array([w.values[c[0]] for c in partition.cosets])
+    wd = w.values[partition.reps]
     return dense_p_oracle(group, partition) * (
         wd[:, None, None] * wd[None, :, None] / wd[None, None, :]
     )
@@ -263,7 +269,7 @@ def commutativity_oracle(p, partition):
     if not len(mismatch):
         return None
     i, j, k = (int(v) for v in mismatch[0])
-    return i, j, partition.representative(k)
+    return i, j, int(partition.reps[k])
 
 
 def is_multiplier_oracle(T, c, tol=1e-9):
@@ -324,7 +330,7 @@ def refine_oracle(sc):
     Hermitian parts of every N_i, the identity coset's included, one eigh
     per block of width above 1."""
     partition, d = sc.partition, sc.dim
-    sizes = np.array(partition.sizes(), dtype=float)
+    sizes = partition.sizes.astype(float)
     root = np.sqrt(sizes)
     blocks = [np.eye(d, dtype=complex)]
     _, j, k = sc.ijk
@@ -348,7 +354,7 @@ def refine_oracle(sc):
     assert len(blocks) == d
     classical = np.hstack(blocks) / root[:, None]
     classical /= classical[partition.identity_coset]
-    chi1 = sizes[:, None] * classical[list(partition.inverse_coset)]
+    chi1 = sizes[:, None] * classical[partition.inverse_coset]
     wd = sc.wd[:, None]
     chars, phis = (wd * chi1).T, (classical / wd).T
     order = character_order_oracle(chars)

@@ -19,6 +19,7 @@ from conftest import (
     random_bi_invariant_weight,
     random_gfunction,
     random_symmetric_weight,
+    spherical_functions,
     structure_tensor,
 )
 
@@ -103,7 +104,7 @@ def test_criterion_3_weighted_transfer():
                 report = wg.is_weighted_gelfand(sc)
                 assert report.is_weighted_gelfand == base.is_weighted_gelfand
                 cw = structure_tensor(sc)
-                wd = np.array([w.values[c[0]] for c in part.cosets])
+                wd = w.values[part.reps]
                 lhs = cw * wd[None, None, :]
                 rhs = c1 * wd[:, None, None] * wd[None, :, None]
                 assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -159,7 +160,7 @@ def test_criterion_6_spherical_enumeration():
         s3, K3, p3 = _pair(wg.symmetric_group(3), [1])
         sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, p3, wg.uniform_weight(s3)))
         assert match_sets(
-            [phi.coset_values for phi in sset.functions],
+            list(sset.functions),
             [np.array([1.0, 1.0]), np.array([1.0, -0.5])],
             1e-8,
         )
@@ -168,14 +169,14 @@ def test_criterion_6_spherical_enumeration():
         )
         sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, p3, w))
         assert match_sets(
-            [phi.coset_values for phi in sset.functions],
+            list(sset.functions),
             [np.array([1.0, 0.5]), np.array([1.0, -0.25])],
             1e-8,
         )
         c4, Kt, pt = _pair(wg.cyclic_group(4), [])
         sset = wg.enumerate_spherical(wg.hecke_structure_constants(c4, pt, wg.uniform_weight(c4)))
         dft = [np.array([1j ** (j * x) for x in range(4)]) for j in range(4)]
-        assert match_sets([phi.coset_values for phi in sset.functions], dft, 1e-9)
+        assert match_sets(list(sset.functions), dft, 1e-9)
 
         # eigen route vs symbolic brute force on every small instance
         small = [
@@ -189,7 +190,7 @@ def test_criterion_6_spherical_enumeration():
             sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, weight))
             oracle = brute_force_spherical(group, K, weight, partition=part)
             assert match_sets(
-                [phi.coset_values for phi in sset.functions], oracle, 1e-7
+                list(sset.functions), oracle, 1e-7
             )
 
     _run(6, "spherical enumeration matches frozen values and symbolic oracle", body)
@@ -200,7 +201,7 @@ def test_criterion_7_characterizations():
         rng = np.random.default_rng(7)
         for name, group, K, part, w in gelfand_instances():
             sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
-            for phi in sset.functions:
+            for phi in spherical_functions(sset):
                 assert wg.verify_functional_equation(phi, group, K, w) < 1e-9, name
                 assert abs(phi.coset_values[part.identity_coset] - 1.0) < 1e-9, name
                 for _ in range(20):
@@ -230,17 +231,16 @@ def test_criterion_9_injectivity():
     def body():
         for name, group, K, part, w in gelfand_instances():
             sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
-            table = wg.build_fourier_table(sset)
-            rank, _ = wg.injectivity_check(table)
+            rank, _ = wg.injectivity_check(sset)
             assert rank == part.num_cosets, name
 
         # sensitivity: a sign-flipped spherical function must be caught
         _, group, K, part, w = gelfand_instances()[0]
         sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
         good = sset.functions[-1]
-        flipped = good.coset_values.copy()
+        flipped = good.copy()
         flipped[1 - part.identity_coset] *= -1.0
-        corrupted = wg.SphericalFunction(flipped, part)
+        corrupted = wg.BiInvariantFunction(flipped, part)
         assert wg.verify_functional_equation(corrupted, group, K, w) > 1e-3
         f = wg.BiInvariantFunction.indicator(1, part)
         _, residual = wg.verify_eigen_property(f, corrupted, group, w)
@@ -255,7 +255,6 @@ def test_criterion_10_multipliers():
         for name, group, K, part, w in gelfand_instances():
             sc = wg.hecke_structure_constants(group, part, w)
             sset = wg.enumerate_spherical(sc)
-            table = wg.build_fourier_table(sset)
             d = part.num_cosets
             operators = []
             for _ in range(5):
@@ -263,10 +262,10 @@ def test_criterion_10_multipliers():
                 T = wg.multiplier_from_kernel(h, sc)
                 ok, _ = wg.is_multiplier(T, sc)
                 assert ok, name
-                sym = wg.extract_symbol(T, table)
+                sym = wg.extract_symbol(T, sset)
                 transform = wg.spherical_transform(h, sset, group, w)
                 assert np.max(np.abs(sym.values - transform)) < 1e-9, name
-                again = wg.extract_symbol(T, table)
+                again = wg.extract_symbol(T, sset)
                 assert np.array_equal(sym.values, again.values), name
                 operators.append(T)
             pairs = 0
@@ -346,12 +345,11 @@ def test_criterion_12_scale_s5():
         assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
         sset = wg.enumerate_spherical(sc)
         assert len(sset) == part.num_cosets
-        table = wg.build_fourier_table(sset)
-        rank, _ = wg.injectivity_check(table)
+        rank, _ = wg.injectivity_check(sset)
         assert rank == part.num_cosets
         h = wg.BiInvariantFunction(random_gfunction(part.num_cosets, rng), part)
         T = wg.multiplier_from_kernel(h, sc)
-        sym = wg.extract_symbol(T, table)
+        sym = wg.extract_symbol(T, sset)
         assert np.max(
             np.abs(sym.values - wg.spherical_transform(h, sset, s5, w))
         ) < 1e-9

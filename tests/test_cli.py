@@ -110,9 +110,9 @@ def test_complex_pairs_serialise_like_per_element_lists():
     w = wg.weight_from_spec(weight, group, part)
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     old_sset = [
-        {"coset_values": [[z.real, z.imag] for z in phi.coset_values],
-         "character": [[z.real, z.imag] for z in chi.values]}
-        for phi, chi in sset
+        {"coset_values": [[z.real, z.imag] for z in phi],
+         "character": [[z.real, z.imag] for z in chi]}
+        for phi, chi in zip(sset.functions, sset.characters)
     ]
     assert json.dumps(sset.to_json()) == json.dumps(old_sset)
 
@@ -235,6 +235,22 @@ D6 = {"kind": "dihedral", "n": 6}
 K_REFLECTION = {"seeds": [2]}  # element 2 is the generating reflection
 
 
+def test_dihedral_2_reports_order_4(tmp_path, capsys):
+    """D2 over the trivial subgroup: the Klein four-group, so four double
+    cosets of one element each and four spherical functions."""
+    paths = write_specs(tmp_path, {"kind": "dihedral", "n": 2}, {"seeds": []}, UNIFORM)
+    code, out = run_cli(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"]],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["group"]["order"] == 4
+    assert report["group"]["double_cosets"] == 4
+    assert report["spherical"]["count"] == 4
+
+
 def test_scaled_kernel_matches_its_transform(tmp_path, capsys):
     # the match is relative to the size of the transform, not an absolute 1e-8
     weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 1.5, "2": 0.7, "3": 2.0}}
@@ -337,25 +353,48 @@ def test_output_file_and_determinism(tmp_path, capsys):
 
 
 def test_report_numbers_match_library(tmp_path, capsys):
-    weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}
-    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
-    code, out = run_cli(
-        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
-         "--weight", paths["weight"]],
-        capsys,
-    )
-    report = json.loads(out)
-    group = wg.symmetric_group(3)
-    K = wg.subgroup_closure(group, [1])
-    part = wg.double_cosets(group, K)
-    w = wg.weight_from_spec(weight, group, part)
-    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
-    from_report = [
-        [complex(re, im) for re, im in fn["coset_values"]]
-        for fn in report["spherical"]["functions"]
+    """On S3/<(0 1)> and D6/<s>, both weighted, the report's spherical
+    functions and characters are the library's bit for bit, and its
+    transform matrix is the characters transposed:
+    fourier.matrix[i][s] is spherical.functions[s].character[i]."""
+    d6_weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 1.5, "2": 0.7, "3": 2.0}}
+    cases = [
+        (S3, K_TRANSPOSITION, {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}),
+        (D6, K_REFLECTION, d6_weight),
     ]
-    from_lib = [phi.coset_values.tolist() for phi in sset.functions]
-    assert np.allclose(from_report, from_lib)
+    for n, (group_spec, subgroup_spec, weight) in enumerate(cases):
+        spec_dir = tmp_path / str(n)
+        spec_dir.mkdir()
+        paths = write_specs(spec_dir, group_spec, subgroup_spec, weight)
+        code, out = run_cli(
+            ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+             "--weight", paths["weight"]],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(out)
+        group = wg.group_from_spec(group_spec)
+        K = wg.subgroup_from_spec(group, subgroup_spec)
+        part = wg.double_cosets(group, K)
+        w = wg.weight_from_spec(weight, group, part)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
+        from_report = [
+            [complex(re, im) for re, im in fn["coset_values"]]
+            for fn in report["spherical"]["functions"]
+        ]
+        from_lib = [phi.tolist() for phi in sset.functions]
+        assert np.allclose(from_report, from_lib)
+
+        functions = report["spherical"]["functions"]
+        matrix = report["fourier"]["matrix"]
+        d = part.num_cosets
+        assert len(functions) == len(matrix) == d
+        for i in range(d):
+            for s in range(d):
+                assert matrix[i][s] == functions[s]["character"][i]
+        pairs = np.array([[fn["coset_values"], fn["character"]] for fn in functions])
+        assert np.array_equal(pairs[:, 0, :, 0] + 1j * pairs[:, 0, :, 1], sset.functions)
+        assert np.array_equal(pairs[:, 1, :, 0] + 1j * pairs[:, 1, :, 1], sset.characters)
 
 
 def assert_one_line_error(code, capsys, expected_code=1):

@@ -23,8 +23,7 @@ def s3_setup(s3_pair):
     )
     sc = wg.hecke_structure_constants(group, part, w)
     sset = wg.enumerate_spherical(sc)
-    table = wg.build_fourier_table(sset)
-    return group, K, part, w, sc, sset, table
+    return group, K, part, w, sc, sset
 
 
 @pytest.fixture(scope="module")
@@ -33,19 +32,18 @@ def s3_uniform_setup(s3_pair):
     w = wg.uniform_weight(group)
     sc = wg.hecke_structure_constants(group, part, w)
     sset = wg.enumerate_spherical(sc)
-    table = wg.build_fourier_table(sset)
-    return group, K, part, w, sc, sset, table
+    return group, K, part, w, sc, sset
 
 
 def test_transform_of_subgroup_indicator(s3_uniform_setup):
-    group, K, part, w, sc, sset, table = s3_uniform_setup
+    group, K, part, w, sc, sset = s3_uniform_setup
     f = wg.BiInvariantFunction.indicator(0, part)
     values = wg.spherical_transform(f, sset, group, w)
     assert np.allclose(values, [2.0, 2.0])
 
 
 def test_transform_of_zero(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     f = wg.BiInvariantFunction(np.zeros(2, dtype=complex), part)
     assert np.allclose(wg.spherical_transform(f, sset, group, w), 0.0)
 
@@ -57,10 +55,10 @@ def test_transform_cyclic4_against_dft(c4_pair):
     f = wg.BiInvariantFunction.indicator(1, part)  # delta at element 1
     values = wg.spherical_transform(f, sset, group, w)
     for s, phi in enumerate(sset.functions):
-        assert values[s] == pytest.approx(phi.coset_values[group.inverse(1)])
+        assert values[s] == pytest.approx(phi[group.inverse(1)])
     # full agreement with the character-table transform on random functions
     rng = np.random.default_rng(0)
-    chars = np.array([phi.coset_values for phi in sset.functions])
+    chars = sset.functions
     g = random_gfunction(4, rng)
     fbi = wg.BiInvariantFunction(g, part)
     dft = chars[:, group.inv] @ g
@@ -68,7 +66,7 @@ def test_transform_cyclic4_against_dft(c4_pair):
 
 
 def test_convolution_theorem_weighted(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     rng = np.random.default_rng(1)
     for _ in range(25):
         f = wg.BiInvariantFunction(random_gfunction(2, rng), part)
@@ -77,7 +75,7 @@ def test_convolution_theorem_weighted(s3_setup):
 
 
 def test_convolution_theorem_structure_constant_example(s3_uniform_setup):
-    group, K, part, w, sc, sset, table = s3_uniform_setup
+    group, K, part, w, sc, sset = s3_uniform_setup
     d1 = wg.BiInvariantFunction.indicator(1, part)
     lhs = wg.spherical_transform(
         wg.BiInvariantFunction(sc.convolve_coords(d1.coset_values, d1.coset_values), part),
@@ -99,17 +97,17 @@ def test_convolution_theorem_identity_element():
 
 
 def test_injectivity_s3(s3_uniform_setup):
-    group, K, part, w, sc, sset, table = s3_uniform_setup
+    group, K, part, w, sc, sset = s3_uniform_setup
     # rows are transforms of the indicators: {2, 2} and {4, -2} up to order
-    assert sorted(np.round(table.matrix.real.flatten()).tolist()) == [-2, 2, 2, 4]
-    rank, cond = wg.injectivity_check(table)
+    assert sorted(np.round(sset.characters.T.real.flatten()).tolist()) == [-2, 2, 2, 4]
+    rank, cond = wg.injectivity_check(sset)
     assert rank == 2
     assert np.isfinite(cond)
 
 
 def test_injectivity_weighted(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
-    rank, _ = wg.injectivity_check(table)
+    group, K, part, w, sc, sset = s3_setup
+    rank, _ = wg.injectivity_check(sset)
     assert rank == 2
 
 
@@ -118,15 +116,14 @@ def test_injectivity_rank_one_for_full_subgroup(s3):
     part = wg.double_cosets(s3, K)
     w = wg.uniform_weight(s3)
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, part, w))
-    table = wg.build_fourier_table(sset)
-    rank, _ = wg.injectivity_check(table)
+    rank, _ = wg.injectivity_check(sset)
     assert rank == 1
 
 
 def test_multiplier_from_kernel_identity(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     # the algebra identity: supported on K with value 1/(|K| w_K^2)
-    wK = w.values[part.cosets[part.identity_coset][0]]
+    wK = w.values[part.reps[part.identity_coset]]
     e = wg.BiInvariantFunction.indicator(part.identity_coset, part)
     unit = wg.BiInvariantFunction(e.coset_values / (K.order * wK ** 2), part)
     T = wg.multiplier_from_kernel(unit, sc)
@@ -134,7 +131,7 @@ def test_multiplier_from_kernel_identity(s3_setup):
 
 
 def test_multiplier_from_kernel_columns(s3_uniform_setup):
-    group, K, part, w, sc, sset, table = s3_uniform_setup
+    group, K, part, w, sc, sset = s3_uniform_setup
     h = wg.BiInvariantFunction.indicator(1, part)
     T = wg.multiplier_from_kernel(h, sc)
     c = dense_c_oracle(group, part, w)
@@ -143,13 +140,13 @@ def test_multiplier_from_kernel_columns(s3_uniform_setup):
 
 
 def test_multiplier_from_zero_kernel(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     h = wg.BiInvariantFunction(np.zeros(2, dtype=complex), part)
     assert np.allclose(wg.multiplier_from_kernel(h, sc).matrix, 0.0)
 
 
 def test_kernel_operators_are_multipliers(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     rng = np.random.default_rng(2)
     for _ in range(10):
         h = wg.BiInvariantFunction(random_gfunction(2, rng), part)
@@ -158,13 +155,13 @@ def test_kernel_operators_are_multipliers(s3_setup):
 
 
 def test_scalar_operator_is_multiplier(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
-    ok, _ = wg.is_multiplier(wg.MultiplierOperator.scalar(2, 3.0 - 1.0j), sc)
+    group, K, part, w, sc, sset = s3_setup
+    ok, _ = wg.is_multiplier(wg.MultiplierOperator(matrix=(3.0 - 1.0j) * np.eye(2)), sc)
     assert ok
 
 
 def test_non_multiplier_rejected_with_witness(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     rng = np.random.default_rng(3)
     h = wg.BiInvariantFunction(np.array([1.0, 2.0 + 1.0j]), part)
     T = wg.multiplier_from_kernel(h, sc)
@@ -179,57 +176,57 @@ def test_non_multiplier_rejected_with_witness(s3_setup):
 
 
 def test_symbol_identity_and_scalar(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
-    sym = wg.extract_symbol(wg.MultiplierOperator.identity(2), table)
+    group, K, part, w, sc, sset = s3_setup
+    sym = wg.extract_symbol(wg.MultiplierOperator(matrix=np.eye(2)), sset)
     assert np.allclose(sym.values, 1.0, atol=1e-10)
-    sym = wg.extract_symbol(wg.MultiplierOperator.scalar(2, 3.0), table)
+    sym = wg.extract_symbol(wg.MultiplierOperator(matrix=3.0 * np.eye(2)), sset)
     assert np.allclose(sym.values, 3.0, atol=1e-10)
 
 
 def test_symbol_equals_kernel_transform(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     rng = np.random.default_rng(4)
     for _ in range(10):
         h = wg.BiInvariantFunction(random_gfunction(2, rng), part)
         T = wg.multiplier_from_kernel(h, sc)
-        sym = wg.extract_symbol(T, table)
+        sym = wg.extract_symbol(T, sset)
         assert np.allclose(
             sym.values, wg.spherical_transform(h, sset, group, w), atol=1e-9
         )
 
 
 def test_symbol_of_composition_multiplies(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     rng = np.random.default_rng(5)
     h1 = wg.BiInvariantFunction(random_gfunction(2, rng), part)
     h2 = wg.BiInvariantFunction(random_gfunction(2, rng), part)
     T1 = wg.multiplier_from_kernel(h1, sc)
     T2 = wg.multiplier_from_kernel(h2, sc)
-    s1 = wg.extract_symbol(T1, table).values
-    s2 = wg.extract_symbol(T2, table).values
-    s12 = wg.extract_symbol(T1.compose(T2), table).values
+    s1 = wg.extract_symbol(T1, sset).values
+    s2 = wg.extract_symbol(T2, sset).values
+    s12 = wg.extract_symbol(wg.MultiplierOperator(matrix=T1.matrix @ T2.matrix), sset).values
     assert np.max(np.abs(s12 - s1 * s2)) < 1e-9
 
 
 def test_symbol_extraction_rejects_non_multiplier(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     bad = wg.MultiplierOperator(matrix=np.array([[1.0, 5.0], [0.0, 1.0]]))
     ok, _ = wg.is_multiplier(bad, sc)
     if not ok:
         with pytest.raises(NotMultiplierError):
-            wg.extract_symbol(bad, table)
+            wg.extract_symbol(bad, sset)
 
 
 def test_commutation_identity_operator(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     rng = np.random.default_rng(6)
     h = wg.BiInvariantFunction(random_gfunction(2, rng), part)
     T = wg.multiplier_from_kernel(h, sc)
-    assert wg.verify_commutation(T, wg.MultiplierOperator.identity(2)) < 1e-9
+    assert wg.verify_commutation(T, wg.MultiplierOperator(matrix=np.eye(2))) < 1e-9
 
 
 def test_commutation_same_operator_is_exact(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     rng = np.random.default_rng(7)
     h = wg.BiInvariantFunction(random_gfunction(2, rng), part)
     T = wg.multiplier_from_kernel(h, sc)
@@ -237,7 +234,7 @@ def test_commutation_same_operator_is_exact(s3_setup):
 
 
 def test_commutation_random_kernel_pairs(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     rng = np.random.default_rng(8)
     for _ in range(10):
         T1 = wg.multiplier_from_kernel(
@@ -250,7 +247,7 @@ def test_commutation_random_kernel_pairs(s3_setup):
 
 
 def test_multiplier_from_spec(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
+    group, K, part, w, sc, sset = s3_setup
     T = wg.multiplier_from_spec(
         {"kind": "kernel", "coset_values": [[1.0, 0.0], [2.0, -1.0]]}, sc
     )
@@ -266,8 +263,8 @@ def test_multiplier_from_spec(s3_setup):
 
 
 def test_symbol_serialization(s3_setup):
-    group, K, part, w, sc, sset, table = s3_setup
-    sym = wg.extract_symbol(wg.MultiplierOperator.identity(2), table)
+    group, K, part, w, sc, sset = s3_setup
+    sym = wg.extract_symbol(wg.MultiplierOperator(matrix=np.eye(2)), sset)
     blob = sym.to_json()
     assert len(blob["symbol"]) == 2
 
@@ -279,8 +276,7 @@ def test_fourier_table_matches_transform_oracle():
             wg.BiInvariantFunction.indicator(i, part) for i in range(part.num_cosets)
         ]
         oracle = np.array([wg.spherical_transform(f, sset, group, w) for f in indicators])
-        table = wg.build_fourier_table(sset)
-        assert np.allclose(table.matrix, oracle, rtol=1e-12, atol=1e-12), name
+        assert np.allclose(sset.characters.T, oracle, rtol=1e-12, atol=1e-12), name
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +305,7 @@ def test_multiplier_checks_match_loop_oracle(d12_reflection_setup):
             matrix=rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         ),
         wg.MultiplierOperator(matrix=np.diag(np.arange(1.0, d + 1))),
-        wg.MultiplierOperator.scalar(d, 2.0 - 1.0j),
+        wg.MultiplierOperator(matrix=(2.0 - 1.0j) * np.eye(d)),
         wg.MultiplierOperator(matrix=kernels[0].matrix + bump),
     ]
     for T in kernels + others:
@@ -330,17 +326,17 @@ def test_multiplier_checks_match_loop_oracle(d12_reflection_setup):
             assert within(wg.verify_commutation(T1, T2), scale)
             assert within(commutation_oracle(T1, T2, c), d * scale * np.max(np.abs(c)))
 
-    table = wg.build_fourier_table(wg.enumerate_spherical(sc))
+    sset = wg.enumerate_spherical(sc)
     e = part.identity_coset
-    k_order = len(part.cosets[e])
+    k_order = part.sizes[e]
     for T in accepted:
         assert np.allclose(
-            wg.extract_symbol(T, table).values,
-            table.transform_coords(T.matrix[:, e] / k_order),
+            wg.extract_symbol(T, sset).values,
+            T.matrix[:, e] / k_order @ sset.characters.T,
             rtol=1e-12, atol=1e-12,
         )
     with pytest.raises(NotMultiplierError):
-        wg.extract_symbol(others[-1], table)
+        wg.extract_symbol(others[-1], sset)
 
 
 def test_kernel_multipliers_compose_through_the_product(d12_reflection_setup):
@@ -425,16 +421,16 @@ def test_symbol_check_accepts_what_is_multiplier_accepts():
     c2 = wg.cyclic_group(2)
     part = wg.double_cosets(c2, wg.subgroup_closure(c2, []))
     sc = wg.hecke_structure_constants(c2, part, wg.Weight(np.array([1.0, 1e5])))
-    table = wg.build_fourier_table(wg.enumerate_spherical(sc))
+    sset = wg.enumerate_spherical(sc)
     bumped = sc.left(np.array([1.0, 1.0]))
     assert np.max(np.abs(bumped)) == 1e10
     bumped[1, 1] += 1e-3
     T = wg.MultiplierOperator(matrix=bumped)
     assert wg.is_multiplier(T, sc) == (True, None)
-    sym = wg.extract_symbol(T, table).values
-    assert np.array_equal(sym, table.transform_coords(T.matrix[:, 0]))
+    sym = wg.extract_symbol(T, sset).values
+    assert np.array_equal(sym, T.matrix[:, 0] @ sset.characters.T)
 
     bad = wg.MultiplierOperator(matrix=np.diag([1.0, 2.0]).astype(complex))
     assert wg.is_multiplier(bad, sc) == (False, (0, 1))
     with pytest.raises(NotMultiplierError):
-        wg.extract_symbol(bad, table)
+        wg.extract_symbol(bad, sset)

@@ -20,6 +20,7 @@ from conftest import (
     check_subgroup_oracle,
     closure_oracle,
     double_cosets_oracle,
+    gelfand_instances,
     mul_oracle,
     subgroup_closure_oracle,
 )
@@ -97,9 +98,10 @@ def test_group_layer_matches_table_oracle(gens):
         by_elements = wg.subgroup_from_spec(g, {"elements": list(K.elements)})
         for part in (wg.double_cosets(g, K), wg.double_cosets(g, by_elements),
                      wg.double_cosets(table, K)):
-            assert part.cosets == cosets
+            assert part.reps.tolist() == [c[0] for c in cosets]
+            assert part.sizes.tolist() == [len(c) for c in cosets]
             assert np.array_equal(part.coset_of, coset_of)
-            assert part.inverse_coset == tuple(int(coset_of[inv[c[0]]]) for c in cosets)
+            assert part.inverse_coset.tolist() == [int(coset_of[inv[c[0]]]) for c in cosets]
         part = wg.double_cosets(g, K)
         w = wg.uniform_weight(g)
         sc = wg.hecke_structure_constants(g, part, w)
@@ -175,6 +177,29 @@ def test_group_axioms_hold_on_builders():
 
 def test_dihedral_order():
     assert wg.dihedral_group(4).order == 8
+
+
+def test_dihedral_order_is_2n_and_keeps_its_elements():
+    """D_n has order 2n for n = 1..8. For n = 1 and n >= 3 the group is the
+    closure of the n-cycle and the reflection i -> -i, in that element order,
+    which the benchmark workloads compute their indices from."""
+    for n in range(1, 9):
+        g = wg.dihedral_group(n)
+        assert g.order == 2 * n
+        if n != 2:
+            gens = [(1, 0)] if n == 1 else [_cycle(n), tuple((n - i) % n for i in range(n))]
+            assert np.array_equal(g.mul, closure_oracle(gens)[0])
+
+
+def test_dihedral_2_is_the_klein_four_group():
+    """On 2 points the reflection is the identity, which would close to C2;
+    D2 is the Klein four-group: abelian, every other element an involution."""
+    g = wg.dihedral_group(2)
+    x = np.arange(4)
+    mul = g.product(x[:, None], x)
+    assert g.order == 4 and np.array_equal(mul, mul.T)
+    assert np.all(mul[x, x] == g.identity)
+    wg.validate_group(g)
 
 
 def test_group_from_table_roundtrip():
@@ -256,9 +281,39 @@ def test_subgroup_cyclic6_element2():
 
 def test_double_cosets_s3(s3_pair):
     group, K, part = s3_pair
-    assert sorted(part.sizes()) == [2, 4]
-    assert part.sizes()[part.identity_coset] == 2
+    assert sorted(part.sizes.tolist()) == [2, 4]
+    assert part.sizes[part.identity_coset] == 2
     assert part.identity_coset == 0
+
+
+def _c4_with_identity_2():
+    """C4 as a table in which the rotation by a has index label[a], so the
+    identity, and with the trivial K its double coset, is 2."""
+    label = [2, 0, 3, 1]
+    table = np.empty((4, 4), dtype=np.int64)
+    for a, b in itertools.product(range(4), repeat=2):
+        table[label[a], label[b]] = label[(a + b) % 4]
+    return wg.group_from_table(table)
+
+
+def test_partition_fields_match_oracle():
+    """reps, sizes, inverse_coset and identity_coset against the orbit
+    oracle, on the Gelfand instances and on C4 with identity 2."""
+    cases = [(name, g, K) for name, g, K, _, _ in gelfand_instances()]
+    c4 = _c4_with_identity_2()
+    cases.append(("c4-identity-2", c4, wg.subgroup_closure(c4, [])))
+    for name, group, K in cases:
+        part = wg.double_cosets(group, K)
+        cosets, coset_of = double_cosets_oracle(group.mul, K)
+        assert np.array_equal(part.coset_of, coset_of), name
+        assert part.reps.tolist() == [min(c) for c in cosets], name
+        assert np.array_equal(part.sizes, np.bincount(part.coset_of)), name
+        assert part.sizes.tolist() == [len(c) for c in cosets], name
+        want = [int(coset_of[group.inv[c[0]]]) for c in cosets]
+        assert part.inverse_coset.tolist() == want, name
+        assert part.identity_coset == coset_of[group.identity], name
+    # the last case is C4 with identity 2
+    assert part.identity_coset == 2 and part.reps.tolist() == [0, 1, 2, 3]
 
 
 def test_double_cosets_full_subgroup(s3):
@@ -272,12 +327,12 @@ def test_double_cosets_trivial_subgroup(s3):
     K = wg.subgroup_closure(s3, [])
     part = wg.double_cosets(s3, K)
     assert part.num_cosets == 6
-    assert all(len(c) == 1 for c in part.cosets)
+    assert np.all(part.sizes == 1)
 
 
 def test_double_coset_invariants(s4_pair):
     group, K, part = s4_pair
-    sizes = part.sizes()
+    sizes = part.sizes
     assert sum(sizes) == group.order
     for size in sizes:
         assert (K.order ** 2) % size == 0
@@ -317,7 +372,8 @@ def test_double_cosets_settle_in_logarithmic_rounds(monkeypatch, step, given):
 
     monkeypatch.setattr(groups, "_label_round", counted)
     part = wg.double_cosets(g, K)
-    assert part.cosets == tuple(tuple(range(r, n, step)) for r in range(step))
+    assert np.array_equal(part.reps, np.arange(step))
+    assert np.array_equal(part.sizes, np.full(step, n // step))
     assert np.array_equal(part.coset_of, np.arange(n) % step)
     assert len(rounds) <= 2 * np.log2(n)
 
@@ -325,7 +381,7 @@ def test_double_cosets_settle_in_logarithmic_rounds(monkeypatch, step, given):
 def test_double_cosets_idempotent(s3_pair):
     group, K, part = s3_pair
     again = wg.double_cosets(group, K)
-    assert again.cosets == part.cosets
+    assert np.array_equal(again.reps, part.reps)
     assert np.array_equal(again.coset_of, part.coset_of)
 
 

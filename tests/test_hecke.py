@@ -106,7 +106,7 @@ def test_weighted_transfer_invariant(s3_pair):
     for _ in range(10):
         w = random_bi_invariant_weight(part, rng)
         sc = wg.hecke_structure_constants(group, part, w)
-        wd = np.array([w.values[c[0]] for c in part.cosets])
+        wd = w.values[part.reps]
         expected = c1 * wd[:, None, None] * wd[None, :, None] / wd[None, None, :]
         assert np.max(np.abs(structure_tensor(sc) - expected)) < 1e-9
         # commutativity verdict does not depend on the weight

@@ -17,11 +17,12 @@ from conftest import (
     random_bi_invariant_weight,
     random_gfunction,
     refine_oracle,
+    spherical_functions,
 )
 
 
 def coset_value_set(sset):
-    return [phi.coset_values for phi in sset.functions]
+    return list(sset.functions)
 
 
 def test_enumerate_s3_uniform(s3_pair):
@@ -69,14 +70,14 @@ def test_enumeration_is_deterministic(s3_weighted):
     a = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     b = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     for pa, pb in zip(a.functions, b.functions):
-        assert np.array_equal(pa.coset_values, pb.coset_values)
+        assert np.array_equal(pa, pb)
 
 
 def test_functional_equation_characters_on_trivial_subgroup(c4_pair):
     group, K, part = c4_pair
     w = wg.uniform_weight(group)
     for j in range(4):
-        phi = wg.SphericalFunction(
+        phi = wg.BiInvariantFunction(
             np.array([1j ** (j * x) for x in range(4)]), part
         )
         assert wg.verify_functional_equation(phi, group, K, w) < 1e-12
@@ -84,13 +85,13 @@ def test_functional_equation_characters_on_trivial_subgroup(c4_pair):
 
 def test_functional_equation_constant_function(s4_pair):
     group, K, part = s4_pair
-    phi = wg.SphericalFunction(np.ones(part.num_cosets, dtype=complex), part)
+    phi = wg.BiInvariantFunction(np.ones(part.num_cosets, dtype=complex), part)
     assert wg.verify_functional_equation(phi, group, K, wg.uniform_weight(group)) < 1e-12
 
 
 def test_functional_equation_rejects_wrong_sign(s3_pair):
     group, K, part = s3_pair
-    phi = wg.SphericalFunction(np.array([1.0, 0.5]), part)
+    phi = wg.BiInvariantFunction(np.array([1.0, 0.5]), part)
     assert wg.verify_functional_equation(phi, group, K, wg.uniform_weight(group)) > 0.1
 
 
@@ -103,7 +104,7 @@ def test_eigen_property_sharp_delta(s3_pair):
     f = wg.BiInvariantFunction.from_gfunction(
         wg.sharp_projection(delta_e, group, K), part
     )
-    for phi in sset.functions:
+    for phi in spherical_functions(sset):
         chi, residual = wg.verify_eigen_property(f, phi, group, w)
         assert residual < 1e-9
 
@@ -111,7 +112,7 @@ def test_eigen_property_sharp_delta(s3_pair):
 def test_eigen_property_constant_phi(s4_pair):
     group, K, part = s4_pair
     w = wg.uniform_weight(group)
-    phi = wg.SphericalFunction(np.ones(part.num_cosets, dtype=complex), part)
+    phi = wg.BiInvariantFunction(np.ones(part.num_cosets, dtype=complex), part)
     rng = np.random.default_rng(0)
     f = wg.BiInvariantFunction(random_gfunction(part.num_cosets, rng), part)
     chi, residual = wg.verify_eigen_property(f, phi, group, w)
@@ -124,7 +125,7 @@ def test_eigen_property_zero_function(s3_pair):
     w = wg.uniform_weight(group)
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     f = wg.BiInvariantFunction(np.zeros(part.num_cosets, dtype=complex), part)
-    chi, residual = wg.verify_eigen_property(f, sset.functions[0], group, w)
+    chi, residual = wg.verify_eigen_property(f, spherical_functions(sset)[0], group, w)
     assert chi == 0
     assert residual == 0
 
@@ -134,26 +135,26 @@ def test_character_multiplicativity(s3_weighted):
     sc = wg.hecke_structure_constants(group, part, w)
     sset = wg.enumerate_spherical(sc)
     c = dense_c_oracle(group, part, w)
-    for _, chi in sset:
+    for chi in sset.characters:
         for i in range(sc.dim):
             for j in range(sc.dim):
-                lhs = chi(i) * chi(j)
-                rhs = np.sum(c[i, j] * chi.values)
+                lhs = chi[i] * chi[j]
+                rhs = np.sum(c[i, j] * chi)
                 assert abs(lhs - rhs) < 1e-9
 
 
 def test_classical_correspondence(s3_weighted):
     group, K, part, w = s3_weighted
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
-    for phi in sset.functions:
+    for phi in spherical_functions(sset):
         assert wg.classical_correspondence(phi, group, K, w)
         assert wg.verify_functional_equation(phi, group, K, w) < 1e-9
     # w * phi recovers the classical solutions
-    wd = np.array([w.values[c[0]] for c in part.cosets])
-    scaled = [phi.coset_values * wd for phi in sset.functions]
+    wd = w.values[part.reps]
+    scaled = [phi * wd for phi in sset.functions]
     assert match_sets(scaled, [np.array([1, 1.0]), np.array([1, -0.5])], 1e-9)
     # a random non-solution fails both sides
-    bad = wg.SphericalFunction(np.array([1.0, 0.7]), part)
+    bad = wg.BiInvariantFunction(np.array([1.0, 0.7]), part)
     assert not wg.classical_correspondence(bad, group, K, w)
     assert wg.verify_functional_equation(bad, group, K, w) > 1e-3
 
@@ -165,7 +166,7 @@ def test_phi_e_equals_one_and_count(s4_pair):
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     assert len(sset) == part.num_cosets
     for phi in sset.functions:
-        assert abs(phi.coset_values[part.identity_coset] - 1.0) < 1e-9
+        assert abs(phi[part.identity_coset] - 1.0) < 1e-9
 
 
 def test_eigen_route_matches_brute_force_s3(s3_pair, s3_weighted):
@@ -201,10 +202,10 @@ def test_spherical_set_serialization(s3_pair):
 def multiplicities(sset, group, part, w):
     """m_s = |G| / sum_i |chi_s(delta_i) / (w_i |D_i|)|^2 |D_i|: the dimension
     of the representation behind each spherical function."""
-    sizes = np.array(part.sizes())
-    wd = np.array([w.values[c[0]] for c in part.cosets])
+    sizes = part.sizes
+    wd = w.values[part.reps]
     return np.array([
-        group.order / np.sum(np.abs(chi.values / (wd * sizes)) ** 2 * sizes)
+        group.order / np.sum(np.abs(chi / (wd * sizes)) ** 2 * sizes)
         for chi in sset.characters
     ])
 
@@ -224,7 +225,7 @@ def test_elementary_abelian_needs_three_refinements():
     w = wg.uniform_weight(group)
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
     assert len(sset) == 8
-    for phi in sset.functions:
+    for phi in spherical_functions(sset):
         assert wg.verify_functional_equation(phi, group, K, w) < 1e-12
     m = multiplicities(sset, group, part, w)
     assert np.allclose(m, 1.0, atol=1e-9)
@@ -262,7 +263,7 @@ def test_character_order_matches_rounded_key_oracle():
                       random_bi_invariant_weight(part, rng, unit_at_identity=True)))
     for name, group, K, part, w in cases:
         sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
-        chars = np.array([chi.values for chi in sset.characters])
+        chars = sset.characters
         assert character_order_oracle(chars) == list(range(len(chars))), name
         # shuffled, with every row twice: ties must keep their order
         rows = np.vstack([chars, chars])[rng.permutation(2 * len(chars))]
@@ -377,8 +378,8 @@ def test_refinement_matches_the_per_block_oracle():
     for name, group, K, part, w in cases:
         sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
         chars, phis = refine_oracle(wg.hecke_structure_constants(group, part, w))
-        got_chars = np.array([chi.values for chi in sset.characters])
-        got_phis = np.array([phi.coset_values for phi in sset.functions])
+        got_chars = sset.characters
+        got_phis = sset.functions
         for got, want in ((got_chars, chars), (got_phis, phis)):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
 

@@ -8,6 +8,7 @@ from wgelfand.errors import InputSpecError
 
 from conftest import (
     classical_convolve_oracle,
+    double_cosets_oracle,
     forbid_table,
     mul_oracle,
     random_bi_invariant_weight,
@@ -130,9 +131,9 @@ def test_g_level_helpers_never_read_the_table(monkeypatch):
     for group in (g, table):
         K = wg.subgroup_closure(group, [int(g.generators[-1])])
         part = wg.double_cosets(group, K)
-        phi = wg.enumerate_spherical(
+        phi = wg.BiInvariantFunction(wg.enumerate_spherical(
             wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
-        ).functions[-1]
+        ).functions[-1], part)
         projected = wg.sharp_projection(f, group, K)
         results.append([
             wg.translate(f, group, 3),
@@ -243,6 +244,25 @@ def test_weight_checks_witness(s3_pair):
     x, y = wg.bi_invariance_witness(w, part)
     assert part.coset_of[x] == part.coset_of[y]
     assert w.values[x] != w.values[y]
+
+
+def test_bi_invariance_witness_walks_coset_by_coset():
+    """S4 over <(0 1)>: coset 2 is (5, 7, 9, 12) and coset 3 is
+    (8, 10, 11, 13). With w broken at 12 and at 10, the first non-constant
+    coset is 2, so the witness is (5, 12), although 10 < 12: the members
+    are walked coset by coset, each coset in increasing order."""
+    group = wg.symmetric_group(4)
+    K = wg.subgroup_closure(group, [1])
+    part = wg.double_cosets(group, K)
+    cosets, _ = double_cosets_oracle(group.mul, K)
+    assert cosets[2] == (5, 7, 9, 12) and cosets[3] == (8, 10, 11, 13)
+    vals = np.ones(group.order)
+    vals[[12, 10]] = [2.0, 3.0]
+    w = wg.Weight(vals)
+    first = next((c[0], x) for c in cosets for x in c if vals[x] != vals[c[0]])
+    assert wg.bi_invariance_witness(w, part) == first == (5, 12)
+    with pytest.raises(wg.BiInvarianceError, match="elements 5 and 12 "):
+        wg.hecke_structure_constants(group, part, w)
 
 
 def test_sharp_convolution_identities(s3_pair):
