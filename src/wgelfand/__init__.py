@@ -21,9 +21,7 @@ from .fourier import (
     is_multiplier,
     multiplier_from_kernel,
     multiplier_from_spec,
-    spherical_transform,
     verify_commutation,
-    verify_convolution_theorem,
 )
 from .groups import (
     DoubleCosetPartition,
@@ -38,7 +36,6 @@ from .groups import (
     group_from_spec,
     group_from_table,
     inversion_automorphism,
-    point_stabilizer,
     subgroup_closure,
     subgroup_from_spec,
     symmetric_group,
@@ -56,30 +53,16 @@ from .hecke import (
 )
 from .spherical import (
     SphericalSet,
-    classical_correspondence,
     enumerate_spherical,
-    verify_eigen_property,
-    verify_functional_equation,
 )
 from .weighted import (
     BiInvariantFunction,
     Weight,
     WeightFlags,
     bi_invariance_witness,
-    classical_convolve,
-    gamma,
-    is_bi_invariant,
-    is_left_invariant,
-    multiplication_operator,
-    reflect,
-    sharp_projection,
-    theta_pullback,
-    translate,
     uniform_weight,
     weight_checks,
     weight_from_spec,
-    weighted_convolve,
-    weighted_l1_norm,
 )
 
 __version__ = "0.1.0"

@@ -52,8 +52,9 @@ class NotGelfandError(WGelfandError):
 
 class DegenerateSpectrumError(WGelfandError):
     """The spectral step failed: the joint spectrum split into fewer than d
-    lines, a character failed multiplicativity, or the structure constants
-    overflowed."""
+    lines, a character failed multiplicativity, or a computed value (the
+    structure constants, the spherical functions, a multiplier symbol or a
+    commutation residual) is not finite."""
 
 
 class NotMultiplierError(WGelfandError):

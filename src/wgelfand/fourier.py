@@ -3,8 +3,8 @@
 Everything here works in coset coordinates: bi-invariant functions are
 vectors of length d, operators are d x d matrices (the product with h is
 `StructureConstants.left(h)`), and the transform of delta_i is the character
-value chi_s(delta_i). The G-level sums (`spherical_transform`,
-`verify_convolution_theorem`) are test oracles.
+value chi_s(delta_i). The transform as a sum over G and the convolution
+theorem on G are checked by the reference code in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -14,30 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputSpecError, NotMultiplierError
-from .groups import GroupTable
+from .errors import DegenerateSpectrumError, InputSpecError, NotMultiplierError
 from .hecke import StructureConstants
 from .spherical import SphericalSet, complex_pairs
 from .tolerance import within
-from .weighted import BiInvariantFunction, Weight, json_number
-
-
-def spherical_transform(
-    f: BiInvariantFunction,
-    sset: SphericalSet,
-    group: GroupTable,
-    w: Weight,
-) -> np.ndarray:
-    """F(f)(phi_s) = sum_x w(x) f(x) w(x^-1) phi_s(x^-1), in SphericalSet order.
-
-    Sums over G; a test oracle for `sset.characters @ f.coset_values`."""
-    if not np.array_equal(f.partition.coset_of, sset.partition.coset_of):
-        raise InputSpecError("function and spherical set use different partitions")
-    f_g = f.expand() * w.values
-    out = np.empty(len(sset), dtype=complex)
-    for s, phi in enumerate(sset.functions):
-        out[s] = np.sum(f_g * (phi[sset.partition.coset_of] * w.values)[group.inv])
-    return out
+from .weighted import BiInvariantFunction, json_number
 
 
 def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
@@ -52,36 +33,12 @@ def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
     return rank, cond
 
 
-def verify_convolution_theorem(
-    f: BiInvariantFunction,
-    g: BiInvariantFunction,
-    sset: SphericalSet,
-    group: GroupTable,
-    w: Weight,
-) -> float:
-    """Residual of F(f *_w g) = F(f) F(g), max over spherical functions."""
-    from .weighted import weighted_convolve
-
-    conv = weighted_convolve(f.expand(), g.expand(), group, w)
-    conv_bi = BiInvariantFunction.from_gfunction(conv, sset.partition)
-    lhs = spherical_transform(conv_bi, sset, group, w)
-    rhs = spherical_transform(f, sset, group, w) * spherical_transform(g, sset, group, w)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 @dataclass(frozen=True)
 class MultiplierOperator:
     """A linear operator on coset coordinates, optionally born from a kernel."""
 
     matrix: np.ndarray
     kernel: Optional[BiInvariantFunction] = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, coords: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(coords, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -132,13 +89,17 @@ def extract_symbol(T: MultiplierOperator, sset: SphericalSet) -> MultiplierSymbo
     max|T - L_{T u}| times sum_j |F[j, s]|: each column is compared at
     max(1, max|T|) times that sum, the bound that passing `is_multiplier`
     gives, so an operator it accepts is not rejected here (up to rounding).
+    A symbol or residual that is not finite raises DegenerateSpectrumError.
     """
     F = sset.characters.T
-    FT = T.matrix.T @ F
     e = sset.partition.identity_coset
-    symbol = FT[e] / F[e]
-    residual = np.max(np.abs(FT - F * symbol[None, :]), axis=0)
-    scale = max(1.0, float(np.max(np.abs(T.matrix)))) * np.sum(np.abs(F), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        FT = T.matrix.T @ F
+        symbol = FT[e] / F[e]
+        residual = np.max(np.abs(FT - F * symbol[None, :]), axis=0)
+        scale = max(1.0, float(np.max(np.abs(T.matrix)))) * np.sum(np.abs(F), axis=0)
+    if not (np.all(np.isfinite(symbol)) and np.all(np.isfinite(residual))):
+        raise DegenerateSpectrumError("multiplier symbol overflows: operator entries too large")
     if not np.all(within(residual, scale)):
         raise NotMultiplierError(
             f"symbol verification failed on the basis (residual {np.max(residual):g})"
@@ -151,10 +112,15 @@ def verify_commutation(T1: MultiplierOperator, T2: MultiplierOperator) -> float:
 
     Multipliers satisfy T(f * g) = T f * g = f * T g, so
     T1 f * T2 g - T2 f * T1 g = [T1, T2](f * g); the algebra has a unit, so
-    this vanishes for all f, g exactly when the matrix commutator does.
+    this vanishes for all f, g exactly when the matrix commutator does. A
+    residual that is not finite raises DegenerateSpectrumError.
     """
     a, b = T1.matrix, T2.matrix
-    return float(np.max(np.abs(a @ b - b @ a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(a @ b - b @ a)))
+    if not np.isfinite(residual):
+        raise DegenerateSpectrumError("commutation residual overflows: operator entries too large")
+    return residual
 
 
 def multiplier_from_spec(spec: dict, sc: StructureConstants) -> MultiplierOperator:

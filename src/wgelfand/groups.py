@@ -136,17 +136,6 @@ class GroupTable:
         x = np.arange(self.order)
         return self.product(x[:, None], x[None, :])
 
-    def multiply(self, x: int, y: int) -> int:
-        return int(self.product(x, y))
-
-    def inverse(self, x: int) -> int:
-        return int(self.inv[x])
-
-    def is_abelian(self) -> bool:
-        """Whether the generators commute pairwise."""
-        g = self.generators
-        return bool(np.array_equal(self.product(g[:, None], g), self.product(g, g[:, None])))
-
 
 @dataclass(frozen=True)
 class SubgroupEmbedding:
@@ -160,9 +149,6 @@ class SubgroupEmbedding:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
 
 
 @dataclass(frozen=True)
@@ -190,9 +176,6 @@ class GroupAutomorphism:
 
     perm: np.ndarray
     involutive: bool
-
-    def __call__(self, x: int) -> int:
-        return int(self.perm[x])
 
 
 def _integers(value, what: str, ndim: int) -> np.ndarray:
@@ -443,23 +426,6 @@ def subgroup_closure(group: GroupTable, seeds: Sequence[int]) -> SubgroupEmbeddi
     return SubgroupEmbedding(
         elements=tuple(np.flatnonzero(members).tolist()), generators=tuple(gens.tolist())
     )
-
-
-def point_stabilizer(group: GroupTable, generators: Sequence[Sequence[int]], point: int) -> SubgroupEmbedding:
-    """Stabilizer of a point for a group built from permutation generators.
-
-    Only valid when `group` was produced by build_group_from_generators with
-    the same generator list; used by tests to form S_{n-1}-type subgroups.
-    Generators whose closure differs from group.perms element by element
-    (another group, or the same group in another order) are rejected.
-    """
-    try:
-        perms = _closure(generators, element_cap=group.order)[0]
-    except SizeLimitError:
-        perms = None
-    if perms is None or group.perms is None or not np.array_equal(perms, group.perms):
-        raise InputSpecError("generators do not regenerate this group")
-    return SubgroupEmbedding(elements=tuple(np.flatnonzero(perms[:, point] == point).tolist()))
 
 
 def _label_round(label: np.ndarray, neighbours: np.ndarray) -> np.ndarray:

@@ -60,10 +60,6 @@ class StructureConstants:
         flat = np.bincount(kj, g.real, d * d) + 1j * np.bincount(kj, g.imag, d * d)
         return flat.reshape(d, d) * (self.wd[None, :] / self.wd[:, None])
 
-    def convolve_coords(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Coordinates of (sum u_i delta_i) *_w (sum v_j delta_j)."""
-        return self.left(u) @ np.asarray(v, dtype=complex)
-
     @cached_property
     def commutativity_witness(self) -> Optional[tuple[int, int, int]]:
         """None if the algebra commutes, else (i, j, x) at the first (i, j, k)

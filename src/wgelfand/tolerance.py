@@ -8,17 +8,21 @@
    w(e) = 1. The precondition w(e) = 1 is tested in one place,
    `enumerate_spherical`, by one exact comparison of the identity coset's
    entry of `StructureConstants.wd`, which is w(e) as w is bi-invariant;
-   `Weight.unit_at_identity` reads the same equality for the report's flag
-   and the G-level oracles.
+   `Weight.unit_at_identity` reads the same equality for the report's flag.
 2. A computed quantity passes when its residual is at most
    RTOL * max(1, scale), where scale is the magnitude of what the residual
    compares (1 where a check has none). A NaN residual fails. This covers
    the character multiplicativity, the eigenvalue split, the multiplier
-   identity T = L_{T u}, the symbol residual, the kernel match, the Fourier
-   rank cut and the test oracles. The commutation residual is reported only.
+   identity T = L_{T u}, the symbol residual, the kernel match and the
+   Fourier rank cut. The commutation residual is reported only.
+3. A computed value that is not finite is a numerical degeneracy, not a
+   result: it raises `DegenerateSpectrumError` (exit 3), and never reaches
+   the report. This covers the structure constants (`max_constant`), the
+   weighted spherical functions and characters, the multiplier symbol and
+   its residual, and the commutation residual.
 
 The Gelfand verdict and the group axioms of a table (`validate_group`,
-Light's associativity test) need neither: they are exact tests on integers.
+Light's associativity test) need no tolerance: they are exact tests on integers.
 Reference: Higham, Accuracy and Stability of Numerical Algorithms (2002),
 ch. 1-2.
 """

@@ -1,8 +1,10 @@
-"""Weights, the weighted L1 norm and convolution, projections and pullbacks.
+"""Weights, their invariance checks, and bi-invariant functions.
 
-Functions on G are plain complex numpy arrays of length |G|. Integrals over G
-are sums with counting measure; integrals over K are normalized averages
-(1/|K|) * sum, so the subgroup carries total mass 1.
+A weight is a strictly positive value per element of G, read from a spec;
+its invariance properties are compared exactly. Once it is known to be
+K-bi-invariant, the pipeline reads it as one value per double coset, the
+form in which bi-invariant functions are stored. The weighted convolution
+and the other definitions on G are reference code in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputSpecError, PreconditionError
-from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable, SubgroupEmbedding
-from .tolerance import RTOL
+from .errors import InputSpecError
+from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable
 
 
 @dataclass(frozen=True)
@@ -30,13 +31,6 @@ class Weight:
         if not np.all(np.isfinite(vals) & (vals > 0)):
             raise InputSpecError("weight must be finite and strictly positive")
         object.__setattr__(self, "values", vals)
-
-    def __getitem__(self, x) -> float:
-        return self.values[x]
-
-    def reflect(self, group: GroupTable) -> "Weight":
-        """The weight x -> w(x^-1)."""
-        return Weight(self.values[group.inv])
 
     def unit_at_identity(self, group: GroupTable) -> bool:
         """w(e) = 1, exactly: the one test of this precondition."""
@@ -148,88 +142,6 @@ def weight_checks(
     )
 
 
-def weighted_l1_norm(f: np.ndarray, w: Weight) -> float:
-    """sum_x |f(x)| w(x)."""
-    return float(np.sum(np.abs(f) * w.values))
-
-
-def classical_convolve(f: np.ndarray, g: np.ndarray, group: GroupTable) -> np.ndarray:
-    """(f * g)(x) = sum_y f(y) g(y^-1 x)."""
-    return np.asarray(f, dtype=complex) @ np.asarray(g, dtype=complex)[_left_quotients(group)]
-
-def weighted_convolve(
-    f: np.ndarray, g: np.ndarray, group: GroupTable, w: Weight
-) -> np.ndarray:
-    """(f *_w g)(x) = sum_y f(y) g(y^-1 x) w(y) w(y^-1 x) / w(x)."""
-    fw = np.asarray(f, dtype=complex) * w.values
-    gw = np.asarray(g, dtype=complex) * w.values
-    return fw @ gw[_left_quotients(group)] / w.values
-
-
-def _left_quotients(group: GroupTable) -> np.ndarray:
-    """The |G| x |G| array of y^-1 x, row y and column x."""
-    x = np.arange(group.order)
-    return group.product(group.inv[:, None], x)
-
-
-def multiplication_operator(f: np.ndarray, w: Weight) -> np.ndarray:
-    """(M_w f)(x) = w(x) f(x)."""
-    return np.asarray(f, dtype=complex) * w.values
-
-
-def translate(f: np.ndarray, group: GroupTable, s: int) -> np.ndarray:
-    """(tau_s f)(x) = f(s^-1 x)."""
-    return np.asarray(f, dtype=complex)[group.product(group.inverse(s), np.arange(group.order))]
-
-
-def gamma(f: np.ndarray, group: GroupTable, s: int, w: Weight) -> np.ndarray:
-    """Weighted translation: tau_s(M_w f) / w."""
-    return translate(multiplication_operator(f, w), group, s) / w.values
-
-
-def sharp_projection(f: np.ndarray, group: GroupTable, K: SubgroupEmbedding) -> np.ndarray:
-    """Two-sided K-average (1/|K|^2) sum_{k1,k2} f(k1 x k2).
-
-    Idempotent, lands in the bi-invariant functions, and preserves sum_G f.
-    """
-    f = np.asarray(f, dtype=complex)
-    x = np.arange(group.order)
-    left = np.zeros_like(f)
-    for k in K.elements:
-        left += f[group.product(k, x)]
-    out = np.zeros_like(f)
-    for k in K.elements:
-        out += left[group.product(x, k)]
-    return out / (K.order ** 2)
-
-
-def theta_pullback(f: np.ndarray, theta: GroupAutomorphism) -> np.ndarray:
-    """f^theta(x) = f(theta(x))."""
-    return np.asarray(f, dtype=complex)[theta.perm]
-
-
-def reflect(f: np.ndarray, group: GroupTable) -> np.ndarray:
-    """f-check(x) = f(x^-1)."""
-    return np.asarray(f, dtype=complex)[group.inv]
-
-
-def is_bi_invariant(
-    f: np.ndarray, partition: DoubleCosetPartition, tol: float = RTOL
-) -> bool:
-    f = np.asarray(f)
-    return bool(np.all(np.abs(f - f[partition.reps][partition.coset_of]) <= tol))
-
-
-def is_left_invariant(
-    f: np.ndarray, group: GroupTable, K: SubgroupEmbedding, tol: float = RTOL
-) -> bool:
-    f = np.asarray(f)
-    return all(
-        np.max(np.abs(f[group.product(k, np.arange(group.order))] - f)) <= tol
-        for k in K.elements
-    )
-
-
 @dataclass(frozen=True)
 class BiInvariantFunction:
     """A K-bi-invariant function stored by its value on each double coset."""
@@ -242,24 +154,3 @@ class BiInvariantFunction:
         if vals.shape != (self.partition.num_cosets,):
             raise InputSpecError("one value per double coset required")
         object.__setattr__(self, "coset_values", vals)
-
-    def expand(self) -> np.ndarray:
-        """The underlying function on all of G."""
-        return self.coset_values[self.partition.coset_of]
-
-    @classmethod
-    def from_gfunction(
-        cls,
-        f: np.ndarray,
-        partition: DoubleCosetPartition,
-    ) -> "BiInvariantFunction":
-        f = np.asarray(f, dtype=complex)
-        if not is_bi_invariant(f, partition):
-            raise PreconditionError("function is not constant on double cosets")
-        return cls(coset_values=f[partition.reps], partition=partition)
-
-    @classmethod
-    def indicator(cls, i: int, partition: DoubleCosetPartition) -> "BiInvariantFunction":
-        vals = np.zeros(partition.num_cosets, dtype=complex)
-        vals[i] = 1.0
-        return cls(coset_values=vals, partition=partition)

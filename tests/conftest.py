@@ -17,6 +17,8 @@ import wgelfand as wg
 from wgelfand.errors import DegenerateSpectrumError
 from wgelfand.tolerance import within
 
+import oracles
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -280,7 +282,7 @@ def is_multiplier_oracle(T, c, tol=1e-9):
     scale = max(1.0, float(np.max(np.abs(T.matrix))), float(np.max(np.abs(c))))
     for i in range(d):
         for j in range(d):
-            lhs = T.apply(c[i, j])
+            lhs = T.matrix @ c[i, j]
             rhs = T.matrix[:, i] @ c[:, j]
             if np.max(np.abs(lhs - rhs)) > tol * scale:
                 return False, (i, j)
@@ -389,7 +391,7 @@ def gelfand_instances():
     out.append(("s3-weighted", s3, K3, p3, w))
     gens4 = wg.symmetric_group_generators(4)
     s4 = wg.build_group_from_generators(gens4)
-    K4 = wg.point_stabilizer(s4, gens4, 3)
+    K4 = oracles.point_stabilizer(s4, 3)
     p4 = wg.double_cosets(s4, K4)
     out.append(("s4-uniform", s4, K4, p4, wg.uniform_weight(s4)))
     out.append(("s4-weighted", s4, K4, p4,
@@ -428,7 +430,7 @@ def s3_weighted(s3_pair):
 def s4_pair():
     gens = wg.symmetric_group_generators(4)
     group = wg.build_group_from_generators(gens)
-    K = wg.point_stabilizer(group, gens, 3)
+    K = oracles.point_stabilizer(group, 3)
     return group, K, wg.double_cosets(group, K)
 
 

@@ -1,0 +1,247 @@
+"""G-level reference code: the paper's objects defined on all of G.
+
+The library computes in coset coordinates from the integer intersection
+numbers. The functions here are the definitions on G that those results are
+checked against: the weighted convolution, the two-sided K-average, the
+weighted translation, the spherical functional equation and the transform
+as a sum over G. Functions on G are plain complex numpy arrays of length
+|G|. Integrals over G are sums with counting measure; integrals over K are
+normalized averages (1/|K|) * sum, so the subgroup carries total mass 1.
+Most of them form a |G|^2 array or sum over G x G, so they suit small groups.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wgelfand import (
+    BiInvariantFunction,
+    DoubleCosetPartition,
+    GroupAutomorphism,
+    GroupTable,
+    InputSpecError,
+    PreconditionError,
+    SphericalSet,
+    SubgroupEmbedding,
+    Weight,
+    uniform_weight,
+)
+from wgelfand.tolerance import RTOL, within
+
+
+# ---------------------------------------------------------------- groups
+
+
+def is_abelian(group: GroupTable) -> bool:
+    """Whether the generators commute pairwise."""
+    g = group.generators
+    return bool(np.array_equal(group.product(g[:, None], g), group.product(g, g[:, None])))
+
+
+def point_stabilizer(group: GroupTable, point: int) -> SubgroupEmbedding:
+    """Stabiliser of a point in a group built from permutations, read off
+    the group's own permutations."""
+    fixed = np.flatnonzero(group.perms[:, point] == point)
+    return SubgroupEmbedding(elements=tuple(fixed.tolist()))
+
+
+# ---------------------------------------------------------------- functions on G
+
+
+def weighted_l1_norm(f: np.ndarray, w: Weight) -> float:
+    """sum_x |f(x)| w(x)."""
+    return float(np.sum(np.abs(f) * w.values))
+
+
+def classical_convolve(f: np.ndarray, g: np.ndarray, group: GroupTable) -> np.ndarray:
+    """(f * g)(x) = sum_y f(y) g(y^-1 x)."""
+    return np.asarray(f, dtype=complex) @ np.asarray(g, dtype=complex)[_left_quotients(group)]
+
+
+def weighted_convolve(
+    f: np.ndarray, g: np.ndarray, group: GroupTable, w: Weight
+) -> np.ndarray:
+    """(f *_w g)(x) = sum_y f(y) g(y^-1 x) w(y) w(y^-1 x) / w(x)."""
+    fw = np.asarray(f, dtype=complex) * w.values
+    gw = np.asarray(g, dtype=complex) * w.values
+    return fw @ gw[_left_quotients(group)] / w.values
+
+
+def _left_quotients(group: GroupTable) -> np.ndarray:
+    """The |G| x |G| array of y^-1 x, row y and column x."""
+    x = np.arange(group.order)
+    return group.product(group.inv[:, None], x)
+
+
+def multiplication_operator(f: np.ndarray, w: Weight) -> np.ndarray:
+    """(M_w f)(x) = w(x) f(x)."""
+    return np.asarray(f, dtype=complex) * w.values
+
+
+def translate(f: np.ndarray, group: GroupTable, s: int) -> np.ndarray:
+    """(tau_s f)(x) = f(s^-1 x)."""
+    return np.asarray(f, dtype=complex)[group.product(group.inv[s], np.arange(group.order))]
+
+
+def gamma(f: np.ndarray, group: GroupTable, s: int, w: Weight) -> np.ndarray:
+    """Weighted translation: tau_s(M_w f) / w."""
+    return translate(multiplication_operator(f, w), group, s) / w.values
+
+
+def sharp_projection(f: np.ndarray, group: GroupTable, K: SubgroupEmbedding) -> np.ndarray:
+    """Two-sided K-average (1/|K|^2) sum_{k1,k2} f(k1 x k2).
+
+    Idempotent, lands in the bi-invariant functions, and preserves sum_G f.
+    """
+    f = np.asarray(f, dtype=complex)
+    x = np.arange(group.order)
+    left = np.zeros_like(f)
+    for k in K.elements:
+        left += f[group.product(k, x)]
+    out = np.zeros_like(f)
+    for k in K.elements:
+        out += left[group.product(x, k)]
+    return out / (K.order ** 2)
+
+
+def theta_pullback(f: np.ndarray, theta: GroupAutomorphism) -> np.ndarray:
+    """f^theta(x) = f(theta(x))."""
+    return np.asarray(f, dtype=complex)[theta.perm]
+
+
+def reflect(f: np.ndarray, group: GroupTable) -> np.ndarray:
+    """f-check(x) = f(x^-1)."""
+    return np.asarray(f, dtype=complex)[group.inv]
+
+
+def is_bi_invariant(
+    f: np.ndarray, partition: DoubleCosetPartition, tol: float = RTOL
+) -> bool:
+    f = np.asarray(f)
+    return bool(np.all(np.abs(f - f[partition.reps][partition.coset_of]) <= tol))
+
+
+def is_left_invariant(
+    f: np.ndarray, group: GroupTable, K: SubgroupEmbedding, tol: float = RTOL
+) -> bool:
+    f = np.asarray(f)
+    return all(
+        np.max(np.abs(f[group.product(k, np.arange(group.order))] - f)) <= tol
+        for k in K.elements
+    )
+
+
+# ---------------------------------------------------------------- bi-invariant functions
+
+
+def expand(f: BiInvariantFunction) -> np.ndarray:
+    """The underlying function on all of G."""
+    return f.coset_values[f.partition.coset_of]
+
+
+def from_gfunction(f: np.ndarray, partition: DoubleCosetPartition) -> BiInvariantFunction:
+    """A function on G that is constant on double cosets, in coset coordinates."""
+    f = np.asarray(f, dtype=complex)
+    if not is_bi_invariant(f, partition):
+        raise PreconditionError("function is not constant on double cosets")
+    return BiInvariantFunction(coset_values=f[partition.reps], partition=partition)
+
+
+def indicator(i: int, partition: DoubleCosetPartition) -> BiInvariantFunction:
+    """The indicator delta_i of double coset i."""
+    vals = np.zeros(partition.num_cosets, dtype=complex)
+    vals[i] = 1.0
+    return BiInvariantFunction(coset_values=vals, partition=partition)
+
+
+# ---------------------------------------------------------------- spherical functions
+
+
+def verify_functional_equation(
+    phi: BiInvariantFunction,
+    group: GroupTable,
+    K: SubgroupEmbedding,
+    w: Weight,
+) -> float:
+    """Max over (x, y) of |(1/|K|) sum_k (w phi)(x k y) - (w phi)(x)(w phi)(y)|."""
+    mphi = expand(phi) * w.values
+    x = np.arange(group.order)
+    acc = np.zeros((group.order, group.order), dtype=complex)
+    for k in K.elements:
+        acc += mphi[group.product(group.product(x, k)[:, None], x)]
+    acc /= K.order
+    return float(np.max(np.abs(acc - np.outer(mphi, mphi))))
+
+
+def verify_eigen_property(
+    f: BiInvariantFunction,
+    phi: BiInvariantFunction,
+    group: GroupTable,
+    w: Weight,
+) -> tuple[complex, float]:
+    """Check f *_w phi = chi(f) phi with chi(f) = sum_x (wf)(x) (w phi)(x^-1).
+
+    Returns (chi(f), sup-norm residual). Requires w(e) = 1 and phi(e) = 1.
+    """
+    if not w.unit_at_identity(group):
+        raise PreconditionError("eigen property requires w(e) = 1")
+    phi_g = expand(phi)
+    if not within(abs(phi_g[group.identity] - 1.0)):
+        raise PreconditionError("spherical function must have phi(e) = 1")
+    f_g = expand(f)
+    chi = complex(np.sum(f_g * w.values * (phi_g * w.values)[group.inv]))
+    conv = weighted_convolve(f_g, phi_g, group, w)
+    residual = float(np.max(np.abs(conv - chi * phi_g)))
+    return chi, residual
+
+
+def classical_correspondence(
+    phi: BiInvariantFunction,
+    group: GroupTable,
+    K: SubgroupEmbedding,
+    w: Weight,
+) -> bool:
+    """True iff w*phi solves the unweighted spherical equation.
+
+    Equivalent to verify_functional_equation(phi, ..., w) passing the
+    tolerance: the same averaged products appear with weight folded into the
+    function.
+    """
+    scaled = BiInvariantFunction(phi.coset_values * w.values[phi.partition.reps], phi.partition)
+    return bool(within(verify_functional_equation(scaled, group, K, uniform_weight(group))))
+
+
+# ---------------------------------------------------------------- transform
+
+
+def spherical_transform(
+    f: BiInvariantFunction,
+    sset: SphericalSet,
+    group: GroupTable,
+    w: Weight,
+) -> np.ndarray:
+    """F(f)(phi_s) = sum_x w(x) f(x) w(x^-1) phi_s(x^-1), in SphericalSet order.
+
+    Sums over G; the reference for `sset.characters @ f.coset_values`."""
+    if not np.array_equal(f.partition.coset_of, sset.partition.coset_of):
+        raise InputSpecError("function and spherical set use different partitions")
+    f_g = expand(f) * w.values
+    out = np.empty(len(sset), dtype=complex)
+    for s, phi in enumerate(sset.functions):
+        out[s] = np.sum(f_g * (phi[sset.partition.coset_of] * w.values)[group.inv])
+    return out
+
+
+def verify_convolution_theorem(
+    f: BiInvariantFunction,
+    g: BiInvariantFunction,
+    sset: SphericalSet,
+    group: GroupTable,
+    w: Weight,
+) -> float:
+    """Residual of F(f *_w g) = F(f) F(g), max over spherical functions."""
+    conv = weighted_convolve(expand(f), expand(g), group, w)
+    conv_bi = from_gfunction(conv, sset.partition)
+    lhs = spherical_transform(conv_bi, sset, group, w)
+    rhs = spherical_transform(f, sset, group, w) * spherical_transform(g, sset, group, w)
+    return float(np.max(np.abs(lhs - rhs)))

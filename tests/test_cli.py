@@ -10,6 +10,7 @@ import pytest
 import wgelfand as wg
 from wgelfand.cli import main
 
+import oracles
 from conftest import C300_ONE_WRONG, LOOP_5, forbid_table
 
 
@@ -352,11 +353,16 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not valid JSON")
+
+
 def test_report_numbers_match_library(tmp_path, capsys):
     """On S3/<(0 1)> and D6/<s>, both weighted, the report's spherical
     functions and characters are the library's bit for bit, and its
     transform matrix is the characters transposed:
-    fourier.matrix[i][s] is spherical.functions[s].character[i]."""
+    fourier.matrix[i][s] is spherical.functions[s].character[i]. Each report
+    is valid JSON: it holds no NaN or Infinity."""
     d6_weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 1.5, "2": 0.7, "3": 2.0}}
     cases = [
         (S3, K_TRANSPOSITION, {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}),
@@ -372,7 +378,7 @@ def test_report_numbers_match_library(tmp_path, capsys):
             capsys,
         )
         assert code == 0
-        report = json.loads(out)
+        report = json.loads(out, parse_constant=_reject_constant)
         group = wg.group_from_spec(group_spec)
         K = wg.subgroup_from_spec(group, subgroup_spec)
         part = wg.double_cosets(group, K)
@@ -523,6 +529,34 @@ def test_overflowing_weight_exit_3_without_warnings(tmp_path, capsys):
     assert "overflow" in assert_one_line_error(code, capsys, expected_code=3)
 
 
+HUGE_SCALAR = {"kind": "matrix", "rows": [[[1.5e308, 0], [0, 0]], [[0, 0], [1.5e308, 0]]]}
+LARGE_SCALAR = {"kind": "matrix", "rows": [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "weight, multipliers, message",
+    [
+        ({"kind": "by_double_coset", "values": {"0": 1, "1": 1e-320}}, [],
+         "spherical functions overflow"),
+        (UNIFORM, [HUGE_SCALAR], "multiplier symbol overflows"),
+        (UNIFORM, [LARGE_SCALAR, LARGE_SCALAR], "commutation residual overflows"),
+    ],
+    ids=["spherical-tiny-weight", "symbol-huge-scalar", "commutation-large-scalars"],
+)
+def test_non_finite_results_exit_3(tmp_path, capsys, weight, multipliers, message):
+    """A value that overflows to inf or NaN is a numerical degeneracy: exit 3
+    with one error line and no report, instead of inf or NaN in a report
+    (a tiny coset weight divides the spherical functions; a true multiplier
+    near the float range overflows its symbol or the commutator)."""
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight, multipliers=multipliers)
+    argv = ["analyze" if not multipliers else "multiplier-check",
+            "--group", paths["group"], "--subgroup", paths["subgroup"],
+            "--weight", paths["weight"]]
+    for path in paths["multipliers"]:
+        argv += ["--multiplier", path]
+    assert message in assert_one_line_error(main(argv), capsys, expected_code=3)
+
+
 def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypatch):
     """multiplier-check on D12 and, given as a table of order 260, on D130
     (both over a reflection): no G-level oracle and no random draw runs, and
@@ -619,8 +653,7 @@ def test_malformed_group_and_subgroup_specs_exit_1(tmp_path, capsys, group, subg
     assert_one_line_error(code, capsys)
 
 
-S4_OVER_S3 = {"elements": list(wg.point_stabilizer(
-    wg.symmetric_group(4), wg.symmetric_group_generators(4), 3).elements)}
+S4_OVER_S3 = {"elements": list(oracles.point_stabilizer(wg.symmetric_group(4), 3).elements)}
 
 
 @pytest.mark.parametrize("command", ["analyze", "spherical", "fourier", "multiplier-check"])

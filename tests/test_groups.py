@@ -13,6 +13,7 @@ from wgelfand.errors import (
     SizeLimitError,
 )
 
+import oracles
 from conftest import (
     C300_ONE_WRONG,
     LOOP_5,
@@ -83,7 +84,7 @@ def test_group_layer_matches_table_oracle(gens):
     x = np.arange(n)
     assert np.array_equal(g.product(x[:, None], x), mul)
     assert np.array_equal(g.product(x, x[::-1]), mul[x, x[::-1]])
-    assert g.multiply(n - 1, n // 2) == mul[n - 1, n // 2]
+    assert int(g.product(n - 1, n // 2)) == mul[n - 1, n // 2]
     inv = mul.argmin(axis=1)
     assert np.array_equal(g.inv, inv)
     assert 2 ** len(g.base) <= n
@@ -119,14 +120,14 @@ def test_base_grows_past_eight_points():
 def test_cyclic_closure_from_cycle():
     g = wg.build_group_from_generators([(1, 2, 3, 0)])
     assert g.order == 4
-    assert g.is_abelian()
+    assert oracles.is_abelian(g)
     wg.validate_group(g)
 
 
 def test_s3_from_generators():
     g = wg.build_group_from_generators([(1, 0, 2), (1, 2, 0)])
     assert g.order == 6
-    assert not g.is_abelian()
+    assert not oracles.is_abelian(g)
     wg.validate_group(g)
 
 
@@ -266,7 +267,7 @@ def test_builder_tables_pass_validation(build, sizes):
 def test_subgroup_of_transposition(s3):
     K = wg.subgroup_closure(s3, [1])
     assert K.order == 2
-    assert 0 in K
+    assert 0 in K.elements
 
 
 def test_subgroup_empty_seeds(s3):
@@ -344,7 +345,7 @@ def test_double_coset_invariants(s4_pair):
     for x in range(group.order):
         for k1 in K.elements:
             for k2 in K.elements:
-                y = group.multiply(group.multiply(k1, x), k2)
+                y = int(group.product(group.product(k1, x), k2))
                 assert part.coset_of[y] == part.coset_of[x]
 
 
@@ -396,7 +397,7 @@ def test_inversion_rejected_on_nonabelian(s3):
         wg.check_automorphism(s3, s3.inv)
     x, y = exc.value.witness
     # witness pair genuinely violates the homomorphism property
-    assert s3.inv[s3.multiply(x, y)] != s3.multiply(s3.inv[x], s3.inv[y])
+    assert s3.inv[int(s3.product(x, y))] != int(s3.product(s3.inv[x], s3.inv[y]))
 
 
 def test_identity_automorphism(s3):
@@ -491,26 +492,6 @@ def test_theta_in_KxinvK_identity_fails_on_cyclic5():
 def test_point_stabilizer_order(s4_pair):
     _, K, _ = s4_pair
     assert K.order == 6
-
-
-def test_point_stabilizer_rejects_reordered_generators():
-    """S4 from [(0 1), 4-cycle] and from the same generators swapped has its
-    elements in another order: the swapped list is rejected, where it once
-    returned (0, 2, 12, 18, 20, 21), which is not a subgroup."""
-    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
-    s4 = wg.build_group_from_generators(gens)
-    K = wg.point_stabilizer(s4, gens, 3)
-    assert K.order == 6
-    assert wg.subgroup_from_spec(s4, {"elements": list(K.elements)}) == K
-    with pytest.raises(InputSpecError, match="do not regenerate"):
-        wg.point_stabilizer(s4, gens[::-1], 3)
-
-
-@pytest.mark.parametrize("n", [3, 5], ids=["smaller", "larger"])
-def test_point_stabilizer_rejects_other_generators(s4_pair, n):
-    group, _, _ = s4_pair
-    with pytest.raises(InputSpecError):
-        wg.point_stabilizer(group, wg.symmetric_group_generators(n), 0)
 
 
 @pytest.mark.parametrize(
