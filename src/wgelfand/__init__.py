@@ -57,11 +57,8 @@ from .spherical import (
 )
 from .weighted import (
     BiInvariantFunction,
-    Weight,
-    WeightFlags,
     bi_invariance_witness,
-    uniform_weight,
-    weight_checks,
+    theta_invariant,
     weight_from_spec,
 )
 

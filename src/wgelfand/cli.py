@@ -30,7 +30,7 @@ from .groups import automorphism_from_spec, double_cosets, group_from_spec, subg
 from .hecke import check_rap_condition, hecke_structure_constants, is_weighted_gelfand
 from .spherical import complex_pairs, enumerate_spherical
 from .tolerance import RTOL, within
-from .weighted import weight_checks, weight_from_spec
+from .weighted import theta_invariant, weight_from_spec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -110,13 +110,13 @@ def run(args) -> tuple[dict, int]:
     group = group_from_spec(load("group", args.group))
     K = subgroup_from_spec(group, load("subgroup", args.subgroup))
     partition = double_cosets(group, K)
-    w = weight_from_spec(load("weight", args.weight), group, partition)
+    wd = weight_from_spec(load("weight", args.weight), partition)
     theta = None
     if args.automorphism:
         theta = automorphism_from_spec(group, load("automorphism", args.automorphism))
     timings["setup"] = time.perf_counter() - t0
 
-    flags = weight_checks(w, group, theta=theta)
+    unit_at_identity = bool(wd[partition.identity_coset] == 1.0)
     report = {
         "tool": {"name": "wgelfand", "version": __version__},
         "command": args.command,
@@ -129,17 +129,17 @@ def run(args) -> tuple[dict, int]:
             "coset_sizes": partition.sizes.tolist(),
         },
         "weight": {
-            # scanned once, by hecke_structure_constants below, which
-            # raises BiInvarianceError unless w is K-bi-invariant
+            # weight_from_spec raises BiInvarianceError unless w is
+            # K-bi-invariant; w(x^-1) is the weight of the inverse coset
             "k_bi_invariant": True,
-            "symmetric": flags.symmetric,
-            "unit_at_identity": flags.unit_at_identity,
-            "theta_invariant": flags.theta_invariant,
+            "symmetric": bool(np.array_equal(wd[partition.inverse_coset], wd)),
+            "unit_at_identity": unit_at_identity,
+            "theta_invariant": None if theta is None else theta_invariant(wd, partition, theta),
         },
     }
 
     t1 = time.perf_counter()
-    sc = hecke_structure_constants(group, partition, w)
+    sc = hecke_structure_constants(group, partition, wd)
     gelfand = is_weighted_gelfand(sc)
     rap = None if theta is None else check_rap_condition(sc, theta)
     report["gelfand"] = {**gelfand.to_json(), "rap": rap}
@@ -149,7 +149,7 @@ def run(args) -> tuple[dict, int]:
 
     if not gelfand.is_weighted_gelfand:
         report["note"] = "not a weighted Gelfand pair; downstream stages skipped"
-    elif not flags.unit_at_identity:
+    elif not unit_at_identity:
         if args.command != "analyze":
             raise InputSpecError("spherical analysis requires a weight with w(e) = 1")
         report["note"] = "weight has w(e) != 1; spherical stages skipped"
@@ -157,7 +157,7 @@ def run(args) -> tuple[dict, int]:
         t2 = time.perf_counter()
         sset = enumerate_spherical(sc)
         report["spherical"] = {"count": len(sset), "functions": sset.to_json()}
-        rank, cond = injectivity_check(sset)
+        rank, cond = injectivity_check(sset, sc.wd)
         report["fourier"] = {
             "rank": rank,
             "condition": cond,
@@ -175,7 +175,8 @@ def run(args) -> tuple[dict, int]:
                     {"path": mpath, "sha256": digest}
                 )
                 T = multiplier_from_spec(mspec, sc)
-                ok, witness = is_multiplier(T, sc)
+                # a kernel operator is L_h, a multiplier by Wendel's theorem
+                ok, witness = (True, None) if T.kernel is not None else is_multiplier(T, sc)
                 entry = {"path": mpath, "is_multiplier": ok}
                 if ok:
                     sym = extract_symbol(T, sset)

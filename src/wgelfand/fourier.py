@@ -21,15 +21,28 @@ from .tolerance import within
 from .weighted import BiInvariantFunction, json_number
 
 
-def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
-    """Numerical rank and condition estimate of the transform matrix
+def injectivity_check(sset: SphericalSet, wd: np.ndarray) -> tuple[int, float]:
+    """Numerical rank and condition number of the transform matrix
     F[i, s] = chi_s(delta_i), which is `sset.characters.T`: the transform of
-    an indicator is the value of the character on it. The rank counts the
-    singular values beyond the tolerance at the largest."""
-    svals = np.linalg.svd(sset.characters.T, compute_uv=False)
-    top = float(svals[0]) if len(svals) else 0.0
-    rank = int(np.sum(~within(svals, top)))
-    cond = float(top / svals[-1]) if top > 0 and svals[-1] > 0 else np.inf
+    an indicator is the value of the character on it.
+
+    F = diag(wd) F1 with F1 the weight-free table of the classical
+    characters, so the weight cannot change the rank: it is counted on
+    F1 = F / wd, as the singular values beyond the tolerance at the largest.
+    The condition number is that of F; if it is not finite (F is singular
+    in floating point, as a wide weight makes it), DegenerateSpectrumError
+    is raised.
+    """
+    F = sset.characters.T
+    free = np.linalg.svd(F / wd[:, None], compute_uv=False)
+    rank = int(np.sum(~within(free, free[0])))
+    svals = np.linalg.svd(F, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = float(svals[0] / svals[-1])
+    if not np.isfinite(cond):
+        raise DegenerateSpectrumError(
+            "Fourier table is singular in floating point: weight range too wide"
+        )
     return rank, cond
 
 

@@ -207,9 +207,7 @@ def _has_bool(value) -> bool:
     return isinstance(value, bool)
 
 
-def _closure(
-    generators: Sequence[Sequence[int]], element_cap: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _closure(generators: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first closure of permutation generators.
 
     Returns (perms, gens). perms[x] is element x as a permutation in the
@@ -237,8 +235,8 @@ def _closure(
         hits = np.array(
             [index.setdefault(row.tobytes(), len(index)) for row in cand], dtype=np.int64
         )
-        if len(index) > element_cap:
-            raise SizeLimitError(f"closure exceeds element cap {element_cap}")
+        if len(index) > DEFAULT_ELEMENT_CAP:
+            raise SizeLimitError(f"closure exceeds element cap {DEFAULT_ELEMENT_CAP}")
         if start == 0:
             gen_index = np.unique(hits)  # e * g is g
         values, first = np.unique(hits, return_index=True)
@@ -307,17 +305,14 @@ def _greedy_generators(group: GroupTable, inside: np.ndarray) -> Iterator[int]:
         _right_closure(group, reached, gens)
 
 
-def build_group_from_generators(
-    generators: Sequence[Sequence[int]],
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-) -> GroupTable:
+def build_group_from_generators(generators: Sequence[Sequence[int]]) -> GroupTable:
     """Close a set of permutations under composition into a GroupTable.
 
     Element order is breadth-first discovery from the identity, with
     generator index as tiebreak, so the indices are reproducible. Identity
     is 0. Inverses are the inverse permutations, found by their base images.
     """
-    perms, gens = _closure(generators, element_cap)
+    perms, gens = _closure(generators)
     n, degree = perms.shape
     # inv is filled in place: finding the inverses needs the group's index
     group = GroupTable(inv=np.empty(n, dtype=np.int64), generators=gens, perms=perms)

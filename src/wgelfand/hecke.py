@@ -1,7 +1,8 @@
 """The weighted Hecke algebra on the double-coset indicator basis.
 
 Structure constants, commutativity (the weighted Gelfand property) and the
-automorphism-based sufficient condition.
+automorphism-based sufficient condition. The weight enters only as the coset
+weights wd that `weighted.weight_from_spec` returns.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BiInvarianceError, NotInvolutiveError, WGelfandError
+from .errors import NotInvolutiveError, WGelfandError
 from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable, theta_in_KxinvK
-from .weighted import Weight, bi_invariance_witness
+from .weighted import checked_weights, theta_invariant
 
 
 @dataclass(frozen=True)
@@ -96,28 +97,25 @@ class GelfandReport:
 
 
 def hecke_structure_constants(
-    group: GroupTable, partition: DoubleCosetPartition, w: Weight
+    group: GroupTable, partition: DoubleCosetPartition, wd: np.ndarray
 ) -> StructureConstants:
-    """Sparse intersection numbers p and the coset weights: the one step
+    """Sparse intersection numbers p and the coset weights wd: the one step
     after the double cosets that reads the group table.
 
     One np.unique over the |G| d codes (i d + j) d + k of (coset of y, coset
     of y^-1 r_k, k) counts p[i,j,k] and returns the keys in row-major order.
-    Requires a K-bi-invariant weight; raises BiInvarianceError with a witness
-    otherwise.
+    wd holds one finite weight > 0 per double coset, as `weight_from_spec`
+    returns it; anything else raises InputSpecError.
     """
-    witness = bi_invariance_witness(w, partition)
-    if witness is not None:
-        raise BiInvarianceError(*witness)
     d = partition.num_cosets
+    wd = checked_weights(wd, d)
     codes = partition.coset_of[group.product(group.inv[:, None], partition.reps)]
     codes += partition.coset_of[:, None] * d
     codes *= d
     codes += np.arange(d)
     keys, counts = np.unique(codes, return_counts=True)
     return StructureConstants(
-        keys=keys, counts=counts.astype(np.int32), wd=w.values[partition.reps],
-        partition=partition,
+        keys=keys, counts=counts.astype(np.int32), wd=wd, partition=partition
     )
 
 
@@ -136,15 +134,13 @@ def is_weighted_gelfand(sc: StructureConstants) -> GelfandReport:
 def check_rap_condition(sc: StructureConstants, theta: GroupAutomorphism) -> bool:
     """Sufficient condition for the weighted Gelfand property.
 
-    True iff w∘theta = w and theta(x) lies in K x^-1 K for all x, with w
-    read from sc (the weight is K-bi-invariant, so it is wd on each coset).
-    Whenever both hold, the commutativity of sc is cross-validated and a
-    failure raises (it would contradict the theorem).
+    True iff w∘theta = w (`theta_invariant` on sc.wd) and theta(x) lies in
+    K x^-1 K for all x. Whenever both hold, the commutativity of sc is
+    cross-validated and a failure raises (it would contradict the theorem).
     """
     if not theta.involutive:
         raise NotInvolutiveError("rap condition requires an involutive automorphism")
-    w = sc.wd[sc.partition.coset_of]
-    ok = bool(np.array_equal(w[theta.perm], w))
+    ok = theta_invariant(sc.wd, sc.partition, theta)
     ok = ok and theta_in_KxinvK(sc.partition, theta)[0]
     if ok and sc.commutativity_witness is not None:
         raise WGelfandError(

@@ -162,7 +162,7 @@ def weighted_convolve_oracle(f, g, group, w):
     for x in range(n):
         for y in range(n):
             z = mul[group.inv[y], x]
-            out[x] += f[y] * g[z] * w.values[y] * w.values[z] / w.values[x]
+            out[x] += f[y] * g[z] * w[y] * w[z] / w[x]
     return out
 
 
@@ -173,7 +173,7 @@ def brute_force_spherical(group, K, w, partition=None):
     if partition is None:
         partition = wg.double_cosets(group, K)
     d = partition.num_cosets
-    wvals = [sympy.nsimplify(v, rational=True) for v in w.values]
+    wvals = [sympy.nsimplify(v, rational=True) for v in w]
     u = sympy.symbols(f"u0:{d}", complex=True)
     reps = partition.reps.tolist()
     equations = []
@@ -222,7 +222,7 @@ def random_bi_invariant_weight(partition, rng, unit_at_identity=False):
     vals = rng.uniform(0.5, 3.0, size=partition.num_cosets)
     if unit_at_identity:
         vals[partition.identity_coset] = 1.0
-    return wg.Weight(vals[partition.coset_of])
+    return vals[partition.coset_of]
 
 
 def random_symmetric_weight(group, rng, unit_at_identity=True):
@@ -230,7 +230,7 @@ def random_symmetric_weight(group, rng, unit_at_identity=True):
     vals = 0.5 * (vals + vals[group.inv])
     if unit_at_identity:
         vals[group.identity] = 1.0
-    return wg.Weight(vals)
+    return vals
 
 
 def random_gfunction(n, rng):
@@ -252,7 +252,7 @@ def dense_p_oracle(group, partition):
 
 def dense_c_oracle(group, partition, w):
     """Dense weighted structure constants c[i,j,k] = p[i,j,k] w_i w_j / w_k."""
-    wd = w.values[partition.reps]
+    wd = w[partition.reps]
     return dense_p_oracle(group, partition) * (
         wd[:, None, None] * wd[None, :, None] / wd[None, None, :]
     )
@@ -380,24 +380,23 @@ def _subgroup_pair(group, seeds):
 
 
 def gelfand_instances():
-    """Weighted Gelfand instances with w(e) = 1, spanning the test groups."""
+    """Weighted Gelfand instances with w(e) = 1, spanning the test groups;
+    each weight is the float array of its |G| values."""
     rng = np.random.default_rng(0xACCE97)
     out = []
     s3, K3, p3 = _subgroup_pair(wg.symmetric_group(3), [1])
-    out.append(("s3-uniform", s3, K3, p3, wg.uniform_weight(s3)))
-    w = wg.weight_from_spec(
-        {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}, s3, p3
-    )
-    out.append(("s3-weighted", s3, K3, p3, w))
+    out.append(("s3-uniform", s3, K3, p3, np.ones(s3.order)))
+    wd = wg.weight_from_spec({"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}, p3)
+    out.append(("s3-weighted", s3, K3, p3, wd[p3.coset_of]))
     gens4 = wg.symmetric_group_generators(4)
     s4 = wg.build_group_from_generators(gens4)
     K4 = oracles.point_stabilizer(s4, 3)
     p4 = wg.double_cosets(s4, K4)
-    out.append(("s4-uniform", s4, K4, p4, wg.uniform_weight(s4)))
+    out.append(("s4-uniform", s4, K4, p4, np.ones(s4.order)))
     out.append(("s4-weighted", s4, K4, p4,
                 random_bi_invariant_weight(p4, rng, unit_at_identity=True)))
     c4, Kt, pt = _subgroup_pair(wg.cyclic_group(4), [])
-    out.append(("c4-uniform", c4, Kt, pt, wg.uniform_weight(c4)))
+    out.append(("c4-uniform", c4, Kt, pt, np.ones(c4.order)))
     c5, K5, p5 = _subgroup_pair(wg.cyclic_group(5), [])
     out.append(("c5-symmetric", c5, K5, p5, random_symmetric_weight(c5, rng)))
     return out
@@ -420,10 +419,8 @@ def s3_pair(s3):
 @pytest.fixture(scope="session")
 def s3_weighted(s3_pair):
     group, K, part = s3_pair
-    w = wg.weight_from_spec(
-        {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}, group, part
-    )
-    return group, K, part, w
+    wd = wg.weight_from_spec({"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}, part)
+    return group, K, part, wd[part.coset_of]
 
 
 @pytest.fixture(scope="session")

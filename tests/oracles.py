@@ -5,9 +5,10 @@ numbers. The functions here are the definitions on G that those results are
 checked against: the weighted convolution, the two-sided K-average, the
 weighted translation, the spherical functional equation and the transform
 as a sum over G. Functions on G are plain complex numpy arrays of length
-|G|. Integrals over G are sums with counting measure; integrals over K are
-normalized averages (1/|K|) * sum, so the subgroup carries total mass 1.
-Most of them form a |G|^2 array or sum over G x G, so they suit small groups.
+|G|, and a weight is a plain float array of its |G| values. Integrals over
+G are sums with counting measure; integrals over K are normalized averages
+(1/|K|) * sum, so the subgroup carries total mass 1. Most of them form a
+|G|^2 array or sum over G x G, so they suit small groups.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from wgelfand import (
     PreconditionError,
     SphericalSet,
     SubgroupEmbedding,
-    Weight,
-    uniform_weight,
 )
 from wgelfand.tolerance import RTOL, within
 
@@ -48,9 +47,9 @@ def point_stabilizer(group: GroupTable, point: int) -> SubgroupEmbedding:
 # ---------------------------------------------------------------- functions on G
 
 
-def weighted_l1_norm(f: np.ndarray, w: Weight) -> float:
+def weighted_l1_norm(f: np.ndarray, w: np.ndarray) -> float:
     """sum_x |f(x)| w(x)."""
-    return float(np.sum(np.abs(f) * w.values))
+    return float(np.sum(np.abs(f) * w))
 
 
 def classical_convolve(f: np.ndarray, g: np.ndarray, group: GroupTable) -> np.ndarray:
@@ -59,12 +58,12 @@ def classical_convolve(f: np.ndarray, g: np.ndarray, group: GroupTable) -> np.nd
 
 
 def weighted_convolve(
-    f: np.ndarray, g: np.ndarray, group: GroupTable, w: Weight
+    f: np.ndarray, g: np.ndarray, group: GroupTable, w: np.ndarray
 ) -> np.ndarray:
     """(f *_w g)(x) = sum_y f(y) g(y^-1 x) w(y) w(y^-1 x) / w(x)."""
-    fw = np.asarray(f, dtype=complex) * w.values
-    gw = np.asarray(g, dtype=complex) * w.values
-    return fw @ gw[_left_quotients(group)] / w.values
+    fw = np.asarray(f, dtype=complex) * w
+    gw = np.asarray(g, dtype=complex) * w
+    return fw @ gw[_left_quotients(group)] / w
 
 
 def _left_quotients(group: GroupTable) -> np.ndarray:
@@ -73,9 +72,9 @@ def _left_quotients(group: GroupTable) -> np.ndarray:
     return group.product(group.inv[:, None], x)
 
 
-def multiplication_operator(f: np.ndarray, w: Weight) -> np.ndarray:
+def multiplication_operator(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(M_w f)(x) = w(x) f(x)."""
-    return np.asarray(f, dtype=complex) * w.values
+    return np.asarray(f, dtype=complex) * w
 
 
 def translate(f: np.ndarray, group: GroupTable, s: int) -> np.ndarray:
@@ -83,9 +82,9 @@ def translate(f: np.ndarray, group: GroupTable, s: int) -> np.ndarray:
     return np.asarray(f, dtype=complex)[group.product(group.inv[s], np.arange(group.order))]
 
 
-def gamma(f: np.ndarray, group: GroupTable, s: int, w: Weight) -> np.ndarray:
+def gamma(f: np.ndarray, group: GroupTable, s: int, w: np.ndarray) -> np.ndarray:
     """Weighted translation: tau_s(M_w f) / w."""
-    return translate(multiplication_operator(f, w), group, s) / w.values
+    return translate(multiplication_operator(f, w), group, s) / w
 
 
 def sharp_projection(f: np.ndarray, group: GroupTable, K: SubgroupEmbedding) -> np.ndarray:
@@ -161,10 +160,10 @@ def verify_functional_equation(
     phi: BiInvariantFunction,
     group: GroupTable,
     K: SubgroupEmbedding,
-    w: Weight,
+    w: np.ndarray,
 ) -> float:
     """Max over (x, y) of |(1/|K|) sum_k (w phi)(x k y) - (w phi)(x)(w phi)(y)|."""
-    mphi = expand(phi) * w.values
+    mphi = expand(phi) * w
     x = np.arange(group.order)
     acc = np.zeros((group.order, group.order), dtype=complex)
     for k in K.elements:
@@ -177,19 +176,19 @@ def verify_eigen_property(
     f: BiInvariantFunction,
     phi: BiInvariantFunction,
     group: GroupTable,
-    w: Weight,
+    w: np.ndarray,
 ) -> tuple[complex, float]:
     """Check f *_w phi = chi(f) phi with chi(f) = sum_x (wf)(x) (w phi)(x^-1).
 
     Returns (chi(f), sup-norm residual). Requires w(e) = 1 and phi(e) = 1.
     """
-    if not w.unit_at_identity(group):
+    if w[group.identity] != 1.0:
         raise PreconditionError("eigen property requires w(e) = 1")
     phi_g = expand(phi)
     if not within(abs(phi_g[group.identity] - 1.0)):
         raise PreconditionError("spherical function must have phi(e) = 1")
     f_g = expand(f)
-    chi = complex(np.sum(f_g * w.values * (phi_g * w.values)[group.inv]))
+    chi = complex(np.sum(f_g * w * (phi_g * w)[group.inv]))
     conv = weighted_convolve(f_g, phi_g, group, w)
     residual = float(np.max(np.abs(conv - chi * phi_g)))
     return chi, residual
@@ -199,7 +198,7 @@ def classical_correspondence(
     phi: BiInvariantFunction,
     group: GroupTable,
     K: SubgroupEmbedding,
-    w: Weight,
+    w: np.ndarray,
 ) -> bool:
     """True iff w*phi solves the unweighted spherical equation.
 
@@ -207,8 +206,8 @@ def classical_correspondence(
     tolerance: the same averaged products appear with weight folded into the
     function.
     """
-    scaled = BiInvariantFunction(phi.coset_values * w.values[phi.partition.reps], phi.partition)
-    return bool(within(verify_functional_equation(scaled, group, K, uniform_weight(group))))
+    scaled = BiInvariantFunction(phi.coset_values * w[phi.partition.reps], phi.partition)
+    return bool(within(verify_functional_equation(scaled, group, K, np.ones(group.order))))
 
 
 # ---------------------------------------------------------------- transform
@@ -218,17 +217,17 @@ def spherical_transform(
     f: BiInvariantFunction,
     sset: SphericalSet,
     group: GroupTable,
-    w: Weight,
+    w: np.ndarray,
 ) -> np.ndarray:
     """F(f)(phi_s) = sum_x w(x) f(x) w(x^-1) phi_s(x^-1), in SphericalSet order.
 
     Sums over G; the reference for `sset.characters @ f.coset_values`."""
     if not np.array_equal(f.partition.coset_of, sset.partition.coset_of):
         raise InputSpecError("function and spherical set use different partitions")
-    f_g = expand(f) * w.values
+    f_g = expand(f) * w
     out = np.empty(len(sset), dtype=complex)
     for s, phi in enumerate(sset.functions):
-        out[s] = np.sum(f_g * (phi[sset.partition.coset_of] * w.values)[group.inv])
+        out[s] = np.sum(f_g * (phi[sset.partition.coset_of] * w)[group.inv])
     return out
 
 
@@ -237,7 +236,7 @@ def verify_convolution_theorem(
     g: BiInvariantFunction,
     sset: SphericalSet,
     group: GroupTable,
-    w: Weight,
+    w: np.ndarray,
 ) -> float:
     """Residual of F(f *_w g) = F(f) F(g), max over spherical functions."""
     conv = weighted_convolve(expand(f), expand(g), group, w)

@@ -50,7 +50,7 @@ def test_criterion_1_classical_reduction():
             group = groups[trial % len(groups)]
             n = group.order
             f, g = random_gfunction(n, rng), random_gfunction(n, rng)
-            fast = oracles.weighted_convolve(f, g, group, wg.uniform_weight(group))
+            fast = oracles.weighted_convolve(f, g, group, np.ones(group.order))
             slow = classical_convolve_oracle(f, g, group)
             assert np.max(np.abs(fast - slow)) < 1e-12
         assert time.perf_counter() - start < 1.0
@@ -62,26 +62,26 @@ def test_criterion_2_gelfand_detection():
     def body():
         start = time.perf_counter()
         s3, K3, p3 = _pair(wg.symmetric_group(3), [1])
-        uniform = wg.uniform_weight(s3)
+        uniform = np.ones(s3.order)
         assert wg.is_weighted_gelfand(
-            wg.hecke_structure_constants(s3, p3, uniform)
+            wg.hecke_structure_constants(s3, p3, uniform[p3.reps])
         ).is_weighted_gelfand
 
         _, _, p1 = _pair(s3, [])
-        report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, p1, uniform))
+        report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, p1, uniform[p1.reps]))
         assert not report.is_weighted_gelfand and report.witness is not None
 
         gens4 = wg.symmetric_group_generators(4)
         s4 = wg.build_group_from_generators(gens4)
         K4 = oracles.point_stabilizer(s4, 3)
-        sc4 = wg.hecke_structure_constants(s4, wg.double_cosets(s4, K4), wg.uniform_weight(s4))
+        sc4 = wg.hecke_structure_constants(s4, wg.double_cosets(s4, K4), np.ones(2))
         assert wg.is_weighted_gelfand(sc4).is_weighted_gelfand
 
         for order in (4, 6, 8, 9, 12):
             g = wg.cyclic_group(order)
             for seed in range(order):
                 _, _, part = _pair(g, [seed])
-                sc = wg.hecke_structure_constants(g, part, wg.uniform_weight(g))
+                sc = wg.hecke_structure_constants(g, part, np.ones(part.num_cosets))
                 assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
         assert time.perf_counter() - start < 5.0
 
@@ -97,15 +97,14 @@ def test_criterion_3_weighted_transfer():
             _pair(wg.dihedral_group(4), [1]),
         ]
         for group, K, part in pairs:
-            sc1 = wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
+            sc1 = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
             base, c1 = wg.is_weighted_gelfand(sc1), structure_tensor(sc1)
             for _ in range(20):
-                w = random_bi_invariant_weight(part, rng)
-                sc = wg.hecke_structure_constants(group, part, w)
+                wd = random_bi_invariant_weight(part, rng)[part.reps]
+                sc = wg.hecke_structure_constants(group, part, wd)
                 report = wg.is_weighted_gelfand(sc)
                 assert report.is_weighted_gelfand == base.is_weighted_gelfand
                 cw = structure_tensor(sc)
-                wd = w.values[part.reps]
                 lhs = cw * wd[None, None, :]
                 rhs = c1 * wd[:, None, None] * wd[None, :, None]
                 assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -121,7 +120,7 @@ def test_criterion_4_sufficient_condition():
             theta = wg.inversion_automorphism(group)
             for _ in range(10):
                 w = random_symmetric_weight(group, rng)
-                sc = wg.hecke_structure_constants(group, part, w)
+                sc = wg.hecke_structure_constants(group, part, w[part.reps])
                 assert wg.check_rap_condition(sc, theta)
                 assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
         group, K, part = _pair(wg.symmetric_group(3), [1])
@@ -130,8 +129,8 @@ def test_criterion_4_sufficient_condition():
             w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
             # coset-constant weights here are symmetric: both cosets are
             # closed under inversion
-            assert wg.weight_checks(w, group).symmetric
-            sc = wg.hecke_structure_constants(group, part, w)
+            assert np.array_equal(w[group.inv], w)
+            sc = wg.hecke_structure_constants(group, part, w[part.reps])
             assert wg.check_rap_condition(sc, theta)
             assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
@@ -141,12 +140,12 @@ def test_criterion_4_sufficient_condition():
 def test_criterion_5_necessary_identity():
     def body():
         for name, group, K, part, w in gelfand_instances():
-            report = wg.is_weighted_gelfand(wg.hecke_structure_constants(group, part, w))
+            report = wg.is_weighted_gelfand(wg.hecke_structure_constants(group, part, w[part.reps]))
             assert report.is_weighted_gelfand, name
-            assert w.unit_at_identity(group), name
+            assert w[group.identity] == 1.0, name
             # sum_x f(x) w(x) w(x^-1) = sum_x f(x^-1) w(x^-1) w(x) for every
             # double-coset indicator f, summed element by element
-            wv, inv = w.values, group.inv
+            wv, inv = w, group.inv
             for i in range(part.num_cosets):
                 f = (part.coset_of == i).astype(float)
                 lhs = sum(f[x] * wv[x] * wv[inv[x]] for x in range(group.order))
@@ -159,36 +158,34 @@ def test_criterion_5_necessary_identity():
 def test_criterion_6_spherical_enumeration():
     def body():
         s3, K3, p3 = _pair(wg.symmetric_group(3), [1])
-        sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, p3, wg.uniform_weight(s3)))
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, p3, np.ones(p3.num_cosets)))
         assert match_sets(
             list(sset.functions),
             [np.array([1.0, 1.0]), np.array([1.0, -0.5])],
             1e-8,
         )
-        w = wg.weight_from_spec(
-            {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}, s3, p3
-        )
-        sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, p3, w))
+        wd = wg.weight_from_spec({"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}, p3)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, p3, wd))
         assert match_sets(
             list(sset.functions),
             [np.array([1.0, 0.5]), np.array([1.0, -0.25])],
             1e-8,
         )
         c4, Kt, pt = _pair(wg.cyclic_group(4), [])
-        sset = wg.enumerate_spherical(wg.hecke_structure_constants(c4, pt, wg.uniform_weight(c4)))
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(c4, pt, np.ones(pt.num_cosets)))
         dft = [np.array([1j ** (j * x) for x in range(4)]) for j in range(4)]
         assert match_sets(list(sset.functions), dft, 1e-9)
 
         # eigen route vs symbolic brute force on every small instance
         small = [
-            (s3, K3, p3, wg.uniform_weight(s3)),
-            (s3, K3, p3, w),
-            _pair(wg.cyclic_group(3), []) + (wg.uniform_weight(wg.cyclic_group(3)),),
-            _pair(wg.cyclic_group(3), []) + (wg.Weight(np.array([1.0, 2.0, 2.0])),),
+            (s3, K3, p3, np.ones(s3.order)),
+            (s3, K3, p3, wd[p3.coset_of]),
+            _pair(wg.cyclic_group(3), []) + (np.ones(3),),
+            _pair(wg.cyclic_group(3), []) + (np.array([1.0, 2.0, 2.0]),),
         ]
         for group, K, part, weight in small:
             assert part.num_cosets <= 3
-            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, weight))
+            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, weight[part.reps]))
             oracle = brute_force_spherical(group, K, weight, partition=part)
             assert match_sets(
                 list(sset.functions), oracle, 1e-7
@@ -201,7 +198,7 @@ def test_criterion_7_characterizations():
     def body():
         rng = np.random.default_rng(7)
         for name, group, K, part, w in gelfand_instances():
-            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
+            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
             for phi in spherical_functions(sset):
                 assert oracles.verify_functional_equation(phi, group, K, w) < 1e-9, name
                 assert abs(phi.coset_values[part.identity_coset] - 1.0) < 1e-9, name
@@ -219,7 +216,7 @@ def test_criterion_8_convolution_theorem():
     def body():
         rng = np.random.default_rng(8)
         for name, group, K, part, w in gelfand_instances():
-            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
+            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
             for _ in range(100):
                 f = wg.BiInvariantFunction(random_gfunction(part.num_cosets, rng), part)
                 g = wg.BiInvariantFunction(random_gfunction(part.num_cosets, rng), part)
@@ -231,13 +228,13 @@ def test_criterion_8_convolution_theorem():
 def test_criterion_9_injectivity():
     def body():
         for name, group, K, part, w in gelfand_instances():
-            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
-            rank, _ = wg.injectivity_check(sset)
+            sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
+            rank, _ = wg.injectivity_check(sset, w[part.reps])
             assert rank == part.num_cosets, name
 
         # sensitivity: a sign-flipped spherical function must be caught
         _, group, K, part, w = gelfand_instances()[0]
-        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
         good = sset.functions[-1]
         flipped = good.copy()
         flipped[1 - part.identity_coset] *= -1.0
@@ -254,7 +251,7 @@ def test_criterion_10_multipliers():
     def body():
         rng = np.random.default_rng(10)
         for name, group, K, part, w in gelfand_instances():
-            sc = wg.hecke_structure_constants(group, part, w)
+            sc = wg.hecke_structure_constants(group, part, w[part.reps])
             sset = wg.enumerate_spherical(sc)
             d = part.num_cosets
             operators = []
@@ -342,11 +339,11 @@ def test_criterion_12_scale_s5():
         part = wg.double_cosets(s5, K)
         rng = np.random.default_rng(12)
         w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
-        sc = wg.hecke_structure_constants(s5, part, w)
+        sc = wg.hecke_structure_constants(s5, part, w[part.reps])
         assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
         sset = wg.enumerate_spherical(sc)
         assert len(sset) == part.num_cosets
-        rank, _ = wg.injectivity_check(sset)
+        rank, _ = wg.injectivity_check(sset, sc.wd)
         assert rank == part.num_cosets
         h = wg.BiInvariantFunction(random_gfunction(part.num_cosets, rng), part)
         T = wg.multiplier_from_kernel(h, sc)

@@ -11,7 +11,7 @@ import wgelfand as wg
 from wgelfand.cli import main
 
 import oracles
-from conftest import C300_ONE_WRONG, LOOP_5, forbid_table
+from conftest import C300_ONE_WRONG, LOOP_5, forbid_table, gelfand_instances
 
 
 def write_specs(tmp_path, group, subgroup, weight, automorphism=None, multipliers=()):
@@ -108,8 +108,8 @@ def test_complex_pairs_serialise_like_per_element_lists():
     K = wg.subgroup_closure(group, [1])
     part = wg.double_cosets(group, K)
     weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}
-    w = wg.weight_from_spec(weight, group, part)
-    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
+    wd = wg.weight_from_spec(weight, part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, wd))
     old_sset = [
         {"coset_values": [[z.real, z.imag] for z in phi],
          "character": [[z.real, z.imag] for z in chi]}
@@ -285,8 +285,8 @@ def test_weight_off_one_at_identity_gets_one_decision(tmp_path, capsys):
     group = wg.dihedral_group(6)
     K = wg.subgroup_closure(group, [2])
     part = wg.double_cosets(group, K)
-    w = wg.weight_from_spec(weight, group, part)
-    sc = wg.hecke_structure_constants(group, part, w)
+    wd = wg.weight_from_spec(weight, part)
+    sc = wg.hecke_structure_constants(group, part, wd)
     with pytest.raises(wg.PreconditionError):
         wg.enumerate_spherical(sc)
 
@@ -382,8 +382,8 @@ def test_report_numbers_match_library(tmp_path, capsys):
         group = wg.group_from_spec(group_spec)
         K = wg.subgroup_from_spec(group, subgroup_spec)
         part = wg.double_cosets(group, K)
-        w = wg.weight_from_spec(weight, group, part)
-        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w))
+        wd = wg.weight_from_spec(weight, part)
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, wd))
         from_report = [
             [complex(re, im) for re, im in fn["coset_values"]]
             for fn in report["spherical"]["functions"]
@@ -557,11 +557,78 @@ def test_non_finite_results_exit_3(tmp_path, capsys, weight, multipliers, messag
     assert message in assert_one_line_error(main(argv), capsys, expected_code=3)
 
 
+@pytest.mark.parametrize("wide", [1e-10, 1e10, 1e100])
+def test_fourier_rank_does_not_depend_on_the_weight(tmp_path, capsys, wide):
+    """On S3/<(0 1)> with coset weights {1, wide}, F = diag(wd) F1 has full
+    rank 2 whatever the weight: the rank is counted on F1. Its condition
+    number is reported while it is finite; at 1e100 F is singular in
+    floating point, which exits 3 instead of writing Infinity."""
+    weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": wide}}
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
+    argv = ["fourier", "--group", paths["group"], "--subgroup", paths["subgroup"],
+            "--weight", paths["weight"]]
+    if wide == 1e100:
+        assert "singular" in assert_one_line_error(main(argv), capsys, expected_code=3)
+        return
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    fourier = json.loads(out, parse_constant=_reject_constant)["fourier"]
+    assert fourier["rank"] == 2
+    assert fourier["condition"] > 1e9
+
+
+def _involution(group):
+    """Inversion on an abelian group, else conjugation by the first element
+    of order 2: an involutive automorphism that moves elements."""
+    x = np.arange(group.order)
+    if np.array_equal(group.product(x[:, None], x), group.product(x, x[:, None])):
+        return group.inv
+    t = int(np.flatnonzero((group.inv == x) & (x != group.identity))[0])
+    return group.product(group.product(t, x), t)
+
+
+def test_report_weight_flags_match_their_per_element_definitions(tmp_path, capsys):
+    """The report reads its flags off the coset weights; on random
+    bi-invariant weights with values in {1, 2} over every Gelfand instance
+    they equal the definitions on G: v == v[inv], v[theta] == v, v[e] == 1."""
+    rng = np.random.default_rng(31)
+    seen = set()
+    for name, group, K, part, _ in gelfand_instances():
+        theta = _involution(group)
+        for trial in range(6):
+            v = rng.integers(1, 3, part.num_cosets).astype(float)[part.coset_of]
+            spec_dir = tmp_path / f"{name}-{trial}"
+            spec_dir.mkdir()
+            paths = write_specs(
+                spec_dir, {"kind": "table", "table": group.mul.tolist()},
+                {"elements": list(K.elements)}, {"kind": "by_element", "values": v.tolist()},
+                automorphism={"kind": "perm", "perm": theta.tolist()},
+            )
+            code, out = run_cli(
+                ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+                 "--weight", paths["weight"], "--automorphism", paths["automorphism"]],
+                capsys,
+            )
+            assert code == 0, name
+            flags = json.loads(out)["weight"]
+            expected = {
+                "k_bi_invariant": True,
+                "symmetric": bool(np.all(v == v[group.inv])),
+                "theta_invariant": bool(np.all(v[theta] == v)),
+                "unit_at_identity": bool(v[group.identity] == 1.0),
+            }
+            assert flags == expected, name
+            seen.update((key, value) for key, value in expected.items())
+    assert len(seen) == 7  # every flag but k_bi_invariant took both values
+
+
 def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypatch):
     """multiplier-check on D12 and, given as a table of order 260, on D130
     (both over a reflection): no G-level oracle and no random draw runs, and
-    each multiplier file costs one `StructureConstants.left` call in
-    `is_multiplier` (kernels one more to build their operator)."""
+    each multiplier file costs one `StructureConstants.left` call: a kernel
+    to build its operator L_h, which is a multiplier by Wendel's theorem, and
+    a matrix in `is_multiplier`. That `is_multiplier` accepts every kernel
+    operator is checked directly by acceptance criterion 10."""
     import wgelfand.cli
     import wgelfand.fourier
     import wgelfand.hecke
@@ -601,22 +668,23 @@ def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypat
         kernels = [
             {"kind": "kernel", "coset_values": [[1.0, 0.1 * k] for k in range(d)]},
             {"kind": "kernel", "coset_values": [[-0.2 * k, 0.3] for k in range(d)]},
+            {"kind": "matrix", "rows": np.stack([np.eye(d), np.zeros((d, d))], -1).tolist()},
         ]
         paths = write_specs(tmp_path, group, {"seeds": [2]}, UNIFORM, multipliers=kernels)
         left_callers.clear()
         code, out = run_cli(
             ["multiplier-check", "--group", paths["group"], "--subgroup", paths["subgroup"],
-             "--weight", paths["weight"],
-             "--multiplier", paths["multipliers"][0],
-             "--multiplier", paths["multipliers"][1]],
+             "--weight", paths["weight"]]
+            + [arg for path in paths["multipliers"] for arg in ("--multiplier", path)],
             capsys,
         )
         assert calls == []
         assert code == 0
-        assert sorted(left_callers) == ["is_multiplier"] * 2 + ["multiplier_from_kernel"] * 2
+        assert sorted(left_callers) == ["is_multiplier"] + ["multiplier_from_kernel"] * 2
         report = json.loads(out)
         assert report["spherical"]["count"] == d
-        assert all(m["symbol_matches_kernel_transform"] for m in report["multipliers"])
+        assert [m["is_multiplier"] for m in report["multipliers"]] == [True] * 3
+        assert all(m["symbol_matches_kernel_transform"] for m in report["multipliers"][:2])
         assert report["commutation"][0]["residual"] < 1e-9
         assert "seed" not in report
 

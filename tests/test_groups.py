@@ -104,7 +104,7 @@ def test_group_layer_matches_table_oracle(gens):
             assert np.array_equal(part.coset_of, coset_of)
             assert part.inverse_coset.tolist() == [int(coset_of[inv[c[0]]]) for c in cosets]
         part = wg.double_cosets(g, K)
-        w = wg.uniform_weight(g)
+        w = np.ones(part.num_cosets)
         sc = wg.hecke_structure_constants(g, part, w)
         ref = wg.hecke_structure_constants(table, wg.double_cosets(table, K), w)
         assert np.array_equal(sc.keys, ref.keys) and np.array_equal(sc.counts, ref.counts)
@@ -143,16 +143,19 @@ def test_identity_is_index_zero(s3):
     assert np.array_equal(s3.mul[0], np.arange(n))
 
 
-def test_element_cap():
+def test_element_cap(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 50)
     with pytest.raises(SizeLimitError):
-        wg.build_group_from_generators(wg.symmetric_group_generators(5), element_cap=50)
+        wg.build_group_from_generators(wg.symmetric_group_generators(5))
 
 
-def test_element_cap_boundary():
+def test_element_cap_boundary(monkeypatch):
     gens = wg.symmetric_group_generators(4)
-    assert wg.build_group_from_generators(gens, element_cap=24).order == 24
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 24)
+    assert wg.build_group_from_generators(gens).order == 24
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 23)
     with pytest.raises(SizeLimitError):
-        wg.build_group_from_generators(gens, element_cap=23)
+        wg.build_group_from_generators(gens)
 
 
 @pytest.mark.parametrize(

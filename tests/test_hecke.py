@@ -7,7 +7,7 @@ import pytest
 
 import wgelfand as wg
 from wgelfand.cli import main
-from wgelfand.errors import BiInvarianceError, NotGelfandError, NotInvolutiveError
+from wgelfand.errors import BiInvarianceError, InputSpecError, NotGelfandError, NotInvolutiveError
 
 from conftest import (
     classical_convolve_oracle,
@@ -24,16 +24,15 @@ from conftest import (
 def test_structure_constants_full_subgroup():
     s3 = wg.symmetric_group(3)
     K = wg.subgroup_closure(s3, [1, 2])
-    w = wg.uniform_weight(s3)
-    sc = wg.hecke_structure_constants(s3, wg.double_cosets(s3, K), w)
+    part = wg.double_cosets(s3, K)
+    sc = wg.hecke_structure_constants(s3, part, np.ones(1))
     assert sc.dim == 1
     assert (sc.left([1.0]) @ [1.0])[0] == pytest.approx(6.0)
 
     # general weight: c = sum_y w(y) w(y^-1 x) / w(x) at any fixed x
     rng = np.random.default_rng(0)
     wv = np.full(6, rng.uniform(0.5, 2.0))  # bi-invariant for K = G means constant
-    w2 = wg.Weight(wv)
-    sc2 = wg.hecke_structure_constants(s3, wg.double_cosets(s3, K), w2)
+    sc2 = wg.hecke_structure_constants(s3, part, wv[part.reps])
     x = 3
     expected = sum(
         wv[y] * wv[int(s3.product(int(s3.inv[y]), x))] / wv[x] for y in range(6)
@@ -43,7 +42,7 @@ def test_structure_constants_full_subgroup():
 
 def test_structure_constants_s3(s3_pair):
     group, K, part = s3_pair
-    sc = wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
+    sc = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
     # delta_1 * delta_1 = 4 delta_0 + 2 delta_1
     assert np.allclose(sc.left([0.0, 1.0]) @ [0.0, 1.0], [4.0, 2.0])
     # cross-check against the double-loop classical oracle
@@ -54,7 +53,7 @@ def test_structure_constants_s3(s3_pair):
 
 def test_structure_constants_trivial_subgroup_group_algebra(s3):
     K = wg.subgroup_closure(s3, [])
-    sc = wg.hecke_structure_constants(s3, wg.double_cosets(s3, K), wg.uniform_weight(s3))
+    sc = wg.hecke_structure_constants(s3, wg.double_cosets(s3, K), np.ones(6))
     eye = np.eye(6)
     for i in range(6):
         for j in range(6):
@@ -64,16 +63,27 @@ def test_structure_constants_trivial_subgroup_group_algebra(s3):
 
 
 def test_structure_constants_reject_non_invariant_weight(s3_pair):
+    """A weight that is not bi-invariant stops at the spec, before any
+    structure constants are built."""
     group, K, part = s3_pair
     with pytest.raises(BiInvarianceError) as exc:
-        wg.hecke_structure_constants(group, part, wg.Weight(np.arange(1.0, 7.0)))
+        wg.weight_from_spec({"kind": "by_element", "values": list(range(1, 7))}, part)
     x, y = exc.value.witness
     assert part.coset_of[x] == part.coset_of[y]
 
 
+@pytest.mark.parametrize("wd", [
+    [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0, 0.0], [1.0, -2.0], [1.0, np.inf], [np.nan, 1.0],
+], ids=["short", "long", "2d", "zero", "negative", "inf", "nan"])
+def test_structure_constants_reject_bad_coset_weights(s3_pair, wd):
+    group, K, part = s3_pair
+    with pytest.raises(InputSpecError):
+        wg.hecke_structure_constants(group, part, np.array(wd))
+
+
 def test_gelfand_s3_pair(s3_pair):
     group, K, part = s3_pair
-    sc = wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
+    sc = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
     report = wg.is_weighted_gelfand(sc)
     assert report.is_weighted_gelfand
     assert report.witness is None
@@ -81,7 +91,7 @@ def test_gelfand_s3_pair(s3_pair):
 
 def test_not_gelfand_s3_trivial(s3):
     part = wg.double_cosets(s3, wg.subgroup_closure(s3, []))
-    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, part, wg.uniform_weight(s3)))
+    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, part, np.ones(part.num_cosets)))
     assert not report.is_weighted_gelfand
     i, j, x = report.witness
     # the witness pair genuinely fails to commute
@@ -95,18 +105,17 @@ def test_gelfand_abelian_any_subgroup():
         K = wg.subgroup_closure(c6, seeds)
         part = wg.double_cosets(c6, K)
         w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
-        sc = wg.hecke_structure_constants(c6, part, w)
+        sc = wg.hecke_structure_constants(c6, part, w[part.reps])
         assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
 
 def test_weighted_transfer_invariant(s3_pair):
     group, K, part = s3_pair
-    c1 = dense_c_oracle(group, part, wg.uniform_weight(group))
+    c1 = dense_c_oracle(group, part, np.ones(group.order))
     rng = np.random.default_rng(2)
     for _ in range(10):
-        w = random_bi_invariant_weight(part, rng)
-        sc = wg.hecke_structure_constants(group, part, w)
-        wd = w.values[part.reps]
+        wd = random_bi_invariant_weight(part, rng)[part.reps]
+        sc = wg.hecke_structure_constants(group, part, wd)
         expected = c1 * wd[:, None, None] * wd[None, :, None] / wd[None, None, :]
         assert np.max(np.abs(structure_tensor(sc) - expected)) < 1e-9
         # commutativity verdict does not depend on the weight
@@ -117,8 +126,8 @@ def test_rap_condition_cyclic5():
     c5 = wg.cyclic_group(5)
     part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
     theta = wg.inversion_automorphism(c5)
-    w = wg.Weight(np.array([1.0, 2.0, 3.0, 3.0, 2.0]))
-    sc = wg.hecke_structure_constants(c5, part, w)
+    w = np.array([1.0, 2.0, 3.0, 3.0, 2.0])
+    sc = wg.hecke_structure_constants(c5, part, w[part.reps])
     assert wg.check_rap_condition(sc, theta)
     assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
@@ -126,31 +135,29 @@ def test_rap_condition_cyclic5():
 def test_rap_condition_s3_identity_theta(s3_pair):
     group, K, part = s3_pair
     theta = wg.check_automorphism(group, np.arange(6), require_involutive=True)
-    w = wg.uniform_weight(group)
-    assert wg.check_rap_condition(wg.hecke_structure_constants(group, part, w), theta)
+    assert wg.check_rap_condition(wg.hecke_structure_constants(group, part, np.ones(2)), theta)
 
 
 def test_rap_condition_fails_without_theta_invariance():
     c5 = wg.cyclic_group(5)
     part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
     theta = wg.inversion_automorphism(c5)
-    w = wg.Weight(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))  # not symmetric
-    assert not wg.check_rap_condition(wg.hecke_structure_constants(c5, part, w), theta)
+    w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])  # not symmetric
+    assert not wg.check_rap_condition(wg.hecke_structure_constants(c5, part, w[part.reps]), theta)
 
 
 def test_rap_condition_requires_involutive():
     c5 = wg.cyclic_group(5)
     part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
     doubling = wg.check_automorphism(c5, [(2 * x) % 5 for x in range(5)])
-    w = wg.uniform_weight(c5)
-    sc = wg.hecke_structure_constants(c5, part, w)
+    sc = wg.hecke_structure_constants(c5, part, np.ones(5))
     with pytest.raises(NotInvolutiveError):
         wg.check_rap_condition(sc, doubling)
 
 
 def test_report_serialization(s3):
     part = wg.double_cosets(s3, wg.subgroup_closure(s3, []))
-    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, part, wg.uniform_weight(s3)))
+    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, part, np.ones(part.num_cosets)))
     blob = report.to_json()
     assert blob["gelfand"] is False
     assert set(blob["witness"]) == {"basis_i", "basis_j", "element"}
@@ -182,7 +189,7 @@ def test_structure_constants_match_double_loop_oracle(make_pair):
     group, K = make_pair()
     part = wg.double_cosets(group, K)
     w = random_bi_invariant_weight(part, np.random.default_rng(4))
-    sc = wg.hecke_structure_constants(group, part, w)
+    sc = wg.hecke_structure_constants(group, part, w[part.reps])
     assert sc.counts.dtype == np.int32
     d = part.num_cosets
     eye = np.eye(d)
@@ -203,7 +210,7 @@ def test_noncommutative_witness_is_genuine(make_pair):
     group, K = make_pair()
     part = wg.double_cosets(group, K)
     w = random_bi_invariant_weight(part, np.random.default_rng(5), unit_at_identity=True)
-    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(group, part, w))
+    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(group, part, w[part.reps]))
     assert not report.is_weighted_gelfand
     i, j, x = report.witness
     ij, ji = _indicator_products(group, part, w, i, j)
@@ -214,9 +221,8 @@ def test_gelfand_verdict_ignores_weight_and_tolerance(s3_pair):
     group, K, part = s3_pair
     rng = np.random.default_rng(6)
     for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
-        w = random_bi_invariant_weight(part, rng)
-        w = wg.Weight(w.values * scale)
-        sc = wg.hecke_structure_constants(group, part, w)
+        wd = random_bi_invariant_weight(part, rng)[part.reps] * scale
+        sc = wg.hecke_structure_constants(group, part, wd)
         assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
 
@@ -251,7 +257,8 @@ def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
     builds = _count_calls(monkeypatch, "hecke_structure_constants")
     convolutions = _count_calls(monkeypatch, "weighted_convolve")
     verdicts = _count_calls(monkeypatch, "is_weighted_gelfand")
-    checks = _count_calls(monkeypatch, "weight_checks")
+    scans = _count_calls(monkeypatch, "bi_invariance_witness")
+    theta_checks = _count_calls(monkeypatch, "theta_invariant")
     partitions = _count_calls(monkeypatch, "double_cosets")
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
@@ -260,7 +267,8 @@ def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
     assert len(builds) == 1
     assert convolutions == []
     assert len(verdicts) == 1  # the sufficient condition reads sc's witness
-    assert len(checks) == 1  # the report's flags; the build scans bi-invariance
+    assert len(scans) == 1  # weight_from_spec reads the by_element weight
+    assert len(theta_checks) == 2  # the report's flag and the sufficient condition
     assert len(partitions) == 1
 
 
@@ -269,7 +277,7 @@ def test_spherical_reads_the_verdict_of_its_structure_constants(make_pair, monke
     group, K = make_pair()
     part = wg.double_cosets(group, K)
     w = random_bi_invariant_weight(part, np.random.default_rng(7), unit_at_identity=True)
-    sc = wg.hecke_structure_constants(group, part, w)
+    sc = wg.hecke_structure_constants(group, part, w[part.reps])
     report = wg.is_weighted_gelfand(sc)
     verdicts = _count_calls(monkeypatch, "is_weighted_gelfand")
     with pytest.raises(NotGelfandError) as exc:
@@ -306,7 +314,7 @@ def test_sparse_intersection_numbers_match_dense_oracle(group, K, part, w):
     p. S6/(0 1) has d = 192 and is not Gelfand; on S5/C5 the first mismatch
     is a zero p[i,j,k] whose swap p[j,i,k] is not, so the witness comes from
     a swapped key."""
-    sc = wg.hecke_structure_constants(group, part, w)
+    sc = wg.hecke_structure_constants(group, part, w[part.reps])
     p = dense_p_oracle(group, part)
     assert np.array_equal(sc.keys, np.flatnonzero(p))
     assert np.array_equal(sc.counts, p.ravel()[sc.keys])
@@ -344,7 +352,7 @@ def test_structure_constants_and_spherical_stay_below_dense_size():
     w = random_bi_invariant_weight(part, np.random.default_rng(9), unit_at_identity=True)
     tracemalloc.start()
     try:
-        sc = wg.hecke_structure_constants(group, part, w)
+        sc = wg.hecke_structure_constants(group, part, w[part.reps])
         sset = wg.enumerate_spherical(sc)
         _, peak = tracemalloc.get_traced_memory()
     finally:

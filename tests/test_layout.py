@@ -1,6 +1,7 @@
 """The package holds what its commands run: every public function, class and
 method in `src/wgelfand` is referenced somewhere in the package outside its
-own definition. Reference code that only the tests call lives in
+own definition, and every defaulted parameter of one is passed by some call
+in the package. Reference code that only the tests call lives in
 `tests/oracles.py`."""
 
 import ast
@@ -10,6 +11,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "wgelfand"
 # argparse calls it; no module names it
 EXEMPT = {"cli._Parser.error"}
+# the entry point: argv is None on the command line, a list in tests
+KNOB_EXEMPT = {"cli.main.argv"}
 
 
 def _definitions(module: str, tree: ast.Module):
@@ -49,4 +52,61 @@ def test_every_public_name_in_the_package_has_a_caller_in_the_package():
         for qualified, name, node in _definitions(module, tree)
         if used[name] == _references(node)[name] and qualified not in EXEMPT
     ]
+    assert unused == []
+
+
+def _defaulted(node: ast.FunctionDef, method: bool):
+    """(name, position among the call's positional arguments or None) of
+    every parameter of node that has a default; a method's self is not
+    passed positionally."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    skip = 1 if method else 0
+    for index, arg in enumerate(positional):
+        if index >= first:
+            yield arg.arg, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether call passes the parameter by keyword, by position or through
+    a * or ** argument."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
+    """A default that no call in the package overrides is a knob only the
+    tests turn: the package should read the value where it is used."""
+    trees = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    calls = [
+        node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)
+    ]
+
+    def callee(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+    unused = []
+    for module, tree in trees.items():
+        for qualified, name, node in _definitions(module, tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            method = qualified.count(".") == 2
+            for param, position in _defaulted(node, method):
+                passed = any(
+                    callee(c) == name and _passes(c, param, position) for c in calls
+                )
+                if not passed and f"{qualified}.{param}" not in KNOB_EXEMPT:
+                    unused.append(f"{qualified}({param}=...)")
     assert unused == []

@@ -11,6 +11,7 @@ from conftest import (
     classical_convolve_oracle,
     double_cosets_oracle,
     forbid_table,
+    gelfand_instances,
     mul_oracle,
     random_bi_invariant_weight,
     random_gfunction,
@@ -26,30 +27,32 @@ def delta(n, x):
 
 
 def test_weight_rejects_nonpositive():
+    c2 = wg.cyclic_group(2)
+    part = wg.double_cosets(c2, wg.subgroup_closure(c2, []))
     with pytest.raises(InputSpecError, match="strictly positive"):
-        wg.Weight(np.array([1.0, 0.0]))
+        wg.weight_from_spec({"kind": "by_element", "values": [1.0, 0.0]}, part)
 
 
 def test_weighted_l1_norm_delta():
     c4 = wg.cyclic_group(4)
-    w = wg.uniform_weight(c4)
+    w = np.ones(c4.order)
     assert oracles.weighted_l1_norm(delta(4, 0), w) == 1.0
 
 
 def test_weighted_l1_norm_cyclic4():
     c4 = wg.cyclic_group(4)
-    w = wg.Weight(np.array([1.0, 2.0, 3.0, 2.0]))
+    w = np.array([1.0, 2.0, 3.0, 2.0])
     assert oracles.weighted_l1_norm(np.ones(4), w) == 8.0
 
 
 def test_weighted_l1_norm_zero():
     c4 = wg.cyclic_group(4)
-    assert oracles.weighted_l1_norm(np.zeros(4), wg.uniform_weight(c4)) == 0.0
+    assert oracles.weighted_l1_norm(np.zeros(4), np.ones(c4.order)) == 0.0
 
 
 def test_convolve_delta_e_is_identity(s3):
     rng = np.random.default_rng(1)
-    w = wg.Weight(np.concatenate([[1.0], rng.uniform(0.5, 2, 5)]))
+    w = np.concatenate([[1.0], rng.uniform(0.5, 2, 5)])
     f = random_gfunction(6, rng)
     e = delta(6, s3.identity)
     assert np.allclose(oracles.weighted_convolve(f, e, s3, w), f, atol=1e-12)
@@ -58,7 +61,7 @@ def test_convolve_delta_e_is_identity(s3):
 
 def test_convolve_uniform_weight_matches_classical(s3):
     rng = np.random.default_rng(2)
-    w = wg.uniform_weight(s3)
+    w = np.ones(s3.order)
     f, g = random_gfunction(6, rng), random_gfunction(6, rng)
     got = oracles.weighted_convolve(f, g, s3, w)
     assert np.allclose(got, classical_convolve_oracle(f, g, s3), atol=1e-12)
@@ -66,7 +69,7 @@ def test_convolve_uniform_weight_matches_classical(s3):
 
 def test_convolve_cyclic2_hand_value():
     c2 = wg.cyclic_group(2)
-    w = wg.Weight(np.array([1.0, 2.0]))
+    w = np.array([1.0, 2.0])
     f = delta(2, 1)
     out = oracles.weighted_convolve(f, f, c2, w)
     assert out[0] == pytest.approx(4.0)
@@ -75,7 +78,7 @@ def test_convolve_cyclic2_hand_value():
 
 def test_convolve_matches_double_loop_oracle(s3):
     rng = np.random.default_rng(3)
-    w = wg.Weight(rng.uniform(0.5, 2.0, 6))
+    w = rng.uniform(0.5, 2.0, 6)
     f, g = random_gfunction(6, rng), random_gfunction(6, rng)
     got = oracles.weighted_convolve(f, g, s3, w)
     assert np.allclose(got, weighted_convolve_oracle(f, g, s3, w), atol=1e-12)
@@ -86,7 +89,7 @@ def test_convolve_matches_double_loop_oracle(s3):
 def test_convolution_associative(seed):
     c6 = wg.cyclic_group(6)
     rng = np.random.default_rng(seed)
-    w = wg.Weight(rng.uniform(0.5, 2.0, 6))
+    w = rng.uniform(0.5, 2.0, 6)
     f, g, h = (random_gfunction(6, rng) for _ in range(3))
     left = oracles.weighted_convolve(oracles.weighted_convolve(f, g, c6, w), h, c6, w)
     right = oracles.weighted_convolve(f, oracles.weighted_convolve(g, h, c6, w), c6, w)
@@ -95,7 +98,7 @@ def test_convolution_associative(seed):
 
 def test_intertwining_with_classical(s3):
     rng = np.random.default_rng(4)
-    w = wg.Weight(rng.uniform(0.5, 2.0, 6))
+    w = rng.uniform(0.5, 2.0, 6)
     f, g = random_gfunction(6, rng), random_gfunction(6, rng)
     lhs = oracles.multiplication_operator(oracles.weighted_convolve(f, g, s3, w), w)
     rhs = oracles.classical_convolve(
@@ -106,15 +109,15 @@ def test_intertwining_with_classical(s3):
 
 def test_multiplication_operator():
     c4 = wg.cyclic_group(4)
-    w = wg.Weight(np.array([1.0, 2.0, 3.0, 4.0]))
+    w = np.array([1.0, 2.0, 3.0, 4.0])
     f = delta(4, 2)
     assert np.allclose(oracles.multiplication_operator(f, w), 3.0 * f)
     assert np.allclose(
-        oracles.multiplication_operator(f, wg.uniform_weight(c4)), f
+        oracles.multiplication_operator(f, np.ones(c4.order)), f
     )
     rng = np.random.default_rng(5)
     g = random_gfunction(4, rng)
-    assert np.allclose(oracles.multiplication_operator(g, w) / w.values, g, atol=1e-15)
+    assert np.allclose(oracles.multiplication_operator(g, w) / w, g, atol=1e-15)
 
 
 def test_g_level_helpers_never_read_the_table(monkeypatch):
@@ -133,7 +136,7 @@ def test_g_level_helpers_never_read_the_table(monkeypatch):
         K = wg.subgroup_closure(group, [int(g.generators[-1])])
         part = wg.double_cosets(group, K)
         phi = wg.BiInvariantFunction(wg.enumerate_spherical(
-            wg.hecke_structure_constants(group, part, wg.uniform_weight(group))
+            wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
         ).functions[-1], part)
         projected = oracles.sharp_projection(f, group, K)
         results.append([
@@ -143,7 +146,7 @@ def test_g_level_helpers_never_read_the_table(monkeypatch):
             oracles.weighted_convolve(f, h, group, w),
             projected,
             [oracles.is_left_invariant(projected, group, K), oracles.is_left_invariant(f, group, K)],
-            oracles.verify_functional_equation(phi, group, K, wg.uniform_weight(group)),
+            oracles.verify_functional_equation(phi, group, K, np.ones(group.order)),
         ])
     for ours, theirs in zip(*results):
         assert np.allclose(ours, theirs, atol=1e-12)
@@ -154,7 +157,7 @@ def test_g_level_helpers_never_read_the_table(monkeypatch):
 def test_translate_and_gamma_identity_element(s3):
     rng = np.random.default_rng(6)
     f = random_gfunction(6, rng)
-    w = wg.Weight(rng.uniform(0.5, 2.0, 6))
+    w = rng.uniform(0.5, 2.0, 6)
     assert np.allclose(oracles.translate(f, s3, s3.identity), f)
     assert np.allclose(oracles.gamma(f, s3, s3.identity, w), f)
 
@@ -162,14 +165,14 @@ def test_translate_and_gamma_identity_element(s3):
 def test_gamma_collapses_at_uniform_weight(s3):
     rng = np.random.default_rng(7)
     f = random_gfunction(6, rng)
-    w = wg.uniform_weight(s3)
+    w = np.ones(s3.order)
     for s in range(6):
         assert np.allclose(oracles.gamma(f, s3, s, w), oracles.translate(f, s3, s))
 
 
 def test_gamma_cyclic3_hand_value():
     c3 = wg.cyclic_group(3)
-    w = wg.Weight(np.array([1.0, 2.0, 4.0]))
+    w = np.array([1.0, 2.0, 4.0])
     out = oracles.gamma(delta(3, 0), c3, 1, w)
     assert np.allclose(out, [0, 0.5, 0])
 
@@ -225,26 +228,31 @@ def test_theta_pullback_equals_reflect_for_bi_invariant(s3_pair):
 def test_weight_checks_uniform(s3_pair):
     group, K, part = s3_pair
     theta = wg.check_automorphism(group, np.arange(6))
-    w = wg.uniform_weight(group)
-    flags = wg.weight_checks(w, group, theta=theta)
-    assert wg.bi_invariance_witness(w, part) is None and flags.symmetric
-    assert flags.unit_at_identity and flags.theta_invariant
+    wd = wg.weight_from_spec({"kind": "uniform"}, part)
+    assert wg.bi_invariance_witness(np.ones(group.order), part) is None
+    assert np.array_equal(wd, np.ones(part.num_cosets))
+    assert np.array_equal(wd[part.inverse_coset], wd)
+    assert wd[part.identity_coset] == 1.0 and wg.theta_invariant(wd, part, theta)
 
 
 def test_weight_checks_coset_constant(s3_weighted):
     group, K, part, w = s3_weighted
-    flags = wg.weight_checks(w, group)
     assert wg.bi_invariance_witness(w, part) is None
-    assert flags.symmetric
-    assert flags.unit_at_identity
+    wd = wg.weight_from_spec({"kind": "by_element", "values": w.tolist()}, part)
+    assert np.array_equal(wd[part.coset_of], w)
+    assert np.array_equal(wd[part.inverse_coset], wd)
+    assert wd[part.identity_coset] == 1.0
 
 
 def test_weight_checks_witness(s3_pair):
     group, K, part = s3_pair
-    w = wg.Weight(np.arange(1.0, 7.0))
+    w = np.arange(1.0, 7.0)
     x, y = wg.bi_invariance_witness(w, part)
     assert part.coset_of[x] == part.coset_of[y]
-    assert w.values[x] != w.values[y]
+    assert w[x] != w[y]
+    with pytest.raises(wg.BiInvarianceError) as exc:
+        wg.weight_from_spec({"kind": "by_element", "values": w.tolist()}, part)
+    assert exc.value.witness == (x, y)
 
 
 def test_bi_invariance_witness_walks_coset_by_coset():
@@ -259,11 +267,11 @@ def test_bi_invariance_witness_walks_coset_by_coset():
     assert cosets[2] == (5, 7, 9, 12) and cosets[3] == (8, 10, 11, 13)
     vals = np.ones(group.order)
     vals[[12, 10]] = [2.0, 3.0]
-    w = wg.Weight(vals)
     first = next((c[0], x) for c in cosets for x in c if vals[x] != vals[c[0]])
-    assert wg.bi_invariance_witness(w, part) == first == (5, 12)
-    with pytest.raises(wg.BiInvarianceError, match="elements 5 and 12 "):
-        wg.hecke_structure_constants(group, part, w)
+    assert wg.bi_invariance_witness(vals, part) == first == (5, 12)
+    with pytest.raises(wg.BiInvarianceError, match="elements 5 and 12 ") as exc:
+        wg.weight_from_spec({"kind": "by_element", "values": vals.tolist()}, part)
+    assert exc.value.witness == (5, 12)
 
 
 def test_sharp_convolution_identities(s3_pair):
@@ -292,10 +300,11 @@ def test_sharp_convolution_identities(s3_pair):
 def test_theta_homomorphism():
     c6 = wg.cyclic_group(6)
     theta = wg.inversion_automorphism(c6)
+    part = wg.double_cosets(c6, wg.subgroup_closure(c6, []))
     rng = np.random.default_rng(12)
     for _ in range(20):
         w = random_symmetric_weight(c6, rng)
-        assert wg.weight_checks(w, c6, theta=theta).theta_invariant
+        assert wg.theta_invariant(w[part.reps], part, theta)
         f, h = random_gfunction(6, rng), random_gfunction(6, rng)
         lhs = oracles.weighted_convolve(
             oracles.theta_pullback(f, theta), oracles.theta_pullback(h, theta), c6, w
@@ -309,7 +318,7 @@ def test_gamma_commutes_with_convolution_operators_abelian():
     # weighted translations
     c6 = wg.cyclic_group(6)
     rng = np.random.default_rng(13)
-    w = wg.Weight(rng.uniform(0.5, 2.0, 6))
+    w = rng.uniform(0.5, 2.0, 6)
     h = random_gfunction(6, rng)
     f = random_gfunction(6, rng)
     for s in range(6):
@@ -320,17 +329,33 @@ def test_gamma_commutes_with_convolution_operators_abelian():
 
 def test_weight_from_spec_kinds(s3_pair):
     group, K, part = s3_pair
-    assert np.allclose(wg.weight_from_spec({"kind": "uniform"}, group).values, 1.0)
-    w = wg.weight_from_spec(
-        {"kind": "by_element", "values": [1, 2, 3, 4, 5, 6]}, group
+    assert np.array_equal(wg.weight_from_spec({"kind": "uniform"}, part), [1.0, 1.0])
+    wd = wg.weight_from_spec(
+        {"kind": "by_element", "values": [1, 1, 4, 4, 4, 4]}, part
     )
-    assert w.values[3] == 4.0
-    w = wg.weight_from_spec(
-        {"kind": "by_double_coset", "values": {"0": 1.0, "1": 3.0}}, group, part
+    assert np.array_equal(wd, [1.0, 4.0])
+    wd = wg.weight_from_spec(
+        {"kind": "by_double_coset", "values": {"0": 1.0, "1": 3.0}}, part
     )
-    assert wg.bi_invariance_witness(w, part) is None
+    assert np.array_equal(wd, [1.0, 3.0])
     with pytest.raises(InputSpecError):
-        wg.weight_from_spec({"kind": "by_element", "values": [1.0]}, group)
+        wg.weight_from_spec({"kind": "by_element", "values": [1.0]}, part)
+
+
+@pytest.mark.parametrize("name, group, K, part, w", gelfand_instances(),
+                         ids=[case[0] for case in gelfand_instances()])
+def test_weight_specs_of_one_weight_give_one_wd(name, group, K, part, w):
+    """uniform, by_element and by_double_coset specs of one weight read to
+    the same coset weights, bit for bit."""
+    by_coset = {str(i): float(v) for i, v in enumerate(w[part.reps])}
+    wd = wg.weight_from_spec({"kind": "by_double_coset", "values": by_coset}, part)
+    assert np.array_equal(wg.weight_from_spec({"kind": "by_element", "values": w.tolist()}, part), wd)
+    assert np.array_equal(wd[part.coset_of], w)
+    ones = np.ones(group.order)
+    uniform = wg.weight_from_spec({"kind": "uniform"}, part)
+    assert np.array_equal(wg.weight_from_spec({"kind": "by_element", "values": ones.tolist()}, part), uniform)
+    all_one = {str(i): 1 for i in range(part.num_cosets)}
+    assert np.array_equal(wg.weight_from_spec({"kind": "by_double_coset", "values": all_one}, part), uniform)
 
 
 def test_bi_invariant_function_roundtrip(s3_pair):
