@@ -157,7 +157,7 @@ def run(args) -> tuple[dict, int]:
         t2 = time.perf_counter()
         sset = enumerate_spherical(sc)
         report["spherical"] = {"count": len(sset), "functions": sset.to_json()}
-        rank, cond = injectivity_check(sset, sc.wd)
+        rank, cond = injectivity_check(sset)
         report["fourier"] = {
             "rank": rank,
             "condition": cond,

@@ -21,25 +21,29 @@ from .tolerance import within
 from .weighted import BiInvariantFunction, json_number
 
 
-def injectivity_check(sset: SphericalSet, wd: np.ndarray) -> tuple[int, float]:
+def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
     """Numerical rank and condition number of the transform matrix
     F[i, s] = chi_s(delta_i), which is `sset.characters.T`: the transform of
     an indicator is the value of the character on it.
 
-    F = diag(wd) F1 with F1 the weight-free table of the classical
-    characters, so the weight cannot change the rank: it is counted on
-    F1 = F / wd, as the singular values beyond the tolerance at the largest.
-    The condition number is that of F; if it is not finite (F is singular
-    in floating point, as a wide weight makes it), DegenerateSpectrumError
-    is raised.
+    F = diag(w_i) F1 with F1 the weight-free table
+    `sset.classical_characters.T`, so the weight cannot change the rank: it
+    is counted on F1, as the singular values beyond the tolerance at the
+    largest. The condition number is that of F. It is at least the ratio of
+    the largest to the smallest row norm of F (sigma_max is at least every
+    row norm, sigma_min at most every one); when that ratio reaches 1 / eps,
+    sigma_min is below what an SVD resolves and F is singular in floating
+    point, as a wide weight makes it. That, or a condition number that is
+    not finite, raises DegenerateSpectrumError.
     """
     F = sset.characters.T
-    free = np.linalg.svd(F / wd[:, None], compute_uv=False)
+    free = np.linalg.svd(sset.classical_characters, compute_uv=False)
     rank = int(np.sum(~within(free, free[0])))
+    rows = np.linalg.norm(F, axis=1)
     svals = np.linalg.svd(F, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = float(svals[0] / svals[-1])
-    if not np.isfinite(cond):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        spread, cond = np.max(rows) / np.min(rows), float(svals[0] / svals[-1])
+    if not (spread * np.finfo(float).eps < 1 and np.isfinite(cond)):
         raise DegenerateSpectrumError(
             "Fourier table is singular in floating point: weight range too wide"
         )
@@ -66,8 +70,13 @@ class MultiplierSymbol:
 
 
 def multiplier_from_kernel(h: BiInvariantFunction, sc: StructureConstants) -> MultiplierOperator:
-    """Matrix of f -> h *_w f on the indicator basis."""
-    return MultiplierOperator(matrix=sc.left(h.coset_values), kernel=h)
+    """Matrix of f -> h *_w f on the indicator basis. A matrix that is not
+    finite raises DegenerateSpectrumError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = sc.left(h.coset_values)
+    if not np.all(np.isfinite(matrix)):
+        raise DegenerateSpectrumError("kernel operator overflows: kernel entries too large")
+    return MultiplierOperator(matrix=matrix, kernel=h)
 
 
 def is_multiplier(

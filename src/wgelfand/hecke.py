@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotInvolutiveError, WGelfandError
+from .errors import InputSpecError, NotInvolutiveError, WGelfandError
 from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable, theta_in_KxinvK
 from .weighted import checked_weights, theta_invariant
 
@@ -108,7 +108,9 @@ def hecke_structure_constants(
     returns it; anything else raises InputSpecError.
     """
     d = partition.num_cosets
-    wd = checked_weights(wd, d)
+    if np.shape(wd) != (d,):
+        raise InputSpecError(f"weight needs {d} values, got {np.shape(wd)}")
+    wd = checked_weights(wd)
     codes = partition.coset_of[group.product(group.inv[:, None], partition.reps)]
     codes += partition.coset_of[:, None] * d
     codes *= d

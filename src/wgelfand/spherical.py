@@ -29,12 +29,15 @@ class SphericalSet:
     """All spherical functions of a weighted Gelfand pair and their
     characters, in a canonical (sorted-by-character) order: row s of
     `functions` holds phi_s on the double cosets, and row s of `characters`
-    holds chi_s on the indicator basis. A spherical function is bi-invariant
+    holds chi_s on the indicator basis. Row s of `classical_characters` holds
+    the weight-free character chi1_s of the same line, so that
+    chi_s(delta_i) = w_i chi1_s(delta_i). A spherical function is bi-invariant
     with phi(e) = 1 and solves the averaged product equation
     (1/|K|) sum_k (w phi)(x k y) = (w phi)(x) (w phi)(y)."""
 
     functions: np.ndarray
     characters: np.ndarray
+    classical_characters: np.ndarray
     partition: DoubleCosetPartition
 
     def __len__(self) -> int:
@@ -111,7 +114,12 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     if not (np.all(np.isfinite(chars)) and np.all(np.isfinite(phis))):
         raise DegenerateSpectrumError("spherical functions overflow: weight range too wide")
     order = _character_order(chars)
-    return SphericalSet(functions=phis[order], characters=chars[order], partition=partition)
+    return SphericalSet(
+        functions=phis[order],
+        characters=chars[order],
+        classical_characters=chi1.T[order],
+        partition=partition,
+    )
 
 
 def _refine(blocks: list[np.ndarray] | None, H: np.ndarray, scale: float) -> list[np.ndarray]:

@@ -13,14 +13,16 @@
    compares (1 where a check has none). A NaN residual fails. This covers
    the character multiplicativity, the eigenvalue split, the multiplier
    identity T = L_{T u}, the symbol residual, the kernel match and the
-   Fourier rank cut, which is made on the weight-free table F / wd. The
-   commutation residual is reported only.
+   Fourier rank cut, which is made on the weight-free table
+   `SphericalSet.classical_characters`. The commutation residual is
+   reported only.
 3. A computed value that is not finite is a numerical degeneracy, not a
    result: it raises `DegenerateSpectrumError` (exit 3), and never reaches
    the report. This covers the structure constants (`max_constant`), the
    weighted spherical functions and characters, the condition number of
-   the Fourier table, the multiplier symbol and its residual, and the
-   commutation residual.
+   the Fourier table (also when its row norms span 1 / eps or more, which
+   makes it singular in floating point), the kernel operator L_h, the
+   multiplier symbol and its residual, and the commutation residual.
 
 The Gelfand verdict and the group axioms of a table (`validate_group`,
 Light's associativity test) need no tolerance: they are exact tests on integers.

@@ -39,7 +39,7 @@ def weight_from_spec(spec: dict, partition: DoubleCosetPartition) -> np.ndarray:
             raw = spec.get("values", [])
             if np.shape(raw) != (n,):
                 raise InputSpecError(f"weight needs {n} values, got {np.shape(raw)}")
-            values = checked_weights([json_number(v) for v in raw], n)
+            values = checked_weights([json_number(v) for v in raw])
             witness = bi_invariance_witness(values, partition)
             if witness is not None:
                 raise BiInvarianceError(*witness)
@@ -63,17 +63,15 @@ def weight_from_spec(spec: dict, partition: DoubleCosetPartition) -> np.ndarray:
                 if key not in table:
                     raise InputSpecError(f"missing weight for double coset {cid}")
                 vals[cid] = json_number(table[key])
-            return checked_weights(vals, d)
+            return checked_weights(vals)
     except (TypeError, ValueError) as exc:
         raise InputSpecError(f"weight values must be numbers: {exc}") from exc
     raise InputSpecError(f"unknown weight kind: {kind!r}")
 
 
-def checked_weights(values, size: int) -> np.ndarray:
-    """values as a float vector of the given size, finite and > 0."""
+def checked_weights(values) -> np.ndarray:
+    """values as a float array, finite and > 0."""
     vals = np.asarray(values, dtype=np.float64)
-    if vals.shape != (size,):
-        raise InputSpecError(f"weight needs {size} values, got {vals.shape}")
     if not np.all(np.isfinite(vals) & (vals > 0)):
         raise InputSpecError("weight must be finite and strictly positive")
     return vals

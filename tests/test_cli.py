@@ -531,6 +531,8 @@ def test_overflowing_weight_exit_3_without_warnings(tmp_path, capsys):
 
 HUGE_SCALAR = {"kind": "matrix", "rows": [[[1.5e308, 0], [0, 0]], [[0, 0], [1.5e308, 0]]]}
 LARGE_SCALAR = {"kind": "matrix", "rows": [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]}
+# L_h sums h_i p[i,j,k] with p[1,1,0] = 4 on S3/<(0 1)>: 4 * 1e308 overflows
+HUGE_KERNEL = {"kind": "kernel", "coset_values": [[1e308, 0], [1e308, 0]]}
 
 
 @pytest.mark.parametrize(
@@ -540,14 +542,17 @@ LARGE_SCALAR = {"kind": "matrix", "rows": [[[1e300, 0], [0, 0]], [[0, 0], [1e300
          "spherical functions overflow"),
         (UNIFORM, [HUGE_SCALAR], "multiplier symbol overflows"),
         (UNIFORM, [LARGE_SCALAR, LARGE_SCALAR], "commutation residual overflows"),
+        (UNIFORM, [HUGE_KERNEL], "kernel operator overflows"),
     ],
-    ids=["spherical-tiny-weight", "symbol-huge-scalar", "commutation-large-scalars"],
+    ids=["spherical-tiny-weight", "symbol-huge-scalar", "commutation-large-scalars",
+         "kernel-operator-huge-kernel"],
 )
 def test_non_finite_results_exit_3(tmp_path, capsys, weight, multipliers, message):
     """A value that overflows to inf or NaN is a numerical degeneracy: exit 3
     with one error line and no report, instead of inf or NaN in a report
     (a tiny coset weight divides the spherical functions; a true multiplier
-    near the float range overflows its symbol or the commutator)."""
+    near the float range overflows its symbol or the commutator; a kernel
+    near it overflows its operator L_h)."""
     paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight, multipliers=multipliers)
     argv = ["analyze" if not multipliers else "multiplier-check",
             "--group", paths["group"], "--subgroup", paths["subgroup"],

@@ -98,14 +98,14 @@ def test_injectivity_s3(s3_uniform_setup):
     group, K, part, w, sc, sset = s3_uniform_setup
     # rows are transforms of the indicators: {2, 2} and {4, -2} up to order
     assert sorted(np.round(sset.characters.T.real.flatten()).tolist()) == [-2, 2, 2, 4]
-    rank, cond = wg.injectivity_check(sset, sc.wd)
+    rank, cond = wg.injectivity_check(sset)
     assert rank == 2
     assert np.isfinite(cond)
 
 
 def test_injectivity_weighted(s3_setup):
     group, K, part, w, sc, sset = s3_setup
-    rank, _ = wg.injectivity_check(sset, sc.wd)
+    rank, _ = wg.injectivity_check(sset)
     assert rank == 2
 
 
@@ -113,8 +113,28 @@ def test_injectivity_rank_one_for_full_subgroup(s3):
     K = wg.subgroup_closure(s3, [1, 2])
     part = wg.double_cosets(s3, K)
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(s3, part, np.ones(1)))
-    rank, _ = wg.injectivity_check(sset, np.ones(1))
+    rank, _ = wg.injectivity_check(sset)
     assert rank == 1
+
+
+@pytest.mark.parametrize("wide, singular", [(1e15, False), (1e16, True)])
+def test_injectivity_singular_when_rows_span_one_over_eps(s3, wide, singular):
+    """cond(F) is at least the spread of the row norms of F; from 1 / eps
+    (about 4.5e15) on, F is singular in floating point and the check
+    raises, whatever the SVD returns. A diagonal F has the exact condition
+    number `wide`, finite on both sides of the cut."""
+    part = wg.double_cosets(s3, wg.subgroup_closure(s3, [1]))
+    sset = wg.SphericalSet(
+        functions=np.eye(2, dtype=complex),
+        characters=np.diag([1.0, wide]).astype(complex),
+        classical_characters=np.eye(2, dtype=complex),
+        partition=part,
+    )
+    if singular:
+        with pytest.raises(wg.DegenerateSpectrumError, match="singular"):
+            wg.injectivity_check(sset)
+    else:
+        assert wg.injectivity_check(sset) == (2, wide)
 
 
 def test_multiplier_from_kernel_identity(s3_setup):
