@@ -8,14 +8,11 @@ from .errors import (
     NotAutomorphismError,
     NotGelfandError,
     NotInvolutiveError,
-    NotMultiplierError,
     PreconditionError,
     SizeLimitError,
     WGelfandError,
 )
 from .fourier import (
-    MultiplierOperator,
-    MultiplierSymbol,
     extract_symbol,
     injectivity_check,
     is_multiplier,
@@ -56,7 +53,6 @@ from .spherical import (
     enumerate_spherical,
 )
 from .weighted import (
-    BiInvariantFunction,
     bi_invariance_witness,
     theta_invariant,
     weight_from_spec,

@@ -117,6 +117,7 @@ def run(args) -> tuple[dict, int]:
     timings["setup"] = time.perf_counter() - t0
 
     unit_at_identity = bool(wd[partition.identity_coset] == 1.0)
+    w_invariant = None if theta is None else theta_invariant(wd, partition, theta)
     report = {
         "tool": {"name": "wgelfand", "version": __version__},
         "command": args.command,
@@ -134,14 +135,14 @@ def run(args) -> tuple[dict, int]:
             "k_bi_invariant": True,
             "symmetric": bool(np.array_equal(wd[partition.inverse_coset], wd)),
             "unit_at_identity": unit_at_identity,
-            "theta_invariant": None if theta is None else theta_invariant(wd, partition, theta),
+            "theta_invariant": w_invariant,
         },
     }
 
     t1 = time.perf_counter()
     sc = hecke_structure_constants(group, partition, wd)
     gelfand = is_weighted_gelfand(sc)
-    rap = None if theta is None else check_rap_condition(sc, theta)
+    rap = None if theta is None else check_rap_condition(sc, theta, w_invariant)
     report["gelfand"] = {**gelfand.to_json(), "rap": rap}
     timings["gelfand"] = time.perf_counter() - t1
 
@@ -174,17 +175,17 @@ def run(args) -> tuple[dict, int]:
                 inputs.setdefault("multipliers", []).append(
                     {"path": mpath, "sha256": digest}
                 )
-                T = multiplier_from_spec(mspec, sc)
+                T, h = multiplier_from_spec(mspec, sc)
                 # a kernel operator is L_h, a multiplier by Wendel's theorem
-                ok, witness = (True, None) if T.kernel is not None else is_multiplier(T, sc)
+                ok, witness = (True, None) if h is not None else is_multiplier(T, sc)
                 entry = {"path": mpath, "is_multiplier": ok}
                 if ok:
-                    sym = extract_symbol(T, sset)
-                    entry.update(sym.to_json())
-                    if T.kernel is not None:
-                        kt = sset.characters @ T.kernel.coset_values
+                    sym = extract_symbol(T, sc, sset)
+                    entry["symbol"] = complex_pairs(sym)
+                    if h is not None:
+                        kt = sset.characters @ h
                         entry["symbol_matches_kernel_transform"] = bool(
-                            within(np.max(np.abs(sym.values - kt)), np.max(np.abs(kt)))
+                            within(np.max(np.abs(sym - kt)), np.max(np.abs(kt)))
                         )
                     operators.append(T)
                 else:

@@ -22,7 +22,7 @@ class NotAutomorphismError(WGelfandError):
 
 
 class NotInvolutiveError(WGelfandError):
-    """An automorphism required to be involutive is not."""
+    """An automorphism is not an involution: theta^2 != id."""
 
 
 class BiInvarianceError(WGelfandError):
@@ -53,9 +53,5 @@ class NotGelfandError(WGelfandError):
 class DegenerateSpectrumError(WGelfandError):
     """The spectral step failed: the joint spectrum split into fewer than d
     lines, a character failed multiplicativity, or a computed value (the
-    structure constants, the spherical functions, a multiplier symbol or a
-    commutation residual) is not finite."""
-
-
-class NotMultiplierError(WGelfandError):
-    """An operator claimed to be a multiplier fails the defining identity."""
+    structure constants, the spherical functions, an operator L_h, a
+    multiplier symbol or a commutation residual) is not finite."""

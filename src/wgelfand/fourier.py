@@ -9,16 +9,15 @@ theorem on G are checked by the reference code in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InputSpecError, NotMultiplierError
+from .errors import DegenerateSpectrumError, InputSpecError
 from .hecke import StructureConstants
-from .spherical import SphericalSet, complex_pairs
+from .spherical import SphericalSet
 from .tolerance import within
-from .weighted import BiInvariantFunction, json_number
+from .weighted import json_number
 
 
 def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
@@ -50,86 +49,61 @@ def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
     return rank, cond
 
 
-@dataclass(frozen=True)
-class MultiplierOperator:
-    """A linear operator on coset coordinates, optionally born from a kernel."""
-
-    matrix: np.ndarray
-    kernel: Optional[BiInvariantFunction] = None
-
-
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """Pointwise spectral action of a multiplier, one value per spherical
-    function, in SphericalSet order."""
-
-    values: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"symbol": complex_pairs(self.values)}
-
-
-def multiplier_from_kernel(h: BiInvariantFunction, sc: StructureConstants) -> MultiplierOperator:
-    """Matrix of f -> h *_w f on the indicator basis. A matrix that is not
-    finite raises DegenerateSpectrumError."""
+def multiplier_from_kernel(h: np.ndarray, sc: StructureConstants) -> np.ndarray:
+    """L_h, the matrix of f -> h *_w f on the indicator basis, for the coset
+    values h of a kernel. An h without one value per double coset raises
+    InputSpecError; a matrix that is not finite raises
+    DegenerateSpectrumError."""
+    if np.shape(h) != (sc.dim,):
+        raise InputSpecError(f"kernel needs {sc.dim} coset values, got {np.shape(h)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = sc.left(h.coset_values)
+        matrix = sc.left(h)
     if not np.all(np.isfinite(matrix)):
         raise DegenerateSpectrumError("kernel operator overflows: kernel entries too large")
-    return MultiplierOperator(matrix=matrix, kernel=h)
+    return matrix
 
 
-def is_multiplier(
-    T: MultiplierOperator, sc: StructureConstants
-) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Check T(delta_e *_w delta_j) = (T delta_e) *_w delta_j for every j,
-    with e the identity coset.
-
-    c[e,j,k] = |K| w_e [j = k], so u = delta_e / (|K| w_e) is the unit and,
-    divided by |K| w_e, the check reads T = L_{T u}, with L_h = sc.left(h).
-    It compares T with L_{T u}, at the scale of their largest entry. Then
-    T(f * g) = (T u) * f * g = (T f) * g for all f, g, so a check that passes
-    on row e passes on every row (Wendel 1952). The witness is the first
-    failing pair (e, j): column j of T - L_{T u}.
-    """
+def _unit_image(T: np.ndarray, sc: StructureConstants) -> np.ndarray:
+    """T u for the unit u = delta_e / (|K| w_e), e the identity coset:
+    c[e,j,k] = |K| w_e [j = k]."""
     e = sc.partition.identity_coset
-    L = sc.left(T.matrix[:, e] / (sc.partition.sizes[e] * sc.wd[e]))
-    scale = max(float(np.max(np.abs(T.matrix))), float(np.max(np.abs(L))))
-    failing = np.flatnonzero(~within(np.max(np.abs(T.matrix - L), axis=0), scale))
+    return T[:, e] / (sc.partition.sizes[e] * sc.wd[e])
+
+
+def is_multiplier(T: np.ndarray, sc: StructureConstants) -> tuple[bool, Optional[tuple[int, int]]]:
+    """Check T(delta_e *_w delta_j) = (T delta_e) *_w delta_j for every j,
+    with e the identity coset: the one place a multiplier is decided.
+
+    Divided by |K| w_e, the check reads T = L_{T u}, with u the unit and
+    L_h = `multiplier_from_kernel(h, sc)`, which raises
+    DegenerateSpectrumError where L_{T u} is not finite and so cannot be
+    compared. It compares T with L_{T u}, at the scale of their largest
+    entry. Then T(f * g) = (T u) * f * g = (T f) * g for all f, g, so a
+    check that passes on row e passes on every row (Wendel 1952). The
+    witness is the first failing pair (e, j): column j of T - L_{T u}.
+    """
+    L = multiplier_from_kernel(_unit_image(T, sc), sc)
+    scale = max(float(np.max(np.abs(T))), float(np.max(np.abs(L))))
+    failing = np.flatnonzero(~within(np.max(np.abs(T - L), axis=0), scale))
+    e = sc.partition.identity_coset
     return (False, (e, int(failing[0]))) if len(failing) else (True, None)
 
 
-def extract_symbol(T: MultiplierOperator, sset: SphericalSet) -> MultiplierSymbol:
-    """Symbol of a multiplier: the transform of T u, with u the unit.
-
-    T delta_i = (T u) * delta_i, so with FT = T^T F (row i the transform of
-    T delta_i) the symbol is read off the identity coset's row:
-    sigma = FT[e] / F[e], as F[e, s] = chi_s(delta_e) = |K| w_e and
-    delta_e = |K| w_e u. The residual R = FT - F sigma is then checked on the
-    full basis; as F is invertible, this rejects every operator that is not
-    a multiplier. R = (T - L_{T u})^T F, so column s of R is at most
-    max|T - L_{T u}| times sum_j |F[j, s]|: each column is compared at
-    max(1, max|T|) times that sum, the bound that passing `is_multiplier`
-    gives, so an operator it accepts is not rejected here (up to rounding).
-    A symbol or residual that is not finite raises DegenerateSpectrumError.
+def extract_symbol(T: np.ndarray, sc: StructureConstants, sset: SphericalSet) -> np.ndarray:
+    """Symbol of a multiplier T, one value per spherical function in
+    SphericalSet order: the transform of T u, with u the unit, as
+    T f = (T u) * f. T must have passed `is_multiplier`, which decides
+    that T = L_{T u}. A symbol that is not finite raises
+    DegenerateSpectrumError.
     """
-    F = sset.characters.T
-    e = sset.partition.identity_coset
     with np.errstate(over="ignore", invalid="ignore"):
-        FT = T.matrix.T @ F
-        symbol = FT[e] / F[e]
-        residual = np.max(np.abs(FT - F * symbol[None, :]), axis=0)
-        scale = max(1.0, float(np.max(np.abs(T.matrix)))) * np.sum(np.abs(F), axis=0)
-    if not (np.all(np.isfinite(symbol)) and np.all(np.isfinite(residual))):
+        symbol = sset.characters @ _unit_image(T, sc)
+    if not np.all(np.isfinite(symbol)):
         raise DegenerateSpectrumError("multiplier symbol overflows: operator entries too large")
-    if not np.all(within(residual, scale)):
-        raise NotMultiplierError(
-            f"symbol verification failed on the basis (residual {np.max(residual):g})"
-        )
-    return MultiplierSymbol(values=symbol)
+    return symbol
 
 
-def verify_commutation(T1: MultiplierOperator, T2: MultiplierOperator) -> float:
+def verify_commutation(T1: np.ndarray, T2: np.ndarray) -> float:
     """max |T1 T2 - T2 T1|, for two operators that passed `is_multiplier`.
 
     Multipliers satisfy T(f * g) = T f * g = f * T g, so
@@ -137,30 +111,30 @@ def verify_commutation(T1: MultiplierOperator, T2: MultiplierOperator) -> float:
     this vanishes for all f, g exactly when the matrix commutator does. A
     residual that is not finite raises DegenerateSpectrumError.
     """
-    a, b = T1.matrix, T2.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.max(np.abs(a @ b - b @ a)))
+        residual = float(np.max(np.abs(T1 @ T2 - T2 @ T1)))
     if not np.isfinite(residual):
         raise DegenerateSpectrumError("commutation residual overflows: operator entries too large")
     return residual
 
 
-def multiplier_from_spec(spec: dict, sc: StructureConstants) -> MultiplierOperator:
-    """Build an operator from {"kind": "kernel"|"matrix"} JSON specs."""
+def multiplier_from_spec(
+    spec: dict, sc: StructureConstants
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(operator, kernel) from {"kind": "kernel"|"matrix"} JSON specs: L_h
+    and the coset values h for a kernel, the matrix and None for a matrix."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputSpecError('multiplier spec must be an object with a "kind" field')
     kind = spec["kind"]
     d = sc.dim
     if kind == "kernel":
-        vals = _complex_list(spec.get("coset_values"), d, "coset_values")
-        h = BiInvariantFunction(coset_values=vals, partition=sc.partition)
-        return multiplier_from_kernel(h, sc)
+        h = _complex_list(spec.get("coset_values"), d, "coset_values")
+        return multiplier_from_kernel(h, sc), h
     if kind == "matrix":
         rows = spec.get("rows")
         if not isinstance(rows, list) or len(rows) != d:
             raise InputSpecError(f'"rows" must be a {d}x{d} complex matrix')
-        matrix = np.array([_complex_list(r, d, "rows") for r in rows])
-        return MultiplierOperator(matrix=matrix)
+        return np.array([_complex_list(r, d, "rows") for r in rows]), None
     raise InputSpecError(f"unknown multiplier kind: {kind!r}")
 
 

@@ -172,10 +172,10 @@ class DoubleCosetPartition:
 
 @dataclass(frozen=True)
 class GroupAutomorphism:
-    """A verified automorphism of a GroupTable, stored as a permutation."""
+    """A verified involutive automorphism of a GroupTable, stored as a
+    permutation."""
 
     perm: np.ndarray
-    involutive: bool
 
 
 def _integers(value, what: str, ndim: int) -> np.ndarray:
@@ -468,12 +468,10 @@ def double_cosets(group: GroupTable, K: SubgroupEmbedding) -> DoubleCosetPartiti
     )
 
 
-def check_automorphism(
-    group: GroupTable,
-    perm: Sequence[int],
-    require_involutive: bool = False,
-) -> GroupAutomorphism:
-    """Verify that perm is a group automorphism; raises with a witness pair.
+def check_automorphism(group: GroupTable, perm: Sequence[int]) -> GroupAutomorphism:
+    """Verify that perm is an involutive group automorphism; a failed
+    homomorphism check raises with a witness pair, and then theta^2 != id
+    raises NotInvolutiveError.
 
     theta(x z) = theta(x) theta(z) is checked for every x and every z in the
     group's generating set S: the z that satisfy it for all x are closed
@@ -491,15 +489,14 @@ def check_automorphism(
     if len(bad):
         row, col = (int(v) for v in bad[0])
         raise NotAutomorphismError(row, int(z[col]))
-    involutive = bool(np.array_equal(p[p], np.arange(n)))
-    if require_involutive and not involutive:
+    if not np.array_equal(p[p], np.arange(n)):
         raise NotInvolutiveError("automorphism is not involutive")
-    return GroupAutomorphism(perm=p, involutive=involutive)
+    return GroupAutomorphism(perm=p)
 
 
 def inversion_automorphism(group: GroupTable) -> GroupAutomorphism:
     """x -> x^-1 as an automorphism; only valid on abelian groups."""
-    return check_automorphism(group, group.inv, require_involutive=True)
+    return check_automorphism(group, group.inv)
 
 
 def theta_in_KxinvK(
@@ -583,9 +580,9 @@ def automorphism_from_spec(group: GroupTable, spec: dict) -> GroupAutomorphism:
     if kind == "perm":
         if "perm" not in spec:
             raise InputSpecError('kind "perm" requires a "perm" field')
-        return check_automorphism(group, spec["perm"], require_involutive=True)
+        return check_automorphism(group, spec["perm"])
     if kind == "inversion":
         return inversion_automorphism(group)
     if kind == "identity":
-        return check_automorphism(group, np.arange(group.order), require_involutive=True)
+        return check_automorphism(group, np.arange(group.order))
     raise InputSpecError(f"unknown automorphism kind: {kind!r}")

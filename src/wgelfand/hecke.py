@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputSpecError, NotInvolutiveError, WGelfandError
+from .errors import InputSpecError, WGelfandError
 from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable, theta_in_KxinvK
-from .weighted import checked_weights, theta_invariant
+from .weighted import checked_weights
 
 
 @dataclass(frozen=True)
@@ -133,17 +133,18 @@ def is_weighted_gelfand(sc: StructureConstants) -> GelfandReport:
     return GelfandReport(is_weighted_gelfand=witness is None, witness=witness)
 
 
-def check_rap_condition(sc: StructureConstants, theta: GroupAutomorphism) -> bool:
+def check_rap_condition(
+    sc: StructureConstants, theta: GroupAutomorphism, w_invariant: bool
+) -> bool:
     """Sufficient condition for the weighted Gelfand property.
 
-    True iff w∘theta = w (`theta_invariant` on sc.wd) and theta(x) lies in
-    K x^-1 K for all x. Whenever both hold, the commutativity of sc is
+    True iff w∘theta = w and theta(x) lies in K x^-1 K for all x.
+    w_invariant says whether w∘theta = w, as `theta_invariant` decides it
+    on sc.wd; the report shows the same flag, so it is decided once and
+    passed in. Whenever both hold, the commutativity of sc is
     cross-validated and a failure raises (it would contradict the theorem).
     """
-    if not theta.involutive:
-        raise NotInvolutiveError("rap condition requires an involutive automorphism")
-    ok = theta_invariant(sc.wd, sc.partition, theta)
-    ok = ok and theta_in_KxinvK(sc.partition, theta)[0]
+    ok = w_invariant and theta_in_KxinvK(sc.partition, theta)[0]
     if ok and sc.commutativity_witness is not None:
         raise WGelfandError(
             "sufficient condition held but the algebra is noncommutative; "

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NotGelfandError, PreconditionError
-from .groups import DoubleCosetPartition
 from .hecke import StructureConstants
 from .tolerance import within
 
@@ -38,7 +37,6 @@ class SphericalSet:
     functions: np.ndarray
     characters: np.ndarray
     classical_characters: np.ndarray
-    partition: DoubleCosetPartition
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -118,7 +116,6 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
         functions=phis[order],
         characters=chars[order],
         classical_characters=chi1.T[order],
-        partition=partition,
     )
 
 

@@ -5,24 +5,24 @@
    checked for K-bi-invariance there, by `weighted.bi_invariance_witness`.
    Every later property is an equality on wd: symmetry
    wd[inverse_coset] == wd and w(e) = 1 as wd[identity_coset] == 1 for
-   the report, and theta-invariance by `weighted.theta_invariant`, which
-   the report and `check_rap_condition` share. The precondition w(e) = 1
+   the report, and theta-invariance by `weighted.theta_invariant`, decided
+   once for the report and `check_rap_condition`. The precondition w(e) = 1
    of `enumerate_spherical` is the same comparison.
 2. A computed quantity passes when its residual is at most
    RTOL * max(1, scale), where scale is the magnitude of what the residual
    compares (1 where a check has none). A NaN residual fails. This covers
    the character multiplicativity, the eigenvalue split, the multiplier
-   identity T = L_{T u}, the symbol residual, the kernel match and the
-   Fourier rank cut, which is made on the weight-free table
-   `SphericalSet.classical_characters`. The commutation residual is
-   reported only.
+   identity T = L_{T u}, the kernel match and the Fourier rank cut, which
+   is made on the weight-free table `SphericalSet.classical_characters`.
+   The commutation residual is reported only.
 3. A computed value that is not finite is a numerical degeneracy, not a
    result: it raises `DegenerateSpectrumError` (exit 3), and never reaches
    the report. This covers the structure constants (`max_constant`), the
    weighted spherical functions and characters, the condition number of
    the Fourier table (also when its row norms span 1 / eps or more, which
-   makes it singular in floating point), the kernel operator L_h, the
-   multiplier symbol and its residual, and the commutation residual.
+   makes it singular in floating point), the kernel operator L_h (also
+   the L_{T u} that `is_multiplier` compares T with), the multiplier
+   symbol, and the commutation residual.
 
 The Gelfand verdict and the group axioms of a table (`validate_group`,
 Light's associativity test) need no tolerance: they are exact tests on integers.

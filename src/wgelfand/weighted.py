@@ -1,4 +1,4 @@
-"""Coset weights and bi-invariant functions.
+"""Coset weights.
 
 A K-bi-invariant weight w enters the weighted Hecke algebra only through its
 value w_i on each double coset D_i: c[i,j,k] = p[i,j,k] w_i w_j / w_k.
@@ -10,7 +10,6 @@ definitions on G are reference code in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -108,17 +107,3 @@ def theta_invariant(
     weights: w(x) is the weight of the coset of x."""
     coset_of = partition.coset_of
     return bool(np.array_equal(wd[coset_of[theta.perm]], wd[coset_of]))
-
-
-@dataclass(frozen=True)
-class BiInvariantFunction:
-    """A K-bi-invariant function stored by its value on each double coset."""
-
-    coset_values: np.ndarray
-    partition: DoubleCosetPartition
-
-    def __post_init__(self):
-        vals = np.asarray(self.coset_values, dtype=complex)
-        if vals.shape != (self.partition.num_cosets,):
-            raise InputSpecError("one value per double coset required")
-        object.__setattr__(self, "coset_values", vals)

@@ -195,12 +195,6 @@ def brute_force_spherical(group, K, w, partition=None):
     return out
 
 
-def spherical_functions(sset):
-    """The rows of sset.functions as bi-invariant functions, the form the
-    G-level checks take."""
-    return [wg.BiInvariantFunction(phi, sset.partition) for phi in sset.functions]
-
-
 def match_sets(found, expected, tol):
     """Greedy matching of two lists of complex vectors up to reordering."""
     if len(found) != len(expected):
@@ -279,11 +273,11 @@ def is_multiplier_oracle(T, c, tol=1e-9):
     the dense c, pair by pair in row-major order; returns (verdict, first
     failing pair)."""
     d = len(c)
-    scale = max(1.0, float(np.max(np.abs(T.matrix))), float(np.max(np.abs(c))))
+    scale = max(1.0, float(np.max(np.abs(T))), float(np.max(np.abs(c))))
     for i in range(d):
         for j in range(d):
-            lhs = T.matrix @ c[i, j]
-            rhs = T.matrix[:, i] @ c[:, j]
+            lhs = T @ c[i, j]
+            rhs = T[:, i] @ c[:, j]
             if np.max(np.abs(lhs - rhs)) > tol * scale:
                 return False, (i, j)
     return True, None
@@ -299,7 +293,7 @@ def commutation_oracle(T1, T2, c):
 
     return max(
         float(np.max(np.abs(
-            product(T1.matrix[:, i], T2.matrix[:, j]) - product(T2.matrix[:, i], T1.matrix[:, j])
+            product(T1[:, i], T2[:, j]) - product(T2[:, i], T1[:, j])
         )))
         for i in range(d)
         for j in range(d)

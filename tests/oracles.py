@@ -3,9 +3,11 @@
 The library computes in coset coordinates from the integer intersection
 numbers. The functions here are the definitions on G that those results are
 checked against: the weighted convolution, the two-sided K-average, the
-weighted translation, the spherical functional equation and the transform
-as a sum over G. Functions on G are plain complex numpy arrays of length
-|G|, and a weight is a plain float array of its |G| values. Integrals over
+weighted translation, the spherical functional equation, the transform
+as a sum over G and a multiplier symbol checked on the whole basis.
+Functions on G are plain complex numpy arrays of length |G|, bi-invariant
+ones also plain vectors of their d coset values with their partition, and
+a weight is a plain float array of its |G| values. Integrals over
 G are sums with counting measure; integrals over K are normalized averages
 (1/|K|) * sum, so the subgroup carries total mass 1. Most of them form a
 |G|^2 array or sum over G x G, so they suit small groups.
@@ -16,11 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from wgelfand import (
-    BiInvariantFunction,
     DoubleCosetPartition,
     GroupAutomorphism,
     GroupTable,
-    InputSpecError,
     PreconditionError,
     SphericalSet,
     SubgroupEmbedding,
@@ -133,37 +133,38 @@ def is_left_invariant(
 # ---------------------------------------------------------------- bi-invariant functions
 
 
-def expand(f: BiInvariantFunction) -> np.ndarray:
+def expand(f: np.ndarray, partition: DoubleCosetPartition) -> np.ndarray:
     """The underlying function on all of G."""
-    return f.coset_values[f.partition.coset_of]
+    return np.asarray(f, dtype=complex)[partition.coset_of]
 
 
-def from_gfunction(f: np.ndarray, partition: DoubleCosetPartition) -> BiInvariantFunction:
+def from_gfunction(f: np.ndarray, partition: DoubleCosetPartition) -> np.ndarray:
     """A function on G that is constant on double cosets, in coset coordinates."""
     f = np.asarray(f, dtype=complex)
     if not is_bi_invariant(f, partition):
         raise PreconditionError("function is not constant on double cosets")
-    return BiInvariantFunction(coset_values=f[partition.reps], partition=partition)
+    return f[partition.reps]
 
 
-def indicator(i: int, partition: DoubleCosetPartition) -> BiInvariantFunction:
+def indicator(i: int, partition: DoubleCosetPartition) -> np.ndarray:
     """The indicator delta_i of double coset i."""
     vals = np.zeros(partition.num_cosets, dtype=complex)
     vals[i] = 1.0
-    return BiInvariantFunction(coset_values=vals, partition=partition)
+    return vals
 
 
 # ---------------------------------------------------------------- spherical functions
 
 
 def verify_functional_equation(
-    phi: BiInvariantFunction,
+    phi: np.ndarray,
+    partition: DoubleCosetPartition,
     group: GroupTable,
     K: SubgroupEmbedding,
     w: np.ndarray,
 ) -> float:
     """Max over (x, y) of |(1/|K|) sum_k (w phi)(x k y) - (w phi)(x)(w phi)(y)|."""
-    mphi = expand(phi) * w
+    mphi = expand(phi, partition) * w
     x = np.arange(group.order)
     acc = np.zeros((group.order, group.order), dtype=complex)
     for k in K.elements:
@@ -173,8 +174,9 @@ def verify_functional_equation(
 
 
 def verify_eigen_property(
-    f: BiInvariantFunction,
-    phi: BiInvariantFunction,
+    f: np.ndarray,
+    phi: np.ndarray,
+    partition: DoubleCosetPartition,
     group: GroupTable,
     w: np.ndarray,
 ) -> tuple[complex, float]:
@@ -184,10 +186,10 @@ def verify_eigen_property(
     """
     if w[group.identity] != 1.0:
         raise PreconditionError("eigen property requires w(e) = 1")
-    phi_g = expand(phi)
+    phi_g = expand(phi, partition)
     if not within(abs(phi_g[group.identity] - 1.0)):
         raise PreconditionError("spherical function must have phi(e) = 1")
-    f_g = expand(f)
+    f_g = expand(f, partition)
     chi = complex(np.sum(f_g * w * (phi_g * w)[group.inv]))
     conv = weighted_convolve(f_g, phi_g, group, w)
     residual = float(np.max(np.abs(conv - chi * phi_g)))
@@ -195,7 +197,8 @@ def verify_eigen_property(
 
 
 def classical_correspondence(
-    phi: BiInvariantFunction,
+    phi: np.ndarray,
+    partition: DoubleCosetPartition,
     group: GroupTable,
     K: SubgroupEmbedding,
     w: np.ndarray,
@@ -206,41 +209,70 @@ def classical_correspondence(
     tolerance: the same averaged products appear with weight folded into the
     function.
     """
-    scaled = BiInvariantFunction(phi.coset_values * w[phi.partition.reps], phi.partition)
-    return bool(within(verify_functional_equation(scaled, group, K, np.ones(group.order))))
+    scaled = np.asarray(phi) * w[partition.reps]
+    return bool(within(
+        verify_functional_equation(scaled, partition, group, K, np.ones(group.order))
+    ))
 
 
 # ---------------------------------------------------------------- transform
 
 
 def spherical_transform(
-    f: BiInvariantFunction,
+    f: np.ndarray,
+    partition: DoubleCosetPartition,
     sset: SphericalSet,
     group: GroupTable,
     w: np.ndarray,
 ) -> np.ndarray:
     """F(f)(phi_s) = sum_x w(x) f(x) w(x^-1) phi_s(x^-1), in SphericalSet order.
 
-    Sums over G; the reference for `sset.characters @ f.coset_values`."""
-    if not np.array_equal(f.partition.coset_of, sset.partition.coset_of):
-        raise InputSpecError("function and spherical set use different partitions")
-    f_g = expand(f) * w
+    Sums over G; the reference for `sset.characters @ f`."""
+    f_g = expand(f, partition) * w
     out = np.empty(len(sset), dtype=complex)
     for s, phi in enumerate(sset.functions):
-        out[s] = np.sum(f_g * (phi[sset.partition.coset_of] * w)[group.inv])
+        out[s] = np.sum(f_g * (expand(phi, partition) * w)[group.inv])
     return out
 
 
 def verify_convolution_theorem(
-    f: BiInvariantFunction,
-    g: BiInvariantFunction,
+    f: np.ndarray,
+    g: np.ndarray,
+    partition: DoubleCosetPartition,
     sset: SphericalSet,
     group: GroupTable,
     w: np.ndarray,
 ) -> float:
     """Residual of F(f *_w g) = F(f) F(g), max over spherical functions."""
-    conv = weighted_convolve(expand(f), expand(g), group, w)
-    conv_bi = from_gfunction(conv, sset.partition)
-    lhs = spherical_transform(conv_bi, sset, group, w)
-    rhs = spherical_transform(f, sset, group, w) * spherical_transform(g, sset, group, w)
-    return float(np.max(np.abs(lhs - rhs)))
+    conv = weighted_convolve(expand(f, partition), expand(g, partition), group, w)
+    conv_bi = from_gfunction(conv, partition)
+
+    def transform(h):
+        return spherical_transform(h, partition, sset, group, w)
+
+    return float(np.max(np.abs(transform(conv_bi) - transform(f) * transform(g))))
+
+
+# ---------------------------------------------------------------- multipliers
+
+
+def symbol_basis_residual(
+    T: np.ndarray, sset: SphericalSet, e: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(residual, scale), one of each per spherical function s, of the symbol
+    read off the identity coset e and checked on the whole indicator basis;
+    the check passes where within(residual, scale).
+
+    With F = sset.characters.T and FT = T^T F (row i the transform of
+    T delta_i), sigma = FT[e] / F[e] and R = FT - F sigma. As F is
+    invertible, R = 0 exactly when T is a multiplier. R = (T - L_{T u})^T F,
+    so column s of R is at most max|T - L_{T u}| times sum_j |F[j, s]|: at
+    the scale max(1, max|T|) sum_j |F[j, s]|, the check passes on every
+    operator that `is_multiplier` accepts (up to rounding).
+    """
+    F = sset.characters.T
+    FT = T.T @ F
+    residual = np.max(np.abs(FT - F * (FT[e] / F[e])[None, :]), axis=0)
+    scale = max(1.0, float(np.max(np.abs(T)))) * np.sum(np.abs(F), axis=0)
+    return residual, scale
+

@@ -102,8 +102,6 @@ def test_complex_pairs_serialise_like_per_element_lists():
     assert json.dumps(complex_pairs(vec)) == json.dumps(old)
     old_rows = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
     assert json.dumps(complex_pairs(mat)) == json.dumps(old_rows)
-    symbol = wg.MultiplierSymbol(values=vec)
-    assert json.dumps(symbol.to_json()) == json.dumps({"symbol": [[z.real, z.imag] for z in vec]})
     group = wg.symmetric_group(3)
     K = wg.subgroup_closure(group, [1])
     part = wg.double_cosets(group, K)
@@ -530,7 +528,19 @@ def test_overflowing_weight_exit_3_without_warnings(tmp_path, capsys):
 
 
 HUGE_SCALAR = {"kind": "matrix", "rows": [[[1.5e308, 0], [0, 0]], [[0, 0], [1.5e308, 0]]]}
+# L_h for h = (a, b) on S3/<(0 1)> is [[2a, 4b], [2b, 2a + 2b]], with
+# eigenvalues (the symbol) 2a + 4b and 2a - 2b: a = 0.45e308, b = 0.4e308
+# gives finite entries and the symbol value 2.5e308, beyond the float range
+HUGE_EIGENVALUE = {
+    "kind": "matrix",
+    "rows": [[[0.9e308, 0], [1.6e308, 0]], [[0.8e308, 0], [1.7e308, 0]]],
+}
 LARGE_SCALAR = {"kind": "matrix", "rows": [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]}
+# with coset weights {1, 1e14}, L_{T u} has the entry 4e28 (T u)_1 = 4e318 for
+# (T u)_1 = 1e290, while the symbol values 2 (T u)_0 + {4e14, -2e14} (T u)_1
+# stay finite
+WIDE_WEIGHT = {"kind": "by_double_coset", "values": {"0": 1, "1": 1e14}}
+UNIT_IMAGE_OVERFLOWS = {"kind": "matrix", "rows": [[[1, 0], [0, 0]], [[2e290, 0], [1, 0]]]}
 # L_h sums h_i p[i,j,k] with p[1,1,0] = 4 on S3/<(0 1)>: 4 * 1e308 overflows
 HUGE_KERNEL = {"kind": "kernel", "coset_values": [[1e308, 0], [1e308, 0]]}
 
@@ -540,19 +550,22 @@ HUGE_KERNEL = {"kind": "kernel", "coset_values": [[1e308, 0], [1e308, 0]]}
     [
         ({"kind": "by_double_coset", "values": {"0": 1, "1": 1e-320}}, [],
          "spherical functions overflow"),
-        (UNIFORM, [HUGE_SCALAR], "multiplier symbol overflows"),
+        (UNIFORM, [HUGE_EIGENVALUE], "multiplier symbol overflows"),
         (UNIFORM, [LARGE_SCALAR, LARGE_SCALAR], "commutation residual overflows"),
         (UNIFORM, [HUGE_KERNEL], "kernel operator overflows"),
+        (WIDE_WEIGHT, [UNIT_IMAGE_OVERFLOWS], "kernel operator overflows"),
     ],
-    ids=["spherical-tiny-weight", "symbol-huge-scalar", "commutation-large-scalars",
-         "kernel-operator-huge-kernel"],
+    ids=["spherical-tiny-weight", "symbol-huge-eigenvalue", "commutation-large-scalars",
+         "kernel-operator-huge-kernel", "multiplier-check-wide-weight"],
 )
 def test_non_finite_results_exit_3(tmp_path, capsys, weight, multipliers, message):
     """A value that overflows to inf or NaN is a numerical degeneracy: exit 3
     with one error line and no report, instead of inf or NaN in a report
     (a tiny coset weight divides the spherical functions; a true multiplier
     near the float range overflows its symbol or the commutator; a kernel
-    near it overflows its operator L_h)."""
+    near it overflows its operator L_h; a wide weight overflows the L_{T u}
+    that is_multiplier compares a matrix with, which would otherwise pass
+    any matrix as a multiplier)."""
     paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight, multipliers=multipliers)
     argv = ["analyze" if not multipliers else "multiplier-check",
             "--group", paths["group"], "--subgroup", paths["subgroup"],
@@ -560,6 +573,21 @@ def test_non_finite_results_exit_3(tmp_path, capsys, weight, multipliers, messag
     for path in paths["multipliers"]:
         argv += ["--multiplier", path]
     assert message in assert_one_line_error(main(argv), capsys, expected_code=3)
+
+
+def test_huge_scalar_multiplier_reports_its_symbol(tmp_path, capsys):
+    """1.5e308 I is a multiplier with the finite symbol 1.5e308: the symbol
+    is the transform of T u, which stays in the float range."""
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, UNIFORM, multipliers=[HUGE_SCALAR])
+    code, out = run_cli(
+        ["multiplier-check", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"], "--multiplier", paths["multipliers"][0]],
+        capsys,
+    )
+    assert code == 0
+    [entry] = json.loads(out)["multipliers"]
+    assert entry["is_multiplier"] is True
+    assert np.allclose(entry["symbol"], [[1.5e308, 0.0]] * 2, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("wide", [1e-10, 1e10, 1e100])
@@ -630,9 +658,10 @@ def test_report_weight_flags_match_their_per_element_definitions(tmp_path, capsy
 def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypatch):
     """multiplier-check on D12 and, given as a table of order 260, on D130
     (both over a reflection): no G-level oracle and no random draw runs, and
-    each multiplier file costs one `StructureConstants.left` call: a kernel
-    to build its operator L_h, which is a multiplier by Wendel's theorem, and
-    a matrix in `is_multiplier`. That `is_multiplier` accepts every kernel
+    each multiplier file costs one `StructureConstants.left` call, made by
+    `multiplier_from_kernel`: a kernel to build its operator L_h, which is a
+    multiplier by Wendel's theorem, from `multiplier_from_spec`, and a matrix
+    to build L_{T u} in `is_multiplier`. That `is_multiplier` accepts every kernel
     operator is checked directly by acceptance criterion 10."""
     import wgelfand.cli
     import wgelfand.fourier
@@ -660,7 +689,9 @@ def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypat
     left = wg.StructureConstants.left
 
     def counted_left(self, h):
-        left_callers.append(sys._getframe(1).f_code.co_name)
+        builder, caller = sys._getframe(1), sys._getframe(2)
+        assert builder.f_code.co_name == "multiplier_from_kernel"
+        left_callers.append(caller.f_code.co_name)
         return left(self, h)
 
     monkeypatch.setattr(wg.StructureConstants, "left", counted_left)
@@ -685,7 +716,7 @@ def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypat
         )
         assert calls == []
         assert code == 0
-        assert sorted(left_callers) == ["is_multiplier"] + ["multiplier_from_kernel"] * 2
+        assert sorted(left_callers) == ["is_multiplier"] + ["multiplier_from_spec"] * 2
         report = json.loads(out)
         assert report["spherical"]["count"] == d
         assert [m["is_multiplier"] for m in report["multipliers"]] == [True] * 3

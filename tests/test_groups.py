@@ -392,7 +392,7 @@ def test_double_cosets_idempotent(s3_pair):
 def test_inversion_automorphism_on_abelian():
     c5 = wg.cyclic_group(5)
     theta = wg.inversion_automorphism(c5)
-    assert theta.involutive
+    assert np.array_equal(theta.perm, [0, 4, 3, 2, 1])
 
 
 def test_inversion_rejected_on_nonabelian(s3):
@@ -404,16 +404,22 @@ def test_inversion_rejected_on_nonabelian(s3):
 
 
 def test_identity_automorphism(s3):
-    theta = wg.check_automorphism(s3, np.arange(6), require_involutive=True)
-    assert theta.involutive
+    theta = wg.check_automorphism(s3, np.arange(6))
+    assert np.array_equal(theta.perm, np.arange(6))
 
 
 def _verdict_matches_oracle(group, mul, perm):
     """check_automorphism on group agrees with the |G|^2 oracle on mul, and
-    its witness (x, z) really fails: theta(x z) != theta(x) theta(z)."""
+    its witness (x, z) really fails: theta(x z) != theta(x) theta(z). An
+    automorphism passes the homomorphism check, and then passes only if it
+    is an involution; returns whether it passed the homomorphism check."""
     p = np.asarray(perm)
     if automorphism_oracle(mul, p) is None:
-        assert np.array_equal(wg.check_automorphism(group, p).perm, p)
+        if np.array_equal(p[p], np.arange(len(p))):
+            assert np.array_equal(wg.check_automorphism(group, p).perm, p)
+        else:
+            with pytest.raises(NotInvolutiveError):
+                wg.check_automorphism(group, p)
         return True
     with pytest.raises(NotAutomorphismError) as exc:
         wg.check_automorphism(group, p)
@@ -424,15 +430,21 @@ def _verdict_matches_oracle(group, mul, perm):
 
 def test_automorphism_verdicts_on_all_permutations_of_s3():
     """All 720 permutations of S3's elements, on S3 built from generators and
-    given by its table: the 6 automorphisms (the inner ones) pass."""
+    given by its table: the 6 automorphisms (the inner ones) pass the
+    homomorphism check. The 4 involutive ones (the identity and the
+    conjugations by a transposition) are accepted; the 2 conjugations by a
+    3-cycle raise NotInvolutiveError."""
     gens = wg.symmetric_group_generators(3)
     mul = mul_oracle(gens)
     groups = (wg.build_group_from_generators(gens), wg.group_from_table(mul))
     passed = [
-        all([_verdict_matches_oracle(g, mul, perm) for g in groups])
+        perm
         for perm in itertools.permutations(range(6))
+        if all([_verdict_matches_oracle(g, mul, perm) for g in groups])
     ]
-    assert sum(passed) == 6
+    assert len(passed) == 6
+    involutive = [p for p in passed if all(p[p[x]] == x for x in range(6))]
+    assert len(involutive) == 4
 
 
 @pytest.mark.parametrize(
@@ -459,12 +471,15 @@ def test_automorphism_verdicts_on_random_permutations(gens):
 
 
 def test_require_involutive():
+    """Doubling on C5 is an automorphism of order 4, not an involution:
+    check_automorphism and a perm spec reject it after the homomorphism
+    check passes, so no sufficient condition can be built on it."""
     c5 = wg.cyclic_group(5)
     doubling = [(2 * x) % 5 for x in range(5)]
-    theta = wg.check_automorphism(c5, doubling)
-    assert not theta.involutive
     with pytest.raises(NotInvolutiveError):
-        wg.check_automorphism(c5, doubling, require_involutive=True)
+        wg.check_automorphism(c5, doubling)
+    with pytest.raises(NotInvolutiveError):
+        wg.automorphism_from_spec(c5, {"kind": "perm", "perm": doubling})
 
 
 def test_theta_in_KxinvK_inversion_abelian():
@@ -616,7 +631,9 @@ def test_subgroup_from_spec(s3):
 
 def test_automorphism_from_spec():
     c5 = wg.cyclic_group(5)
-    assert wg.automorphism_from_spec(c5, {"kind": "inversion"}).involutive
-    assert wg.automorphism_from_spec(c5, {"kind": "identity"}).involutive
+    inversion = wg.automorphism_from_spec(c5, {"kind": "inversion"})
+    assert np.array_equal(inversion.perm, [0, 4, 3, 2, 1])
+    identity = wg.automorphism_from_spec(c5, {"kind": "identity"})
+    assert np.array_equal(identity.perm, np.arange(5))
     theta = wg.automorphism_from_spec(c5, {"kind": "perm", "perm": [0, 4, 3, 2, 1]})
-    assert theta.involutive
+    assert np.array_equal(theta.perm, inversion.perm)

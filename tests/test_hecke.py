@@ -7,7 +7,7 @@ import pytest
 
 import wgelfand as wg
 from wgelfand.cli import main
-from wgelfand.errors import BiInvarianceError, InputSpecError, NotGelfandError, NotInvolutiveError
+from wgelfand.errors import BiInvarianceError, InputSpecError, NotGelfandError
 
 from conftest import (
     classical_convolve_oracle,
@@ -128,14 +128,16 @@ def test_rap_condition_cyclic5():
     theta = wg.inversion_automorphism(c5)
     w = np.array([1.0, 2.0, 3.0, 3.0, 2.0])
     sc = wg.hecke_structure_constants(c5, part, w[part.reps])
-    assert wg.check_rap_condition(sc, theta)
+    assert wg.theta_invariant(sc.wd, part, theta)
+    assert wg.check_rap_condition(sc, theta, True)
     assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
 
 
 def test_rap_condition_s3_identity_theta(s3_pair):
     group, K, part = s3_pair
-    theta = wg.check_automorphism(group, np.arange(6), require_involutive=True)
-    assert wg.check_rap_condition(wg.hecke_structure_constants(group, part, np.ones(2)), theta)
+    theta = wg.check_automorphism(group, np.arange(6))
+    sc = wg.hecke_structure_constants(group, part, np.ones(2))
+    assert wg.check_rap_condition(sc, theta, wg.theta_invariant(sc.wd, part, theta))
 
 
 def test_rap_condition_fails_without_theta_invariance():
@@ -143,16 +145,9 @@ def test_rap_condition_fails_without_theta_invariance():
     part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
     theta = wg.inversion_automorphism(c5)
     w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])  # not symmetric
-    assert not wg.check_rap_condition(wg.hecke_structure_constants(c5, part, w[part.reps]), theta)
-
-
-def test_rap_condition_requires_involutive():
-    c5 = wg.cyclic_group(5)
-    part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
-    doubling = wg.check_automorphism(c5, [(2 * x) % 5 for x in range(5)])
-    sc = wg.hecke_structure_constants(c5, part, np.ones(5))
-    with pytest.raises(NotInvolutiveError):
-        wg.check_rap_condition(sc, doubling)
+    sc = wg.hecke_structure_constants(c5, part, w[part.reps])
+    assert not wg.theta_invariant(sc.wd, part, theta)
+    assert not wg.check_rap_condition(sc, theta, False)
 
 
 def test_report_serialization(s3):
@@ -268,7 +263,7 @@ def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
     assert convolutions == []
     assert len(verdicts) == 1  # the sufficient condition reads sc's witness
     assert len(scans) == 1  # weight_from_spec reads the by_element weight
-    assert len(theta_checks) == 2  # the report's flag and the sufficient condition
+    assert len(theta_checks) == 1  # shared by the report's flag and the sufficient condition
     assert len(partitions) == 1
 
 

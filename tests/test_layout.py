@@ -1,8 +1,8 @@
 """The package holds what its commands run: every public function, class and
 method in `src/wgelfand` is referenced somewhere in the package outside its
 own definition, and every defaulted parameter of one is passed by some call
-in the package. Reference code that only the tests call lives in
-`tests/oracles.py`."""
+in the package, and not by every call with the same literal. Reference code
+that only the tests call lives in `tests/oracles.py`."""
 
 import ast
 from collections import Counter
@@ -81,9 +81,20 @@ def _passes(call: ast.Call, name: str, position) -> bool:
     return position is not None and len(call.args) > position
 
 
+def _literal_passed(call: ast.Call, name: str, position):
+    """The source of the literal that call passes for the parameter, by
+    keyword or by position; None when it passes none or passes an expression."""
+    node = next((k.value for k in call.keywords if k.arg == name), None)
+    if node is None and position is not None and len(call.args) > position:
+        node = call.args[position]
+    return ast.unparse(node) if isinstance(node, ast.Constant) else None
+
+
 def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
     """A default that no call in the package overrides is a knob only the
-    tests turn: the package should read the value where it is used."""
+    tests turn, and one that every call overrides with the same literal is a
+    knob no call turns: either way the package should read the value where
+    it is used."""
     trees = {
         path.stem: ast.parse(path.read_text(), str(path))
         for path in sorted(SRC.glob("*.py"))
@@ -97,16 +108,20 @@ def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
         f = call.func
         return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
 
-    unused = []
+    unused, fixed = [], []
     for module, tree in trees.items():
         for qualified, name, node in _definitions(module, tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
             method = qualified.count(".") == 2
+            own = [c for c in calls if callee(c) == name]
             for param, position in _defaulted(node, method):
-                passed = any(
-                    callee(c) == name and _passes(c, param, position) for c in calls
-                )
-                if not passed and f"{qualified}.{param}" not in KNOB_EXEMPT:
+                if f"{qualified}.{param}" in KNOB_EXEMPT:
+                    continue
+                if not any(_passes(c, param, position) for c in own):
                     unused.append(f"{qualified}({param}=...)")
+                values = {_literal_passed(c, param, position) for c in own}
+                if len(values) == 1 and None not in values:
+                    fixed.append(f"{qualified}({param}={values.pop()})")
     assert unused == []
+    assert fixed == []

@@ -18,7 +18,6 @@ from conftest import (
     random_bi_invariant_weight,
     random_gfunction,
     refine_oracle,
-    spherical_functions,
 )
 
 
@@ -78,22 +77,20 @@ def test_functional_equation_characters_on_trivial_subgroup(c4_pair):
     group, K, part = c4_pair
     w = np.ones(group.order)
     for j in range(4):
-        phi = wg.BiInvariantFunction(
-            np.array([1j ** (j * x) for x in range(4)]), part
-        )
-        assert oracles.verify_functional_equation(phi, group, K, w) < 1e-12
+        phi = np.array([1j ** (j * x) for x in range(4)])
+        assert oracles.verify_functional_equation(phi, part, group, K, w) < 1e-12
 
 
 def test_functional_equation_constant_function(s4_pair):
     group, K, part = s4_pair
-    phi = wg.BiInvariantFunction(np.ones(part.num_cosets, dtype=complex), part)
-    assert oracles.verify_functional_equation(phi, group, K, np.ones(group.order)) < 1e-12
+    phi = np.ones(part.num_cosets, dtype=complex)
+    assert oracles.verify_functional_equation(phi, part, group, K, np.ones(group.order)) < 1e-12
 
 
 def test_functional_equation_rejects_wrong_sign(s3_pair):
     group, K, part = s3_pair
-    phi = wg.BiInvariantFunction(np.array([1.0, 0.5]), part)
-    assert oracles.verify_functional_equation(phi, group, K, np.ones(group.order)) > 0.1
+    phi = np.array([1.0, 0.5])
+    assert oracles.verify_functional_equation(phi, part, group, K, np.ones(group.order)) > 0.1
 
 
 def test_eigen_property_sharp_delta(s3_pair):
@@ -105,19 +102,19 @@ def test_eigen_property_sharp_delta(s3_pair):
     f = oracles.from_gfunction(
         oracles.sharp_projection(delta_e, group, K), part
     )
-    for phi in spherical_functions(sset):
-        chi, residual = oracles.verify_eigen_property(f, phi, group, w)
+    for phi in sset.functions:
+        chi, residual = oracles.verify_eigen_property(f, phi, part, group, w)
         assert residual < 1e-9
 
 
 def test_eigen_property_constant_phi(s4_pair):
     group, K, part = s4_pair
     w = np.ones(group.order)
-    phi = wg.BiInvariantFunction(np.ones(part.num_cosets, dtype=complex), part)
+    phi = np.ones(part.num_cosets, dtype=complex)
     rng = np.random.default_rng(0)
-    f = wg.BiInvariantFunction(random_gfunction(part.num_cosets, rng), part)
-    chi, residual = oracles.verify_eigen_property(f, phi, group, w)
-    assert chi == pytest.approx(np.sum(oracles.expand(f)))
+    f = random_gfunction(part.num_cosets, rng)
+    chi, residual = oracles.verify_eigen_property(f, phi, part, group, w)
+    assert chi == pytest.approx(np.sum(oracles.expand(f, part)))
     assert residual < 1e-9
 
 
@@ -125,8 +122,8 @@ def test_eigen_property_zero_function(s3_pair):
     group, K, part = s3_pair
     w = np.ones(group.order)
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
-    f = wg.BiInvariantFunction(np.zeros(part.num_cosets, dtype=complex), part)
-    chi, residual = oracles.verify_eigen_property(f, spherical_functions(sset)[0], group, w)
+    f = np.zeros(part.num_cosets, dtype=complex)
+    chi, residual = oracles.verify_eigen_property(f, sset.functions[0], part, group, w)
     assert chi == 0
     assert residual == 0
 
@@ -147,17 +144,17 @@ def test_character_multiplicativity(s3_weighted):
 def test_classical_correspondence(s3_weighted):
     group, K, part, w = s3_weighted
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
-    for phi in spherical_functions(sset):
-        assert oracles.classical_correspondence(phi, group, K, w)
-        assert oracles.verify_functional_equation(phi, group, K, w) < 1e-9
+    for phi in sset.functions:
+        assert oracles.classical_correspondence(phi, part, group, K, w)
+        assert oracles.verify_functional_equation(phi, part, group, K, w) < 1e-9
     # w * phi recovers the classical solutions
     wd = w[part.reps]
     scaled = [phi * wd for phi in sset.functions]
     assert match_sets(scaled, [np.array([1, 1.0]), np.array([1, -0.5])], 1e-9)
     # a random non-solution fails both sides
-    bad = wg.BiInvariantFunction(np.array([1.0, 0.7]), part)
-    assert not oracles.classical_correspondence(bad, group, K, w)
-    assert oracles.verify_functional_equation(bad, group, K, w) > 1e-3
+    bad = np.array([1.0, 0.7])
+    assert not oracles.classical_correspondence(bad, part, group, K, w)
+    assert oracles.verify_functional_equation(bad, part, group, K, w) > 1e-3
 
 
 def test_phi_e_equals_one_and_count(s4_pair):
@@ -226,8 +223,8 @@ def test_elementary_abelian_needs_three_refinements():
     w = np.ones(group.order)
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
     assert len(sset) == 8
-    for phi in spherical_functions(sset):
-        assert oracles.verify_functional_equation(phi, group, K, w) < 1e-12
+    for phi in sset.functions:
+        assert oracles.verify_functional_equation(phi, part, group, K, w) < 1e-12
     m = multiplicities(sset, group, part, w)
     assert np.allclose(m, 1.0, atol=1e-9)
 
