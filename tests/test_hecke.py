@@ -7,7 +7,7 @@ import pytest
 
 import wgelfand as wg
 from wgelfand.cli import main
-from wgelfand.errors import BiInvarianceError, InputSpecError, NotGelfandError
+from wgelfand.errors import BiInvarianceError, InputSpecError, NotGelfandError, NotInvolutiveError
 
 from conftest import (
     classical_convolve_oracle,
@@ -148,6 +148,30 @@ def test_rap_condition_fails_without_theta_invariance():
     sc = wg.hecke_structure_constants(c5, part, w[part.reps])
     assert not wg.theta_invariant(sc.wd, part, theta)
     assert not wg.check_rap_condition(sc, theta, False)
+
+
+def test_rap_condition_requires_involutive(tmp_path, monkeypatch, capsys):
+    """Doubling on C5 is an automorphism of order 4: it is refused where
+    the automorphism is read, so the sufficient condition never sees it."""
+    c5 = wg.cyclic_group(5)
+    doubling = [(2 * x) % 5 for x in range(5)]
+    with pytest.raises(NotInvolutiveError):
+        wg.check_automorphism(c5, doubling)
+    specs = {
+        "group": {"kind": "cyclic", "n": 5},
+        "subgroup": {"seeds": []},
+        "weight": {"kind": "uniform"},
+        "automorphism": {"kind": "perm", "perm": doubling},
+    }
+    argv = ["analyze"]
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        argv += [f"--{name}", str(path)]
+    rap_checks = _count_calls(monkeypatch, "check_rap_condition")
+    assert main(argv) == 1
+    assert "not involutive" in capsys.readouterr().err
+    assert rap_checks == []
 
 
 def test_report_serialization(s3):
