@@ -53,5 +53,5 @@ class NotGelfandError(WGelfandError):
 class DegenerateSpectrumError(WGelfandError):
     """The spectral step failed: the joint spectrum split into fewer than d
     lines, a character failed multiplicativity, or a computed value (the
-    structure constants, the spherical functions, an operator L_h, a
-    multiplier symbol or a commutation residual) is not finite."""
+    structure constants, the spherical functions, an operator L_h and its
+    multiplier check, a symbol or a commutation residual) is not finite."""

@@ -75,16 +75,19 @@ def is_multiplier(T: np.ndarray, sc: StructureConstants) -> tuple[bool, Optional
     with e the identity coset: the one place a multiplier is decided.
 
     Divided by |K| w_e, the check reads T = L_{T u}, with u the unit and
-    L_h = `multiplier_from_kernel(h, sc)`, which raises
-    DegenerateSpectrumError where L_{T u} is not finite and so cannot be
-    compared. It compares T with L_{T u}, at the scale of their largest
-    entry. Then T(f * g) = (T u) * f * g = (T f) * g for all f, g, so a
-    check that passes on row e passes on every row (Wendel 1952). The
-    witness is the first failing pair (e, j): column j of T - L_{T u}.
+    L_h = `multiplier_from_kernel(h, sc)`. It compares T with L_{T u} at
+    the scale of their largest entry modulus; where L_{T u} or that scale
+    is not finite, nothing can be compared: DegenerateSpectrumError. Then
+    T(f * g) = (T u) * f * g = (T f) * g for all f, g, so a check that
+    passes on row e passes on every row (Wendel 1952). The witness is the
+    first failing pair (e, j): column j of T - L_{T u}.
     """
     L = multiplier_from_kernel(_unit_image(T, sc), sc)
-    scale = max(float(np.max(np.abs(T))), float(np.max(np.abs(L))))
-    failing = np.flatnonzero(~within(np.max(np.abs(T - L), axis=0), scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(float(np.max(np.abs(T))), float(np.max(np.abs(L))))
+        failing = np.flatnonzero(~within(np.max(np.abs(T - L), axis=0), scale))
+    if not np.isfinite(scale):
+        raise DegenerateSpectrumError("multiplier check overflows: operator entries too large")
     e = sc.partition.identity_coset
     return (False, (e, int(failing[0]))) if len(failing) else (True, None)
 

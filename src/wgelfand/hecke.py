@@ -139,9 +139,9 @@ def check_rap_condition(
     """Sufficient condition for the weighted Gelfand property.
 
     True iff w∘theta = w and theta(x) lies in K x^-1 K for all x.
-    w_invariant says whether w∘theta = w, as `theta_invariant` decides it
-    on sc.wd; the report shows the same flag, so it is decided once and
-    passed in. Whenever both hold, the commutativity of sc is
+    Precondition: w_invariant is `theta_invariant(sc.wd, sc.partition,
+    theta)`, which the report also shows, so w∘theta = w is compared once
+    and trusted here. Whenever both hold, the commutativity of sc is
     cross-validated and a failure raises (it would contradict the theorem).
     """
     ok = w_invariant and theta_in_KxinvK(sc.partition, theta)[0]

@@ -21,8 +21,8 @@
    weighted spherical functions and characters, the condition number of
    the Fourier table (also when its row norms span 1 / eps or more, which
    makes it singular in floating point), the kernel operator L_h (also
-   the L_{T u} that `is_multiplier` compares T with), the multiplier
-   symbol, and the commutation residual.
+   the L_{T u} that `is_multiplier` compares T with, and the scale of that
+   comparison), the multiplier symbol, and the commutation residual.
 
 The Gelfand verdict and the group axioms of a table (`validate_group`,
 Light's associativity test) need no tolerance: they are exact tests on integers.

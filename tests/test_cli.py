@@ -543,6 +543,10 @@ WIDE_WEIGHT = {"kind": "by_double_coset", "values": {"0": 1, "1": 1e14}}
 UNIT_IMAGE_OVERFLOWS = {"kind": "matrix", "rows": [[[1, 0], [0, 0]], [[2e290, 0], [1, 0]]]}
 # L_h sums h_i p[i,j,k] with p[1,1,0] = 4 on S3/<(0 1)>: 4 * 1e308 overflows
 HUGE_KERNEL = {"kind": "kernel", "coset_values": [[1e308, 0], [1e308, 0]]}
+# column e gives T u = (0.5, 0) and L_{T u} = I, but the entry
+# 1.5e308 + 1.5e308 i has a modulus beyond the float range, so the scale of
+# the check T = L_{T u} is inf, which every residual would pass
+HUGE_MODULUS = {"kind": "matrix", "rows": [[[1, 0], [1.5e308, 1.5e308]], [[0, 0], [1, 0]]]}
 
 
 @pytest.mark.parametrize(
@@ -554,9 +558,11 @@ HUGE_KERNEL = {"kind": "kernel", "coset_values": [[1e308, 0], [1e308, 0]]}
         (UNIFORM, [LARGE_SCALAR, LARGE_SCALAR], "commutation residual overflows"),
         (UNIFORM, [HUGE_KERNEL], "kernel operator overflows"),
         (WIDE_WEIGHT, [UNIT_IMAGE_OVERFLOWS], "kernel operator overflows"),
+        (UNIFORM, [HUGE_MODULUS], "multiplier check overflows"),
     ],
     ids=["spherical-tiny-weight", "symbol-huge-eigenvalue", "commutation-large-scalars",
-         "kernel-operator-huge-kernel", "multiplier-check-wide-weight"],
+         "kernel-operator-huge-kernel", "multiplier-check-wide-weight",
+         "multiplier-check-huge-modulus"],
 )
 def test_non_finite_results_exit_3(tmp_path, capsys, weight, multipliers, message):
     """A value that overflows to inf or NaN is a numerical degeneracy: exit 3
@@ -564,8 +570,9 @@ def test_non_finite_results_exit_3(tmp_path, capsys, weight, multipliers, messag
     (a tiny coset weight divides the spherical functions; a true multiplier
     near the float range overflows its symbol or the commutator; a kernel
     near it overflows its operator L_h; a wide weight overflows the L_{T u}
-    that is_multiplier compares a matrix with, which would otherwise pass
-    any matrix as a multiplier)."""
+    that is_multiplier compares a matrix with, and a complex entry beyond
+    the float range overflows the scale of that comparison, either of
+    which would otherwise pass any matrix as a multiplier)."""
     paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight, multipliers=multipliers)
     argv = ["analyze" if not multipliers else "multiplier-check",
             "--group", paths["group"], "--subgroup", paths["subgroup"],
