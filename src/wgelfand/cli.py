@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .errors import DegenerateSpectrumError, InputSpecError, WGelfandError
@@ -260,7 +261,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
 
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True) + "\n"
+        text = orjson.dumps(report, option=orjson.OPT_SORT_KEYS).decode() + "\n"
     else:
         text = _format_text(report)
     if args.output:

@@ -52,6 +52,8 @@ class NotGelfandError(WGelfandError):
 
 class DegenerateSpectrumError(WGelfandError):
     """The spectral step failed: the joint spectrum split into fewer than d
-    lines, a character failed multiplicativity, or a computed value (the
+    lines, a character failed multiplicativity on the rows S that the
+    refinement consumed, two characters' tuples (chi(g))_{g in S} were not
+    separated by more than the tolerance, or a computed value (the
     structure constants, the spherical functions, an operator L_h and its
     multiplier check, a symbol or a commutation residual) is not finite."""

@@ -63,11 +63,14 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     orthonormal basis delta_k / sqrt(|D_k|), each built from the i-slice of
     the sparse p, are normal and commute, so their joint eigenlines are found
     by refining the identity basis with the Hermitian parts of N_0, N_1, ...
-    until there are d lines. N_e = |K| I of the identity coset is skipped.
-    Each line gives a classical spherical function phi1; the weighted one is
+    until there are d lines; the rows i so consumed are S. N_e = |K| I of
+    the identity coset is skipped. Each line gives a classical spherical
+    function phi1, with phi1(e) = 1 set exactly; the weighted one is
     phi1 / w and its character is chi(delta_i) = w_i |D_i| phi1(D_i^-1).
-    Multiplicativity of the classical characters is checked on the nonzeros
-    of p with i <= j. A weighted value that is not finite raises
+    Multiplicativity of the classical characters is checked by Light's test:
+    on the rows g in S only, with the certificate that makes them enough,
+    the tuples (chi(g))_{g in S} of any two characters separated by more
+    than the tolerance. A weighted value that is not finite raises
     DegenerateSpectrumError.
     """
     partition = sc.partition
@@ -82,6 +85,7 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     sizes = partition.sizes.astype(float)
     root = np.sqrt(sizes)
     blocks = None  # the identity basis, until the first split
+    rows = []  # the rows S whose N_i the refinement consumed
     _, j, k = sc.ijk
     entries = sc.counts * (root[k] / root[j])
     bounds = np.searchsorted(sc.keys, np.arange(d + 1) * d * d)
@@ -90,6 +94,7 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
             break
         if i == partition.identity_coset:
             continue  # N_e = |K| I: its Hermitian parts 2|K| I and 0 split nothing
+        rows.append(i)
         s = slice(bounds[i], bounds[i + 1])  # the i-slice of p
         N = np.zeros((d, d))
         N[k[s], j[s]] = entries[s]
@@ -104,8 +109,9 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
 
     classical = np.hstack(blocks) / root[:, None]
     classical /= classical[partition.identity_coset]
+    classical[partition.identity_coset] = 1.0  # complex x / x can round to 1 - eps
     chi1 = sizes[:, None] * classical[partition.inverse_coset]
-    _check_multiplicative(sc, chi1)
+    _check_multiplicative(sc, chi1, rows)
     wd = sc.wd[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         chars, phis = (wd * chi1).T, (classical / wd).T
@@ -141,29 +147,49 @@ def _refine(blocks: list[np.ndarray] | None, H: np.ndarray, scale: float) -> lis
     return [Q for piece in pieces for Q in piece]
 
 
-def _multiplicativity_residuals(sc: StructureConstants, chi1: np.ndarray) -> np.ndarray:
-    """max over (i, j) of |sum_k p[i,j,k] chi(k) - chi(i) chi(j)| for every
-    column chi of chi1, one character at a time. The sums run over the
-    nonzeros of p with i <= j: the verdict has proved p[i,j,k] = p[j,i,k],
-    so the (j, i) sum is the (i, j) one, bit for bit. Each (i, j) has a
-    nonzero, as delta_i * delta_j is nonzero."""
-    i, j, k = sc.ijk
-    upper = i <= j
-    k, counts, ij = k[upper], sc.counts[upper], sc.keys[upper] // sc.dim
-    starts = np.flatnonzero(np.diff(ij, prepend=-1))
-    pi, pj = np.divmod(ij[starts], sc.dim)
-    return np.array([
-        np.max(np.abs(np.add.reduceat(counts * chi[k], starts) - chi[pi] * chi[pj]))
-        for chi in chi1.T
-    ])
+def _check_multiplicative(sc: StructureConstants, chi1: np.ndarray, rows: list[int]) -> None:
+    """Light's test on the columns chi of chi1 (Bannai & Ito, Algebraic
+    Combinatorics I, 1984, ch. II): sum_k p[g,j,k] chi(k) = chi(g) chi(j) is
+    checked for g in rows and every j, one reduceat per row for all
+    characters, at scale max |chi|^2; then the tuples (chi(g))_{g in rows} of
+    any two characters must differ by more than the tolerance at scale
+    max |chi(g)|. The first failing character, or a failed separation,
+    raises DegenerateSpectrumError.
 
-
-def _check_multiplicative(sc: StructureConstants, chi1: np.ndarray) -> None:
-    """Multiplicativity of every column chi of chi1 at scale max |chi|^2;
-    the first failing character raises."""
-    res = _multiplicativity_residuals(sc, chi1)
+    These rows are enough. The identity row holds exactly, as
+    p[e,j,k] = |K| [j = k] and chi(e) = |K|. A checked row g makes chi a left
+    eigenvector of L_g[k, j] = p[g,j,k] with eigenvalue chi(g); the L_i
+    commute, and d separated tuples make every joint eigenspace of the
+    checked L_g a line, so chi is a left eigenvector of every L_i, with
+    eigenvalue chi(i) by the column j = e. In floating point, if the checked
+    equations hold to r and the tuples are sigma apart (max over g), then
+    to first order in r, for all i and j,
+        |sum_k p[i,j,k] chi(k) - chi(i) chi(j)| <= 4 d |D_i| |D_j| r / (|K| sigma).
+    Write chi_s = psi_s + sum_t a_t psi_t over the exact characters psi_t,
+    with sum_t a_t = 0 as chi_s(e) = psi_t(e). The residual of row i at j is
+    sum_{t != s} a_t (psi_t(i) - psi_s(i)) (psi_t(j) - psi_s(j)), and
+    |a_t| <= m_t d r / (|G| sigma) by the orthogonality
+    sum_k psi_s(k) conj(psi_t(k)) / |D_k| = [s = t] |G| / m_t, where m_t is
+    the dimension of the t-th representation, sum_t m_t = |G| / |K|, and
+    |phi| <= 1.
+    """
+    d = sc.dim
+    _, j, k = sc.ijk
+    res = np.zeros(d)
+    gap = np.zeros((d, d))
+    for g in rows:
+        lo, hi = np.searchsorted(sc.keys, [g * d * d, (g + 1) * d * d])
+        starts = np.flatnonzero(np.diff(j[lo:hi], prepend=-1))  # every j: delta_g * delta_j != 0
+        lhs = np.add.reduceat(sc.counts[lo:hi, None] * chi1[k[lo:hi]], starts)
+        res = np.maximum(res, np.max(np.abs(lhs - chi1[g] * chi1), axis=0))
+        np.maximum(gap, np.abs(chi1[g][:, None] - chi1[g][None, :]), out=gap)
     bad = np.flatnonzero(~within(res, np.max(np.abs(chi1), axis=0) ** 2))
     if len(bad):
         raise DegenerateSpectrumError(
             f"recovered character fails multiplicativity (residual {res[bad[0]]:g})"
+        )
+    np.fill_diagonal(gap, np.inf)
+    if within(np.min(gap), np.max(np.abs(chi1[rows]), initial=0.0)):
+        raise DegenerateSpectrumError(
+            f"recovered characters are not separated on the checked rows (gap {np.min(gap):g})"
         )

@@ -11,9 +11,13 @@
 2. A computed quantity passes when its residual is at most
    RTOL * max(1, scale), where scale is the magnitude of what the residual
    compares (1 where a check has none). A NaN residual fails. This covers
-   the character multiplicativity, the eigenvalue split, the multiplier
-   identity T = L_{T u}, the kernel match and the Fourier rank cut, which
-   is made on the weight-free table `SphericalSet.classical_characters`.
+   the character multiplicativity on the rows S that the refinement
+   consumed (Light's test), the separation certificate that makes those
+   rows enough (any two characters' tuples (chi(g))_{g in S} differ by
+   more than the tolerance at scale max |chi(g)|), the eigenvalue split,
+   the multiplier identity T = L_{T u}, the kernel match and the Fourier
+   rank cut, which is made on the weight-free table
+   `SphericalSet.classical_characters`.
    The commutation residual is reported only.
 3. A computed value that is not finite is a numerical degeneracy, not a
    result: it raises `DegenerateSpectrumError` (exit 3), and never reaches

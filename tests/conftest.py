@@ -300,24 +300,28 @@ def commutation_oracle(T1, T2, c):
     )
 
 
-def multiplicativity_oracle(sc, chi1, check=True):
-    """Per-character residuals max over every (i, j) of
-    |sum_k p[i,j,k] chi(k) - chi(i) chi(j)|: one reduceat over all nonzeros
-    of p and one d x d outer product per column chi of chi1. With check,
-    the first character whose residual exceeds the tolerance at scale
-    max |chi|^2 raises DegenerateSpectrumError."""
-    k = sc.ijk[2]
-    starts = np.flatnonzero(np.diff(sc.keys // sc.dim, prepend=-1))
-    residuals = []
-    for chi in chi1.T:
-        gap = np.add.reduceat(sc.counts * chi[k], starts) - np.outer(chi, chi).ravel()
-        res = np.max(np.abs(gap))
-        if check and not within(res, np.max(np.abs(chi)) ** 2):
-            raise DegenerateSpectrumError(
-                f"recovered character fails multiplicativity (residual {res:g})"
-            )
-        residuals.append(res)
-    return np.array(residuals)
+def multiplicativity_table(sc, chi1):
+    """|sum_k p[i,j,k] chi(k) - chi(i) chi(j)| as a d x d array over (i, j)
+    for every column chi of chi1, stacked: one reduceat over all nonzeros of
+    p and one d x d outer product per character."""
+    d, k = sc.dim, sc.ijk[2]
+    starts = np.flatnonzero(np.diff(sc.keys // d, prepend=-1))
+    return np.array([
+        np.abs(np.add.reduceat(sc.counts * chi[k], starts) - np.outer(chi, chi).ravel())
+        .reshape(d, d)
+        for chi in chi1.T
+    ])
+
+
+def multiplicativity_oracle(sc, chi1):
+    """The check over every (i, j): the first character whose residual
+    exceeds the tolerance at scale max |chi|^2 raises DegenerateSpectrumError."""
+    residuals = multiplicativity_table(sc, chi1).max(axis=(1, 2))
+    bad = np.flatnonzero(~within(residuals, np.max(np.abs(chi1), axis=0) ** 2))
+    if len(bad):
+        raise DegenerateSpectrumError(
+            f"recovered character fails multiplicativity (residual {residuals[bad[0]]:g})"
+        )
 
 
 def refine_oracle(sc):

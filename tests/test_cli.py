@@ -5,6 +5,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import wgelfand as wg
@@ -355,12 +356,46 @@ def _reject_constant(name):
     raise ValueError(f"report holds {name}, which is not valid JSON")
 
 
+# the keys whose value is null when there is nothing to report
+NULLABLE = {("gelfand", "witness"), ("gelfand", "rap"), ("weight", "theta_invariant")}
+
+
+def _nulls(node, path=()):
+    """The path of every null in a parsed report."""
+    if node is None:
+        return [path]
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    return [p for key, child in items for p in _nulls(child, path + (key,))]
+
+
+def load_report(out):
+    """The parsed report, which must hold no NaN or Infinity and no null
+    outside NULLABLE: the encoder writes a non-finite float as null."""
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert [p for p in _nulls(report) if p not in NULLABLE] == []
+    return report
+
+
+def test_a_non_finite_value_cannot_hide_as_null():
+    report = {"gelfand": {"witness": None, "rap": None}, "fourier": {"condition": float("nan")}}
+    out = orjson.dumps(report).decode()
+    assert json.loads(out)["fourier"]["condition"] is None
+    with pytest.raises(AssertionError):
+        load_report(out)
+    del report["fourier"]
+    assert load_report(orjson.dumps(report).decode()) == report
+
+
 def test_report_numbers_match_library(tmp_path, capsys):
     """On S3/<(0 1)> and D6/<s>, both weighted, the report's spherical
     functions and characters are the library's bit for bit, and its
     transform matrix is the characters transposed:
     fourier.matrix[i][s] is spherical.functions[s].character[i]. Each report
-    is valid JSON: it holds no NaN or Infinity."""
+    is valid JSON: it holds no NaN or Infinity, and no null outside the keys
+    that may be null."""
     d6_weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 1.5, "2": 0.7, "3": 2.0}}
     cases = [
         (S3, K_TRANSPOSITION, {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}),
@@ -376,7 +411,7 @@ def test_report_numbers_match_library(tmp_path, capsys):
             capsys,
         )
         assert code == 0
-        report = json.loads(out, parse_constant=_reject_constant)
+        report = load_report(out)
         group = wg.group_from_spec(group_spec)
         K = wg.subgroup_from_spec(group, subgroup_spec)
         part = wg.double_cosets(group, K)
@@ -612,7 +647,7 @@ def test_fourier_rank_does_not_depend_on_the_weight(tmp_path, capsys, wide):
         return
     code, out = run_cli(argv, capsys)
     assert code == 0
-    fourier = json.loads(out, parse_constant=_reject_constant)["fourier"]
+    fourier = load_report(out)["fourier"]
     assert fourier["rank"] == 2
     assert fourier["condition"] > 1e9
 

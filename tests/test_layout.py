@@ -2,13 +2,18 @@
 method in `src/wgelfand` is referenced somewhere in the package outside its
 own definition, and every defaulted parameter of one is passed by some call
 in the package, and not by every call with the same literal. Reference code
-that only the tests call lives in `tests/oracles.py`."""
+that only the tests call lives in `tests/oracles.py`. Every third-party
+module the package imports is a declared dependency."""
 
 import ast
+import re
+import sys
+import tomllib
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wgelfand"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wgelfand"
 # argparse calls it; no module names it
 EXEMPT = {"cli._Parser.error"}
 # the entry point: argv is None on the command line, a list in tests
@@ -125,3 +130,24 @@ def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
                     fixed.append(f"{qualified}({param}={values.pop()})")
     assert unused == []
     assert fixed == []
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """A top-level module that the package imports and that is neither in
+    the standard library nor the package itself is listed in
+    [project].dependencies of pyproject.toml."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+        for dep in project["dependencies"]
+    }
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"wgelfand"}
+    assert "numpy" in third_party
+    assert sorted(third_party - declared) == []

@@ -15,6 +15,7 @@ from conftest import (
     gelfand_instances,
     match_sets,
     multiplicativity_oracle,
+    multiplicativity_table,
     random_bi_invariant_weight,
     random_gfunction,
     refine_oracle,
@@ -303,12 +304,15 @@ def _weighted(cases, seed):
     ]
 
 
-def _chi1_of(monkeypatch, sc):
-    """The classical characters that enumerate_spherical checks, as columns."""
+def _checked(monkeypatch, sc):
+    """The classical characters, as columns, and the rows that
+    enumerate_spherical passes to its multiplicativity check."""
     seen = []
     check = spherical._check_multiplicative
     monkeypatch.setattr(
-        spherical, "_check_multiplicative", lambda sc, chi1: seen.append(chi1) or check(sc, chi1)
+        spherical,
+        "_check_multiplicative",
+        lambda sc, chi1, rows: seen.append((chi1, rows)) or check(sc, chi1, rows),
     )
     wg.enumerate_spherical(sc)
     monkeypatch.undo()
@@ -323,41 +327,92 @@ def _check_cases():
     ], 0xC4EC)
 
 
-def test_multiplicativity_on_i_le_j_matches_the_full_check(monkeypatch):
-    """The sums over pairs with i <= j give the residuals of the check over
-    every (i, j) up to the last bit of chi(i) chi(j)."""
+def test_checked_rows_bound_the_full_check(monkeypatch):
+    """Every equation of the full check is within the first-order bound
+    4 d |D_i| |D_j| r / (|K| sigma) that the residual r of the checked rows
+    and the separation sigma of their tuples give, plus the rounding of the
+    sums; the bound certifies the full check well inside the tolerance."""
+    eps = np.finfo(float).eps
     for name, group, K, part, w in _check_cases():
         sc = wg.hecke_structure_constants(group, part, w[part.reps])
-        chi1 = _chi1_of(monkeypatch, sc)
-        scale = np.maximum(1.0, np.max(np.abs(chi1), axis=0) ** 2)
-        got = spherical._multiplicativity_residuals(sc, chi1)
-        want = multiplicativity_oracle(sc, chi1)
-        assert np.all(np.abs(got - want) <= 1e-15 * scale), name
+        chi1, rows = _checked(monkeypatch, sc)
+        d = sc.dim
+        assert 0 < len(rows) < d and part.identity_coset not in rows, name
+        table = multiplicativity_table(sc, chi1)
+        r = table[:, rows].max()
+        tuples = chi1[rows]
+        gap = np.max(np.abs(tuples[:, :, None] - tuples[:, None, :]), axis=0)
+        sigma = gap[~np.eye(d, dtype=bool)].min()
+        sizes = part.sizes.astype(float)
+        bound = np.outer(sizes, sizes) * (4 * d * r / (K.order * sigma) + (d + 2) * eps)
+        assert np.all(table <= bound), name
+        scale = np.max(np.abs(chi1)) ** 2
+        assert np.max(bound) <= 1e-6 * scale, name
 
 
 def test_multiplicativity_catches_single_entry_mutations(monkeypatch):
-    """One wrong entry chi(k) of one character fails both checks, with the
-    same residual. k runs over the identity coset, a middle coset and the
-    last coset, whose row i = k of the full check holds only pairs with
-    i >= j: the check over i <= j reads chi(k) through its column."""
-    for name, group, K, part, w in _check_cases()[-3:]:
+    """One wrong entry chi(k) of one character fails the check on the
+    consumed rows, for every k: the identity coset, the rows themselves and
+    the cosets that appear in them only as j or k. The full check fails too."""
+    mutations = 0
+    for name, group, K, part, w in _check_cases():
         sc = wg.hecke_structure_constants(group, part, w[part.reps])
-        chi1 = _chi1_of(monkeypatch, sc)
+        chi1, rows = _checked(monkeypatch, sc)
         d = sc.dim
-        for k in (part.identity_coset, d // 2, d - 1):
+        for k in range(d):
             for s in (0, d - 1):
                 bad = chi1.copy()
                 bad[k, s] += 1e-3 * np.max(np.abs(bad[:, s]))
-                with pytest.raises(DegenerateSpectrumError) as got:
-                    spherical._check_multiplicative(sc, bad)
-                with pytest.raises(DegenerateSpectrumError) as want:
-                    multiplicativity_oracle(sc, bad)
-                assert str(got.value) == str(want.value), (name, k, s)
-                res = spherical._multiplicativity_residuals(sc, bad)
-                ref = multiplicativity_oracle(sc, bad, check=False)
-                scale = np.maximum(1.0, np.max(np.abs(bad), axis=0) ** 2)
-                assert np.all(np.abs(res - ref) <= 1e-15 * scale), (name, k, s)
-                assert not within(res[s], scale[s])
+                with pytest.raises(DegenerateSpectrumError):
+                    spherical._check_multiplicative(sc, bad, rows)
+                with pytest.raises(DegenerateSpectrumError):
+                    multiplicativity_oracle(sc, bad[:, [s]])
+                mutations += 1
+    assert mutations == 408
+
+
+def test_inseparable_characters_raise(monkeypatch):
+    """Two equal characters pass every equation but leave the checked rows
+    unable to tell them apart, so the check raises."""
+    group, K, part = _pair(wg.cyclic_group(4), [])
+    sc = wg.hecke_structure_constants(group, part, np.ones(4))
+    chi1, rows = _checked(monkeypatch, sc)
+    chi1 = chi1.copy()
+    chi1[:, 1] = chi1[:, 0]
+    with pytest.raises(DegenerateSpectrumError, match="not separated"):
+        spherical._check_multiplicative(sc, chi1, rows)
+
+
+def test_one_double_coset_checks_no_row(monkeypatch):
+    """G over itself has d = 1: the refinement consumes no row, and the one
+    spherical function is 1 with character |G|."""
+    for group in (wg.cyclic_group(5), wg.symmetric_group(3)):
+        K = wg.subgroup_closure(group, list(range(group.order)))
+        part = wg.double_cosets(group, K)
+        sc = wg.hecke_structure_constants(group, part, np.ones(1))
+        chi1, rows = _checked(monkeypatch, sc)
+        assert rows == []
+        sset = wg.enumerate_spherical(sc)
+        assert sset.functions.tolist() == [[1]]
+        assert sset.characters.tolist() == [[group.order]]
+        assert chi1.tolist() == [[group.order]]
+
+
+@pytest.mark.parametrize("group, seeds", [
+    (wg.symmetric_group(3), [1]),
+    (wg.dihedral_group(12), [12]),
+], ids=["s3-transposition", "d12-reflection"])
+def test_phi_e_is_exactly_one(group, seeds):
+    """phi(e) = 1 and chi(delta_e) = |K| hold exactly, not to the last bit:
+    on these pairs the division by phi(e) rounds to 1 - eps for one line."""
+    K = wg.subgroup_closure(group, seeds)
+    part = wg.double_cosets(group, K)
+    rng = np.random.default_rng(3)
+    e = part.identity_coset
+    for w in (np.ones(group.order), random_bi_invariant_weight(part, rng, unit_at_identity=True)):
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
+        assert np.all(sset.functions[:, e] == 1)
+        assert np.all(sset.characters[:, e] == K.order)
 
 
 def _refine_cases():
