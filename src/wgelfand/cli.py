@@ -88,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "text"], default="json")
 
     add_common(sub.add_parser("analyze", help="full pipeline with report"))
-    add_common(sub.add_parser("spherical", help="enumerate spherical functions"))
-    add_common(sub.add_parser("fourier", help="transform table, rank and condition"))
     add_common(
         sub.add_parser("multiplier-check", help="multiplier verdicts and symbols"),
         need_multiplier=True,
@@ -152,7 +150,7 @@ def run(args) -> tuple[dict, int]:
     if not gelfand.is_weighted_gelfand:
         report["note"] = "not a weighted Gelfand pair; downstream stages skipped"
     elif not unit_at_identity:
-        if args.command != "analyze":
+        if args.command == "multiplier-check":
             raise InputSpecError("spherical analysis requires a weight with w(e) = 1")
         report["note"] = "weight has w(e) != 1; spherical stages skipped"
     else:
@@ -261,17 +259,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
 
     if args.format == "json":
-        text = orjson.dumps(report, option=orjson.OPT_SORT_KEYS).decode() + "\n"
+        data = orjson.dumps(report, option=orjson.OPT_SORT_KEYS) + b"\n"
     else:
-        text = _format_text(report)
+        data = _format_text(report).encode()
     if args.output:
         try:
-            Path(args.output).write_text(text)
+            Path(args.output).write_bytes(data)
         except OSError as exc:
             print(f"error: {args.output}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_INPUT
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     return exit_code
 
 

@@ -1,19 +1,20 @@
 """Finite groups on indexed elements: closure, subgroups, double cosets, automorphisms.
 
 Elements are integers 0..n-1; the identity is always index 0 for groups built
-by generator closure. Permutations are integer rows p with p[i] the image of
-i, and the group product a*b acts as "apply b, then a": (a*b)[i] = a[b[i]].
-A group built from permutations keeps them and never forms its |G|^2 table:
-a product is found from the images of a base (Seress, Permutation Group
-Algorithms, 2003, ch. 4).
+by generator closure. Every group is kept as permutations: integer rows p
+with p[i] the image of i, and the group product a*b acts as "apply b, then
+a": (a*b)[i] = a[b[i]]. A group given by a table is its left-regular
+representation (Cayley's theorem): row x of the table is the permutation
+y -> x*y. No |G|^2 table is formed: a product is found from the images of a
+base (Seress, Permutation Group Algorithms, 2003, ch. 4).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,27 +28,26 @@ from .errors import (
 DEFAULT_ELEMENT_CAP = 10080
 # products (x*y)*z compared at once by validate_group
 ASSOC_BLOCK = 1 << 20
-# products looked up at once by GroupTable.product on a permutation group
+# products looked up at once by GroupTable.product
 PRODUCT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A finite group on the indices 0..n-1, given by permutations or a table.
+    """A finite group on the indices 0..n-1, kept as permutations.
 
-    inv[x] is the index of x^-1 and `generators` the indices of a generating
-    set. A group built from permutations keeps them as `perms` (perms[x] is
-    element x, in the narrowest unsigned dtype); a group given by a table
-    keeps it as `table`. Either way product(x, y) is the index of x*y, and
-    `mul` is the full table. Immutable after construction; safe to share
-    between threads.
+    perms[x] is element x as a permutation, in the narrowest unsigned dtype:
+    of the points it was built on, or, for a group given by a table, of the
+    elements themselves (row x of the table). inv[x] is the index of x^-1
+    and `generators` the indices of a generating set; product(x, y) is the
+    index of x*y. Immutable after construction; safe to share between
+    threads.
     """
 
+    perms: np.ndarray
     inv: np.ndarray
     generators: np.ndarray
     identity: int = 0
-    perms: Optional[np.ndarray] = None
-    table: Optional[np.ndarray] = None
 
     @property
     def order(self) -> int:
@@ -109,12 +109,10 @@ class GroupTable:
     def product(self, x, y) -> np.ndarray:
         """Index of x*y, broadcast over index arrays x and y.
 
-        On a permutation group the base images of x*y are looked up in the
-        base's tree (_tree), PRODUCT_BLOCK products at a time along the first
-        axis, so the temporaries stay small beside the int64 result.
+        The base images of x*y are looked up in the base's tree (_tree),
+        PRODUCT_BLOCK products at a time along the first axis, so the
+        temporaries stay small beside the int64 result.
         """
-        if self.perms is None:
-            return self.table[x, y]
         x, y = np.asarray(x), np.asarray(y)
         shape = np.broadcast_shapes(x.shape, y.shape)
         if math.prod(shape) <= PRODUCT_BLOCK:
@@ -126,15 +124,6 @@ class GroupTable:
             xs, ys = (a if len(a) == 1 else a[s : s + step] for a in (x, y))
             out[s : s + step] = self._lookup(self._images(xs, ys))
         return out
-
-    @cached_property
-    def mul(self) -> np.ndarray:
-        """The |G| x |G| table mul[x, y] = x*y. The pipeline reads it only for
-        a group given by a table; for permutations it is |G|^2 int64."""
-        if self.table is not None:
-            return self.table
-        x = np.arange(self.order)
-        return self.product(x[:, None], x[None, :])
 
 
 @dataclass(frozen=True)
@@ -247,62 +236,76 @@ def _closure(generators: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(levels), gen_index
 
 
-def validate_group(group: GroupTable) -> np.ndarray:
-    """Check the group axioms on a table; raises InputSpecError on failure
-    and returns the generating set that Light's test grew.
+def validate_group(mul: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Check the group axioms on a square table of integers; raises
+    InputSpecError on failure and returns (identity, inv, generators), where
+    `generators` is the generating set that Light's test grew.
 
-    Associativity is Light's test, exhaustive at every order: the set of z
-    with (x y) z = x (y z) for all x, y contains e and is closed under
-    products, so it is enough to check z on a generating set. The set is
-    grown greedily: each new z is the least element that the products of the
-    earlier ones do not reach, so it has at most log2(n) elements for a group
-    and the test costs O(n^2 log n). Rows of x are compared in blocks of
-    about ASSOC_BLOCK products, so the extra memory stays bounded.
+    The identity is the first element whose row and column are 0..n-1, and
+    x^-1 is the one column where row x holds the identity. Associativity is
+    Light's test, exhaustive at every order: the set of z with
+    (x y) z = x (y z) for all x, y contains e and is closed under products,
+    so it is enough to check z on a generating set. The set is grown
+    greedily: each new z is the least element that the products of the
+    earlier ones do not reach, so it has at most log2(n) elements for a
+    group and the test costs O(n^2 log n). Products are read from the table:
+    the base images of its rows give x*y only once it is associative. Rows
+    of x are compared in blocks of about ASSOC_BLOCK products, so the extra
+    memory stays bounded.
     """
-    n = group.order
-    mul, inv, e = group.mul, group.inv, group.identity
-    if mul.shape != (n, n) or inv.shape != (n,):
-        raise InputSpecError("table shapes inconsistent with group order")
-    if mul.min() < 0 or mul.max() >= n or inv.min() < 0 or inv.max() >= n:
+    if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
+        raise InputSpecError("multiplication table must be square")
+    n = mul.shape[0]
+    identity = None
+    for e in range(n):
+        if np.array_equal(mul[e], np.arange(n)) and np.array_equal(mul[:, e], np.arange(n)):
+            identity = e
+            break
+    if identity is None:
+        raise InputSpecError("table has no two-sided identity")
+    hits = mul == identity
+    inv = hits.argmax(axis=1)
+    bad = np.flatnonzero((hits.sum(axis=1) != 1) | (mul[inv, np.arange(n)] != identity))
+    if len(bad):
+        raise InputSpecError(f"element {bad[0]} has no two-sided inverse")
+    if mul.min() < 0 or mul.max() >= n:
         raise InputSpecError("table entries out of range")
-    if not (np.array_equal(mul[e], np.arange(n)) and np.array_equal(mul[:, e], np.arange(n))):
-        raise InputSpecError("identity law fails")
-    if not np.array_equal(mul[np.arange(n), inv], np.full(n, e)):
-        raise InputSpecError("inverse law fails")
     gens: list[int] = []
-    for z in _greedy_generators(group, np.ones(n, dtype=bool)):
+    for z in _greedy_generators(lambda x, y: mul[x, y], np.ones(n, dtype=bool), identity):
         yz = mul[:, z]
         # (x*y)*z vs x*(y*z) for all y and a block of x at a time
         for rows in np.array_split(mul, -(-n * n // ASSOC_BLOCK)):
             if not np.array_equal(mul[rows, z], rows[:, yz]):
                 raise InputSpecError(f"associativity fails at z={z}")
         gens.append(z)
-    return np.array(gens, dtype=np.int64)
+    return identity, inv, np.array(gens, dtype=np.int64)
 
 
-def _right_closure(group: GroupTable, members: np.ndarray, gens) -> None:
-    """Grow the boolean mask `members` in place until m * g is a member for
-    every member m and every g in gens."""
+def _right_closure(product: Callable, members: np.ndarray, step: np.ndarray, gens) -> None:
+    """Add to the boolean mask `members`, in place, the elements of `step`
+    and their right products with gens, until no product is new. Members
+    already in the mask are taken to be closed under gens already."""
     gens = np.asarray(gens, dtype=np.int64)
-    frontier = np.flatnonzero(members)
+    frontier = np.unique(step[~members[step]])
     while len(frontier):
-        step = group.product(frontier[:, None], gens).ravel()
-        frontier = np.unique(step[~members[step]])
         members[frontier] = True
+        step = product(frontier[:, None], gens).ravel()
+        frontier = np.unique(step[~members[step]])
 
 
-def _greedy_generators(group: GroupTable, inside: np.ndarray) -> Iterator[int]:
+def _greedy_generators(product: Callable, inside: np.ndarray, identity: int) -> Iterator[int]:
     """Yield a generating set of the subgroup on the mask `inside`: each
     element is the least one that the products of the earlier ones do not
     reach, so each at least doubles the reached set and there are at most
-    log2 of its order."""
-    reached = np.zeros(group.order, dtype=bool)
-    reached[group.identity] = True
+    log2 of its order. The reached set is closed under the earlier
+    generators, so it regrows only from its products with the new one."""
+    reached = np.zeros(len(inside), dtype=bool)
+    reached[identity] = True
     gens: list[int] = []
     while (inside & ~reached).any():
         gens.append(int(np.argmax(inside & ~reached)))
         yield gens[-1]
-        _right_closure(group, reached, gens)
+        _right_closure(product, reached, product(np.flatnonzero(reached), gens[-1]), gens)
 
 
 def build_group_from_generators(generators: Sequence[Sequence[int]]) -> GroupTable:
@@ -383,27 +386,14 @@ def symmetric_group(n: int) -> GroupTable:
 
 
 def group_from_table(table: Sequence[Sequence[int]]) -> GroupTable:
-    """Build and validate a GroupTable from an explicit multiplication table."""
+    """Validate an explicit multiplication table and keep its rows as the
+    permutations y -> x*y: the base images of a product then agree with the
+    table (validate_group proves associativity first), and point 0 alone is
+    a base, as every column of a group table holds each element once."""
     mul = _integers(table, "table", ndim=2)
-    if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
-        raise InputSpecError("multiplication table must be square")
-    n = mul.shape[0]
-    # find the identity, then read inverses off its row
-    identity = None
-    for e in range(n):
-        if np.array_equal(mul[e], np.arange(n)) and np.array_equal(mul[:, e], np.arange(n)):
-            identity = e
-            break
-    if identity is None:
-        raise InputSpecError("table has no two-sided identity")
-    # x's right inverse is the one column where row x holds the identity
-    hits = mul == identity
-    inv = hits.argmax(axis=1)
-    bad = np.flatnonzero((hits.sum(axis=1) != 1) | (mul[inv, np.arange(n)] != identity))
-    if len(bad):
-        raise InputSpecError(f"element {bad[0]} has no two-sided inverse")
-    group = GroupTable(inv=inv, generators=np.zeros(0, dtype=np.int64), identity=identity, table=mul)
-    return replace(group, generators=validate_group(group))
+    identity, inv, gens = validate_group(mul)
+    perms = mul.astype(np.min_scalar_type(len(mul) - 1))
+    return GroupTable(perms=perms, inv=inv, generators=gens, identity=identity)
 
 
 def subgroup_closure(group: GroupTable, seeds: Sequence[int]) -> SubgroupEmbedding:
@@ -416,8 +406,7 @@ def subgroup_closure(group: GroupTable, seeds: Sequence[int]) -> SubgroupEmbeddi
     # with the inverses, a cyclic subgroup is reached from both ends
     gens = np.union1d(seeds, group.inv[seeds])
     members = np.zeros(n, dtype=bool)
-    members[group.identity] = True
-    _right_closure(group, members, gens)
+    _right_closure(group.product, members, np.array([group.identity]), gens)
     return SubgroupEmbedding(
         elements=tuple(np.flatnonzero(members).tolist()), generators=tuple(gens.tolist())
     )
@@ -445,7 +434,8 @@ def double_cosets(group: GroupTable, K: SubgroupEmbedding) -> DoubleCosetPartiti
     n = group.order
     label = np.arange(n)
     if K.generators is None:
-        kgens = np.fromiter(_greedy_generators(group, np.isin(label, K.elements)), dtype=np.int64)
+        inside = np.isin(label, K.elements)
+        kgens = np.fromiter(_greedy_generators(group.product, inside, group.identity), dtype=np.int64)
     else:
         kgens = np.array(K.generators, dtype=np.int64)
     if len(kgens):

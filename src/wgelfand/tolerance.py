@@ -28,8 +28,9 @@
    the L_{T u} that `is_multiplier` compares T with, and the scale of that
    comparison), the multiplier symbol, and the commutation residual.
 
-The Gelfand verdict and the group axioms of a table (`validate_group`,
-Light's associativity test) need no tolerance: they are exact tests on integers.
+The Gelfand verdict and the group axioms of a table (`validate_group`, with
+Light's associativity test on the raw table entries) need no tolerance: they
+are exact tests on integers.
 Reference: Higham, Accuracy and Stability of Numerical Algorithms (2002),
 ch. 1-2.
 """

@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the library's fast paths: group closure
 composes permutation tuples one pair at a time, products read the |G|^2
-table (`group.mul`) where the library looks up base images, convolutions
-are plain double loops over group elements, and spherical functions are
-found by solving the averaged-product equation symbolically with sympy.
+table that `oracles.mul_table` composes from the group's permutations where
+the library looks up base images, convolutions are plain double loops over
+group elements, and spherical functions are found by solving the
+averaged-product equation symbolically with sympy.
 """
 
 from __future__ import annotations
@@ -111,18 +112,10 @@ def double_cosets_oracle(mul, K):
     return tuple(cosets), coset_of
 
 
-def forbid_table(monkeypatch):
-    """Make every read of GroupTable.mul fail, to show that a code path
-    finds its products with GroupTable.product."""
-    def read(self):
-        raise AssertionError("GroupTable.mul read on a permutation group")
-    monkeypatch.setattr(wg.GroupTable, "mul", property(read))
-
-
 def subgroup_closure_oracle(group, seeds):
     """Sorted elements of the subgroup generated by the seeds, as a set
     grown by right multiplication until it stops changing."""
-    mul = group.mul
+    mul = oracles.mul_table(group)
     members = {group.identity} | {int(s) for s in seeds}
     while True:
         grown = members | {int(mul[x, y]) for x in members for y in members}
@@ -135,7 +128,7 @@ def check_subgroup_oracle(group, elements):
     """The error _check_subgroup should raise for a sorted element list, or
     None: the identity first, then the first (x, y) in row-major order whose
     product leaves the set."""
-    mul, members = group.mul, set(elements)
+    mul, members = oracles.mul_table(group), set(elements)
     if group.identity not in members:
         return "subgroup must contain the identity"
     for x in elements:
@@ -147,7 +140,7 @@ def check_subgroup_oracle(group, elements):
 
 def classical_convolve_oracle(f, g, group):
     """(f * g)(x) = sum_y f(y) g(y^-1 x), element by element."""
-    n, mul = group.order, group.mul
+    n, mul = group.order, oracles.mul_table(group)
     out = np.zeros(n, dtype=complex)
     for x in range(n):
         for y in range(n):
@@ -157,7 +150,7 @@ def classical_convolve_oracle(f, g, group):
 
 def weighted_convolve_oracle(f, g, group, w):
     """The weighted product by its defining double loop."""
-    n, mul = group.order, group.mul
+    n, mul = group.order, oracles.mul_table(group)
     out = np.zeros(n, dtype=complex)
     for x in range(n):
         for y in range(n):
@@ -176,12 +169,13 @@ def brute_force_spherical(group, K, w, partition=None):
     wvals = [sympy.nsimplify(v, rational=True) for v in w]
     u = sympy.symbols(f"u0:{d}", complex=True)
     reps = partition.reps.tolist()
+    mul = oracles.mul_table(group)
     equations = []
     for xi in reps:
         for yj in reps:
             lhs = sympy.Integer(0)
             for k in K.elements:
-                z = group.mul[group.mul[xi, k], yj]
+                z = mul[mul[xi, k], yj]
                 lhs += wvals[z] * u[partition.coset_of[z]]
             lhs = lhs / K.order
             rhs = wvals[xi] * u[partition.coset_of[xi]] * wvals[yj] * u[partition.coset_of[yj]]
@@ -236,10 +230,11 @@ def dense_p_oracle(group, partition):
     one bincount over the group per representative r_k."""
     d = partition.num_cosets
     row = partition.coset_of * d
+    mul = oracles.mul_table(group)
     p = np.empty((d, d, d), dtype=np.int32)
     for k, r in enumerate(partition.reps):
         p[:, :, k] = np.bincount(
-            row + partition.coset_of[group.mul[group.inv, r]], minlength=d * d
+            row + partition.coset_of[mul[group.inv, r]], minlength=d * d
         ).reshape(d, d)
     return p
 

@@ -37,6 +37,22 @@ def is_abelian(group: GroupTable) -> bool:
     return bool(np.array_equal(group.product(g[:, None], g), group.product(g, g[:, None])))
 
 
+def mul_table(group: GroupTable) -> np.ndarray:
+    """The |G| x |G| table of x*y: every pair of permutations composed,
+    (x*y)[i] = x[y[i]], and the composite found among the group's rows by
+    a sorted search on their bytes, not by the library's base-image lookup."""
+    perms = np.ascontiguousarray(group.perms)
+    row = np.dtype((np.void, perms.shape[1] * perms.itemsize))
+    keys = perms.view(row).ravel()
+    order = np.argsort(keys)
+    out = np.empty((len(perms),) * 2, dtype=np.int64)
+    for x, p in enumerate(perms):
+        composed = np.ascontiguousarray(p[perms]).view(row).ravel()
+        out[x] = order[np.searchsorted(keys, composed, sorter=order)]
+        assert np.array_equal(keys[out[x]], composed), "a product left the group"
+    return out
+
+
 def point_stabilizer(group: GroupTable, point: int) -> SubgroupEmbedding:
     """Stabiliser of a point in a group built from permutations, read off
     the group's own permutations."""

@@ -286,6 +286,7 @@ def test_criterion_11_projection_and_pullback_identities():
         theta_id = wg.check_automorphism(s3, np.arange(6))
         c6 = wg.cyclic_group(6)
         theta_inv = wg.inversion_automorphism(c6)
+        mul3 = oracles.mul_table(s3)
         for _ in range(50):
             # projection identities on the S3 pair with bi-invariant weight
             w = random_bi_invariant_weight(p3, rng)
@@ -296,7 +297,7 @@ def test_criterion_11_projection_and_pullback_identities():
             rhs = oracles.weighted_convolve(oracles.sharp_projection(h, s3, K3), f, s3, w)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
-            h_left = np.mean([h[s3.mul[k]] for k in K3.elements], axis=0)
+            h_left = np.mean([h[mul3[k]] for k in K3.elements], axis=0)
             conv = oracles.weighted_convolve(h_left, f, s3, w)
             lhs = oracles.sharp_projection(conv, s3, K3)
             rhs = oracles.weighted_convolve(

@@ -12,7 +12,7 @@ import wgelfand as wg
 from wgelfand.cli import main
 
 import oracles
-from conftest import C300_ONE_WRONG, LOOP_5, forbid_table, gelfand_instances
+from conftest import C300_ONE_WRONG, LOOP_5, gelfand_instances
 
 
 def write_specs(tmp_path, group, subgroup, weight, automorphism=None, multipliers=()):
@@ -77,19 +77,19 @@ def test_analyze_not_gelfand_exit_2(tmp_path, capsys):
     ids=["S3/1", "S4/(0 1)"],
 )
 def test_not_gelfand_note_is_the_same_for_every_command(tmp_path, capsys, group, subgroup):
-    paths = write_specs(tmp_path, group, subgroup, UNIFORM)
+    kernel = {"kind": "kernel", "coset_values": [[1.0, 0.0]]}
+    paths = write_specs(tmp_path, group, subgroup, UNIFORM, multipliers=[kernel])
+    specs = ["--group", paths["group"], "--subgroup", paths["subgroup"],
+             "--weight", paths["weight"]]
     notes = []
-    for command in ("analyze", "spherical", "fourier"):
-        code, out = run_cli(
-            [command, "--group", paths["group"], "--subgroup", paths["subgroup"],
-             "--weight", paths["weight"]],
-            capsys,
-        )
+    for argv in (["analyze"] + specs,
+                 ["multiplier-check", "--multiplier", paths["multipliers"][0]] + specs):
+        code, out = run_cli(argv, capsys)
         report = json.loads(out)
-        assert code == 2 and "spherical" not in report
+        assert code == 2 and "spherical" not in report and "multipliers" not in report
         notes.append(report.get("note"))
     assert notes[0] == "not a weighted Gelfand pair; downstream stages skipped"
-    assert notes == notes[:1] * 3
+    assert notes == notes[:1] * 2
 
 
 def test_complex_pairs_serialise_like_per_element_lists():
@@ -198,7 +198,7 @@ def test_spherical_command(tmp_path, capsys):
     weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}
     paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
     code, out = run_cli(
-        ["spherical", "--group", paths["group"], "--subgroup", paths["subgroup"],
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
          "--weight", paths["weight"]],
         capsys,
     )
@@ -279,7 +279,10 @@ def test_weight_off_one_at_identity_gets_one_decision(tmp_path, capsys):
     assert code == 0
     assert report["weight"]["unit_at_identity"] is False
     assert "w(e)" in report["note"] and "spherical" not in report
-    assert "w(e)" in assert_one_line_error(main(["spherical"] + args), capsys)
+    kernel = {"kind": "kernel", "coset_values": [[1.0, 0.0]] * 4}
+    paths = write_specs(tmp_path, D6, K_REFLECTION, weight, multipliers=[kernel])
+    check = ["multiplier-check", "--multiplier", paths["multipliers"][0]] + args
+    assert "w(e)" in assert_one_line_error(main(check), capsys)
 
     group = wg.dihedral_group(6)
     K = wg.subgroup_closure(group, [2])
@@ -350,6 +353,33 @@ def test_output_file_and_determinism(tmp_path, capsys):
         blob.pop("timings")
         reports.append(json.dumps(blob, sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def test_report_bytes_are_written_as_encoded(tmp_path, capsys, monkeypatch):
+    """The report file holds orjson's bytes plus a newline, unchanged, and
+    stdout gets the same text; the text format is encoded once, too."""
+    import wgelfand.cli
+
+    reports = []
+    run = wgelfand.cli.run
+
+    def recording_run(args):
+        reports.append(run(args))
+        return reports[-1]
+
+    monkeypatch.setattr(wgelfand.cli, "run", recording_run)
+    paths = write_specs(tmp_path, S3, K_TRANSPOSITION, UNIFORM)
+    args = ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+            "--weight", paths["weight"]]
+    out = tmp_path / "report.json"
+    assert main(args + ["--output", str(out)]) == 0
+    expected = orjson.dumps(reports[-1][0], option=orjson.OPT_SORT_KEYS) + b"\n"
+    assert out.read_bytes() == expected
+    code, printed = run_cli(args, capsys)
+    assert code == 0
+    assert printed == orjson.dumps(reports[-1][0], option=orjson.OPT_SORT_KEYS).decode() + "\n"
+    assert main(args + ["--output", str(out), "--format", "text"]) == 0
+    assert out.read_bytes() == wgelfand.cli._format_text(reports[-1][0]).encode()
 
 
 def _reject_constant(name):
@@ -640,7 +670,7 @@ def test_fourier_rank_does_not_depend_on_the_weight(tmp_path, capsys, wide):
     floating point, which exits 3 instead of writing Infinity."""
     weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": wide}}
     paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
-    argv = ["fourier", "--group", paths["group"], "--subgroup", paths["subgroup"],
+    argv = ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
             "--weight", paths["weight"]]
     if wide == 1e100:
         assert "singular" in assert_one_line_error(main(argv), capsys, expected_code=3)
@@ -675,7 +705,7 @@ def test_report_weight_flags_match_their_per_element_definitions(tmp_path, capsy
             spec_dir = tmp_path / f"{name}-{trial}"
             spec_dir.mkdir()
             paths = write_specs(
-                spec_dir, {"kind": "table", "table": group.mul.tolist()},
+                spec_dir, {"kind": "table", "table": oracles.mul_table(group).tolist()},
                 {"elements": list(K.elements)}, {"kind": "by_element", "values": v.tolist()},
                 automorphism={"kind": "perm", "perm": theta.tolist()},
             )
@@ -719,10 +749,10 @@ def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypat
             raise AssertionError(f"{name} called on the pipeline")
         return record
 
-    oracles = ("verify_functional_equation", "spherical_transform", "weighted_convolve")
+    g_level = ("verify_functional_equation", "spherical_transform", "weighted_convolve")
     for module in (wg, wgelfand.cli, wgelfand.fourier, wgelfand.hecke,
                    wgelfand.spherical, wgelfand.weighted):
-        for name in oracles:
+        for name in g_level:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recorder(name))
     monkeypatch.setattr(np.random, "default_rng", recorder("default_rng"))
@@ -740,7 +770,7 @@ def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypat
 
     groups = [
         ({"kind": "dihedral", "n": 12}, 7),
-        ({"kind": "table", "table": wg.dihedral_group(130).mul.tolist()}, 66),
+        ({"kind": "table", "table": oracles.mul_table(wg.dihedral_group(130)).tolist()}, 66),
     ]
     for group, d in groups:
         kernels = [
@@ -802,7 +832,7 @@ def test_malformed_group_and_subgroup_specs_exit_1(tmp_path, capsys, group, subg
 S4_OVER_S3 = {"elements": list(oracles.point_stabilizer(wg.symmetric_group(4), 3).elements)}
 
 
-@pytest.mark.parametrize("command", ["analyze", "spherical", "fourier", "multiplier-check"])
+@pytest.mark.parametrize("command", ["analyze", "multiplier-check"])
 @pytest.mark.parametrize(
     "group, subgroup, automorphism, d",
     [({"kind": "dihedral", "n": 6}, {"seeds": [2]}, {"kind": "identity"}, 4),
@@ -810,10 +840,11 @@ S4_OVER_S3 = {"elements": list(oracles.point_stabilizer(wg.symmetric_group(4), 3
      ({"kind": "symmetric", "n": 4}, S4_OVER_S3, None, 2)],
     ids=["D6-identity", "C8-inversion", "S4-none"],
 )
-def test_pipeline_never_reads_the_table(tmp_path, capsys, monkeypatch, command, group,
-                                        subgroup, automorphism, d):
-    """Every command on groups built from generators, with and without an
-    automorphism, runs with GroupTable.mul forbidden."""
+def test_pipeline_never_reads_the_table(tmp_path, capsys, command, group, subgroup,
+                                        automorphism, d):
+    """Every command runs on groups built from generators, with and without
+    an automorphism. A GroupTable keeps no |G|^2 table to read, and
+    test_s7_over_s6_runs_without_the_table bounds the memory of a run."""
     kernel = {"kind": "kernel", "coset_values": [[1.0, 0.5]] * d}
     paths = write_specs(tmp_path, group, subgroup, UNIFORM, automorphism, [kernel])
     argv = [command, "--group", paths["group"], "--subgroup", paths["subgroup"],
@@ -822,7 +853,6 @@ def test_pipeline_never_reads_the_table(tmp_path, capsys, monkeypatch, command, 
         argv += ["--automorphism", paths["automorphism"]]
     if command == "multiplier-check":
         argv += ["--multiplier", paths["multipliers"][0]]
-    forbid_table(monkeypatch)
     code, out = run_cli(argv, capsys)
     assert code == 0
     report = json.loads(out)
@@ -830,14 +860,13 @@ def test_pipeline_never_reads_the_table(tmp_path, capsys, monkeypatch, command, 
     assert report["spherical"]["count"] == d
 
 
-def test_s7_over_s6_runs_without_the_table(tmp_path, capsys, monkeypatch):
-    """analyze on S7/S6 (|G| = 5040) with GroupTable.mul forbidden traces a
-    peak below 20 MB; the |G|^2 int64 table alone would take 203 MB."""
+def test_s7_over_s6_runs_without_the_table(tmp_path, capsys):
+    """analyze on S7/S6 (|G| = 5040) traces a peak below 20 MB; the |G|^2
+    int64 table alone would take 203 MB."""
     s7 = wg.symmetric_group(7)
     six_cycle = (1, 2, 3, 4, 5, 0, 6)  # with (0 1), element 1, it generates S6
     seeds = [1, int(np.flatnonzero((s7.perms == six_cycle).all(axis=1))[0])]
     paths = write_specs(tmp_path, {"kind": "symmetric", "n": 7}, {"seeds": seeds}, UNIFORM)
-    forbid_table(monkeypatch)
     tracemalloc.start()
     try:
         code, out = run_cli(
@@ -855,10 +884,15 @@ def test_s7_over_s6_runs_without_the_table(tmp_path, capsys, monkeypatch):
     assert peak < 20 * 2**20
 
 
+SPEC_FLAGS = ["--group", "g.json", "--subgroup", "k.json", "--weight", "w.json"]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["analyze"], [], ["nonsense"], ["analyze", "--group"], ["fourier", "--seed", "1"]],
-    ids=["missing-flags", "no-command", "unknown-command", "missing-value", "seed-removed"],
+    [["analyze"], [], ["nonsense"], ["analyze", "--group"], ["analyze", "--seed", "1"],
+     ["spherical"] + SPEC_FLAGS, ["fourier"] + SPEC_FLAGS],
+    ids=["missing-flags", "no-command", "unknown-command", "missing-value", "seed-removed",
+         "spherical-removed", "fourier-removed"],
 )
 def test_usage_errors_exit_1(capsys, argv):
     assert_one_line_error(main(argv), capsys)

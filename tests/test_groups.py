@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -47,7 +48,7 @@ CLOSURE_CASES = {
 def test_closure_matches_tuple_oracle(gens):
     g = wg.build_group_from_generators(gens)
     mul, inv = closure_oracle(gens)
-    assert np.array_equal(g.mul, mul)
+    assert np.array_equal(oracles.mul_table(g), mul)
     assert np.array_equal(g.inv, inv)
 
 
@@ -94,7 +95,7 @@ def test_group_layer_matches_table_oracle(gens):
     for seeds in ([], [n - 1], rng.integers(0, n, size=2).tolist()):
         K = wg.subgroup_closure(g, seeds)
         assert K.elements == wg.subgroup_closure(table, seeds).elements
-        assert K.elements == subgroup_closure_oracle(table, seeds)
+        assert K.elements == subgroup_closure_oracle(g, seeds)
         cosets, coset_of = double_cosets_oracle(mul, K)
         by_elements = wg.subgroup_from_spec(g, {"elements": list(K.elements)})
         for part in (wg.double_cosets(g, K), wg.double_cosets(g, by_elements),
@@ -121,14 +122,14 @@ def test_cyclic_closure_from_cycle():
     g = wg.build_group_from_generators([(1, 2, 3, 0)])
     assert g.order == 4
     assert oracles.is_abelian(g)
-    wg.validate_group(g)
+    wg.validate_group(oracles.mul_table(g))
 
 
 def test_s3_from_generators():
     g = wg.build_group_from_generators([(1, 0, 2), (1, 2, 0)])
     assert g.order == 6
     assert not oracles.is_abelian(g)
-    wg.validate_group(g)
+    wg.validate_group(oracles.mul_table(g))
 
 
 def test_empty_generators_give_trivial_group():
@@ -140,7 +141,7 @@ def test_empty_generators_give_trivial_group():
 def test_identity_is_index_zero(s3):
     assert s3.identity == 0
     n = s3.order
-    assert np.array_equal(s3.mul[0], np.arange(n))
+    assert np.array_equal(s3.product(0, np.arange(n)), np.arange(n))
 
 
 def test_element_cap(monkeypatch):
@@ -176,7 +177,8 @@ def test_integral_floats_accepted():
 
 def test_group_axioms_hold_on_builders():
     for g in [wg.cyclic_group(12), wg.dihedral_group(4), wg.symmetric_group(4)]:
-        wg.validate_group(g)
+        identity, inv, _ = wg.validate_group(oracles.mul_table(g))
+        assert identity == 0 and np.array_equal(inv, g.inv)
 
 
 def test_dihedral_order():
@@ -192,7 +194,7 @@ def test_dihedral_order_is_2n_and_keeps_its_elements():
         assert g.order == 2 * n
         if n != 2:
             gens = [(1, 0)] if n == 1 else [_cycle(n), tuple((n - i) % n for i in range(n))]
-            assert np.array_equal(g.mul, closure_oracle(gens)[0])
+            assert np.array_equal(oracles.mul_table(g), closure_oracle(gens)[0])
 
 
 def test_dihedral_2_is_the_klein_four_group():
@@ -203,13 +205,15 @@ def test_dihedral_2_is_the_klein_four_group():
     mul = g.product(x[:, None], x)
     assert g.order == 4 and np.array_equal(mul, mul.T)
     assert np.all(mul[x, x] == g.identity)
-    wg.validate_group(g)
+    wg.validate_group(oracles.mul_table(g))
 
 
 def test_group_from_table_roundtrip():
     c3 = wg.cyclic_group(3)
-    rebuilt = wg.group_from_table(c3.mul.tolist())
-    assert np.array_equal(rebuilt.mul, c3.mul)
+    mul = oracles.mul_table(c3)
+    rebuilt = wg.group_from_table(mul.tolist())
+    x = np.arange(3)
+    assert np.array_equal(rebuilt.product(x[:, None], x), mul)
     assert np.array_equal(rebuilt.inv, c3.inv)
 
 
@@ -242,7 +246,7 @@ def test_associativity_blocks_cover_every_row(monkeypatch):
     monkeypatch.setattr(wg.groups, "ASSOC_BLOCK", 7 * 300)
     c300 = np.add.outer(np.arange(300), np.arange(300)) % 300
     wg.group_from_table(c300.tolist())
-    wg.group_from_table(wg.symmetric_group(5).mul.tolist())
+    wg.group_from_table(oracles.mul_table(wg.symmetric_group(5)).tolist())
     c300[299, 7] = 7
     with pytest.raises(InputSpecError, match="associativity fails at z=1"):
         wg.group_from_table(c300.tolist())
@@ -254,6 +258,152 @@ def test_group_from_table_reports_the_first_element_without_inverse():
         wg.group_from_table(table)
 
 
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    square = np.full((n, n), -1, dtype=np.int64)
+    square[0], square[:, 0] = np.arange(n), np.arange(n)
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield square.copy()
+            return
+        r, c = cells[k]
+        for v in set(range(n)) - set(square[r]) - set(square[:, c]):
+            square[r, c] = v
+            yield from fill(k + 1)
+        square[r, c] = -1
+
+    return list(fill(0))
+
+
+def _relabel(table, sigma):
+    """The table with element a renamed sigma[a]: T'[s a, s b] = s T[a, b]."""
+    sigma = np.asarray(sigma)
+    out = np.empty_like(table)
+    out[np.ix_(sigma, sigma)] = sigma[table]
+    return out
+
+
+# renamings of 5 elements that move the identity off index 0
+RELABEL_5 = [np.roll(np.arange(5), k) for k in range(1, 5)] + [np.arange(5)[::-1]]
+
+
+def test_light_test_reads_the_table_until_associativity_is_proven():
+    """The 8 of the 56 reduced Latin squares of order 5 that have two-sided
+    inverses, each renamed so that the identity is not index 0: the base
+    images of the rows of a loop need not give its products, so the six C5
+    tables pass and the two loops raise, as Light's test reads the table."""
+    squares = _reduced_latin_squares(5)
+    assert len(squares) == 56
+    squares = [t for t in squares if np.all(t[t.argmin(axis=1), np.arange(5)] == 0)]
+    assert len(squares) == 8
+    groups_seen = 0
+    for square in squares:
+        is_group = np.array_equal(square[square], square[:, square])  # (a b) c, a (b c)
+        groups_seen += is_group
+        for sigma in RELABEL_5:
+            table = _relabel(square, sigma)
+            if is_group:
+                g = wg.group_from_table(table)
+                x = np.arange(5)
+                assert g.identity == sigma[0] != 0
+                assert np.array_equal(g.product(x[:, None], x), table)
+            else:
+                with pytest.raises(InputSpecError, match="associativity fails"):
+                    wg.group_from_table(table)
+    assert groups_seen == 6
+
+
+def _groups_up_to_8():
+    """Every group of order 1 to 8 up to isomorphism, from generators."""
+    out = [wg.cyclic_group(n) for n in range(1, 9)]
+    out += [wg.dihedral_group(n) for n in (2, 3, 4)]
+    out.append(wg.build_group_from_generators(_transpositions([(0, 1), (2, 3), (4, 5)], 6)))
+    out.append(wg.build_group_from_generators([_cycle(4) + (4, 5), (0, 1, 2, 3, 5, 4)]))
+    # Q8 acting on itself by left multiplication: i and j
+    out.append(wg.build_group_from_generators([(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)]))
+    return out
+
+
+def test_table_groups_renamed_off_index_0_multiply_as_their_tables():
+    """Each group of order <= 8, given by its table with the identity moved
+    off index 0, multiplies as the table says, with one base point."""
+    for g in _groups_up_to_8():
+        n = g.order
+        mul, x = oracles.mul_table(g), np.arange(n)
+        for sigma in (np.roll(x, 1), x[::-1]):
+            table = _relabel(mul, sigma)
+            rebuilt = wg.group_from_table(table)
+            assert rebuilt.identity == sigma[0]
+            assert np.array_equal(rebuilt.product(x[:, None], x), table)
+            assert np.array_equal(table[x, rebuilt.inv], np.full(n, sigma[0]))
+
+
+def test_a_table_is_kept_as_its_rows():
+    """A table group keeps only its rows, y -> x*y, as uint8 permutations up
+    to order 256 and uint16 above it, and point 0 alone is its base: there is
+    no second representation and no |G|^2 int64 table."""
+    assert [f.name for f in dataclasses.fields(wg.GroupTable)] == [
+        "perms", "inv", "generators", "identity"]
+    for g, dtype in ((wg.cyclic_group(256), np.uint8), (wg.dihedral_group(128), np.uint8),
+                     (wg.symmetric_group(5), np.uint8), (wg.cyclic_group(257), np.uint16)):
+        mul = oracles.mul_table(g)
+        rebuilt = wg.group_from_table(mul.tolist())
+        assert rebuilt.perms.dtype == dtype
+        assert np.array_equal(rebuilt.perms, mul)
+        assert rebuilt.base.tolist() == [0] and len(rebuilt._tree[1]) == 1
+
+
+def _greedy_regrowing(group, inside):
+    """The greedy generating set with the reached set regrown from every
+    member after each new generator: the reference for the regrowth from
+    the products with the new generator alone."""
+    reached = np.zeros(group.order, dtype=bool)
+    reached[group.identity] = True
+    gens = []
+    while (inside & ~reached).any():
+        gens.append(int(np.argmax(inside & ~reached)))
+        frontier = np.flatnonzero(reached)
+        while len(frontier):
+            step = group.product(frontier[:, None], np.array(gens)).ravel()
+            frontier = np.unique(step[~reached[step]])
+            reached[frontier] = True
+    return gens
+
+
+def _s6_subgroups():
+    """S5, S4 x S2, S3 x S3 and the pointwise stabiliser of 4 and 5 in S6,
+    as the elements that keep those point sets."""
+    s6 = wg.symmetric_group(6)
+    p = s6.perms
+    keeps = [np.all(p[:, 5:] == 5, axis=1), np.all(p[:, 4:] >= 4, axis=1),
+             np.all(p[:, 3:] >= 3, axis=1), np.all(p[:, 4:] == [4, 5], axis=1)]
+    return [(s6, np.flatnonzero(k)) for k in keeps]
+
+
+def test_greedy_generators_regrow_from_the_new_products_only():
+    """On C10080 over itself and on the S6 subgroups above, all given by
+    their elements, the generators and the double cosets are those of the
+    regrowth from every member. C10080 is C32 x C9 x C5 x C7 on 53 points,
+    one generator and 10080 rounds of regrowth."""
+    cycles = []
+    for start, m in ((0, 32), (32, 9), (41, 5), (46, 7)):
+        cycles += [start + (i + 1) % m for i in range(m)]
+    c = wg.build_group_from_generators([cycles])
+    assert c.order == 10080
+    for group, elements in [(c, np.arange(c.order))] + _s6_subgroups():
+        inside = np.zeros(group.order, dtype=bool)
+        inside[elements] = True
+        gens = list(groups._greedy_generators(group.product, inside, group.identity))
+        assert gens == _greedy_regrowing(group, inside)
+        by_elements = wg.SubgroupEmbedding(elements=tuple(elements.tolist()))
+        by_gens = wg.SubgroupEmbedding(elements=by_elements.elements, generators=tuple(gens))
+        ours, ref = wg.double_cosets(group, by_elements), wg.double_cosets(group, by_gens)
+        assert np.array_equal(ours.coset_of, ref.coset_of)
+        assert np.array_equal(ours.reps, ref.reps)
+
+
 @pytest.mark.parametrize(
     "build, sizes",
     [(wg.cyclic_group, (1, 2, 7, 12, 300)), (wg.dihedral_group, (1, 2, 3, 12, 60, 130)),
@@ -263,8 +413,10 @@ def test_group_from_table_reports_the_first_element_without_inverse():
 def test_builder_tables_pass_validation(build, sizes):
     for n in sizes:
         g = build(n)
-        rebuilt = wg.group_from_table(g.mul.tolist())
-        assert np.array_equal(rebuilt.mul, g.mul) and np.array_equal(rebuilt.inv, g.inv)
+        mul, x = oracles.mul_table(g), np.arange(g.order)
+        rebuilt = wg.group_from_table(mul.tolist())
+        assert np.array_equal(rebuilt.product(x[:, None], x), mul)
+        assert np.array_equal(rebuilt.inv, g.inv)
 
 
 def test_subgroup_of_transposition(s3):
@@ -308,7 +460,7 @@ def test_partition_fields_match_oracle():
     cases.append(("c4-identity-2", c4, wg.subgroup_closure(c4, [])))
     for name, group, K in cases:
         part = wg.double_cosets(group, K)
-        cosets, coset_of = double_cosets_oracle(group.mul, K)
+        cosets, coset_of = double_cosets_oracle(oracles.mul_table(group), K)
         assert np.array_equal(part.coset_of, coset_of), name
         assert part.reps.tolist() == [min(c) for c in cosets], name
         assert np.array_equal(part.sizes, np.bincount(part.coset_of)), name
@@ -581,7 +733,7 @@ def test_group_from_spec_kinds():
     assert wg.group_from_spec(
         {"kind": "generators", "generators": [[1, 0]]}
     ).order == 2
-    table = wg.cyclic_group(2).mul.tolist()
+    table = oracles.mul_table(wg.cyclic_group(2)).tolist()
     assert wg.group_from_spec({"kind": "table", "table": table}).order == 2
     with pytest.raises(InputSpecError):
         wg.group_from_spec({"kind": "nonsense"})
