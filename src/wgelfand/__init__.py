@@ -42,11 +42,9 @@ from .groups import (
     validate_group,
 )
 from .hecke import (
-    GelfandReport,
     StructureConstants,
     check_rap_condition,
     hecke_structure_constants,
-    is_weighted_gelfand,
 )
 from .spherical import (
     SphericalSet,

@@ -28,8 +28,8 @@ from .fourier import (
     verify_commutation,
 )
 from .groups import automorphism_from_spec, double_cosets, group_from_spec, subgroup_from_spec
-from .hecke import check_rap_condition, hecke_structure_constants, is_weighted_gelfand
-from .spherical import complex_pairs, enumerate_spherical
+from .hecke import check_rap_condition, hecke_structure_constants
+from .spherical import enumerate_spherical
 from .tolerance import RTOL, within
 from .weighted import theta_invariant, weight_from_spec
 
@@ -54,6 +54,13 @@ def _load_json(path: str) -> tuple[dict, str]:
         raise InputSpecError(f"{path}: {exc}") from exc
     except RecursionError:  # arrays or objects nested too deeply to parse
         raise InputSpecError(f"{path}: JSON nested too deeply") from None
+
+
+def _pairs(z) -> np.ndarray:
+    """Complex values as [re, im] pairs: a C-contiguous float64 array of
+    shape z.shape + (2,), which orjson writes as nested lists."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return z.view(float).reshape(*z.shape, 2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,14 +147,17 @@ def run(args) -> tuple[dict, int]:
 
     t1 = time.perf_counter()
     sc = hecke_structure_constants(group, partition, wd)
-    gelfand = is_weighted_gelfand(sc)
-    rap = None if theta is None else check_rap_condition(sc, theta, w_invariant)
-    report["gelfand"] = {**gelfand.to_json(), "rap": rap}
+    witness = sc.commutativity_witness
+    report["gelfand"] = {
+        "gelfand": witness is None,
+        "witness": witness and dict(zip(("basis_i", "basis_j", "element"), witness)),
+        "rap": None if theta is None else check_rap_condition(sc, theta, w_invariant),
+    }
     timings["gelfand"] = time.perf_counter() - t1
 
-    exit_code = EXIT_OK if gelfand.is_weighted_gelfand else EXIT_VERDICT
+    exit_code = EXIT_OK if witness is None else EXIT_VERDICT
 
-    if not gelfand.is_weighted_gelfand:
+    if witness is not None:
         report["note"] = "not a weighted Gelfand pair; downstream stages skipped"
     elif not unit_at_identity:
         if args.command == "multiplier-check":
@@ -156,13 +166,13 @@ def run(args) -> tuple[dict, int]:
     else:
         t2 = time.perf_counter()
         sset = enumerate_spherical(sc)
-        report["spherical"] = {"count": len(sset), "functions": sset.to_json()}
-        rank, cond = injectivity_check(sset)
-        report["fourier"] = {
-            "rank": rank,
-            "condition": cond,
-            "matrix": complex_pairs(sset.characters.T),
+        functions = zip(_pairs(sset.functions), _pairs(sset.characters))
+        report["spherical"] = {
+            "count": len(sset),
+            "functions": [{"coset_values": phi, "character": chi} for phi, chi in functions],
         }
+        rank, cond = injectivity_check(sset)
+        report["fourier"] = {"rank": rank, "condition": cond, "matrix": _pairs(sset.characters.T)}
         timings["spherical_fourier"] = time.perf_counter() - t2
 
         if args.command == "multiplier-check":
@@ -180,7 +190,7 @@ def run(args) -> tuple[dict, int]:
                 entry = {"path": mpath, "is_multiplier": ok}
                 if ok:
                     sym = extract_symbol(T, sc, sset)
-                    entry["symbol"] = complex_pairs(sym)
+                    entry["symbol"] = _pairs(sym)
                     if h is not None:
                         kt = sset.characters @ h
                         entry["symbol_matches_kernel_transform"] = bool(
@@ -259,7 +269,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
 
     if args.format == "json":
-        data = orjson.dumps(report, option=orjson.OPT_SORT_KEYS) + b"\n"
+        options = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+        data = orjson.dumps(report, option=options) + b"\n"
     else:
         data = _format_text(report).encode()
     if args.output:

@@ -10,7 +10,8 @@ class InputSpecError(WGelfandError):
 
 
 class SizeLimitError(WGelfandError):
-    """Generator closure exceeded the configured element cap."""
+    """A group's order, known in advance or found by generator closure,
+    exceeds the element cap `groups.DEFAULT_ELEMENT_CAP`."""
 
 
 class NotAutomorphismError(WGelfandError):

@@ -129,11 +129,12 @@ class GroupTable:
 @dataclass(frozen=True)
 class SubgroupEmbedding:
     """A subgroup as a sorted tuple of element indices into the parent group,
-    with the indices of a generating set when one is known (subgroup_closure
-    keeps its seeds and their inverses)."""
+    with the indices of a generating set: subgroup_closure keeps its seeds
+    and their inverses, and a subgroup given by its elements keeps the
+    greedy generators that its check grew."""
 
     elements: tuple[int, ...]
-    generators: Optional[tuple[int, ...]] = field(default=None, compare=False)
+    generators: tuple[int, ...] = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -337,14 +338,25 @@ def _check_known_order(factors: Iterable[int]) -> None:
 
 
 def cyclic_group(n: int) -> GroupTable:
-    """Cyclic group of order n; element index equals the exponent."""
+    """Cyclic group of order n; element index equals the exponent.
+
+    The generator is a product of disjoint cycles, one of each length p^a
+    that exactly divides n (found by trial division), on sum p^a points
+    instead of n: its order is the lcm of the lengths, which is n as they
+    are coprime.
+    """
     if n < 1:
         raise InputSpecError("cyclic group order must be >= 1")
     _check_known_order([n])
-    if n == 1:
-        return build_group_from_generators([])
-    cycle = tuple((i + 1) % n for i in range(n))
-    return build_group_from_generators([cycle])
+    generator, rest, p = [], n, 2
+    while rest > 1:
+        q = 1
+        while rest % p == 0:
+            rest, q = rest // p, q * p
+        if q > 1:
+            generator += [len(generator) + (i + 1) % q for i in range(q)]
+        p += 1
+    return build_group_from_generators([generator] if generator else [])
 
 
 def dihedral_group(n: int) -> GroupTable:
@@ -423,8 +435,7 @@ def double_cosets(group: GroupTable, K: SubgroupEmbedding) -> DoubleCosetPartiti
     """Partition G into double cosets KxK, ordered by smallest member.
 
     Every element starts as its own label. The neighbours of x are k x and
-    x k for k and k^-1 in a generating set of K (K.generators, or else one
-    grown greedily on K's elements), so labels flow both ways along every
+    x k for k and k^-1 in K.generators, so labels flow both ways along every
     generator edge; each round takes the least label among x and its
     neighbours, then jumps pointers. Labels only fall and stay in their
     double coset, which is a connected component of this undirected graph,
@@ -433,11 +444,7 @@ def double_cosets(group: GroupTable, K: SubgroupEmbedding) -> DoubleCosetPartiti
     """
     n = group.order
     label = np.arange(n)
-    if K.generators is None:
-        inside = np.isin(label, K.elements)
-        kgens = np.fromiter(_greedy_generators(group.product, inside, group.identity), dtype=np.int64)
-    else:
-        kgens = np.array(K.generators, dtype=np.int64)
+    kgens = np.array(K.generators, dtype=np.int64)
     if len(kgens):
         kgens = np.union1d(kgens, group.inv[kgens])
         neighbours = np.concatenate(
@@ -539,22 +546,28 @@ def subgroup_from_spec(group: GroupTable, spec: dict) -> SubgroupEmbedding:
         elems = np.unique(_integers(spec["elements"], "elements", ndim=1))
         if len(elems) and not (0 <= elems[0] and elems[-1] < group.order):
             raise InputSpecError(f"element index out of range for order {group.order}")
-        sub = SubgroupEmbedding(elements=tuple(elems.tolist()))
-        _check_subgroup(group, sub)
-        return sub
+        return SubgroupEmbedding(
+            elements=tuple(elems.tolist()),
+            generators=tuple(_subgroup_generators(group, elems).tolist()),
+        )
     raise InputSpecError('subgroup spec needs "seeds" or "elements"')
 
 
-def _check_subgroup(group: GroupTable, sub: SubgroupEmbedding) -> None:
-    """A finite set containing the identity and closed under products is a
-    subgroup (inverses are powers); the witness is the first pair (x, y) in
-    row-major order whose product leaves the set. Rows of x are checked in
-    blocks of about ASSOC_BLOCK products, up to the first failing block."""
-    k = np.asarray(sub.elements, dtype=np.int64)
-    if group.identity not in sub.elements:
+def _subgroup_generators(group: GroupTable, k: np.ndarray) -> np.ndarray:
+    """Greedy generators S of the sorted element set X = k, or
+    InputSpecError if X is not a subgroup. S lies in X, and X lies in <S>, as
+    the greedy growth reaches every member; so if e is in X and X S lies in
+    X, then X is <S>. The witness of a set that is not closed is the first
+    pair (x, y) of X x X in row-major order whose product leaves it, searched
+    only then, in rows of x of about ASSOC_BLOCK products, up to the first
+    failing block."""
+    if group.identity not in k:
         raise InputSpecError("subgroup must contain the identity")
     members = np.zeros(group.order, dtype=bool)
     members[k] = True
+    gens = np.fromiter(_greedy_generators(group.product, members, group.identity), dtype=np.int64)
+    if members[group.product(k[:, None], gens)].all():
+        return gens
     for rows in np.array_split(k, -(-len(k) ** 2 // ASSOC_BLOCK)):
         bad = np.argwhere(~members[group.product(rows[:, None], k)])
         if len(bad):

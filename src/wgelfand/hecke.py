@@ -1,6 +1,7 @@
 """The weighted Hecke algebra on the double-coset indicator basis.
 
-Structure constants, commutativity (the weighted Gelfand property) and the
+Structure constants, their commutativity witness (the weighted Gelfand
+verdict, `StructureConstants.commutativity_witness`) and the
 automorphism-based sufficient condition. The weight enters only as the coset
 weights wd that `weighted.weight_from_spec` returns.
 """
@@ -63,9 +64,12 @@ class StructureConstants:
 
     @cached_property
     def commutativity_witness(self) -> Optional[tuple[int, int, int]]:
-        """None if the algebra commutes, else (i, j, x) at the first (i, j, k)
-        in row-major order with p[i,j,k] != p[j,i,k]: delta_i * delta_j and
-        delta_j * delta_i differ at x = r_k. The swapped keys (j, i, k) are
+        """The weighted Gelfand verdict: None if the algebra commutes, else
+        (i, j, x) at the first (i, j, k) in row-major order with
+        p[i,j,k] != p[j,i,k]: delta_i *_w delta_j and delta_j *_w delta_i
+        differ at x = r_k. The verdict is exact and does not depend on the
+        weight: c[i,j,k] = c[j,i,k] iff p[i,j,k] = p[j,i,k], as the weight
+        rescales both by w_i w_j / w_k > 0. The swapped keys (j, i, k) are
         sorted and looked up in the keys; the mismatches are closed under the
         swap, so the first is the least mismatched key or swapped key."""
         d, keys = self.dim, self.keys
@@ -82,18 +86,6 @@ class StructureConstants:
             return None
         ij, k = divmod(int(min(keys[bad[0]], swapped[bad].min())), d)
         return ij // d, ij % d, int(self.partition.reps[k])
-
-
-@dataclass(frozen=True)
-class GelfandReport:
-    """Verdict on whether (G, K, w) is a weighted Gelfand pair."""
-
-    is_weighted_gelfand: bool
-    witness: Optional[tuple[int, int, int]] = None
-
-    def to_json(self) -> dict:
-        witness = self.witness and dict(zip(("basis_i", "basis_j", "element"), self.witness))
-        return {"gelfand": self.is_weighted_gelfand, "witness": witness}
 
 
 def hecke_structure_constants(
@@ -119,18 +111,6 @@ def hecke_structure_constants(
     return StructureConstants(
         keys=keys, counts=counts.astype(np.int32), wd=wd, partition=partition
     )
-
-
-def is_weighted_gelfand(sc: StructureConstants) -> GelfandReport:
-    """Test commutativity of the weighted Hecke algebra on the indicator basis.
-
-    The verdict is exact and weight-independent: c[i,j,k] = c[j,i,k] iff
-    p[i,j,k] = p[j,i,k], as the weight rescales both by w_i w_j / w_k > 0.
-    On failure the witness is (i, j, x) at the first mismatch: an element x
-    where delta_i *_w delta_j and delta_j *_w delta_i differ.
-    """
-    witness = sc.commutativity_witness
-    return GelfandReport(is_weighted_gelfand=witness is None, witness=witness)
 
 
 def check_rap_condition(

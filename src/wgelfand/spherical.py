@@ -18,11 +18,6 @@ from .hecke import StructureConstants
 from .tolerance import within
 
 
-def complex_pairs(values: np.ndarray) -> list:
-    """Complex values as nested [re, im] lists of Python floats, for JSON."""
-    return np.stack([values.real, values.imag], -1).tolist()
-
-
 @dataclass(frozen=True)
 class SphericalSet:
     """All spherical functions of a weighted Gelfand pair and their
@@ -40,10 +35,6 @@ class SphericalSet:
 
     def __len__(self) -> int:
         return len(self.functions)
-
-    def to_json(self) -> list[dict]:
-        phis, chars = complex_pairs(self.functions), complex_pairs(self.characters)
-        return [{"coset_values": phi, "character": chi} for phi, chi in zip(phis, chars)]
 
 
 def _character_order(chars: np.ndarray) -> np.ndarray:

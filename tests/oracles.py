@@ -25,6 +25,7 @@ from wgelfand import (
     SphericalSet,
     SubgroupEmbedding,
 )
+from wgelfand.groups import _greedy_generators
 from wgelfand.tolerance import RTOL, within
 
 
@@ -55,9 +56,10 @@ def mul_table(group: GroupTable) -> np.ndarray:
 
 def point_stabilizer(group: GroupTable, point: int) -> SubgroupEmbedding:
     """Stabiliser of a point in a group built from permutations, read off
-    the group's own permutations."""
-    fixed = np.flatnonzero(group.perms[:, point] == point)
-    return SubgroupEmbedding(elements=tuple(fixed.tolist()))
+    the group's own permutations, with its greedy generators."""
+    fixed = group.perms[:, point] == point
+    gens = _greedy_generators(group.product, fixed, group.identity)
+    return SubgroupEmbedding(elements=tuple(np.flatnonzero(fixed).tolist()), generators=tuple(gens))
 
 
 # ---------------------------------------------------------------- functions on G

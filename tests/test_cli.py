@@ -93,28 +93,37 @@ def test_not_gelfand_note_is_the_same_for_every_command(tmp_path, capsys, group,
 
 
 def test_complex_pairs_serialise_like_per_element_lists():
-    from wgelfand.spherical import complex_pairs
+    """cli._pairs arrays, written by orjson as numpy, give the bytes of the
+    per-element [re, im] lists of Python floats: for a vector, a matrix, its
+    transpose (not contiguous) and the spherical functions of S3/<(0 1)>."""
+    from wgelfand.cli import _pairs
+
+    def dumps(value, option=0):
+        return orjson.dumps(value, option=option | orjson.OPT_SERIALIZE_NUMPY)
+
+    def per_element(z):
+        if z.ndim == 1:
+            return [[float(v.real), float(v.imag)] for v in z]
+        return [per_element(row) for row in z]
 
     rng = np.random.default_rng(13)
     vec = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     vec[:6] = [0.1 + 0.2j, -0.0 + 0.0j, complex(0.0, -0.0), 1e-300 - 1e300j, 1 / 3, 7.0 - 2.5j]
     mat = vec.reshape(5, 8)
-    old = [[float(z.real), float(z.imag)] for z in vec]
-    assert json.dumps(complex_pairs(vec)) == json.dumps(old)
-    old_rows = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-    assert json.dumps(complex_pairs(mat)) == json.dumps(old_rows)
+    for z in (vec, mat, mat.T):
+        assert dumps(_pairs(z)) == orjson.dumps(per_element(z))
+    assert b"-0.0" in dumps(_pairs(vec)) and b"1e300" in dumps(_pairs(vec))
     group = wg.symmetric_group(3)
     K = wg.subgroup_closure(group, [1])
     part = wg.double_cosets(group, K)
     weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}
     wd = wg.weight_from_spec(weight, part)
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, wd))
-    old_sset = [
-        {"coset_values": [[z.real, z.imag] for z in phi],
-         "character": [[z.real, z.imag] for z in chi]}
-        for phi, chi in zip(sset.functions, sset.characters)
-    ]
-    assert json.dumps(sset.to_json()) == json.dumps(old_sset)
+    ours = [{"coset_values": phi, "character": chi}
+            for phi, chi in zip(_pairs(sset.functions), _pairs(sset.characters))]
+    old = [{"coset_values": per_element(phi), "character": per_element(chi)}
+           for phi, chi in zip(sset.functions, sset.characters)]
+    assert dumps(ours, orjson.OPT_SORT_KEYS) == orjson.dumps(old, option=orjson.OPT_SORT_KEYS)
 
 
 def test_malformed_weight_exit_1(tmp_path, capsys):
@@ -373,11 +382,12 @@ def test_report_bytes_are_written_as_encoded(tmp_path, capsys, monkeypatch):
             "--weight", paths["weight"]]
     out = tmp_path / "report.json"
     assert main(args + ["--output", str(out)]) == 0
-    expected = orjson.dumps(reports[-1][0], option=orjson.OPT_SORT_KEYS) + b"\n"
+    options = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+    expected = orjson.dumps(reports[-1][0], option=options) + b"\n"
     assert out.read_bytes() == expected
     code, printed = run_cli(args, capsys)
     assert code == 0
-    assert printed == orjson.dumps(reports[-1][0], option=orjson.OPT_SORT_KEYS).decode() + "\n"
+    assert printed == orjson.dumps(reports[-1][0], option=options).decode() + "\n"
     assert main(args + ["--output", str(out), "--format", "text"]) == 0
     assert out.read_bytes() == wgelfand.cli._format_text(reports[-1][0]).encode()
 

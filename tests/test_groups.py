@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+import sympy
 
 import wgelfand as wg
 from wgelfand import groups
@@ -123,6 +125,33 @@ def test_cyclic_closure_from_cycle():
     assert g.order == 4
     assert oracles.is_abelian(g)
     wg.validate_group(oracles.mul_table(g))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 30, 300, 1000, 10080])
+def test_cyclic_group_acts_on_its_prime_power_cycles(n):
+    """C_n is one product of disjoint cycles of the prime-power lengths p^a
+    exactly dividing n, on sum p^a points (one point for C1), and element x
+    is the x-th power of the generator: x*y = x + y and x^-1 = -x mod n."""
+    g = wg.cyclic_group(n)
+    powers = [p**a for p, a in sympy.factorint(n).items()]
+    assert g.perms.shape == (n, max(1, sum(powers)))
+    x = np.arange(n)
+    y = np.unique(np.r_[0, 1, n - 1, np.random.default_rng(n).integers(0, n, 20)])
+    assert np.array_equal(g.product(x[:, None], y), (x[:, None] + y) % n)
+    assert np.array_equal(g.inv, -x % n)
+
+
+def test_cyclic_10080_builds_in_little_memory():
+    """C10080 on 32 + 9 + 5 + 7 points: its 10080 rows of 53 bytes, not the
+    10080 x 10080 permutations of one 10080-cycle (203 MB)."""
+    tracemalloc.start()
+    try:
+        g = wg.cyclic_group(10080)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 10080
+    assert peak < 16 * 2**20
 
 
 def test_s3_from_generators():
@@ -384,22 +413,20 @@ def _s6_subgroups():
 
 def test_greedy_generators_regrow_from_the_new_products_only():
     """On C10080 over itself and on the S6 subgroups above, all given by
-    their elements, the generators and the double cosets are those of the
-    regrowth from every member. C10080 is C32 x C9 x C5 x C7 on 53 points,
+    their elements, the generators are those of the regrowth from every
+    member, and the double cosets those of the subgroup they generate with
+    their inverses. C10080 is C32 x C9 x C5 x C7 on 53 points,
     one generator and 10080 rounds of regrowth."""
-    cycles = []
-    for start, m in ((0, 32), (32, 9), (41, 5), (46, 7)):
-        cycles += [start + (i + 1) % m for i in range(m)]
-    c = wg.build_group_from_generators([cycles])
-    assert c.order == 10080
+    c = wg.cyclic_group(10080)
+    assert c.perms.shape == (10080, 32 + 9 + 5 + 7)
     for group, elements in [(c, np.arange(c.order))] + _s6_subgroups():
         inside = np.zeros(group.order, dtype=bool)
         inside[elements] = True
-        gens = list(groups._greedy_generators(group.product, inside, group.identity))
-        assert gens == _greedy_regrowing(group, inside)
-        by_elements = wg.SubgroupEmbedding(elements=tuple(elements.tolist()))
-        by_gens = wg.SubgroupEmbedding(elements=by_elements.elements, generators=tuple(gens))
-        ours, ref = wg.double_cosets(group, by_elements), wg.double_cosets(group, by_gens)
+        by_elements = wg.subgroup_from_spec(group, {"elements": elements.tolist()})
+        assert list(by_elements.generators) == _greedy_regrowing(group, inside)
+        by_seeds = wg.subgroup_closure(group, by_elements.generators)
+        assert by_seeds.elements == by_elements.elements
+        ours, ref = wg.double_cosets(group, by_elements), wg.double_cosets(group, by_seeds)
         assert np.array_equal(ours.coset_of, ref.coset_of)
         assert np.array_equal(ours.reps, ref.reps)
 
@@ -518,7 +545,8 @@ def test_double_cosets_settle_in_logarithmic_rounds(monkeypatch, step, given):
     g = wg.cyclic_group(n)
     K = wg.subgroup_closure(g, [step])
     if given == "elements":
-        K = wg.SubgroupEmbedding(elements=K.elements)
+        K = wg.subgroup_from_spec(g, {"elements": list(K.elements)})
+        assert K.generators == (step,)
     rounds = []
     label_round = groups._label_round
 
@@ -707,8 +735,9 @@ def test_subgroup_check_blocks_keep_the_row_major_witness(monkeypatch):
 
 
 def test_subgroup_check_memory_stays_bounded():
-    """A7 given by its 2520 elements in S7: 6.35M products, checked in
-    blocks of about ASSOC_BLOCK, not all at once (once 164 MiB)."""
+    """A7 given by its 2520 elements in S7: closure is checked on its greedy
+    generators, not on the 6.35M products of all pairs at once (once
+    164 MiB)."""
     group = wg.symmetric_group(7)
     perms = group.perms.astype(np.int64)
     inversions = sum(
@@ -724,6 +753,25 @@ def test_subgroup_check_memory_stays_bounded():
         tracemalloc.stop()
     assert K.order == 2520
     assert peak < 48 * 2**20
+
+
+def test_whole_groups_given_by_elements_partition_as_from_seeds():
+    """C10080 and S7, each over itself given by its elements, keep the
+    greedy generators of their check and give the double cosets of the
+    subgroup their seeds generate. Checking closure on the generators, and
+    not on every pair, keeps both well under a second (once over 3 s)."""
+    cases = [(wg.cyclic_group(10080), [1], (1,)), (wg.symmetric_group(7), [1, 2], (1, 2))]
+    elapsed = 0.0
+    for group, seeds, gens in cases:
+        start = time.perf_counter()
+        K = wg.subgroup_from_spec(group, {"elements": list(range(group.order))})
+        part = wg.double_cosets(group, K)
+        elapsed += time.perf_counter() - start
+        assert K.generators == gens
+        ref = wg.double_cosets(group, wg.subgroup_closure(group, seeds))
+        assert np.array_equal(part.coset_of, ref.coset_of)
+        assert part.num_cosets == 1
+    assert elapsed < 1.5
 
 
 def test_group_from_spec_kinds():

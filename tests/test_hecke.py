@@ -84,16 +84,12 @@ def test_structure_constants_reject_bad_coset_weights(s3_pair, wd):
 def test_gelfand_s3_pair(s3_pair):
     group, K, part = s3_pair
     sc = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
-    report = wg.is_weighted_gelfand(sc)
-    assert report.is_weighted_gelfand
-    assert report.witness is None
+    assert sc.commutativity_witness is None
 
 
 def test_not_gelfand_s3_trivial(s3):
     part = wg.double_cosets(s3, wg.subgroup_closure(s3, []))
-    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, part, np.ones(part.num_cosets)))
-    assert not report.is_weighted_gelfand
-    i, j, x = report.witness
+    i, j, x = wg.hecke_structure_constants(s3, part, np.ones(part.num_cosets)).commutativity_witness
     # the witness pair genuinely fails to commute
     assert int(s3.product(i, j)) != int(s3.product(j, i))
 
@@ -106,7 +102,7 @@ def test_gelfand_abelian_any_subgroup():
         part = wg.double_cosets(c6, K)
         w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
         sc = wg.hecke_structure_constants(c6, part, w[part.reps])
-        assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
+        assert sc.commutativity_witness is None
 
 
 def test_weighted_transfer_invariant(s3_pair):
@@ -119,7 +115,7 @@ def test_weighted_transfer_invariant(s3_pair):
         expected = c1 * wd[:, None, None] * wd[None, :, None] / wd[None, None, :]
         assert np.max(np.abs(structure_tensor(sc) - expected)) < 1e-9
         # commutativity verdict does not depend on the weight
-        assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
+        assert sc.commutativity_witness is None
 
 
 def test_rap_condition_cyclic5():
@@ -130,7 +126,7 @@ def test_rap_condition_cyclic5():
     sc = wg.hecke_structure_constants(c5, part, w[part.reps])
     assert wg.theta_invariant(sc.wd, part, theta)
     assert wg.check_rap_condition(sc, theta, True)
-    assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
+    assert sc.commutativity_witness is None
 
 
 def test_rap_condition_s3_identity_theta(s3_pair):
@@ -172,12 +168,26 @@ def test_rap_condition_requires_involutive(tmp_path, monkeypatch, capsys):
     assert rap_checks == []
 
 
-def test_report_serialization(s3):
+def test_report_serialization(tmp_path, capsys):
+    """S3 over the trivial subgroup: the report's verdict is false and its
+    witness names the structure constants' witness."""
+    specs = {
+        "group": {"kind": "symmetric", "n": 3},
+        "subgroup": {"seeds": []},
+        "weight": {"kind": "by_element", "values": [1] * 6},
+    }
+    argv = ["analyze"]
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == 2
+    blob = json.loads(capsys.readouterr().out)["gelfand"]
+    s3 = wg.symmetric_group(3)
     part = wg.double_cosets(s3, wg.subgroup_closure(s3, []))
-    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(s3, part, np.ones(part.num_cosets)))
-    blob = report.to_json()
+    witness = wg.hecke_structure_constants(s3, part, np.ones(6)).commutativity_witness
     assert blob["gelfand"] is False
-    assert set(blob["witness"]) == {"basis_i", "basis_j", "element"}
+    assert blob["witness"] == dict(zip(("basis_i", "basis_j", "element"), witness))
 
 
 def _d6_trivial():
@@ -227,9 +237,7 @@ def test_noncommutative_witness_is_genuine(make_pair):
     group, K = make_pair()
     part = wg.double_cosets(group, K)
     w = random_bi_invariant_weight(part, np.random.default_rng(5), unit_at_identity=True)
-    report = wg.is_weighted_gelfand(wg.hecke_structure_constants(group, part, w[part.reps]))
-    assert not report.is_weighted_gelfand
-    i, j, x = report.witness
+    i, j, x = wg.hecke_structure_constants(group, part, w[part.reps]).commutativity_witness
     ij, ji = _indicator_products(group, part, w, i, j)
     assert abs(ij[x] - ji[x]) > 1e-9
 
@@ -240,7 +248,7 @@ def test_gelfand_verdict_ignores_weight_and_tolerance(s3_pair):
     for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
         wd = random_bi_invariant_weight(part, rng)[part.reps] * scale
         sc = wg.hecke_structure_constants(group, part, wd)
-        assert wg.is_weighted_gelfand(sc).is_weighted_gelfand
+        assert sc.commutativity_witness is None
 
 
 def _count_calls(monkeypatch, name):
@@ -273,7 +281,6 @@ def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
         argv += [f"--{name}", str(path)]
     builds = _count_calls(monkeypatch, "hecke_structure_constants")
     convolutions = _count_calls(monkeypatch, "weighted_convolve")
-    verdicts = _count_calls(monkeypatch, "is_weighted_gelfand")
     scans = _count_calls(monkeypatch, "bi_invariance_witness")
     theta_checks = _count_calls(monkeypatch, "theta_invariant")
     partitions = _count_calls(monkeypatch, "double_cosets")
@@ -283,24 +290,22 @@ def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
     assert report["spherical"]["count"] == 5
     assert len(builds) == 1
     assert convolutions == []
-    assert len(verdicts) == 1  # the sufficient condition reads sc's witness
     assert len(scans) == 1  # weight_from_spec reads the by_element weight
     assert len(theta_checks) == 1  # shared by the report's flag and the sufficient condition
     assert len(partitions) == 1
 
 
 @pytest.mark.parametrize("make_pair", [_d6_trivial, _s4_transposition], ids=["D6/1", "S4/s"])
-def test_spherical_reads_the_verdict_of_its_structure_constants(make_pair, monkeypatch):
+def test_spherical_reads_the_verdict_of_its_structure_constants(make_pair):
     group, K = make_pair()
     part = wg.double_cosets(group, K)
     w = random_bi_invariant_weight(part, np.random.default_rng(7), unit_at_identity=True)
     sc = wg.hecke_structure_constants(group, part, w[part.reps])
-    report = wg.is_weighted_gelfand(sc)
-    verdicts = _count_calls(monkeypatch, "is_weighted_gelfand")
+    witness = sc.commutativity_witness
+    assert witness is not None
     with pytest.raises(NotGelfandError) as exc:
         wg.enumerate_spherical(sc)
-    assert exc.value.witness == report.witness
-    assert verdicts == []
+    assert exc.value.witness == witness
 
 
 def _s6_transposition():

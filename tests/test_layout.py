@@ -151,3 +151,22 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"wgelfand"}
     assert "numpy" in third_party
     assert sorted(third_party - declared) == []
+
+
+def test_only_the_cli_writes_the_report():
+    """The JSON layout is known to one module: no function or method in the
+    package is named `to_json`, and `cli` alone imports orjson."""
+    to_json, orjson_users = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "to_json":
+                to_json.append(f"{path.stem}.{node.name}")
+            names = (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+                else []
+            )
+            if any(name.split(".")[0] == "orjson" for name in names):
+                orjson_users.append(path.stem)
+    assert to_json == []
+    assert orjson_users == ["cli"]

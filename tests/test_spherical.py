@@ -190,12 +190,9 @@ def test_spherical_set_serialization(s3_pair):
     group, K, part = s3_pair
     sc = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
     sset = wg.enumerate_spherical(sc)
-    blob = sset.to_json()
-    assert len(blob) == 2
-    for entry in blob:
-        assert len(entry["coset_values"]) == 2
-        assert len(entry["character"]) == 2
-        assert all(len(pair) == 2 for pair in entry["coset_values"])
+    assert len(sset) == 2
+    assert sset.functions.shape == sset.characters.shape == (2, 2)
+    assert sset.functions.dtype == sset.characters.dtype == complex
 
 
 def multiplicities(sset, group, part, w):
