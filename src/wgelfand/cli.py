@@ -169,6 +169,7 @@ def run(args) -> tuple[dict, int]:
         functions = zip(_pairs(sset.functions), _pairs(sset.characters))
         report["spherical"] = {
             "count": len(sset),
+            "multiplicities": sset.multiplicities.tolist(),
             "functions": [{"coset_values": phi, "character": chi} for phi, chi in functions],
         }
         rank, cond = injectivity_check(sset)
@@ -235,8 +236,9 @@ def _format_text(report: dict) -> str:
     if gf.get("rap") is not None:
         add(f"{'sufficient condition':<24}{gf['rap']}")
     if "spherical" in report:
-        add(f"{'spherical functions':<24}{report['spherical']['count']}")
-        for idx, fn in enumerate(report["spherical"]["functions"]):
+        sph = report["spherical"]
+        add(f"{'spherical functions':<24}{sph['count']}  multiplicities={sph['multiplicities']}")
+        for idx, fn in enumerate(sph["functions"]):
             vals = ", ".join(f"{re:+.6g}{im:+.6g}j" for re, im in fn["coset_values"])
             add(f"  phi[{idx}]                {vals}")
     if "fourier" in report:

@@ -21,23 +21,23 @@ from .weighted import json_number
 
 
 def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
-    """Numerical rank and condition number of the transform matrix
+    """Rank and condition number of the transform matrix
     F[i, s] = chi_s(delta_i), which is `sset.characters.T`: the transform of
     an indicator is the value of the character on it.
 
-    F = diag(w_i) F1 with F1 the weight-free table
-    `sset.classical_characters.T`, so the weight cannot change the rank: it
-    is counted on F1, as the singular values beyond the tolerance at the
-    largest. The condition number is that of F. It is at least the ratio of
-    the largest to the smallest row norm of F (sigma_max is at least every
-    row norm, sigma_min at most every one); when that ratio reaches 1 / eps,
-    sigma_min is below what an SVD resolves and F is singular in floating
-    point, as a wide weight makes it. That, or a condition number that is
-    not finite, raises DegenerateSpectrumError.
+    The rank is d. `enumerate_spherical` certified the weight-free table
+    F1 = `sset.classical_characters.T` by the orthogonality relations,
+    F1^H diag(1 / |D|) F1 = diag(|G| / m), so F1 is invertible, with
+    F1^-1 = diag(m / |G|) F1^H diag(1 / |D|), and F = diag(w_i) F1 is too,
+    whatever the weight. The condition number is that of F, from its one
+    SVD. It is at least the ratio of the largest to the smallest row norm
+    of F (sigma_max is at least every row norm, sigma_min at most every
+    one); when that ratio reaches 1 / eps, sigma_min is below what an SVD
+    resolves and F is singular in floating point, as a wide weight makes
+    it. That, or a condition number that is not finite, raises
+    DegenerateSpectrumError.
     """
     F = sset.characters.T
-    free = np.linalg.svd(sset.classical_characters, compute_uv=False)
-    rank = int(np.sum(~within(free, free[0])))
     rows = np.linalg.norm(F, axis=1)
     svals = np.linalg.svd(F, compute_uv=False)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -46,7 +46,7 @@ def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
         raise DegenerateSpectrumError(
             "Fourier table is singular in floating point: weight range too wide"
         )
-    return rank, cond
+    return len(sset), cond
 
 
 def multiplier_from_kernel(h: np.ndarray, sc: StructureConstants) -> np.ndarray:

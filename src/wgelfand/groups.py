@@ -285,13 +285,32 @@ def validate_group(mul: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 def _right_closure(product: Callable, members: np.ndarray, step: np.ndarray, gens) -> None:
     """Add to the boolean mask `members`, in place, the elements of `step`
     and their right products with gens, until no product is new. Members
-    already in the mask are taken to be closed under gens already."""
+    already in the mask are taken to be closed under gens already.
+
+    Each round also regrows along the newest powers g^(2^r) of the
+    generators, so that one generator of order m closes in about log2 m
+    rounds instead of m. Their squares come from the same product call as
+    the round's products; a power seen before repeats from then on, and is
+    dropped. The fixpoint does not change: x g^(2^r) is x g ... g, as
+    g^(2^r) is a product of generators (in a table under Light's test, the
+    generators checked so far, and so their products, associate with every
+    pair)."""
     gens = np.asarray(gens, dtype=np.int64)
-    frontier = np.unique(step[~members[step]])
-    while len(frontier):
+    powers, seen, targets = gens, set(gens.tolist()), gens  # powers are the last targets
+    while True:
+        fresh = np.zeros_like(members)
+        fresh[step] = ~members[step]
+        frontier = np.flatnonzero(fresh)
+        if not len(frontier):
+            return
         members[frontier] = True
-        step = product(frontier[:, None], gens).ravel()
-        frontier = np.unique(step[~members[step]])
+        out = product(np.concatenate([frontier, powers])[:, None], targets)
+        step = out[: len(frontier)].ravel()
+        if len(powers):
+            squares = dict.fromkeys(out[len(frontier) :, -len(powers) :].diagonal().tolist())
+            powers = np.array([p for p in squares if p not in seen], dtype=np.int64)
+            seen.update(squares)
+            targets = np.concatenate([gens, powers])
 
 
 def _greedy_generators(product: Callable, inside: np.ndarray, identity: int) -> Iterator[int]:

@@ -3,8 +3,9 @@
 The spherical functions are found deterministically in coset coordinates from
 the integer intersection numbers alone: the weight only rescales the classical
 functions and characters, and the characters are verified by their
-multiplicativity on the intersection numbers. The functional equation on G is
-checked by the reference code in `tests/oracles.py`.
+multiplicativity on the intersection numbers and certified by the
+orthogonality relations, which give their multiplicities. The functional
+equation on G is checked by the reference code in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NotGelfandError, PreconditionError
+from .groups import DoubleCosetPartition
 from .hecke import StructureConstants
-from .tolerance import within
+from .tolerance import RTOL, within
 
 
 @dataclass(frozen=True)
@@ -27,11 +29,18 @@ class SphericalSet:
     the weight-free character chi1_s of the same line, so that
     chi_s(delta_i) = w_i chi1_s(delta_i). A spherical function is bi-invariant
     with phi(e) = 1 and solves the averaged product equation
-    (1/|K|) sum_k (w phi)(x k y) = (w phi)(x) (w phi)(y)."""
+    (1/|K|) sum_k (w phi)(x k y) = (w phi)(x) (w phi)(y).
+
+    `multiplicities[s]` is the integer m_s, the dimension of the irreducible
+    constituent of Ind_K^G 1 behind line s: the orthogonality relations
+    sum_k chi1_s(k) conj(chi1_t(k)) / |D_k| = [s = t] |G| / m_s hold within
+    the tolerance and the m_s are positive integers summing to |G:K|. This
+    certifies that the table is invertible: its rank is d."""
 
     functions: np.ndarray
     characters: np.ndarray
     classical_characters: np.ndarray
+    multiplicities: np.ndarray
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -39,9 +48,11 @@ class SphericalSet:
 
 def _character_order(chars: np.ndarray) -> np.ndarray:
     """Stable lexicographic order of the rows of chars by their values rounded
-    to 9 decimals, real part before imaginary part."""
+    to 9 decimals, real part before imaginary part: the rows are compared as
+    Python lists, which decide at their first unequal entry."""
     keys = np.stack([np.round(chars.real, 9), np.round(chars.imag, 9)], axis=2)
-    return np.lexsort(keys.reshape(len(chars), -1).T[::-1])
+    rows = keys.reshape(len(chars), -1).tolist()
+    return np.array(sorted(range(len(rows)), key=rows.__getitem__), dtype=np.int64)
 
 
 def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
@@ -53,16 +64,19 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     N_i[k, j] = p[i,j,k] sqrt(|D_k| / |D_j|) of f -> delta_i * f on the
     orthonormal basis delta_k / sqrt(|D_k|), each built from the i-slice of
     the sparse p, are normal and commute, so their joint eigenlines are found
-    by refining the identity basis with the Hermitian parts of N_0, N_1, ...
-    until there are d lines; the rows i so consumed are S. N_e = |K| I of
-    the identity coset is skipped. Each line gives a classical spherical
+    by refining the identity basis with the Hermitian parts N_i + N_i^T and
+    1j (N_i - N_i^T) of N_1, N_2, ... until there are d lines; the rows i
+    so consumed are S. N_e = |K| I of the identity coset is skipped, and so
+    is the skew part of a self-inverse row: N_i^T = N_{i*}, so there it is
+    zero. The first solve is real. Each line gives a classical spherical
     function phi1, with phi1(e) = 1 set exactly; the weighted one is
     phi1 / w and its character is chi(delta_i) = w_i |D_i| phi1(D_i^-1).
     Multiplicativity of the classical characters is checked by Light's test:
     on the rows g in S only, with the certificate that makes them enough,
     the tuples (chi(g))_{g in S} of any two characters separated by more
-    than the tolerance. A weighted value that is not finite raises
-    DegenerateSpectrumError.
+    than the tolerance. Then the orthogonality relations certify the table
+    and give the multiplicities (`_multiplicities`). A weighted value that
+    is not finite raises DegenerateSpectrumError.
     """
     partition = sc.partition
     if sc.wd[partition.identity_coset] != 1.0:
@@ -75,13 +89,13 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     d = sc.dim
     sizes = partition.sizes.astype(float)
     root = np.sqrt(sizes)
-    blocks = None  # the identity basis, until the first split
+    basis = None  # the identity basis, until the first split
     rows = []  # the rows S whose N_i the refinement consumed
     _, j, k = sc.ijk
     entries = sc.counts * (root[k] / root[j])
     bounds = np.searchsorted(sc.keys, np.arange(d + 1) * d * d)
     for i in range(d):
-        if blocks and len(blocks) == d:
+        if basis is not None and basis[1][-1] == d - 1:
             break
         if i == partition.identity_coset:
             continue  # N_e = |K| I: its Hermitian parts 2|K| I and 0 split nothing
@@ -90,19 +104,21 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
         N = np.zeros((d, d))
         N[k[s], j[s]] = entries[s]
         scale = float(np.max(np.abs(N)))
-        for H in (N + N.T, 1j * (N - N.T)):
-            blocks = _refine(blocks, H, scale)
-    blocks = blocks or [np.eye(d, dtype=complex)]
-    if len(blocks) < d:
+        basis = _refine(basis, N + N.T, scale)
+        if partition.inverse_coset[i] != i:
+            basis = _refine(basis, 1j * (N - N.T), scale)
+    Q, labels = basis or (np.eye(d), np.zeros(d, dtype=np.int64))
+    if labels[-1] < d - 1:
         raise DegenerateSpectrumError(
-            f"joint spectrum splits into {len(blocks)} lines, expected {d}"
+            f"joint spectrum splits into {labels[-1] + 1} lines, expected {d}"
         )
 
-    classical = np.hstack(blocks) / root[:, None]
+    classical = np.asarray(Q / root[:, None], dtype=complex)
     classical /= classical[partition.identity_coset]
     classical[partition.identity_coset] = 1.0  # complex x / x can round to 1 - eps
     chi1 = sizes[:, None] * classical[partition.inverse_coset]
     _check_multiplicative(sc, chi1, rows)
+    multiplicities = _multiplicities(chi1, partition)
     wd = sc.wd[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         chars, phis = (wd * chi1).T, (classical / wd).T
@@ -113,29 +129,43 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
         functions=phis[order],
         characters=chars[order],
         classical_characters=chi1.T[order],
+        multiplicities=multiplicities[order],
     )
 
 
-def _refine(blocks: list[np.ndarray] | None, H: np.ndarray, scale: float) -> list[np.ndarray]:
-    """Split each block of orthonormal columns into eigenspaces of the
+def _refine(
+    basis: tuple[np.ndarray, np.ndarray] | None, H: np.ndarray, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split each block of the orthonormal basis into eigenspaces of the
     Hermitian H restricted to it, cutting where consecutive eigenvalues of
-    the restriction differ by more than the tolerance at scale. Blocks of one
-    width share one stacked eigh; the split blocks keep their order. None
-    stands for the identity basis, whose restriction is H itself: it is
-    solved as complex, as I^H H I is, so that it rounds the same."""
-    if blocks is None:
-        vals, U = np.linalg.eigh(H.astype(complex))
-        return np.split(U, np.flatnonzero(~within(np.diff(vals), scale)) + 1, axis=1)
-    widths = np.array([Q.shape[1] for Q in blocks])
-    pieces = [[Q] for Q in blocks]
+    the restriction differ by more than the tolerance at scale.
+
+    The basis is (Q, labels): a d x d orthonormal Q and the block number of
+    each column, with the columns of a block adjacent and the blocks
+    numbered in column order; the split blocks keep that order. None stands
+    for the identity basis, whose restriction is H itself: one eigh of H,
+    real when H is. Blocks of one width share one product H Q_w over all
+    their columns, then the small products Q_b^H (H Q_b) and one stacked
+    eigh."""
+    if basis is None:
+        vals, Q = np.linalg.eigh(H)
+        return Q, np.concatenate([[0], np.cumsum(~within(np.diff(vals), scale))])
+    Q, labels = basis
+    d = len(labels)
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    widths = np.diff(starts, append=d)
+    new = np.zeros(d, dtype=bool)  # the first column of each block
+    new[starts] = True
+    Q = Q.astype(np.result_type(Q, H))
     for width in np.unique(widths[widths > 1]):
-        idx = np.flatnonzero(widths == width)
-        Q = np.stack([blocks[b] for b in idx])
-        vals, U = np.linalg.eigh(Q.conj().transpose(0, 2, 1) @ H @ Q)
-        cuts = ~within(np.diff(vals), scale)
-        for b, QU, cut in zip(idx, Q @ U, cuts):
-            pieces[b] = np.split(QU, np.flatnonzero(cut) + 1, axis=1)
-    return [Q for piece in pieces for Q in piece]
+        cols = starts[widths == width][:, None] + np.arange(width)  # one row per block
+        Qw = Q[:, cols]  # (d, blocks, width)
+        HQ = (H @ Qw.reshape(d, -1)).reshape(Qw.shape)
+        Qw, HQ = Qw.transpose(1, 0, 2), HQ.transpose(1, 0, 2)
+        vals, U = np.linalg.eigh(Qw.conj().transpose(0, 2, 1) @ HQ)
+        Q[:, cols] = (Qw @ U).transpose(1, 0, 2)
+        new[cols[:, 1:]] = ~within(np.diff(vals), scale)
+    return Q, np.cumsum(new) - 1
 
 
 def _check_multiplicative(sc: StructureConstants, chi1: np.ndarray, rows: list[int]) -> None:
@@ -184,3 +214,48 @@ def _check_multiplicative(sc: StructureConstants, chi1: np.ndarray, rows: list[i
         raise DegenerateSpectrumError(
             f"recovered characters are not separated on the checked rows (gap {np.min(gap):g})"
         )
+
+
+def _multiplicities(chi1: np.ndarray, partition: DoubleCosetPartition) -> np.ndarray:
+    """The multiplicities m_s of the columns chi of chi1, certified by the
+    orthogonality relations (Bannai & Ito, Algebraic Combinatorics I, ch. II)
+    sum_k chi_s(k) conj(chi_t(k)) / |D_k| = [s = t] |G| / m_s: one d x d
+    Gram matrix of the columns of chi1 / sqrt|D|. Its off-diagonal must be
+    within the tolerance at the scale of its largest diagonal entry, each
+    |G| / diagonal within the tolerance at its own scale of an integer
+    m_s >= 1, and the m_s must sum exactly to |G:K|, the dimension of
+    Ind_K^G 1, with K = D_e the identity coset. Any failure raises
+    DegenerateSpectrumError with the value measured and its threshold.
+
+    The relations make chi1 invertible, with inverse
+    diag(m / |G|) chi1^H diag(1 / |D|), so the table has rank d."""
+    sizes = partition.sizes
+    order = int(sizes.sum())
+    index = order // int(sizes[partition.identity_coset])
+    A = chi1 / np.sqrt(sizes.astype(float))[:, None]
+    gram = A.T @ A.conj()
+    diag = gram.diagonal().real.copy()
+    scale = float(np.max(diag))
+    np.fill_diagonal(gram, 0.0)
+    off = float(np.max(np.abs(gram)))
+    if not within(off, scale):
+        raise DegenerateSpectrumError(
+            f"characters fail the orthogonality relations "
+            f"(off-diagonal {off:g}, threshold {RTOL * max(1.0, scale):g})"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = order / diag
+    rounded = np.rint(m)
+    gap = np.abs(m - rounded)
+    bad = np.flatnonzero(~within(gap, m) | (rounded < 1))
+    if len(bad):
+        s = bad[0]
+        raise DegenerateSpectrumError(
+            f"multiplicity {m[s]:.12g} is not a positive integer "
+            f"(gap {gap[s]:g}, threshold {RTOL * max(1.0, m[s]):g})"
+        )
+    if rounded.sum() != index:
+        raise DegenerateSpectrumError(
+            f"multiplicities sum to {rounded.sum():.0f}, expected |G:K| = {index}"
+        )
+    return rounded.astype(np.int64)

@@ -15,9 +15,13 @@
    consumed (Light's test), the separation certificate that makes those
    rows enough (any two characters' tuples (chi(g))_{g in S} differ by
    more than the tolerance at scale max |chi(g)|), the eigenvalue split,
-   the multiplier identity T = L_{T u}, the kernel match and the Fourier
-   rank cut, which is made on the weight-free table
-   `SphericalSet.classical_characters`.
+   the multiplier identity T = L_{T u}, the kernel match and the Gram
+   certificate of the weight-free table `SphericalSet.classical_characters`:
+   the off-diagonal of its Gram matrix sum_k chi_s(k) conj(chi_t(k)) / |D_k|
+   at the scale of the largest diagonal entry, and each m_s = |G| / diagonal
+   at its own scale of the integer it rounds to. The rounded m_s must be at
+   least 1 and sum exactly to |G:K|; they are the reported multiplicities,
+   and they certify the Fourier rank d.
    The commutation residual is reported only.
 3. A computed value that is not finite is a numerical degeneracy, not a
    result: it raises `DegenerateSpectrumError` (exit 3), and never reaches

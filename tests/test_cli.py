@@ -10,6 +10,7 @@ import pytest
 
 import wgelfand as wg
 from wgelfand.cli import main
+from wgelfand.tolerance import within
 
 import oracles
 from conftest import C300_ONE_WRONG, LOOP_5, gelfand_instances
@@ -31,6 +32,24 @@ def write_specs(tmp_path, group, subgroup, weight, automorphism=None, multiplier
         p.write_text(json.dumps(spec))
         paths["multipliers"].append(str(p))
     return paths
+
+
+def assert_symbols_are_kernel_transforms(report, paths, count):
+    """The reported symbols of the first `count` multipliers, all kernels,
+    equal the transforms `sset.characters @ h` of their coset values h,
+    within the tolerance at the scale of the transform; sset comes from the
+    library run on the same spec files."""
+    spec = {name: json.loads(Path(paths[name]).read_text())
+            for name in ("group", "subgroup", "weight")}
+    group = wg.group_from_spec(spec["group"])
+    part = wg.double_cosets(group, wg.subgroup_from_spec(group, spec["subgroup"]))
+    wd = wg.weight_from_spec(spec["weight"], part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, wd))
+    for entry, path in zip(report["multipliers"][:count], paths["multipliers"]):
+        h = np.array(json.loads(Path(path).read_text())["coset_values"]) @ [1, 1j]
+        want = sset.characters @ h
+        got = np.array(entry["symbol"]) @ [1, 1j]
+        assert within(np.max(np.abs(got - want)), np.max(np.abs(want))), path
 
 
 S3 = {"kind": "symmetric", "n": 3}
@@ -56,6 +75,28 @@ def test_analyze_s3_gelfand(tmp_path, capsys):
     assert report["gelfand"]["gelfand"] is True
     assert report["spherical"]["count"] == 2
     assert report["fourier"]["rank"] == 2
+
+
+def test_analyze_runs_one_svd_and_reports_multiplicities(tmp_path, capsys, monkeypatch):
+    """The rank comes from the orthogonality certificate, so one analyze
+    runs one SVD, for the condition number. On S3 over a transposition,
+    Ind_K^G 1 is the permutation representation on 3 points, 1 + 2; on C12
+    over the trivial subgroup every m_s is 1. The text format prints them
+    on the spherical-count line."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for group, subgroup, want in ((S3, K_TRANSPOSITION, [2, 1]),
+                                  ({"kind": "cyclic", "n": 12}, {"seeds": []}, [1] * 12)):
+        paths = write_specs(tmp_path, group, subgroup, UNIFORM)
+        args = ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+                "--weight", paths["weight"]]
+        calls.clear()
+        code, out = run_cli(args, capsys)
+        assert code == 0 and len(calls) == 1
+        report = json.loads(out)
+        assert report["spherical"]["multiplicities"] == want
+        code, out = run_cli(args + ["--format", "text"], capsys)
+        assert f"{len(want)}  multiplicities={want}" in out
 
 
 def test_analyze_not_gelfand_exit_2(tmp_path, capsys):
@@ -237,6 +278,7 @@ def test_multiplier_check_kernel(tmp_path, capsys):
     report = json.loads(out)
     assert all(m["is_multiplier"] for m in report["multipliers"])
     assert all(m["symbol_matches_kernel_transform"] for m in report["multipliers"])
+    assert_symbols_are_kernel_transforms(report, paths, 2)
     assert report["commutation"][0]["residual"] < 1e-9
 
 
@@ -275,6 +317,7 @@ def test_scaled_kernel_matches_its_transform(tmp_path, capsys):
     entry = json.loads(out)["multipliers"][0]
     assert entry["is_multiplier"] is True
     assert entry["symbol_matches_kernel_transform"] is True
+    assert_symbols_are_kernel_transforms(json.loads(out), paths, 1)
 
 
 def test_weight_off_one_at_identity_gets_one_decision(tmp_path, capsys):
@@ -803,6 +846,7 @@ def test_multiplier_check_stays_in_coset_coordinates(tmp_path, capsys, monkeypat
         assert report["spherical"]["count"] == d
         assert [m["is_multiplier"] for m in report["multipliers"]] == [True] * 3
         assert all(m["symbol_matches_kernel_transform"] for m in report["multipliers"][:2])
+        assert_symbols_are_kernel_transforms(report, paths, 2)
         assert report["commutation"][0]["residual"] < 1e-9
         assert "seed" not in report
 

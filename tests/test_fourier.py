@@ -116,18 +116,25 @@ def test_injectivity_rank_one_for_full_subgroup(s3):
 def test_injectivity_singular_when_rows_span_one_over_eps(wide, singular):
     """cond(F) is at least the spread of the row norms of F; from 1 / eps
     (about 4.5e15) on, F is singular in floating point and the check
-    raises, whatever the SVD returns. A diagonal F has the exact condition
-    number `wide`, finite on both sides of the cut."""
-    sset = wg.SphericalSet(
-        functions=np.eye(2, dtype=complex),
-        characters=np.diag([1.0, wide]).astype(complex),
-        classical_characters=np.eye(2, dtype=complex),
-    )
+    raises, whatever the SVD returns. C2 given by a table with the identity
+    at index 1, and weights 1 at the identity and `wide` at the other
+    element, has F = [[-wide, wide], [1, 1]]: orthogonal rows, so the exact
+    condition number `wide`, finite on both sides of the cut, which the SVD
+    returns to a few ulps as the large row comes first."""
+    group = wg.group_from_spec({"kind": "table", "table": [[1, 0], [0, 1]]})
+    K = wg.subgroup_closure(group, [])
+    part = wg.double_cosets(group, K)
+    assert part.identity_coset == 1
+    wd = wg.weight_from_spec({"kind": "by_double_coset", "values": {"0": wide, "1": 1.0}}, part)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, wd))
+    assert sset.characters.T.tolist() == [[-wide, wide], [1, 1]]
+    assert sset.multiplicities.tolist() == [1, 1]
     if singular:
         with pytest.raises(wg.DegenerateSpectrumError, match="singular"):
             wg.injectivity_check(sset)
     else:
-        assert wg.injectivity_check(sset) == (2, wide)
+        eps = np.finfo(float).eps
+        assert wg.injectivity_check(sset) == (2, pytest.approx(wide, rel=4 * eps))
 
 
 def test_multiplier_from_kernel_identity(s3_setup):

@@ -462,3 +462,93 @@ def test_refinement_skips_the_identity_coset_and_stacks_blocks(monkeypatch):
             assert calls[0] == 2 and len(seen) == 2
             N1 = sc.left(np.eye(128)[1]).real  # unit sizes and weight: N_i = L_i
             assert np.array_equal(seen[0], N1 + N1.T)
+
+
+def test_reported_multiplicities_equal_the_oracle_on_gelfand_instances():
+    for name, group, K, part, w in gelfand_instances():
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
+        assert sset.multiplicities.dtype == np.int64, name
+        m = multiplicities(sset, group, part, w)
+        assert sset.multiplicities.tolist() == np.round(m).astype(int).tolist(), name
+
+
+def test_s6_over_s3xs3_has_the_johnson_multiplicities():
+    """Ind_{S3 x S3}^{S6} 1 = S^(6) + S^(5,1) + S^(4,2) + S^(3,3): on the
+    Johnson scheme J(6, 3), the eigenvalue theta_j = (3 - j)^2 - j of the
+    distance-one relation, chi1(delta_1) / |K| with delta_1 the coset of the
+    transposition (2 3), comes with multiplicity C(6, j) - C(6, j - 1): 1, 5,
+    9, 5 for j = 0..3."""
+    s6 = wg.symmetric_group(6)
+    keeps = np.flatnonzero(np.all(s6.perms[:, 3:] >= 3, axis=1))
+    K = wg.subgroup_from_spec(s6, {"elements": keeps.tolist()})
+    part = wg.double_cosets(s6, K)
+    sset = wg.enumerate_spherical(wg.hecke_structure_constants(s6, part, np.ones(4)))
+    swap = np.flatnonzero(np.all(s6.perms == [0, 1, 3, 2, 4, 5], axis=1))[0]
+    theta = sset.classical_characters[:, part.coset_of[swap]].real / K.order
+    pairs = sorted(zip(np.round(theta).astype(int).tolist(), sset.multiplicities.tolist()))
+    assert pairs[::-1] == [(9, 1), (3, 5), (-1, 9), (-3, 5)]
+
+
+def test_closed_form_inverse_of_the_weight_free_table():
+    """diag(m / |G|) F1^H diag(1 / |D|) F1 = I, with F1 the weight-free
+    table `classical_characters.T`: the inverse that the orthogonality
+    relations give without a solve."""
+    for name, group, K, part, w in _check_cases():
+        sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
+        F1 = sset.classical_characters.T
+        inverse = (sset.multiplicities / group.order)[:, None] * F1.conj().T / part.sizes
+        assert np.max(np.abs(inverse @ F1 - np.eye(part.num_cosets))) < 1e-12, name
+
+
+def test_orthogonality_certificate_catches_single_entry_mutations(monkeypatch):
+    """One wrong entry chi(k) of one classical character breaks the
+    orthogonality relations or the integrality of its multiplicity, for
+    every k, and the certificate raises; the true table passes."""
+    mutations = 0
+    for name, group, K, part, w in _check_cases():
+        sc = wg.hecke_structure_constants(group, part, w[part.reps])
+        chi1, _ = _checked(monkeypatch, sc)
+        m = spherical._multiplicities(chi1, part)
+        assert m.sum() == group.order // K.order, name
+        d = sc.dim
+        for k in range(d):
+            for s in (0, d - 1):
+                bad = chi1.copy()
+                bad[k, s] += 1e-3 * np.max(np.abs(bad[:, s]))
+                with pytest.raises(DegenerateSpectrumError, match="threshold|expected"):
+                    spherical._multiplicities(bad, part)
+                mutations += 1
+    assert mutations == 408
+
+
+def _eigh_inputs(monkeypatch, sc):
+    """(dtype kind, shape) of every matrix that enumerate_spherical hands to
+    np.linalg.eigh."""
+    seen, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a: seen.append((a.dtype.kind, a.shape)) or eigh(a)
+    )
+    wg.enumerate_spherical(sc)
+    monkeypatch.undo()
+    return seen
+
+
+def test_cyclic_group_solves_one_real_eigh_at_full_size(monkeypatch):
+    """C_n over the trivial subgroup: N_1 + N_1^T goes to one real d x d eigh,
+    and the complex skew part only to the stacked 2 x 2 restrictions."""
+    for n in (12, 128):
+        group, K, part = _pair(wg.cyclic_group(n), [])
+        seen = _eigh_inputs(monkeypatch, wg.hecke_structure_constants(group, part, np.ones(n)))
+        assert [kind for kind, shape in seen if shape == (n, n)] == ["f"], n
+        assert [shape for kind, shape in seen if kind == "c"] == [(n // 2 - 1, 2, 2)], n
+
+
+def test_dihedral_over_a_reflection_skips_the_skew_parts(monkeypatch):
+    """Every double coset of D_n over <s> is its own inverse, so every N_i
+    is symmetric and no eigh sees 1j (N_i - N_i^T): all inputs are real."""
+    for n in (12, 100):
+        group, K, part = _pair(wg.dihedral_group(n), [n])
+        assert np.array_equal(part.inverse_coset, np.arange(part.num_cosets))
+        sc = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
+        seen = _eigh_inputs(monkeypatch, sc)
+        assert seen and {kind for kind, _ in seen} == {"f"}, n
