@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input/usage error, 2 negative mathematical verdict
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -39,13 +40,49 @@ EXIT_VERDICT = 2
 EXIT_DEGENERATE = 3
 
 
+# json reads a document nested deeper than this (specs nest 4 deep), and
+# words the error of one too deep for it, where orjson would accept it
+MAX_DEPTH = 64
+_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+_DEPTH_STEP = np.zeros(256, dtype=np.int8)
+_DEPTH_STEP[list(b"[{")], _DEPTH_STEP[list(b"]}")] = 1, -1
+
+
+def _orjson_reads_as_json(raw: bytes) -> bool:
+    """Whether orjson, where it accepts `raw`, reads it as json does: no run
+    of 19 digits (orjson reads integers beyond 64 bits as floats), and
+    nested at most MAX_DEPTH deep by the running sum of the brackets. That
+    sum is the depth when no string holds a bracket: with no backslash, and
+    no quote left once the empty strings are dropped from the brackets and
+    quotes."""
+    structure = raw.translate(None, _NOT_STRUCTURE)
+    if b"0" * 19 in raw.translate(_DIGITS) or b"\\" in structure:
+        return False
+    if b'"' in structure.replace(b'""', b""):
+        return False
+    if structure.count(b"[") + structure.count(b"{") <= MAX_DEPTH:
+        return True
+    steps = _DEPTH_STEP[np.frombuffer(structure, dtype=np.uint8)]
+    return int(np.cumsum(steps).max(initial=0)) <= MAX_DEPTH
+
+
 def _load_json(path: str) -> tuple[dict, str]:
+    """(spec, sha256 of its bytes). orjson parses the spec where
+    `_orjson_reads_as_json` holds. json decides every other document and
+    every one orjson refuses (NaN and Infinity, UTF-16 or -32, a BOM, a lone
+    surrogate), and words the errors, so specs and messages are json's."""
     p = Path(path)
     try:
         raw = p.read_bytes()
     except OSError as exc:
         raise InputSpecError(f"{path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
+    if _orjson_reads_as_json(raw):
+        try:
+            return orjson.loads(raw), digest
+        except orjson.JSONDecodeError:
+            pass
     try:
         return json.loads(raw), digest
     except json.JSONDecodeError as exc:
@@ -71,7 +108,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputSpecError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process, on the first call."""
     parser = _Parser(
         prog="wgelfand",
         description="Weighted Gelfand pair analysis on finite groups",

@@ -9,15 +9,16 @@ theorem on G are checked by the reference code in `tests/oracles.py`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InputSpecError
+from .groups import json_array, json_floats
 from .hecke import StructureConstants
 from .spherical import SphericalSet
 from .tolerance import within
-from .weighted import json_number
 
 
 def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
@@ -125,29 +126,43 @@ def multiplier_from_spec(
     spec: dict, sc: StructureConstants
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(operator, kernel) from {"kind": "kernel"|"matrix"} JSON specs: L_h
-    and the coset values h for a kernel, the matrix and None for a matrix."""
+    and the coset values h for a kernel, the matrix and None for a matrix.
+    The pairs are read at once by `groups.json_array`; only a spec that
+    fails is read again, row by row, to word its first error."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputSpecError('multiplier spec must be an object with a "kind" field')
     kind = spec["kind"]
     d = sc.dim
     if kind == "kernel":
-        h = _complex_list(spec.get("coset_values"), d, "coset_values")
+        h = _complex(spec.get("coset_values"), (d,), "coset_values")
         return multiplier_from_kernel(h, sc), h
     if kind == "matrix":
         rows = spec.get("rows")
         if not isinstance(rows, list) or len(rows) != d:
             raise InputSpecError(f'"rows" must be a {d}x{d} complex matrix')
-        return np.array([_complex_list(r, d, "rows") for r in rows]), None
+        return _complex(rows, (d, d), "rows"), None
     raise InputSpecError(f"unknown multiplier kind: {kind!r}")
 
 
-def _complex_list(raw, d: int, field: str) -> np.ndarray:
-    """d [re, im] pairs of finite JSON numbers as a complex vector."""
-    if not isinstance(raw, list) or len(raw) != d or not all(
-        isinstance(z, list) and len(z) == 2 for z in raw
+def _complex(raw, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """A complex array of `shape` from nested [re, im] pairs of finite
+    numbers, by `json_array`; where that fails, the rows (a kernel is one)
+    are read again in order, and the first bad one raises."""
+    parts = json_array(raw, len(shape) + 1, float)
+    if parts is None or parts.shape != (*shape, 2):
+        rows = raw if len(shape) > 1 else [raw]
+        parts = np.array([_pair_row(row, shape[-1], field) for row in rows]).reshape(*shape, 2)
+    return parts.view(complex)[..., 0]
+
+
+def _pair_row(row, d: int, field: str) -> np.ndarray:
+    """The per-entry rule for a row of d [re, im] pairs: its shape, each
+    part by `json_floats`, then finiteness."""
+    if not isinstance(row, list) or len(row) != d or not all(
+        isinstance(z, list) and len(z) == 2 for z in row
     ):
         raise InputSpecError(f'"{field}" must list {d} [re, im] pairs')
-    parts = np.array([[json_number(v, f'"{field}" parts') for v in z] for z in raw])
+    parts = json_floats(list(itertools.chain.from_iterable(row)), f'"{field}" parts')
     if not np.all(np.isfinite(parts)):
         raise InputSpecError(f'"{field}" entries must be [re, im] pairs of finite numbers')
-    return parts.view(complex).ravel()
+    return parts

@@ -11,6 +11,7 @@ base (Seress, Permutation Group Algorithms, 2003, ch. 4).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -168,33 +169,75 @@ class GroupAutomorphism:
     perm: np.ndarray
 
 
+# the Python types of a number in a spec; bool, a subclass of int, is not one
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def json_array(value, depth: int, dtype) -> Optional[np.ndarray]:
+    """The one reader of spec numbers: `value` as a `depth`-dimensional
+    array of exact integers (dtype np.int64; integral floats up to 2**53
+    pass) or of finite floats (dtype float), else None for the caller to
+    word by its own rule. Entry types are scanned in C, level by level:
+    lists or tuples above `depth`, numbers but not booleans, which numpy
+    would cast to 0 or 1, at it. Then one `np.array` call converts, and
+    fails on ragged lists. An ndarray is taken as it is."""
+    if not isinstance(value, np.ndarray):
+        level = [value]
+        for i in range(depth):
+            if not {list, tuple}.issuperset(map(type, level)):
+                return None
+            level = itertools.chain.from_iterable(level)
+            level = list(level) if i < depth - 1 else level  # the entries are scanned once
+        if not all(t is not bool and issubclass(t, _NUMBERS) for t in set(map(type, level))):
+            return None
+        try:
+            value = np.array(value, dtype=None if dtype is np.int64 else dtype)
+        except (ValueError, OverflowError):  # ragged, or an integer beyond the float range
+            return None
+    if value.ndim != depth or value.dtype.kind not in "iuf":
+        return None
+    if dtype is float:
+        value = value.astype(float, copy=False)
+        return value if np.all(np.isfinite(value)) else None
+    exact = value.dtype.kind == "i" or (
+        value.dtype.kind == "f" and np.all((np.abs(value) <= 2**53) & (value == np.trunc(value)))
+    )
+    return value.astype(np.int64) if exact else None
+
+
+def json_floats(value, what: str) -> np.ndarray:
+    """A list of numbers as floats, by `json_array`; only where that fails,
+    the per-entry rule names the first entry that is not a number or is an
+    integer beyond the float range. Values that are not finite are
+    returned, for the caller to word."""
+    floats = json_array(value, 1, float)
+    if floats is None:
+        for v in value:
+            if isinstance(v, bool) or not isinstance(v, _NUMBERS):
+                raise InputSpecError(f"{what} must be numbers, got {v!r}")
+            try:
+                float(v)
+            except OverflowError:
+                raise InputSpecError(f"{what} must be finite numbers, got {v!r}") from None
+        floats = np.array(value, dtype=float)
+    return floats
+
+
 def _integers(value, what: str, ndim: int) -> np.ndarray:
-    """A JSON value (a number or nested lists of numbers) as an int64 array
-    of `ndim` dimensions; an empty list passes for any ndim. Strings,
-    booleans (alone or mixed with numbers), ragged lists and non-integral or
-    inexact numbers raise InputSpecError instead of being cast or truncated."""
+    """`json_array` of exact integers in `ndim` dimensions; an empty list
+    passes for any ndim. Anything else (strings, booleans, ragged lists,
+    non-integral or inexact numbers) raises InputSpecError."""
+    arr = json_array(value, ndim, np.int64)
+    if arr is not None:
+        return arr
     try:
         arr = np.asarray(value)
     except (ValueError, TypeError):
         raise InputSpecError(f"{what} must be a rectangular array of integers") from None
-    exact = not _has_bool(value) and (
-        arr.dtype.kind == "i"
-        or (arr.dtype.kind == "f" and np.all((np.abs(arr) <= 2**53) & (arr == np.trunc(arr))))
-    )
-    if (arr.size or ndim == 0) and not (exact and arr.ndim == ndim):
-        shape = "an integer" if ndim == 0 else f"a {ndim}-dimensional array of integers"
-        raise InputSpecError(f"{what} must be {shape}")
-    return arr.astype(np.int64)
-
-
-def _has_bool(value) -> bool:
-    """Whether a value or nested list holds a boolean, which numpy would cast
-    to 0 or 1 beside numbers. Rows of scalars are scanned by type in C."""
-    if isinstance(value, (list, tuple)):
-        if value and isinstance(value[0], (list, tuple)):
-            return any(map(_has_bool, value))
-        return bool in map(type, value)
-    return isinstance(value, bool)
+    if arr.size == 0 and ndim:
+        return arr.astype(np.int64)
+    shape = "an integer" if ndim == 0 else f"a {ndim}-dimensional array of integers"
+    raise InputSpecError(f"{what} must be {shape}")
 
 
 def _closure(generators: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +248,8 @@ def _closure(generators: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     discovery order (frontier element, then generator index). gens holds
     the sorted distinct indices of the generators. Each frontier is composed
     with all generators in one gather; new rows are recognised by their
-    bytes.
+    bytes. One generator is listed as its powers g^0, g^1, ..., which are
+    its breadth-first order, doubling the list each round.
     """
     gens = _integers(generators, "generators", ndim=2)
     if gens.ndim != 2:  # no generators: the trivial group on one point
@@ -217,6 +261,16 @@ def _closure(generators: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     gens = gens.astype(np.min_scalar_type(degree - 1))
 
     frontier = np.arange(degree, dtype=gens.dtype)[None, :]
+    if m == 1:  # g^(L+j) = g^j g^L lists L more powers at once, up to e or the cap
+        perms = frontier
+        while True:
+            block = perms[: DEFAULT_ELEMENT_CAP + 1 - len(perms)][:, perms[-1][gens[0]]]
+            found = np.flatnonzero((block == frontier).all(axis=1))
+            perms = np.concatenate([perms, block[: found[0]] if len(found) else block])
+            if len(found):
+                return perms, np.array([int(len(perms) > 1)], dtype=np.int64)
+            if len(perms) > DEFAULT_ELEMENT_CAP:
+                raise SizeLimitError(f"closure exceeds element cap {DEFAULT_ELEMENT_CAP}")
     index = {frontier[0].tobytes(): 0}
     levels = [frontier]
     start = 0  # index of frontier[0]

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BiInvarianceError, InputSpecError
-from .groups import DoubleCosetPartition, GroupAutomorphism
+from .groups import DoubleCosetPartition, GroupAutomorphism, json_floats
 
 
 def weight_from_spec(spec: dict, partition: DoubleCosetPartition) -> np.ndarray:
@@ -38,7 +38,7 @@ def weight_from_spec(spec: dict, partition: DoubleCosetPartition) -> np.ndarray:
             raw = spec.get("values", [])
             if np.shape(raw) != (n,):
                 raise InputSpecError(f"weight needs {n} values, got {np.shape(raw)}")
-            values = checked_weights([json_number(v) for v in raw])
+            values = checked_weights(json_floats(raw, "weight values"))
             witness = bi_invariance_witness(values, partition)
             if witness is not None:
                 raise BiInvarianceError(*witness)
@@ -56,13 +56,17 @@ def weight_from_spec(spec: dict, partition: DoubleCosetPartition) -> np.ndarray:
                 raise InputSpecError(
                     f"weight for unknown double coset {unknown[0]!r}: ids are 0..{d - 1}"
                 )
-            vals = np.empty(d)
+            raw = []
             for cid in range(d):
                 key = str(cid) if str(cid) in table else cid
                 if key not in table:
-                    raise InputSpecError(f"missing weight for double coset {cid}")
-                vals[cid] = json_number(table[key])
-            return checked_weights(vals)
+                    break
+                raw.append(table[key])
+            # a bad value is named before a missing one that follows it
+            values = json_floats(raw, "weight values")
+            if len(raw) < d:
+                raise InputSpecError(f"missing weight for double coset {len(raw)}")
+            return checked_weights(values)
     except (TypeError, ValueError) as exc:
         raise InputSpecError(f"weight values must be numbers: {exc}") from exc
     raise InputSpecError(f"unknown weight kind: {kind!r}")
@@ -74,18 +78,6 @@ def checked_weights(values) -> np.ndarray:
     if not np.all(np.isfinite(vals) & (vals > 0)):
         raise InputSpecError("weight must be finite and strictly positive")
     return vals
-
-
-def json_number(value, what: str = "weight values") -> float:
-    """A JSON number as a float: the one rule for the numbers of every spec.
-    Booleans and strings are not numbers; an integer beyond the float range
-    is rejected too."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise InputSpecError(f"{what} must be numbers, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InputSpecError(f"{what} must be finite numbers, got {value!r}") from None
 
 
 def bi_invariance_witness(

@@ -24,36 +24,44 @@ import oracles
 # ---------------------------------------------------------------- oracles
 
 
-def closure_oracle(generators):
-    """(mul, inv) of the group generated by permutation tuples: breadth-first
-    discovery from the identity (index 0) with generator index as tiebreak,
-    then one tuple composition (a*b)[i] = a[b[i]] per table entry."""
+def _compose(a, b):
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+def closure_elements_oracle(generators):
+    """The elements of the group generated by permutation tuples, as tuples
+    in breadth-first discovery order from the identity (index 0), with
+    generator index as tiebreak."""
     gens = [tuple(int(i) for i in g) for g in generators]
-    degree = len(gens[0]) if gens else 1
+    ident = tuple(range(len(gens[0]) if gens else 1))
+    elements, index, frontier = [ident], {ident: 0}, [ident]
+    while frontier:
+        new_frontier = []
+        for x in frontier:
+            for g in gens:
+                y = _compose(x, g)
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    new_frontier.append(y)
+        frontier = new_frontier
+    return elements
 
-    def compose(a, b):
-        return tuple(a[b[i]] for i in range(len(a)))
 
+def closure_oracle(generators):
+    """(mul, inv) of the group generated by permutation tuples, on the
+    elements of `closure_elements_oracle`: one tuple composition
+    (a*b)[i] = a[b[i]] per table entry."""
     def invert(p):
         q = [0] * len(p)
         for i, pi in enumerate(p):
             q[pi] = i
         return tuple(q)
 
-    ident = tuple(range(degree))
-    elements, index, frontier = [ident], {ident: 0}, [ident]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                if y not in index:
-                    index[y] = len(elements)
-                    elements.append(y)
-                    new_frontier.append(y)
-        frontier = new_frontier
+    elements = closure_elements_oracle(generators)
+    index = {x: i for i, x in enumerate(elements)}
     mul = np.array(
-        [[index[compose(a, b)] for b in elements] for a in elements], dtype=np.int64
+        [[index[_compose(a, b)] for b in elements] for a in elements], dtype=np.int64
     )
     inv = np.array([index[invert(p)] for p in elements], dtype=np.int64)
     return mul, inv

@@ -10,7 +10,8 @@ ones also plain vectors of their d coset values with their partition, and
 a weight is a plain float array of its |G| values. Integrals over
 G are sums with counting measure; integrals over K are normalized averages
 (1/|K|) * sum, so the subgroup carries total mass 1. Most of them form a
-|G|^2 array or sum over G x G, so they suit small groups.
+|G|^2 array or sum over G x G, so they suit small groups. The last section
+keeps the per-entry rules that once read the numbers of a spec.
 """
 
 from __future__ import annotations
@@ -18,15 +19,19 @@ from __future__ import annotations
 import numpy as np
 
 from wgelfand import (
+    BiInvarianceError,
     DoubleCosetPartition,
     GroupAutomorphism,
     GroupTable,
+    InputSpecError,
     PreconditionError,
     SphericalSet,
     SubgroupEmbedding,
+    bi_invariance_witness,
 )
 from wgelfand.groups import _greedy_generators
 from wgelfand.tolerance import RTOL, within
+from wgelfand.weighted import checked_weights
 
 
 # ---------------------------------------------------------------- groups
@@ -294,3 +299,106 @@ def symbol_basis_residual(
     scale = max(1.0, float(np.max(np.abs(T)))) * np.sum(np.abs(F), axis=0)
     return residual, scale
 
+
+# ---------------------------------------------------------------- spec numbers
+# The per-entry rules that read the numbers of a spec before
+# `groups.json_array`: the reference that the one vectorised reader is
+# compared with on random JSON values.
+
+
+def json_number(value, what: str = "weight values") -> float:
+    """A JSON number as a float. Booleans and strings are not numbers; an
+    integer beyond the float range is rejected too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputSpecError(f"{what} must be numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputSpecError(f"{what} must be finite numbers, got {value!r}") from None
+
+
+def has_bool(value) -> bool:
+    """Whether a value or nested list holds a boolean."""
+    if isinstance(value, (list, tuple)):
+        if value and isinstance(value[0], (list, tuple)):
+            return any(map(has_bool, value))
+        return bool in map(type, value)
+    return isinstance(value, bool)
+
+
+def integers(value, what: str, ndim: int) -> np.ndarray:
+    """A JSON value as an int64 array of `ndim` dimensions; an empty list
+    passes for any ndim."""
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError):
+        raise InputSpecError(f"{what} must be a rectangular array of integers") from None
+    exact = not has_bool(value) and (
+        arr.dtype.kind == "i"
+        or (arr.dtype.kind == "f" and np.all((np.abs(arr) <= 2**53) & (arr == np.trunc(arr))))
+    )
+    if (arr.size or ndim == 0) and not (exact and arr.ndim == ndim):
+        shape = "an integer" if ndim == 0 else f"a {ndim}-dimensional array of integers"
+        raise InputSpecError(f"{what} must be {shape}")
+    return arr.astype(np.int64)
+
+
+def complex_list(raw, d: int, field: str) -> np.ndarray:
+    """d [re, im] pairs of finite JSON numbers as a complex vector."""
+    if not isinstance(raw, list) or len(raw) != d or not all(
+        isinstance(z, list) and len(z) == 2 for z in raw
+    ):
+        raise InputSpecError(f'"{field}" must list {d} [re, im] pairs')
+    parts = np.array([[json_number(v, f'"{field}" parts') for v in z] for z in raw])
+    if not np.all(np.isfinite(parts)):
+        raise InputSpecError(f'"{field}" entries must be [re, im] pairs of finite numbers')
+    return parts.view(complex).ravel()
+
+
+def multiplier_values(spec: dict, d: int) -> np.ndarray:
+    """The coset values h of a kernel spec, or the matrix of a matrix spec,
+    read entry by entry."""
+    if spec["kind"] == "kernel":
+        return complex_list(spec.get("coset_values"), d, "coset_values")
+    rows = spec.get("rows")
+    if not isinstance(rows, list) or len(rows) != d:
+        raise InputSpecError(f'"rows" must be a {d}x{d} complex matrix')
+    return np.array([complex_list(r, d, "rows") for r in rows])
+
+
+def coset_weights(spec: dict, partition: DoubleCosetPartition) -> np.ndarray:
+    """The coset weights of a "by_element" or "by_double_coset" weight
+    spec, read entry by entry."""
+    d = partition.num_cosets
+    try:
+        if spec["kind"] == "by_element":
+            n = len(partition.coset_of)
+            raw = spec.get("values", [])
+            if np.shape(raw) != (n,):
+                raise InputSpecError(f"weight needs {n} values, got {np.shape(raw)}")
+            values = checked_weights([json_number(v) for v in raw])
+            witness = bi_invariance_witness(values, partition)
+            if witness is not None:
+                raise BiInvarianceError(*witness)
+            return values[partition.reps]
+        table = spec.get("values", {})
+        if not isinstance(table, dict):
+            raise InputSpecError(
+                '"by_double_coset" values must be an object {cosetId: value}, '
+                f"got {type(table).__name__}"
+            )
+        ids = {str(cid) for cid in range(d)}
+        unknown = [key for key in table if str(key) not in ids]
+        if unknown:
+            raise InputSpecError(
+                f"weight for unknown double coset {unknown[0]!r}: ids are 0..{d - 1}"
+            )
+        vals = np.empty(d)
+        for cid in range(d):
+            key = str(cid) if str(cid) in table else cid
+            if key not in table:
+                raise InputSpecError(f"missing weight for double coset {cid}")
+            vals[cid] = json_number(table[key])
+        return checked_weights(vals)
+    except (TypeError, ValueError) as exc:
+        raise InputSpecError(f"weight values must be numbers: {exc}") from exc

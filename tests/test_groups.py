@@ -22,6 +22,7 @@ from conftest import (
     LOOP_5,
     automorphism_oracle,
     check_subgroup_oracle,
+    closure_elements_oracle,
     closure_oracle,
     double_cosets_oracle,
     gelfand_instances,
@@ -449,6 +450,41 @@ def test_one_generator_closes_in_logarithmic_rounds(monkeypatch):
     calls.clear()
     assert wg.subgroup_closure(c, [1]).elements == K.elements
     assert len(calls) <= 2 * np.log2(c.order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 100, 128])
+def test_one_generator_is_listed_as_its_powers(monkeypatch, n):
+    """An n-cycle closes as its powers g^0, g^1, ...: the oracle's
+    breadth-first order, the same dtype and generator index, and no
+    `np.unique` call (one per breadth-first level before)."""
+    gen = [list(range(1, n)) + [0]]
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    perms, gens = groups._closure(gen)
+    assert calls == []
+    monkeypatch.undo()
+    assert perms.dtype == np.uint8 and gens.dtype == np.int64 and gens.tolist() == [min(n - 1, 1)]
+    assert np.array_equal(perms, closure_elements_oracle(gen))
+    mul, inv = closure_oracle(gen)
+    g = wg.build_group_from_generators(gen)
+    assert np.array_equal(oracles.mul_table(g), mul) and np.array_equal(g.inv, inv)
+
+
+def test_cyclic_10080_lists_its_generator_powers():
+    c = wg.cyclic_group(10080)
+    assert np.array_equal(c.perms, closure_elements_oracle([c.perms[1]]))
+    assert c.perms.dtype == np.uint8 and c.generators.tolist() == [1]
+
+
+def test_one_generator_past_the_cap_raises():
+    """Disjoint cycles of lengths 9, 11, 13 and 16: order 20592."""
+    gen, start = [], 0
+    for length in (9, 11, 13, 16):
+        gen += [start + (i + 1) % length for i in range(length)]
+        start += length
+    with pytest.raises(wg.SizeLimitError, match="closure exceeds element cap"):
+        wg.build_group_from_generators([gen])
 
 
 @pytest.mark.parametrize(
