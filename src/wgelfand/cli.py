@@ -299,15 +299,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         report, exit_code = run(args)
-    except InputSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DegenerateSpectrumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except WGelfandError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_DEGENERATE if isinstance(exc, DegenerateSpectrumError) else EXIT_INPUT
 
     if args.format == "json":
         options = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY

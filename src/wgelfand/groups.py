@@ -246,10 +246,13 @@ def _closure(generators: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     Returns (perms, gens). perms[x] is element x as a permutation in the
     narrowest unsigned dtype: the identity is 0 and elements follow in
     discovery order (frontier element, then generator index). gens holds
-    the sorted distinct indices of the generators. Each frontier is composed
-    with all generators in one gather; new rows are recognised by their
-    bytes. One generator is listed as its powers g^0, g^1, ..., which are
-    its breadth-first order, doubling the list each round.
+    the sorted distinct indices of the generators: those among the first
+    m + 1 elements, as e*g = g. Each frontier is composed with all
+    generators in one gather. Rows are keyed by their bytes; a level is one
+    dict.fromkeys over the candidates' keys (first occurrences, in order)
+    less the keys already in the index. One generator is listed as its
+    powers g^0, g^1, ..., which are its breadth-first order, doubling the
+    list each round.
     """
     gens = _integers(generators, "generators", ndim=2)
     if gens.ndim != 2:  # no generators: the trivial group on one point
@@ -261,8 +264,8 @@ def _closure(generators: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     gens = gens.astype(np.min_scalar_type(degree - 1))
 
     frontier = np.arange(degree, dtype=gens.dtype)[None, :]
-    if m == 1:  # g^(L+j) = g^j g^L lists L more powers at once, up to e or the cap
-        perms = frontier
+    if m == 1 or not degree:  # g^(L+j) = g^j g^L lists L more powers at once,
+        perms = frontier  # up to e or the cap; on no points every generator is e
         while True:
             block = perms[: DEFAULT_ELEMENT_CAP + 1 - len(perms)][:, perms[-1][gens[0]]]
             found = np.flatnonzero((block == frontier).all(axis=1))
@@ -271,24 +274,21 @@ def _closure(generators: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
                 return perms, np.array([int(len(perms) > 1)], dtype=np.int64)
             if len(perms) > DEFAULT_ELEMENT_CAP:
                 raise SizeLimitError(f"closure exceeds element cap {DEFAULT_ELEMENT_CAP}")
-    index = {frontier[0].tobytes(): 0}
+    void = np.dtype((np.void, degree * gens.itemsize))  # a row as one key: its bytes
+    index = dict.fromkeys(frontier.view(void).ravel().tolist())
     levels = [frontier]
-    start = 0  # index of frontier[0]
     while len(frontier):
         cand = frontier[:, gens].reshape(len(frontier) * m, degree)  # (x*g)[i] = x[g[i]]
-        hits = np.array(
-            [index.setdefault(row.tobytes(), len(index)) for row in cand], dtype=np.int64
-        )
+        level = dict.fromkeys(cand.view(void).ravel().tolist())
+        fresh = list(itertools.filterfalse(index.__contains__, level))
+        index.update(dict.fromkeys(fresh))
         if len(index) > DEFAULT_ELEMENT_CAP:
             raise SizeLimitError(f"closure exceeds element cap {DEFAULT_ELEMENT_CAP}")
-        if start == 0:
-            gen_index = np.unique(hits)  # e * g is g
-        values, first = np.unique(hits, return_index=True)
-        first = first[values >= start + len(frontier)]
-        start += len(frontier)
-        frontier = cand[first]
+        frontier = np.frombuffer(b"".join(fresh), dtype=gens.dtype).reshape(len(fresh), degree)
         levels.append(frontier)
-    return np.concatenate(levels), gen_index
+    gen_keys = set(gens.view(void).ravel().tolist())
+    first = itertools.islice(index, m + 1)
+    return np.concatenate(levels), np.flatnonzero([key in gen_keys for key in first])
 
 
 def validate_group(mul: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:

@@ -69,22 +69,20 @@ class StructureConstants:
         p[i,j,k] != p[j,i,k]: delta_i *_w delta_j and delta_j *_w delta_i
         differ at x = r_k. The verdict is exact and does not depend on the
         weight: c[i,j,k] = c[j,i,k] iff p[i,j,k] = p[j,i,k], as the weight
-        rescales both by w_i w_j / w_k > 0. The swapped keys (j, i, k) are
-        sorted and looked up in the keys; the mismatches are closed under the
-        swap, so the first is the least mismatched key or swapped key."""
+        rescales both by w_i w_j / w_k > 0. It commutes iff the swapped keys
+        (j, i, k), sorted once, and their counts equal keys and counts. At
+        the first position t where they differ all earlier pairs agree, so
+        the lesser of the two keys at t is the least mismatched key."""
         d, keys = self.dim, self.keys
         ij = keys // d
         swapped = keys + (ij % d - ij // d) * (d * (d - 1))  # (j d + i) d + k
         del ij
         order = np.argsort(swapped)
-        pos = np.minimum(np.searchsorted(keys, swapped[order]), len(keys) - 1)
-        hit = keys[pos] == swapped[order]
-        other = np.zeros_like(self.counts)
-        other[order[hit]] = self.counts[pos[hit]]
-        bad = np.flatnonzero(other != self.counts)
+        swapped = swapped[order]
+        bad = np.flatnonzero((swapped != keys) | (self.counts[order] != self.counts))
         if not len(bad):
             return None
-        ij, k = divmod(int(min(keys[bad[0]], swapped[bad].min())), d)
+        ij, k = divmod(int(min(keys[bad[0]], swapped[bad[0]])), d)
         return ij // d, ij % d, int(self.partition.reps[k])
 
 

@@ -48,23 +48,29 @@ def closure_elements_oracle(generators):
     return elements
 
 
-def closure_oracle(generators):
-    """(mul, inv) of the group generated by permutation tuples, on the
-    elements of `closure_elements_oracle`: one tuple composition
-    (a*b)[i] = a[b[i]] per table entry."""
+def inverse_oracle(elements):
+    """inv[x]: the index in `elements` of the inverse of the permutation
+    tuple elements[x], found by inverting the tuple point by point."""
     def invert(p):
         q = [0] * len(p)
         for i, pi in enumerate(p):
             q[pi] = i
         return tuple(q)
 
+    index = {x: i for i, x in enumerate(elements)}
+    return np.array([index[invert(p)] for p in elements], dtype=np.int64)
+
+
+def closure_oracle(generators):
+    """(mul, inv) of the group generated by permutation tuples, on the
+    elements of `closure_elements_oracle`: one tuple composition
+    (a*b)[i] = a[b[i]] per table entry, and `inverse_oracle`."""
     elements = closure_elements_oracle(generators)
     index = {x: i for i, x in enumerate(elements)}
     mul = np.array(
         [[index[_compose(a, b)] for b in elements] for a in elements], dtype=np.int64
     )
-    inv = np.array([index[invert(p)] for p in elements], dtype=np.int64)
-    return mul, inv
+    return mul, inverse_oracle(elements)
 
 
 def mul_oracle(generators):

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wgelfand as wg
 from wgelfand import groups
@@ -26,6 +28,7 @@ from conftest import (
     closure_oracle,
     double_cosets_oracle,
     gelfand_instances,
+    inverse_oracle,
     mul_oracle,
     subgroup_closure_oracle,
 )
@@ -53,6 +56,50 @@ def test_closure_matches_tuple_oracle(gens):
     mul, inv = closure_oracle(gens)
     assert np.array_equal(oracles.mul_table(g), mul)
     assert np.array_equal(g.inv, inv)
+
+
+@st.composite
+def generator_sets(draw):
+    """Up to 4 permutations of 1-7 points: new ones, the identity, repeats
+    and inverses of earlier ones."""
+    degree, gens = draw(st.integers(1, 7)), []
+    for kind in draw(st.lists(st.sampled_from(["new", "identity", "repeat", "inverse"]),
+                              max_size=4)):
+        if kind == "identity":
+            gens.append(list(range(degree)))
+        elif kind == "new" or not gens:
+            gens.append(draw(st.permutations(range(degree))))
+        else:
+            g = draw(st.sampled_from(gens))
+            gens.append(list(g) if kind == "repeat" else np.argsort(g).tolist())
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+@example([(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])  # S7
+@example([(0, 1, 2), (0, 1, 2)])  # the identity twice
+@example([(1, 2, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1)])  # an inverse pair and a repeat
+def test_closure_matches_the_oracle_on_random_generator_sets(gens):
+    """The uint8 perms in the oracle's breadth-first order, its inverses,
+    and the generators as the sorted distinct indices of the given rows."""
+    g = wg.build_group_from_generators(gens)
+    elements = closure_elements_oracle(gens)
+    assert g.perms.dtype == np.uint8 and np.array_equal(g.perms, elements)
+    assert np.array_equal(g.inv, inverse_oracle(elements))
+    index = {e: x for x, e in enumerate(elements)}
+    assert g.generators.dtype == np.int64
+    assert g.generators.tolist() == sorted({index[tuple(p)] for p in gens})
+
+
+def test_closure_of_s6_calls_np_unique_at_most_once(monkeypatch):
+    """Each breadth-first level is one dict pass over the candidates' keys,
+    not an np.unique of their indices (two per level before)."""
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    perms, _ = groups._closure(wg.symmetric_group_generators(6))
+    assert len(perms) == 720 and len(calls) <= 1
 
 
 def _transpositions(pairs, degree):

@@ -1,14 +1,18 @@
+import functools
 import json
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wgelfand as wg
 from wgelfand.cli import main
 from wgelfand.errors import BiInvarianceError, InputSpecError, NotGelfandError
 
+import oracles
 from conftest import (
     classical_convolve_oracle,
     commutativity_oracle,
@@ -347,7 +351,7 @@ def test_sparse_intersection_numbers_match_dense_oracle(group, K, part, w):
 
 
 def test_commutativity_witness_on_synthetic_sparse_p():
-    """The sorted-key lookup against the dense comparison on random integer
+    """The sorted comparison against the dense comparison on random integer
     arrays p: with a random support, with a support closed under the swap
     but counts that differ, and with p equal to its swap."""
     c5 = wg.cyclic_group(5)
@@ -363,6 +367,77 @@ def test_commutativity_witness_on_synthetic_sparse_p():
         sc = wg.StructureConstants(keys=keys, counts=p.ravel()[keys].astype(np.int32),
                                    wd=np.ones(5), partition=part)
         assert sc.commutativity_witness == commutativity_oracle(p, part)
+
+
+@functools.cache
+def _fuzz_group(family, n, as_table):
+    """C_n, D_n or S_n from its generators or as the table that
+    `oracles.mul_table` composes from them, with that table."""
+    group = {"C": wg.cyclic_group, "D": wg.dihedral_group, "S": wg.symmetric_group}[family](n)
+    mul = oracles.mul_table(group)
+    return (wg.group_from_table(mul.tolist()) if as_table else group), mul
+
+
+@st.composite
+def fuzz_pairs(draw):
+    """(G, its table, seeds of K, a weight seed) for G = C_n or D_n with
+    n <= 12, or S3-S5. Half the time the seeds are replaced by all their
+    conjugates, so that K is their normal closure."""
+    family = draw(st.sampled_from("CDS"))
+    n = draw(st.integers(3, 5) if family == "S" else st.integers(1, 12))
+    group, mul = _fuzz_group(family, n, draw(st.booleans()))
+    seeds = draw(st.lists(st.integers(0, len(mul) - 1), max_size=2))
+    if draw(st.booleans()):
+        inv = np.argmax(mul == 0, axis=1)
+        seeds = np.unique(mul[mul[:, seeds], inv[:, None]]).tolist()  # g s g^-1
+    return group, mul, seeds, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fuzz_pairs())
+@example((*_fuzz_group("S", 5, True), [1], 0))  # S5 as a table over a transposition
+@example((*_fuzz_group("D", 12, False), [], 1))  # D12 over 1, d = 24
+def test_gelfand_verdict_theorems(pair):
+    """Properties of the verdict read off the group table alone: it does not
+    depend on a weight log-uniform over 1e+-12 with w(e) = 1; an abelian G
+    always gives a Gelfand pair; a normal K gives one iff every commutator
+    x y x^-1 y^-1 lies in K (the Hecke algebra is then that of G/K); and the
+    witness is the least (i, j, k) with p[i,j,k] != p[j,i,k] in the dense p."""
+    group, mul, seeds, seed = pair
+    inv = np.argmax(mul == 0, axis=1)
+    K = wg.subgroup_closure(group, seeds)
+    part = wg.double_cosets(group, K)
+    witness = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets)
+                                           ).commutativity_witness
+    assert witness == commutativity_oracle(dense_p_oracle(group, part), part)
+    wd = 10.0 ** np.random.default_rng(seed).uniform(-12, 12, part.num_cosets)
+    wd[part.identity_coset] = 1.0
+    assert wg.hecke_structure_constants(group, part, wd).commutativity_witness == witness
+    if np.array_equal(mul, mul.T):
+        assert witness is None
+    elements = list(K.elements)
+    in_K = np.zeros(len(mul), dtype=bool)
+    in_K[elements] = True
+    if in_K[mul[mul[:, elements], inv[:, None]]].all():  # K is normal: g k g^-1 in K
+        commutators = mul[mul, mul[inv[:, None], inv]]
+        assert (witness is None) == bool(in_K[commutators].all())
+
+
+@pytest.mark.parametrize("make_pair", [_d6_trivial, _s4_transposition, _d12_reflection],
+                         ids=["D6/1", "S4/s", "D12/s"])
+def test_commutativity_witness_makes_no_searchsorted_call(monkeypatch, make_pair):
+    """The verdict sorts the swapped keys once and compares them with the
+    keys; it looks nothing up (one np.searchsorted call before)."""
+    group, K = make_pair()
+    part = wg.double_cosets(group, K)
+    sc = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
+    expected = commutativity_oracle(dense_p_oracle(group, part), part)
+    calls = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda *a, **k: calls.append(1) or searchsorted(*a, **k))
+    assert sc.commutativity_witness == expected
+    assert calls == []
 
 
 def test_structure_constants_and_spherical_stay_below_dense_size():
