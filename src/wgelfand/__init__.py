@@ -24,7 +24,6 @@ from .groups import (
     DoubleCosetPartition,
     GroupAutomorphism,
     GroupTable,
-    SubgroupEmbedding,
     build_group_from_generators,
     check_automorphism,
     cyclic_group,
@@ -33,7 +32,6 @@ from .groups import (
     group_from_spec,
     group_from_table,
     inversion_automorphism,
-    subgroup_closure,
     subgroup_from_spec,
     symmetric_group,
     symmetric_group_generators,

@@ -153,8 +153,7 @@ def run(args) -> tuple[dict, int]:
         return spec
 
     group = group_from_spec(load("group", args.group))
-    K = subgroup_from_spec(group, load("subgroup", args.subgroup))
-    partition = double_cosets(group, K)
+    partition = double_cosets(group, subgroup_from_spec(group, load("subgroup", args.subgroup)))
     wd = weight_from_spec(load("weight", args.weight), partition)
     theta = None
     if args.automorphism:
@@ -170,7 +169,7 @@ def run(args) -> tuple[dict, int]:
         "tolerance": RTOL,
         "group": {
             "order": group.order,
-            "subgroup_order": K.order,
+            "subgroup_order": int(partition.sizes[partition.identity_coset]),
             "double_cosets": partition.num_cosets,
             "coset_sizes": partition.sizes.tolist(),
         },

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -125,21 +125,6 @@ class GroupTable:
             xs, ys = (a if len(a) == 1 else a[s : s + step] for a in (x, y))
             out[s : s + step] = self._lookup(self._images(xs, ys))
         return out
-
-
-@dataclass(frozen=True)
-class SubgroupEmbedding:
-    """A subgroup as a sorted tuple of element indices into the parent group,
-    with the indices of a generating set: subgroup_closure keeps its seeds
-    and their inverses, and a subgroup given by its elements keeps the
-    greedy generators that its check grew."""
-
-    elements: tuple[int, ...]
-    generators: tuple[int, ...] = field(compare=False)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -339,7 +324,9 @@ def validate_group(mul: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 def _right_closure(product: Callable, members: np.ndarray, step: np.ndarray, gens) -> None:
     """Add to the boolean mask `members`, in place, the elements of `step`
     and their right products with gens, until no product is new. Members
-    already in the mask are taken to be closed under gens already.
+    already in the mask are taken to be closed under gens already. Its one
+    caller, _greedy_generators, grows the reached set of Light's test and
+    of a subgroup given by its elements.
 
     Each round also regrows along the newest powers g^(2^r) of the
     generators, so that one generator of order m closes in about log2 m
@@ -481,22 +468,6 @@ def group_from_table(table: Sequence[Sequence[int]]) -> GroupTable:
     return GroupTable(perms=perms, inv=inv, generators=gens, identity=identity)
 
 
-def subgroup_closure(group: GroupTable, seeds: Sequence[int]) -> SubgroupEmbedding:
-    """Smallest subgroup of `group` containing the seed elements."""
-    n = group.order
-    seeds = _integers(seeds, "seeds", ndim=1)
-    out = seeds[(seeds < 0) | (seeds >= n)]
-    if len(out):
-        raise InputSpecError(f"seed index {out[0]} out of range for order {n}")
-    # with the inverses, a cyclic subgroup is reached from both ends
-    gens = np.union1d(seeds, group.inv[seeds])
-    members = np.zeros(n, dtype=bool)
-    _right_closure(group.product, members, np.array([group.identity]), gens)
-    return SubgroupEmbedding(
-        elements=tuple(np.flatnonzero(members).tolist()), generators=tuple(gens.tolist())
-    )
-
-
 def _label_round(label: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
     """One round of min-label propagation: the least label among x and its
     neighbours, then one pointer jump (label <- label[label])."""
@@ -504,12 +475,16 @@ def _label_round(label: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
     return new[new]
 
 
-def double_cosets(group: GroupTable, K: SubgroupEmbedding) -> DoubleCosetPartition:
-    """Partition G into double cosets KxK, ordered by smallest member.
+def double_cosets(group: GroupTable, generators: Sequence[int]) -> DoubleCosetPartition:
+    """Partition G into double cosets KxK of the subgroup K that the
+    element indices `generators` span, ordered by smallest member. K is
+    never listed: it is the double coset of the identity, KeK = K. An
+    index outside 0..|G|-1 raises InputSpecError, the first in the given
+    order.
 
     Every element starts as its own label. The neighbours of x are k x and
-    x k for k and k^-1 in K.generators, so labels flow both ways along every
-    generator edge; each round takes the least label among x and its
+    x k for k and k^-1 in the generators, so labels flow both ways along
+    every generator edge; each round takes the least label among x and its
     neighbours, then jumps pointers. Labels only fall and stay in their
     double coset, which is a connected component of this undirected graph,
     so they settle on its smallest member. On a path of length L the jump
@@ -517,7 +492,10 @@ def double_cosets(group: GroupTable, K: SubgroupEmbedding) -> DoubleCosetPartiti
     """
     n = group.order
     label = np.arange(n)
-    kgens = np.array(K.generators, dtype=np.int64)
+    kgens = np.asarray(generators, dtype=np.int64)
+    out = kgens[(kgens < 0) | (kgens >= n)]
+    if len(out):
+        raise InputSpecError(f"seed index {out[0]} out of range for order {n}")
     if len(kgens):
         kgens = np.union1d(kgens, group.inv[kgens])
         neighbours = np.concatenate(
@@ -609,20 +587,20 @@ def group_from_spec(spec: dict) -> GroupTable:
     raise InputSpecError(f"unknown group kind: {kind!r}")
 
 
-def subgroup_from_spec(group: GroupTable, spec: dict) -> SubgroupEmbedding:
-    """Build a subgroup from {"seeds": [...]} or {"elements": [...]}."""
+def subgroup_from_spec(group: GroupTable, spec: dict) -> np.ndarray:
+    """The generator indices (int64) of a subgroup from {"seeds": [...]},
+    the seeds as given, or from {"elements": [...]}, the greedy generators
+    that the check of the set grows. The subgroup is not closed here;
+    double_cosets range-checks the seeds."""
     if not isinstance(spec, dict):
         raise InputSpecError("subgroup spec must be an object")
     if "seeds" in spec:
-        return subgroup_closure(group, spec["seeds"])
+        return _integers(spec["seeds"], "seeds", ndim=1)
     if "elements" in spec:
         elems = np.unique(_integers(spec["elements"], "elements", ndim=1))
         if len(elems) and not (0 <= elems[0] and elems[-1] < group.order):
             raise InputSpecError(f"element index out of range for order {group.order}")
-        return SubgroupEmbedding(
-            elements=tuple(elems.tolist()),
-            generators=tuple(_subgroup_generators(group, elems).tolist()),
-        )
+        return _subgroup_generators(group, elems)
     raise InputSpecError('subgroup spec needs "seeds" or "elements"')
 
 

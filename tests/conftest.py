@@ -10,9 +10,12 @@ averaged-product equation symbolically with sympy.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 import sympy
+from hypothesis import strategies as st
 
 import wgelfand as wg
 from wgelfand.errors import DegenerateSpectrumError
@@ -138,6 +141,30 @@ def subgroup_closure_oracle(group, seeds):
         members = grown
 
 
+@functools.cache
+def fuzz_group(family, n, as_table):
+    """C_n, D_n or S_n from its generators or as the table that
+    `oracles.mul_table` composes from them, with that table."""
+    group = {"C": wg.cyclic_group, "D": wg.dihedral_group, "S": wg.symmetric_group}[family](n)
+    mul = oracles.mul_table(group)
+    return (wg.group_from_table(mul.tolist()) if as_table else group), mul
+
+
+@st.composite
+def fuzz_pairs(draw):
+    """(G, its table, seeds of K, a weight seed) for G = C_n or D_n with
+    n <= 12, or S3-S5. Half the time the seeds are replaced by all their
+    conjugates, so that K is their normal closure."""
+    family = draw(st.sampled_from("CDS"))
+    n = draw(st.integers(3, 5) if family == "S" else st.integers(1, 12))
+    group, mul = fuzz_group(family, n, draw(st.booleans()))
+    seeds = draw(st.lists(st.integers(0, len(mul) - 1), max_size=2))
+    if draw(st.booleans()):
+        inv = np.argmax(mul == 0, axis=1)
+        seeds = np.unique(mul[mul[:, seeds], inv[:, None]]).tolist()  # g s g^-1
+    return group, mul, seeds, draw(st.integers(0, 2**32 - 1))
+
+
 def check_subgroup_oracle(group, elements):
     """The error _check_subgroup should raise for a sorted element list, or
     None: the identity first, then the first (x, y) in row-major order whose
@@ -178,7 +205,7 @@ def brute_force_spherical(group, K, w, partition=None):
     found symbolically. Weight values must be exactly representable. Intended
     for small coset counts (the symbolic system grows quickly)."""
     if partition is None:
-        partition = wg.double_cosets(group, K)
+        partition = wg.double_cosets(group, K.generators)
     d = partition.num_cosets
     wvals = [sympy.nsimplify(v, rational=True) for v in w]
     u = sympy.symbols(f"u0:{d}", complex=True)
@@ -382,8 +409,8 @@ def character_order_oracle(chars):
 
 
 def _subgroup_pair(group, seeds):
-    K = wg.subgroup_closure(group, seeds)
-    return group, K, wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, seeds)
+    return group, K, wg.double_cosets(group, K.generators)
 
 
 def gelfand_instances():
@@ -398,7 +425,7 @@ def gelfand_instances():
     gens4 = wg.symmetric_group_generators(4)
     s4 = wg.build_group_from_generators(gens4)
     K4 = oracles.point_stabilizer(s4, 3)
-    p4 = wg.double_cosets(s4, K4)
+    p4 = wg.double_cosets(s4, K4.generators)
     out.append(("s4-uniform", s4, K4, p4, np.ones(s4.order)))
     out.append(("s4-weighted", s4, K4, p4,
                 random_bi_invariant_weight(p4, rng, unit_at_identity=True)))
@@ -419,8 +446,8 @@ def s3():
 
 @pytest.fixture(scope="session")
 def s3_pair(s3):
-    K = wg.subgroup_closure(s3, [1])  # generated by the transposition (0 1)
-    return s3, K, wg.double_cosets(s3, K)
+    K = oracles.subgroup_closure(s3, [1])  # generated by the transposition (0 1)
+    return s3, K, wg.double_cosets(s3, K.generators)
 
 
 @pytest.fixture(scope="session")
@@ -435,14 +462,14 @@ def s4_pair():
     gens = wg.symmetric_group_generators(4)
     group = wg.build_group_from_generators(gens)
     K = oracles.point_stabilizer(group, 3)
-    return group, K, wg.double_cosets(group, K)
+    return group, K, wg.double_cosets(group, K.generators)
 
 
 @pytest.fixture(scope="session")
 def c4_pair():
     group = wg.cyclic_group(4)
-    K = wg.subgroup_closure(group, [])
-    return group, K, wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, [])
+    return group, K, wg.double_cosets(group, K.generators)
 
 
 # C300 with one wrong entry: row 3 repeats 11, every element keeps a two-sided

@@ -16,6 +16,8 @@ keeps the per-entry rules that once read the numbers of a spec.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from wgelfand import (
@@ -26,10 +28,9 @@ from wgelfand import (
     InputSpecError,
     PreconditionError,
     SphericalSet,
-    SubgroupEmbedding,
     bi_invariance_witness,
 )
-from wgelfand.groups import _greedy_generators
+from wgelfand.groups import _greedy_generators, _integers, _right_closure
 from wgelfand.tolerance import RTOL, within
 from wgelfand.weighted import checked_weights
 
@@ -59,12 +60,41 @@ def mul_table(group: GroupTable) -> np.ndarray:
     return out
 
 
-def point_stabilizer(group: GroupTable, point: int) -> SubgroupEmbedding:
+@dataclass(frozen=True)
+class Subgroup:
+    """A subgroup listed in full: its sorted element indices, and the
+    indices of a generating set, which is all that `double_cosets` takes."""
+
+    elements: tuple[int, ...]
+    generators: tuple[int, ...] = field(compare=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
+def subgroup_closure(group: GroupTable, seeds) -> Subgroup:
+    """Smallest subgroup of `group` containing the seed elements, grown by
+    right products with the seeds and their inverses; InputSpecError names
+    the first seed out of range."""
+    n = group.order
+    seeds = _integers(seeds, "seeds", ndim=1)
+    out = seeds[(seeds < 0) | (seeds >= n)]
+    if len(out):
+        raise InputSpecError(f"seed index {out[0]} out of range for order {n}")
+    # with the inverses, a cyclic subgroup is reached from both ends
+    gens = np.union1d(seeds, group.inv[seeds])
+    members = np.zeros(n, dtype=bool)
+    _right_closure(group.product, members, np.array([group.identity]), gens)
+    return Subgroup(elements=tuple(np.flatnonzero(members).tolist()), generators=tuple(gens.tolist()))
+
+
+def point_stabilizer(group: GroupTable, point: int) -> Subgroup:
     """Stabiliser of a point in a group built from permutations, read off
     the group's own permutations, with its greedy generators."""
     fixed = group.perms[:, point] == point
     gens = _greedy_generators(group.product, fixed, group.identity)
-    return SubgroupEmbedding(elements=tuple(np.flatnonzero(fixed).tolist()), generators=tuple(gens))
+    return Subgroup(elements=tuple(np.flatnonzero(fixed).tolist()), generators=tuple(gens))
 
 
 # ---------------------------------------------------------------- functions on G
@@ -110,7 +140,7 @@ def gamma(f: np.ndarray, group: GroupTable, s: int, w: np.ndarray) -> np.ndarray
     return translate(multiplication_operator(f, w), group, s) / w
 
 
-def sharp_projection(f: np.ndarray, group: GroupTable, K: SubgroupEmbedding) -> np.ndarray:
+def sharp_projection(f: np.ndarray, group: GroupTable, K: Subgroup) -> np.ndarray:
     """Two-sided K-average (1/|K|^2) sum_{k1,k2} f(k1 x k2).
 
     Idempotent, lands in the bi-invariant functions, and preserves sum_G f.
@@ -144,7 +174,7 @@ def is_bi_invariant(
 
 
 def is_left_invariant(
-    f: np.ndarray, group: GroupTable, K: SubgroupEmbedding, tol: float = RTOL
+    f: np.ndarray, group: GroupTable, K: Subgroup, tol: float = RTOL
 ) -> bool:
     f = np.asarray(f)
     return all(
@@ -183,7 +213,7 @@ def verify_functional_equation(
     phi: np.ndarray,
     partition: DoubleCosetPartition,
     group: GroupTable,
-    K: SubgroupEmbedding,
+    K: Subgroup,
     w: np.ndarray,
 ) -> float:
     """Max over (x, y) of |(1/|K|) sum_k (w phi)(x k y) - (w phi)(x)(w phi)(y)|."""
@@ -223,7 +253,7 @@ def classical_correspondence(
     phi: np.ndarray,
     partition: DoubleCosetPartition,
     group: GroupTable,
-    K: SubgroupEmbedding,
+    K: Subgroup,
     w: np.ndarray,
 ) -> bool:
     """True iff w*phi solves the unweighted spherical equation.

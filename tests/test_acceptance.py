@@ -34,8 +34,8 @@ def _run(num, desc, fn):
 
 
 def _pair(group, seeds):
-    K = wg.subgroup_closure(group, seeds)
-    return group, K, wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, seeds)
+    return group, K, wg.double_cosets(group, K.generators)
 
 
 def test_criterion_1_classical_reduction():
@@ -72,7 +72,7 @@ def test_criterion_2_gelfand_detection():
         gens4 = wg.symmetric_group_generators(4)
         s4 = wg.build_group_from_generators(gens4)
         K4 = oracles.point_stabilizer(s4, 3)
-        sc4 = wg.hecke_structure_constants(s4, wg.double_cosets(s4, K4), np.ones(2))
+        sc4 = wg.hecke_structure_constants(s4, wg.double_cosets(s4, K4.generators), np.ones(2))
         assert sc4.commutativity_witness is None
 
         for order in (4, 6, 8, 9, 12):
@@ -330,7 +330,7 @@ def test_criterion_12_scale_s5():
         assert s5.order == 120
         K = oracles.point_stabilizer(s5, 4)
         assert K.order == 24
-        part = wg.double_cosets(s5, K)
+        part = wg.double_cosets(s5, K.generators)
         rng = np.random.default_rng(12)
         w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
         sc = wg.hecke_structure_constants(s5, part, w[part.reps])

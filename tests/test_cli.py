@@ -155,8 +155,8 @@ def test_complex_pairs_serialise_like_per_element_lists():
         assert dumps(_pairs(z)) == orjson.dumps(per_element(z))
     assert b"-0.0" in dumps(_pairs(vec)) and b"1e300" in dumps(_pairs(vec))
     group = wg.symmetric_group(3)
-    K = wg.subgroup_closure(group, [1])
-    part = wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, [1])
+    part = wg.double_cosets(group, K.generators)
     weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 2.0}}
     wd = wg.weight_from_spec(weight, part)
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, wd))
@@ -337,8 +337,8 @@ def test_weight_off_one_at_identity_gets_one_decision(tmp_path, capsys):
     assert "w(e)" in assert_one_line_error(main(check), capsys)
 
     group = wg.dihedral_group(6)
-    K = wg.subgroup_closure(group, [2])
-    part = wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, [2])
+    part = wg.double_cosets(group, K.generators)
     wd = wg.weight_from_spec(weight, part)
     sc = wg.hecke_structure_constants(group, part, wd)
     with pytest.raises(wg.PreconditionError):
@@ -496,8 +496,7 @@ def test_report_numbers_match_library(tmp_path, capsys):
         assert code == 0
         report = load_report(out)
         group = wg.group_from_spec(group_spec)
-        K = wg.subgroup_from_spec(group, subgroup_spec)
-        part = wg.double_cosets(group, K)
+        part = wg.double_cosets(group, wg.subgroup_from_spec(group, subgroup_spec))
         wd = wg.weight_from_spec(weight, part)
         sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, wd))
         from_report = [
@@ -881,6 +880,20 @@ def test_malformed_group_and_subgroup_specs_exit_1(tmp_path, capsys, group, subg
          "--weight", paths["weight"]]
     )
     assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize("seeds, bad", [([-1], -1), ([7], 7), ([1, 9, -2], 9)])
+def test_seed_out_of_range_exits_1(tmp_path, capsys, seeds, bad):
+    """A seed outside 0..5 on S3 exits 1 with one line naming the first bad
+    seed in the given order, checked where the seeds are used, in
+    double_cosets."""
+    paths = write_specs(tmp_path, S3, {"seeds": seeds}, UNIFORM)
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"]]
+    )
+    line = assert_one_line_error(code, capsys)
+    assert line == f"error: seed index {bad} out of range for order 6"
 
 
 S4_OVER_S3 = {"elements": list(oracles.point_stabilizer(wg.symmetric_group(4), 3).elements)}

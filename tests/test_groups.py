@@ -1,16 +1,17 @@
 import dataclasses
 import itertools
+import json
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import wgelfand as wg
-from wgelfand import groups
+from wgelfand import cli, groups
 from wgelfand.errors import (
     InputSpecError,
     NotAutomorphismError,
@@ -27,6 +28,8 @@ from conftest import (
     closure_elements_oracle,
     closure_oracle,
     double_cosets_oracle,
+    fuzz_group,
+    fuzz_pairs,
     gelfand_instances,
     inverse_oracle,
     mul_oracle,
@@ -143,21 +146,22 @@ def test_group_layer_matches_table_oracle(gens):
     table = wg.group_from_table(mul)
     rng = np.random.default_rng(n)
     for seeds in ([], [n - 1], rng.integers(0, n, size=2).tolist()):
-        K = wg.subgroup_closure(g, seeds)
-        assert K.elements == wg.subgroup_closure(table, seeds).elements
+        K = oracles.subgroup_closure(g, seeds)
+        assert K.elements == oracles.subgroup_closure(table, seeds).elements
         assert K.elements == subgroup_closure_oracle(g, seeds)
         cosets, coset_of = double_cosets_oracle(mul, K)
         by_elements = wg.subgroup_from_spec(g, {"elements": list(K.elements)})
-        for part in (wg.double_cosets(g, K), wg.double_cosets(g, by_elements),
-                     wg.double_cosets(table, K)):
+        for part in (wg.double_cosets(g, seeds), wg.double_cosets(g, by_elements),
+                     wg.double_cosets(table, seeds)):
+            assert cosets[part.identity_coset] == K.elements
             assert part.reps.tolist() == [c[0] for c in cosets]
             assert part.sizes.tolist() == [len(c) for c in cosets]
             assert np.array_equal(part.coset_of, coset_of)
             assert part.inverse_coset.tolist() == [int(coset_of[inv[c[0]]]) for c in cosets]
-        part = wg.double_cosets(g, K)
+        part = wg.double_cosets(g, seeds)
         w = np.ones(part.num_cosets)
         sc = wg.hecke_structure_constants(g, part, w)
-        ref = wg.hecke_structure_constants(table, wg.double_cosets(table, K), w)
+        ref = wg.hecke_structure_constants(table, wg.double_cosets(table, seeds), w)
         assert np.array_equal(sc.keys, ref.keys) and np.array_equal(sc.counts, ref.counts)
 
 
@@ -471,10 +475,11 @@ def test_greedy_generators_regrow_from_the_new_products_only():
         inside = np.zeros(group.order, dtype=bool)
         inside[elements] = True
         by_elements = wg.subgroup_from_spec(group, {"elements": elements.tolist()})
-        assert list(by_elements.generators) == _greedy_regrowing(group, inside)
-        by_seeds = wg.subgroup_closure(group, by_elements.generators)
-        assert by_seeds.elements == by_elements.elements
-        ours, ref = wg.double_cosets(group, by_elements), wg.double_cosets(group, by_seeds)
+        assert by_elements.tolist() == _greedy_regrowing(group, inside)
+        by_seeds = oracles.subgroup_closure(group, by_elements)
+        assert by_seeds.elements == tuple(elements.tolist())
+        ours = wg.double_cosets(group, by_elements)
+        ref = wg.double_cosets(group, by_seeds.generators)
         assert np.array_equal(ours.coset_of, ref.coset_of)
         assert np.array_equal(ours.reps, ref.reps)
 
@@ -484,7 +489,8 @@ def test_one_generator_closes_in_logarithmic_rounds(monkeypatch):
     generator 1 spans: regrowing along the powers g^(2^r) closes a cycle of
     10080 elements in about log2 10080 = 13.3 rounds, one product call
     each (26 and 18 calls in all), where one round per element took 10081
-    and 5041 calls."""
+    and 5041 calls. The second closure is reference code: a subgroup given
+    by seeds is its seeds, and subgroup_from_spec makes no product call."""
     c = wg.cyclic_group(10080)
     calls = []
     product = groups.GroupTable.product
@@ -492,11 +498,15 @@ def test_one_generator_closes_in_logarithmic_rounds(monkeypatch):
         groups.GroupTable, "product", lambda self, x, y: calls.append(1) or product(self, x, y)
     )
     K = wg.subgroup_from_spec(c, {"elements": list(range(c.order))})
-    assert K.generators == (1,) and K.elements == tuple(range(c.order))
+    assert K.tolist() == [1]
     assert len(calls) <= 3 * np.log2(c.order)
     calls.clear()
-    assert wg.subgroup_closure(c, [1]).elements == K.elements
+    assert oracles.subgroup_closure(c, [1]).elements == tuple(range(c.order))
     assert len(calls) <= 2 * np.log2(c.order)
+    calls.clear()
+    assert wg.subgroup_from_spec(c, {"seeds": [1]}).tolist() == [1]
+    assert not calls
+    assert wg.double_cosets(c, K).sizes.tolist() == [c.order]
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 100, 128])
@@ -549,20 +559,36 @@ def test_builder_tables_pass_validation(build, sizes):
         assert np.array_equal(rebuilt.inv, g.inv)
 
 
+def _identity_coset(group, generators):
+    """The elements of the subgroup that `generators` span, read off as the
+    double coset of the identity."""
+    part = wg.double_cosets(group, generators)
+    return tuple(np.flatnonzero(part.coset_of == part.identity_coset).tolist())
+
+
 def test_subgroup_of_transposition(s3):
-    K = wg.subgroup_closure(s3, [1])
-    assert K.order == 2
-    assert 0 in K.elements
+    K = _identity_coset(s3, [1])
+    assert len(K) == 2
+    assert 0 in K
 
 
 def test_subgroup_empty_seeds(s3):
-    assert wg.subgroup_closure(s3, []).elements == (0,)
+    assert _identity_coset(s3, []) == (0,)
 
 
 def test_subgroup_cyclic6_element2():
     c6 = wg.cyclic_group(6)
-    K = wg.subgroup_closure(c6, [2])
-    assert K.elements == (0, 2, 4)
+    assert _identity_coset(c6, [2]) == (0, 2, 4)
+
+
+@pytest.mark.parametrize("seeds, bad", [([-1], -1), ([7], 7), ([1, 9, -2], 9)])
+def test_double_cosets_range_check_generators(s3, seeds, bad):
+    """A generator index outside 0..5 on S3 is named, the first bad one in
+    the given order: -1 no longer wraps round to element 5 (which gave the
+    partition [3, 3]), and 7 no longer raises a bare IndexError."""
+    with pytest.raises(InputSpecError) as exc:
+        wg.double_cosets(s3, np.array(seeds, dtype=np.int64))
+    assert str(exc.value) == f"seed index {bad} out of range for order 6"
 
 
 def test_double_cosets_s3(s3_pair):
@@ -587,9 +613,9 @@ def test_partition_fields_match_oracle():
     oracle, on the Gelfand instances and on C4 with identity 2."""
     cases = [(name, g, K) for name, g, K, _, _ in gelfand_instances()]
     c4 = _c4_with_identity_2()
-    cases.append(("c4-identity-2", c4, wg.subgroup_closure(c4, [])))
+    cases.append(("c4-identity-2", c4, oracles.subgroup_closure(c4, [])))
     for name, group, K in cases:
-        part = wg.double_cosets(group, K)
+        part = wg.double_cosets(group, K.generators)
         cosets, coset_of = double_cosets_oracle(oracles.mul_table(group), K)
         assert np.array_equal(part.coset_of, coset_of), name
         assert part.reps.tolist() == [min(c) for c in cosets], name
@@ -603,15 +629,15 @@ def test_partition_fields_match_oracle():
 
 
 def test_double_cosets_full_subgroup(s3):
-    K = wg.subgroup_closure(s3, [1, 2])
+    K = oracles.subgroup_closure(s3, [1, 2])
     assert K.order == 6
-    part = wg.double_cosets(s3, K)
+    part = wg.double_cosets(s3, K.generators)
     assert part.num_cosets == 1
 
 
 def test_double_cosets_trivial_subgroup(s3):
-    K = wg.subgroup_closure(s3, [])
-    part = wg.double_cosets(s3, K)
+    K = oracles.subgroup_closure(s3, [])
+    part = wg.double_cosets(s3, K.generators)
     assert part.num_cosets == 6
     assert np.all(part.sizes == 1)
 
@@ -646,10 +672,11 @@ def test_double_cosets_settle_in_logarithmic_rounds(monkeypatch, step, given):
     2000 / step - 1."""
     n = 2000
     g = wg.cyclic_group(n)
-    K = wg.subgroup_closure(g, [step])
+    gens = [step]
     if given == "elements":
-        K = wg.subgroup_from_spec(g, {"elements": list(K.elements)})
-        assert K.generators == (step,)
+        K = oracles.subgroup_closure(g, [step])
+        gens = wg.subgroup_from_spec(g, {"elements": list(K.elements)})
+        assert gens.tolist() == [step]
     rounds = []
     label_round = groups._label_round
 
@@ -658,7 +685,7 @@ def test_double_cosets_settle_in_logarithmic_rounds(monkeypatch, step, given):
         return label_round(label, neighbours)
 
     monkeypatch.setattr(groups, "_label_round", counted)
-    part = wg.double_cosets(g, K)
+    part = wg.double_cosets(g, gens)
     assert np.array_equal(part.reps, np.arange(step))
     assert np.array_equal(part.sizes, np.full(step, n // step))
     assert np.array_equal(part.coset_of, np.arange(n) % step)
@@ -667,7 +694,7 @@ def test_double_cosets_settle_in_logarithmic_rounds(monkeypatch, step, given):
 
 def test_double_cosets_idempotent(s3_pair):
     group, K, part = s3_pair
-    again = wg.double_cosets(group, K)
+    again = wg.double_cosets(group, K.generators)
     assert np.array_equal(again.reps, part.reps)
     assert np.array_equal(again.coset_of, part.coset_of)
 
@@ -767,8 +794,8 @@ def test_require_involutive():
 
 def test_theta_in_KxinvK_inversion_abelian():
     c6 = wg.cyclic_group(6)
-    K = wg.subgroup_closure(c6, [])
-    part = wg.double_cosets(c6, K)
+    K = oracles.subgroup_closure(c6, [])
+    part = wg.double_cosets(c6, K.generators)
     ok, witness = wg.theta_in_KxinvK(part, wg.inversion_automorphism(c6))
     assert ok and witness is None
 
@@ -782,8 +809,8 @@ def test_theta_in_KxinvK_identity_on_s3(s3_pair):
 
 def test_theta_in_KxinvK_identity_fails_on_cyclic5():
     c5 = wg.cyclic_group(5)
-    K = wg.subgroup_closure(c5, [])
-    part = wg.double_cosets(c5, K)
+    K = oracles.subgroup_closure(c5, [])
+    part = wg.double_cosets(c5, K.generators)
     theta = wg.check_automorphism(c5, np.arange(5))
     ok, witness = wg.theta_in_KxinvK(part, theta)
     assert not ok
@@ -805,19 +832,58 @@ def test_subgroups_match_set_oracle(group):
     n = group.order
     for _ in range(40):
         seeds = rng.integers(0, n, size=rng.integers(0, 3)).tolist()
-        K = wg.subgroup_closure(group, seeds)
+        K = oracles.subgroup_closure(group, seeds)
         assert K.elements == subgroup_closure_oracle(group, seeds)
-        assert wg.subgroup_from_spec(group, {"elements": list(K.elements)}) == K
+        by_elements = wg.subgroup_from_spec(group, {"elements": list(K.elements)})
+        assert _identity_coset(group, by_elements) == K.elements
         # a closed set with one member dropped, or a random subset, may fail
         for elements in (K.elements[:-1], sorted(set(rng.integers(0, n, size=4).tolist()))):
             elements = list(elements)
             expected = check_subgroup_oracle(group, elements)
             if expected is None:
-                assert wg.subgroup_from_spec(group, {"elements": elements}).elements == tuple(elements)
+                gens = wg.subgroup_from_spec(group, {"elements": elements})
+                assert _identity_coset(group, gens) == tuple(elements)
             else:
                 with pytest.raises(InputSpecError) as exc:
                     wg.subgroup_from_spec(group, {"elements": elements})
                 assert str(exc.value) == expected
+
+
+def _s3_with_identity_5():
+    """S3 as the table of x -> 5 - x applied to its elements: the identity
+    is 5 and the transposition (0 1) is 4, so with K = {4, 5} the identity's
+    double coset is not the first one, and not the largest."""
+    mul = oracles.mul_table(wg.symmetric_group(3))
+    table = (5 - mul)[::-1, ::-1]
+    return wg.group_from_table(table), table
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_pairs())
+@example((*fuzz_group("S", 5, False), [1, 2], 1))  # S5 over itself
+@example((*fuzz_group("D", 12, True), [], 0))  # D12 as a table over 1
+@example((*_s3_with_identity_5(), [4], 1))
+@example((*_s3_with_identity_5(), [4], 0))
+def test_identity_coset_is_the_subgroup(tmp_path, pair):
+    """K is read off its double cosets: the double coset of the identity is
+    the subgroup that the seeds generate (the set oracle), whether K is
+    given by the seeds or by its elements, and the `subgroup_order` that
+    main reports, for either spec, is its size."""
+    group, mul, seeds, seed = pair
+    K = subgroup_closure_oracle(group, seeds)
+    assert _identity_coset(group, seeds) == K
+    assert _identity_coset(group, wg.subgroup_from_spec(group, {"elements": list(K)})) == K
+    specs = {"group": {"kind": "table", "table": mul.tolist()},
+             "subgroup": {"seeds": seeds} if seed % 2 else {"elements": list(K)},
+             "weight": {"kind": "uniform"}}
+    argv = ["analyze", "--output", str(tmp_path / "report.json")]
+    for name, spec in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_VERDICT)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["group"]["subgroup_order"] == len(K)
 
 
 def test_subgroup_check_blocks_keep_the_row_major_witness(monkeypatch):
@@ -827,7 +893,7 @@ def test_subgroup_check_blocks_keep_the_row_major_witness(monkeypatch):
     monkeypatch.setattr(wg.groups, "ASSOC_BLOCK", 3 * 24)
     group = wg.symmetric_group(5)
     K = [int(x) for x in np.flatnonzero(group.perms[:, 4] == 4)]
-    assert wg.subgroup_from_spec(group, {"elements": K}).elements == tuple(K)
+    assert _identity_coset(group, wg.subgroup_from_spec(group, {"elements": K})) == tuple(K)
     outside = int(np.flatnonzero(group.perms[:, 4] != 4)[0])
     for elements in (K[:-1], K[:5], sorted(K + [outside])):
         expected = check_subgroup_oracle(group, elements)
@@ -854,7 +920,8 @@ def test_subgroup_check_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert K.order == 2520
+    part = wg.double_cosets(group, K)
+    assert part.sizes[part.identity_coset] == 2520
     assert peak < 48 * 2**20
 
 
@@ -870,8 +937,8 @@ def test_whole_groups_given_by_elements_partition_as_from_seeds():
         K = wg.subgroup_from_spec(group, {"elements": list(range(group.order))})
         part = wg.double_cosets(group, K)
         elapsed += time.perf_counter() - start
-        assert K.generators == gens
-        ref = wg.double_cosets(group, wg.subgroup_closure(group, seeds))
+        assert K.tolist() == list(gens)
+        ref = wg.double_cosets(group, seeds)
         assert np.array_equal(part.coset_of, ref.coset_of)
         assert part.num_cosets == 1
     assert elapsed < 1.5
@@ -920,14 +987,18 @@ def test_group_from_spec_rejects_malformed(spec):
      {"seeds": [0, True]}, {"elements": [0, True]}],
 )
 def test_subgroup_from_spec_rejects_malformed(s3, spec):
+    """Malformed specs fail in subgroup_from_spec; a seed out of range
+    fails in double_cosets, its one consumer."""
     with pytest.raises(InputSpecError):
-        wg.subgroup_from_spec(s3, spec)
+        wg.double_cosets(s3, wg.subgroup_from_spec(s3, spec))
 
 
 def test_subgroup_from_spec(s3):
-    assert wg.subgroup_from_spec(s3, {"seeds": [1]}).order == 2
+    K = wg.subgroup_from_spec(s3, {"seeds": [1]})
+    assert K.dtype == np.int64 and K.tolist() == [1]
+    assert len(_identity_coset(s3, K)) == 2
     K = wg.subgroup_from_spec(s3, {"elements": [0, 1]})
-    assert K.elements == (0, 1)
+    assert _identity_coset(s3, K) == (0, 1)
     with pytest.raises(InputSpecError):
         wg.subgroup_from_spec(s3, {"elements": [0, 2]})  # not inverse-closed
 

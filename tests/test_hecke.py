@@ -1,4 +1,3 @@
-import functools
 import json
 import sys
 import tracemalloc
@@ -6,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import wgelfand as wg
 from wgelfand.cli import main
@@ -18,6 +16,8 @@ from conftest import (
     commutativity_oracle,
     dense_c_oracle,
     dense_p_oracle,
+    fuzz_group,
+    fuzz_pairs,
     gelfand_instances,
     random_bi_invariant_weight,
     structure_tensor,
@@ -27,8 +27,8 @@ from conftest import (
 
 def test_structure_constants_full_subgroup():
     s3 = wg.symmetric_group(3)
-    K = wg.subgroup_closure(s3, [1, 2])
-    part = wg.double_cosets(s3, K)
+    K = oracles.subgroup_closure(s3, [1, 2])
+    part = wg.double_cosets(s3, K.generators)
     sc = wg.hecke_structure_constants(s3, part, np.ones(1))
     assert sc.dim == 1
     assert (sc.left([1.0]) @ [1.0])[0] == pytest.approx(6.0)
@@ -56,8 +56,8 @@ def test_structure_constants_s3(s3_pair):
 
 
 def test_structure_constants_trivial_subgroup_group_algebra(s3):
-    K = wg.subgroup_closure(s3, [])
-    sc = wg.hecke_structure_constants(s3, wg.double_cosets(s3, K), np.ones(6))
+    K = oracles.subgroup_closure(s3, [])
+    sc = wg.hecke_structure_constants(s3, wg.double_cosets(s3, K.generators), np.ones(6))
     eye = np.eye(6)
     for i in range(6):
         for j in range(6):
@@ -92,7 +92,7 @@ def test_gelfand_s3_pair(s3_pair):
 
 
 def test_not_gelfand_s3_trivial(s3):
-    part = wg.double_cosets(s3, wg.subgroup_closure(s3, []))
+    part = wg.double_cosets(s3, [])
     i, j, x = wg.hecke_structure_constants(s3, part, np.ones(part.num_cosets)).commutativity_witness
     # the witness pair genuinely fails to commute
     assert int(s3.product(i, j)) != int(s3.product(j, i))
@@ -102,8 +102,8 @@ def test_gelfand_abelian_any_subgroup():
     c6 = wg.cyclic_group(6)
     rng = np.random.default_rng(1)
     for seeds in ([], [2], [3], [1]):
-        K = wg.subgroup_closure(c6, seeds)
-        part = wg.double_cosets(c6, K)
+        K = oracles.subgroup_closure(c6, seeds)
+        part = wg.double_cosets(c6, K.generators)
         w = random_bi_invariant_weight(part, rng, unit_at_identity=True)
         sc = wg.hecke_structure_constants(c6, part, w[part.reps])
         assert sc.commutativity_witness is None
@@ -124,7 +124,7 @@ def test_weighted_transfer_invariant(s3_pair):
 
 def test_rap_condition_cyclic5():
     c5 = wg.cyclic_group(5)
-    part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
+    part = wg.double_cosets(c5, [])
     theta = wg.inversion_automorphism(c5)
     w = np.array([1.0, 2.0, 3.0, 3.0, 2.0])
     sc = wg.hecke_structure_constants(c5, part, w[part.reps])
@@ -142,7 +142,7 @@ def test_rap_condition_s3_identity_theta(s3_pair):
 
 def test_rap_condition_fails_without_theta_invariance():
     c5 = wg.cyclic_group(5)
-    part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
+    part = wg.double_cosets(c5, [])
     theta = wg.inversion_automorphism(c5)
     w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])  # not symmetric
     sc = wg.hecke_structure_constants(c5, part, w[part.reps])
@@ -188,7 +188,7 @@ def test_report_serialization(tmp_path, capsys):
     assert main(argv) == 2
     blob = json.loads(capsys.readouterr().out)["gelfand"]
     s3 = wg.symmetric_group(3)
-    part = wg.double_cosets(s3, wg.subgroup_closure(s3, []))
+    part = wg.double_cosets(s3, [])
     witness = wg.hecke_structure_constants(s3, part, np.ones(6)).commutativity_witness
     assert blob["gelfand"] is False
     assert blob["witness"] == dict(zip(("basis_i", "basis_j", "element"), witness))
@@ -196,12 +196,12 @@ def test_report_serialization(tmp_path, capsys):
 
 def _d6_trivial():
     group = wg.dihedral_group(6)
-    return group, wg.subgroup_closure(group, [])
+    return group, oracles.subgroup_closure(group, [])
 
 
 def _d12_reflection():
     group = wg.dihedral_group(12)
-    K = wg.subgroup_closure(group, [2])  # element 2 is the generating reflection
+    K = oracles.subgroup_closure(group, [2])  # element 2 is the generating reflection
     assert K.order == 2
     return group, K
 
@@ -218,7 +218,7 @@ def _indicator_products(group, part, w, i, j):
 @pytest.mark.parametrize("make_pair", [_d6_trivial, _d12_reflection], ids=["D6/1", "D12/s"])
 def test_structure_constants_match_double_loop_oracle(make_pair):
     group, K = make_pair()
-    part = wg.double_cosets(group, K)
+    part = wg.double_cosets(group, K.generators)
     w = random_bi_invariant_weight(part, np.random.default_rng(4))
     sc = wg.hecke_structure_constants(group, part, w[part.reps])
     assert sc.counts.dtype == np.int32
@@ -233,13 +233,13 @@ def test_structure_constants_match_double_loop_oracle(make_pair):
 
 def _s4_transposition():
     group = wg.symmetric_group(4)
-    return group, wg.subgroup_closure(group, [1])  # element 1 is (0 1)
+    return group, oracles.subgroup_closure(group, [1])  # element 1 is (0 1)
 
 
 @pytest.mark.parametrize("make_pair", [_d6_trivial, _s4_transposition], ids=["D6/1", "S4/s"])
 def test_noncommutative_witness_is_genuine(make_pair):
     group, K = make_pair()
-    part = wg.double_cosets(group, K)
+    part = wg.double_cosets(group, K.generators)
     w = random_bi_invariant_weight(part, np.random.default_rng(5), unit_at_identity=True)
     i, j, x = wg.hecke_structure_constants(group, part, w[part.reps]).commutativity_witness
     ij, ji = _indicator_products(group, part, w, i, j)
@@ -302,7 +302,7 @@ def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("make_pair", [_d6_trivial, _s4_transposition], ids=["D6/1", "S4/s"])
 def test_spherical_reads_the_verdict_of_its_structure_constants(make_pair):
     group, K = make_pair()
-    part = wg.double_cosets(group, K)
+    part = wg.double_cosets(group, K.generators)
     w = random_bi_invariant_weight(part, np.random.default_rng(7), unit_at_identity=True)
     sc = wg.hecke_structure_constants(group, part, w[part.reps])
     witness = sc.commutativity_witness
@@ -314,12 +314,12 @@ def test_spherical_reads_the_verdict_of_its_structure_constants(make_pair):
 
 def _s6_transposition():
     group = wg.symmetric_group(6)
-    return group, wg.subgroup_closure(group, [1])  # element 1 is (0 1)
+    return group, oracles.subgroup_closure(group, [1])  # element 1 is (0 1)
 
 
 def _s5_five_cycle():
     group = wg.symmetric_group(5)
-    return group, wg.subgroup_closure(group, [2])  # element 2 is the 5-cycle
+    return group, oracles.subgroup_closure(group, [2])  # element 2 is the 5-cycle
 
 
 def _dense_cases():
@@ -328,7 +328,7 @@ def _dense_cases():
     for name, make_pair in (("D6/1", _d6_trivial), ("S4/s", _s4_transposition),
                             ("S6/s", _s6_transposition), ("S5/C5", _s5_five_cycle)):
         group, K = make_pair()
-        part = wg.double_cosets(group, K)
+        part = wg.double_cosets(group, K.generators)
         w = random_bi_invariant_weight(part, np.random.default_rng(8))
         cases.append(pytest.param(group, K, part, w, id=name))
     return cases
@@ -355,7 +355,7 @@ def test_commutativity_witness_on_synthetic_sparse_p():
     arrays p: with a random support, with a support closed under the swap
     but counts that differ, and with p equal to its swap."""
     c5 = wg.cyclic_group(5)
-    part = wg.double_cosets(c5, wg.subgroup_closure(c5, []))
+    part = wg.double_cosets(c5, [])
     rng = np.random.default_rng(14)
     for trial in range(60):
         p = rng.integers(1, 4, size=(5, 5, 5)) * (rng.random((5, 5, 5)) < 0.3)
@@ -369,34 +369,10 @@ def test_commutativity_witness_on_synthetic_sparse_p():
         assert sc.commutativity_witness == commutativity_oracle(p, part)
 
 
-@functools.cache
-def _fuzz_group(family, n, as_table):
-    """C_n, D_n or S_n from its generators or as the table that
-    `oracles.mul_table` composes from them, with that table."""
-    group = {"C": wg.cyclic_group, "D": wg.dihedral_group, "S": wg.symmetric_group}[family](n)
-    mul = oracles.mul_table(group)
-    return (wg.group_from_table(mul.tolist()) if as_table else group), mul
-
-
-@st.composite
-def fuzz_pairs(draw):
-    """(G, its table, seeds of K, a weight seed) for G = C_n or D_n with
-    n <= 12, or S3-S5. Half the time the seeds are replaced by all their
-    conjugates, so that K is their normal closure."""
-    family = draw(st.sampled_from("CDS"))
-    n = draw(st.integers(3, 5) if family == "S" else st.integers(1, 12))
-    group, mul = _fuzz_group(family, n, draw(st.booleans()))
-    seeds = draw(st.lists(st.integers(0, len(mul) - 1), max_size=2))
-    if draw(st.booleans()):
-        inv = np.argmax(mul == 0, axis=1)
-        seeds = np.unique(mul[mul[:, seeds], inv[:, None]]).tolist()  # g s g^-1
-    return group, mul, seeds, draw(st.integers(0, 2**32 - 1))
-
-
 @settings(max_examples=80, deadline=None)
 @given(fuzz_pairs())
-@example((*_fuzz_group("S", 5, True), [1], 0))  # S5 as a table over a transposition
-@example((*_fuzz_group("D", 12, False), [], 1))  # D12 over 1, d = 24
+@example((*fuzz_group("S", 5, True), [1], 0))  # S5 as a table over a transposition
+@example((*fuzz_group("D", 12, False), [], 1))  # D12 over 1, d = 24
 def test_gelfand_verdict_theorems(pair):
     """Properties of the verdict read off the group table alone: it does not
     depend on a weight log-uniform over 1e+-12 with w(e) = 1; an abelian G
@@ -405,8 +381,8 @@ def test_gelfand_verdict_theorems(pair):
     witness is the least (i, j, k) with p[i,j,k] != p[j,i,k] in the dense p."""
     group, mul, seeds, seed = pair
     inv = np.argmax(mul == 0, axis=1)
-    K = wg.subgroup_closure(group, seeds)
-    part = wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, seeds)
+    part = wg.double_cosets(group, K.generators)
     witness = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets)
                                            ).commutativity_witness
     assert witness == commutativity_oracle(dense_p_oracle(group, part), part)
@@ -429,7 +405,7 @@ def test_commutativity_witness_makes_no_searchsorted_call(monkeypatch, make_pair
     """The verdict sorts the swapped keys once and compares them with the
     keys; it looks nothing up (one np.searchsorted call before)."""
     group, K = make_pair()
-    part = wg.double_cosets(group, K)
+    part = wg.double_cosets(group, K.generators)
     sc = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
     expected = commutativity_oracle(dense_p_oracle(group, part), part)
     calls = []
@@ -444,8 +420,8 @@ def test_structure_constants_and_spherical_stay_below_dense_size():
     """C128/1 builds its structure constants and spherical functions in less
     than the d^3 * 4 bytes of a dense int32 p."""
     group = wg.cyclic_group(128)
-    K = wg.subgroup_closure(group, [])
-    part = wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, [])
+    part = wg.double_cosets(group, K.generators)
     w = random_bi_invariant_weight(part, np.random.default_rng(9), unit_at_identity=True)
     tracemalloc.start()
     try:

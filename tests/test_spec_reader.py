@@ -111,7 +111,7 @@ def test_integers_read_as_by_the_per_entry_rule(case):
 
 def _multiplier_sc():
     group = wg.symmetric_group(3)
-    part = wg.double_cosets(group, wg.subgroup_closure(group, [1]))
+    part = wg.double_cosets(group, [1])
     return wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
 
 
@@ -285,7 +285,7 @@ def test_a_d31_matrix_is_read_without_per_entry_calls(monkeypatch):
     """D60 over a reflection (d = 31): one `json_array` call reads the whole
     matrix, and no row goes through the per-entry rule."""
     group = wg.dihedral_group(60)
-    part = wg.double_cosets(group, wg.subgroup_closure(group, [2]))
+    part = wg.double_cosets(group, [2])
     sc = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
     assert sc.dim == 31
     rng = np.random.default_rng(0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wgelfand as wg
 from wgelfand import spherical
@@ -53,7 +55,7 @@ def test_enumerate_cyclic4_dft(c4_pair):
 
 
 def test_enumerate_requires_gelfand(s3):
-    part = wg.double_cosets(s3, wg.subgroup_closure(s3, []))
+    part = wg.double_cosets(s3, [])
     sc = wg.hecke_structure_constants(s3, part, np.ones(part.num_cosets))
     with pytest.raises(NotGelfandError):
         wg.enumerate_spherical(sc)
@@ -178,8 +180,8 @@ def test_eigen_route_matches_brute_force_s3(s3_pair, s3_weighted):
 
 def test_eigen_route_matches_brute_force_cyclic3():
     c3 = wg.cyclic_group(3)
-    K = wg.subgroup_closure(c3, [])
-    part = wg.double_cosets(c3, K)
+    K = oracles.subgroup_closure(c3, [])
+    part = wg.double_cosets(c3, K.generators)
     for w in (np.ones(c3.order), np.array([1.0, 2.0, 2.0])):
         sset = wg.enumerate_spherical(wg.hecke_structure_constants(c3, part, w[part.reps]))
         oracle = brute_force_spherical(c3, K, w, partition=part)
@@ -216,8 +218,8 @@ def test_elementary_abelian_needs_three_refinements():
     # every N_i of (C2)^3 has eigenvalues +-1 only, so no single one splits it
     gens = [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)]
     group = wg.build_group_from_generators(gens)
-    K = wg.subgroup_closure(group, [])
-    part = wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, [])
+    part = wg.double_cosets(group, K.generators)
     w = np.ones(group.order)
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(group, part, w[part.reps]))
     assert len(sset) == 8
@@ -229,8 +231,8 @@ def test_elementary_abelian_needs_three_refinements():
 
 def test_spectrum_does_not_depend_on_weight_range():
     group = wg.dihedral_group(50)
-    K = wg.subgroup_closure(group, [50])
-    part = wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, [50])
+    part = wg.double_cosets(group, K.generators)
     rng = np.random.default_rng(5)
     vals = 10.0 ** rng.uniform(-15, 15, part.num_cosets)
     vals[part.identity_coset] = 1.0
@@ -253,8 +255,8 @@ def test_character_order_matches_rounded_key_oracle():
     cases = gelfand_instances()
     for name, group, seeds in (("c128", wg.cyclic_group(128), []),
                                ("d100-reflection", wg.dihedral_group(100), [2])):
-        K = wg.subgroup_closure(group, seeds)
-        part = wg.double_cosets(group, K)
+        K = oracles.subgroup_closure(group, seeds)
+        part = wg.double_cosets(group, K.generators)
         cases.append((name, group, K, part,
                       random_bi_invariant_weight(part, rng, unit_at_identity=True)))
     for name, group, K, part, w in cases:
@@ -267,8 +269,8 @@ def test_character_order_matches_rounded_key_oracle():
 
 
 def _pair(group, seeds):
-    K = wg.subgroup_closure(group, seeds)
-    return group, K, wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, seeds)
+    return group, K, wg.double_cosets(group, K.generators)
 
 
 def _elementary_abelian_8():
@@ -290,7 +292,7 @@ def _s7_over_s6():
     gens = wg.symmetric_group_generators(7)
     group = wg.build_group_from_generators(gens)
     K = oracles.point_stabilizer(group, 6)
-    return group, K, wg.double_cosets(group, K)
+    return group, K, wg.double_cosets(group, K.generators)
 
 
 def _weighted(cases, seed):
@@ -384,8 +386,8 @@ def test_one_double_coset_checks_no_row(monkeypatch):
     """G over itself has d = 1: the refinement consumes no row, and the one
     spherical function is 1 with character |G|."""
     for group in (wg.cyclic_group(5), wg.symmetric_group(3)):
-        K = wg.subgroup_closure(group, list(range(group.order)))
-        part = wg.double_cosets(group, K)
+        K = oracles.subgroup_closure(group, list(range(group.order)))
+        part = wg.double_cosets(group, K.generators)
         sc = wg.hecke_structure_constants(group, part, np.ones(1))
         chi1, rows = _checked(monkeypatch, sc)
         assert rows == []
@@ -402,8 +404,8 @@ def test_one_double_coset_checks_no_row(monkeypatch):
 def test_phi_e_is_exactly_one(group, seeds):
     """phi(e) = 1 and chi(delta_e) = |K| hold exactly, not to the last bit:
     on these pairs the division by phi(e) rounds to 1 - eps for one line."""
-    K = wg.subgroup_closure(group, seeds)
-    part = wg.double_cosets(group, K)
+    K = oracles.subgroup_closure(group, seeds)
+    part = wg.double_cosets(group, K.generators)
     rng = np.random.default_rng(3)
     e = part.identity_coset
     for w in (np.ones(group.order), random_bi_invariant_weight(part, rng, unit_at_identity=True)):
@@ -480,13 +482,56 @@ def test_s6_over_s3xs3_has_the_johnson_multiplicities():
     9, 5 for j = 0..3."""
     s6 = wg.symmetric_group(6)
     keeps = np.flatnonzero(np.all(s6.perms[:, 3:] >= 3, axis=1))
-    K = wg.subgroup_from_spec(s6, {"elements": keeps.tolist()})
-    part = wg.double_cosets(s6, K)
+    part = wg.double_cosets(s6, wg.subgroup_from_spec(s6, {"elements": keeps.tolist()}))
     sset = wg.enumerate_spherical(wg.hecke_structure_constants(s6, part, np.ones(4)))
     swap = np.flatnonzero(np.all(s6.perms == [0, 1, 3, 2, 4, 5], axis=1))[0]
-    theta = sset.classical_characters[:, part.coset_of[swap]].real / K.order
+    theta = sset.classical_characters[:, part.coset_of[swap]].real / len(keeps)
     pairs = sorted(zip(np.round(theta).astype(int).tolist(), sset.multiplicities.tolist()))
     assert pairs[::-1] == [(9, 1), (3, 5), (-1, 9), (-3, 5)]
+
+
+def _irreducible_dimensions(family, n):
+    """The degrees of the irreducible representations of C_n, of D_n (order
+    2n: two linear characters for odd n, four for even n, the rest of
+    degree 2) and of S_n for n <= 4, from their character tables."""
+    if family == "C":
+        return [1] * n
+    if family == "D":
+        linear = 2 if n % 2 else 4
+        return [1] * linear + [2] * ((2 * n - linear) // 4)
+    return {1: [1], 2: [1, 1], 3: [1, 1, 2], 4: [1, 1, 2, 3, 3]}[n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from("CDS").flatmap(
+    lambda family: st.tuples(st.just(family), st.integers(1, 4 if family == "S" else 12))))
+@example(("S", 4))
+@example(("D", 5))
+@example(("C", 6))
+def test_group_times_group_over_its_diagonal(family_n):
+    """(G x G, diag G) is a Gelfand pair: G acts on two disjoint copies of
+    its points, and diag G is given by the seeds that the base images of
+    the generators (g, g) find. Its double cosets are the conjugacy classes
+    of G, so d is their number, and the multiplicities are the squared
+    degrees of the irreducible representations of G."""
+    family, n = family_n
+    group = {"C": wg.cyclic_group, "D": wg.dihedral_group, "S": wg.symmetric_group}[family](n)
+    degree = group.perms.shape[1]
+    gens = group.perms[group.generators].astype(np.int64)
+    fixed = np.broadcast_to(np.arange(degree), gens.shape)
+    gg = wg.build_group_from_generators(
+        np.vstack([np.hstack([gens, fixed + degree]), np.hstack([fixed, gens + degree])]).tolist())
+    seeds = gg._lookup(np.hstack([gens, gens + degree])[:, gg.base])
+    part = wg.double_cosets(gg, seeds)
+    assert part.sizes[part.identity_coset] == group.order
+    sc = wg.hecke_structure_constants(gg, part, np.ones(part.num_cosets))
+    assert sc.commutativity_witness is None
+    mul = oracles.mul_table(group)
+    conjugates = mul[mul, group.inv[:, None]]  # [g, x] is g x g^-1
+    assert part.num_cosets == len(np.unique(conjugates.min(axis=0)))
+    dims = _irreducible_dimensions(family, n)
+    assert sorted(wg.enumerate_spherical(sc).multiplicities.tolist()) == sorted(
+        d * d for d in dims)
 
 
 def test_closed_form_inverse_of_the_weight_free_table():
