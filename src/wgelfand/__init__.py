@@ -35,7 +35,6 @@ from .groups import (
     subgroup_from_spec,
     symmetric_group,
     symmetric_group_generators,
-    theta_in_KxinvK,
     automorphism_from_spec,
     validate_group,
 )

@@ -189,7 +189,7 @@ def run(args) -> tuple[dict, int]:
     report["gelfand"] = {
         "gelfand": witness is None,
         "witness": witness and dict(zip(("basis_i", "basis_j", "element"), witness)),
-        "rap": None if theta is None else check_rap_condition(sc, theta, w_invariant),
+        "rap": None if theta is None else check_rap_condition(sc, partition, theta, w_invariant),
     }
     timings["gelfand"] = time.perf_counter() - t1
 

@@ -67,8 +67,8 @@ def multiplier_from_kernel(h: np.ndarray, sc: StructureConstants) -> np.ndarray:
 def _unit_image(T: np.ndarray, sc: StructureConstants) -> np.ndarray:
     """T u for the unit u = delta_e / (|K| w_e), e the identity coset:
     c[e,j,k] = |K| w_e [j = k]."""
-    e = sc.partition.identity_coset
-    return T[:, e] / (sc.partition.sizes[e] * sc.wd[e])
+    e = sc.identity_coset
+    return T[:, e] / (sc.sizes[e] * sc.wd[e])
 
 
 def is_multiplier(T: np.ndarray, sc: StructureConstants) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -89,7 +89,7 @@ def is_multiplier(T: np.ndarray, sc: StructureConstants) -> tuple[bool, Optional
         failing = np.flatnonzero(~within(np.max(np.abs(T - L), axis=0), scale))
     if not np.isfinite(scale):
         raise DegenerateSpectrumError("multiplier check overflows: operator entries too large")
-    e = sc.partition.identity_coset
+    e = sc.identity_coset
     return (False, (e, int(failing[0]))) if len(failing) else (True, None)
 
 

@@ -547,16 +547,6 @@ def inversion_automorphism(group: GroupTable) -> GroupAutomorphism:
     return check_automorphism(group, group.inv)
 
 
-def theta_in_KxinvK(
-    partition: DoubleCosetPartition, theta: GroupAutomorphism
-) -> tuple[bool, Optional[int]]:
-    """Does theta(x) land in K x^-1 K for every x? Returns (ok, witness)."""
-    bad = np.flatnonzero(
-        partition.inverse_coset[partition.coset_of] != partition.coset_of[theta.perm]
-    )
-    return (False, int(bad[0])) if len(bad) else (True, None)
-
-
 def group_from_spec(spec: dict) -> GroupTable:
     """Build a group from a JSON-style spec dict.
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputSpecError, WGelfandError
-from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable, theta_in_KxinvK
+from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable
 from .weighted import checked_weights
 
 
@@ -26,15 +26,20 @@ class StructureConstants:
     c[i,j,k] = p[i,j,k] w_i w_j / w_k, where p[i,j,k] = #{y in D_i : y^-1 r_k
     in D_j} (r_k the representative of D_k) does not depend on the weight and
     w_i = wd[i]. p is stored as COO: the sorted int64 keys (i d + j) d + k of
-    its nonzeros and their int32 counts; c is never formed. Every weighted
+    its nonzeros and their int64 counts; c is never formed. Every weighted
     operator is the classical one conjugated by W = diag(wd):
-    L^w_h = W^-1 L^1_{W h} W.
+    L^w_h = W^-1 L^1_{W h} W. Of the double cosets it keeps what later
+    stages read, nothing |G|-sized: sizes[i] = |D_i|, reps[i] = r_i, the
+    coset inverse_coset[i] of the inverses of D_i, and the identity coset.
     """
 
     keys: np.ndarray
     counts: np.ndarray
     wd: np.ndarray
-    partition: DoubleCosetPartition
+    sizes: np.ndarray
+    reps: np.ndarray
+    inverse_coset: np.ndarray
+    identity_coset: int
 
     @property
     def dim(self) -> int:
@@ -83,7 +88,7 @@ class StructureConstants:
         if not len(bad):
             return None
         ij, k = divmod(int(min(keys[bad[0]], swapped[bad[0]])), d)
-        return ij // d, ij % d, int(self.partition.reps[k])
+        return ij // d, ij % d, int(self.reps[k])
 
 
 def hecke_structure_constants(
@@ -106,23 +111,28 @@ def hecke_structure_constants(
     codes *= d
     codes += np.arange(d)
     keys, counts = np.unique(codes, return_counts=True)
-    return StructureConstants(
-        keys=keys, counts=counts.astype(np.int32), wd=wd, partition=partition
-    )
+    return StructureConstants(keys, counts, wd, partition.sizes, partition.reps,
+                              partition.inverse_coset, partition.identity_coset)
 
 
 def check_rap_condition(
-    sc: StructureConstants, theta: GroupAutomorphism, w_invariant: bool
+    sc: StructureConstants,
+    partition: DoubleCosetPartition,
+    theta: GroupAutomorphism,
+    w_invariant: bool,
 ) -> bool:
-    """Sufficient condition for the weighted Gelfand property.
+    """Sufficient condition for the weighted Gelfand property of sc, the
+    structure constants on the double cosets `partition`.
 
-    True iff w∘theta = w and theta(x) lies in K x^-1 K for all x.
-    Precondition: w_invariant is `theta_invariant(sc.wd, sc.partition,
-    theta)`, which the report also shows, so w∘theta = w is compared once
-    and trusted here. Whenever both hold, the commutativity of sc is
-    cross-validated and a failure raises (it would contradict the theorem).
+    True iff w∘theta = w and theta(x) lies in K x^-1 K, the inverse coset of
+    the coset of x, for all x. Precondition: w_invariant is
+    `theta_invariant(sc.wd, partition, theta)`, which the report also shows,
+    so w∘theta = w is compared once and trusted here. Whenever both hold,
+    the commutativity of sc is cross-validated and a failure raises (it
+    would contradict the theorem).
     """
-    ok = w_invariant and theta_in_KxinvK(sc.partition, theta)[0]
+    coset_of = partition.coset_of
+    ok = w_invariant and np.array_equal(partition.inverse_coset[coset_of], coset_of[theta.perm])
     if ok and sc.commutativity_witness is not None:
         raise WGelfandError(
             "sufficient condition held but the algebra is noncommutative; "

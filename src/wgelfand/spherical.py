@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NotGelfandError, PreconditionError
-from .groups import DoubleCosetPartition
 from .hecke import StructureConstants
 from .tolerance import RTOL, within
 
@@ -78,8 +77,8 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     and give the multiplicities (`_multiplicities`). A weighted value that
     is not finite raises DegenerateSpectrumError.
     """
-    partition = sc.partition
-    if sc.wd[partition.identity_coset] != 1.0:
+    e = sc.identity_coset
+    if sc.wd[e] != 1.0:
         raise PreconditionError("spherical enumeration requires w(e) = 1")
     if sc.commutativity_witness is not None:
         raise NotGelfandError(*sc.commutativity_witness)
@@ -87,7 +86,7 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
         raise DegenerateSpectrumError("structure constants overflow: weight range too wide")
 
     d = sc.dim
-    sizes = partition.sizes.astype(float)
+    sizes = sc.sizes.astype(float)
     root = np.sqrt(sizes)
     basis = None  # the identity basis, until the first split
     rows = []  # the rows S whose N_i the refinement consumed
@@ -97,7 +96,7 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
     for i in range(d):
         if basis is not None and basis[1][-1] == d - 1:
             break
-        if i == partition.identity_coset:
+        if i == e:
             continue  # N_e = |K| I: its Hermitian parts 2|K| I and 0 split nothing
         rows.append(i)
         s = slice(bounds[i], bounds[i + 1])  # the i-slice of p
@@ -105,7 +104,7 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
         N[k[s], j[s]] = entries[s]
         scale = float(np.max(np.abs(N)))
         basis = _refine(basis, N + N.T, scale)
-        if partition.inverse_coset[i] != i:
+        if sc.inverse_coset[i] != i:
             basis = _refine(basis, 1j * (N - N.T), scale)
     Q, labels = basis or (np.eye(d), np.zeros(d, dtype=np.int64))
     if labels[-1] < d - 1:
@@ -114,11 +113,11 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
         )
 
     classical = np.asarray(Q / root[:, None], dtype=complex)
-    classical /= classical[partition.identity_coset]
-    classical[partition.identity_coset] = 1.0  # complex x / x can round to 1 - eps
-    chi1 = sizes[:, None] * classical[partition.inverse_coset]
+    classical /= classical[e]
+    classical[e] = 1.0  # complex x / x can round to 1 - eps
+    chi1 = sizes[:, None] * classical[sc.inverse_coset]
     _check_multiplicative(sc, chi1, rows)
-    multiplicities = _multiplicities(chi1, partition)
+    multiplicities = _multiplicities(chi1, sc)
     wd = sc.wd[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         chars, phis = (wd * chi1).T, (classical / wd).T
@@ -216,7 +215,7 @@ def _check_multiplicative(sc: StructureConstants, chi1: np.ndarray, rows: list[i
         )
 
 
-def _multiplicities(chi1: np.ndarray, partition: DoubleCosetPartition) -> np.ndarray:
+def _multiplicities(chi1: np.ndarray, sc: StructureConstants) -> np.ndarray:
     """The multiplicities m_s of the columns chi of chi1, certified by the
     orthogonality relations (Bannai & Ito, Algebraic Combinatorics I, ch. II)
     sum_k chi_s(k) conj(chi_t(k)) / |D_k| = [s = t] |G| / m_s: one d x d
@@ -229,9 +228,9 @@ def _multiplicities(chi1: np.ndarray, partition: DoubleCosetPartition) -> np.nda
 
     The relations make chi1 invertible, with inverse
     diag(m / |G|) chi1^H diag(1 / |D|), so the table has rank d."""
-    sizes = partition.sizes
+    sizes = sc.sizes
     order = int(sizes.sum())
-    index = order // int(sizes[partition.identity_coset])
+    index = order // int(sizes[sc.identity_coset])
     A = chi1 / np.sqrt(sizes.astype(float))[:, None]
     gram = A.T @ A.conj()
     diag = gram.diagonal().real.copy()

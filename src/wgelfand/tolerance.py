@@ -5,9 +5,11 @@
    checked for K-bi-invariance there, by `weighted.bi_invariance_witness`.
    Every later property is an equality on wd: symmetry
    wd[inverse_coset] == wd and w(e) = 1 as wd[identity_coset] == 1 for
-   the report, and theta-invariance by `weighted.theta_invariant`, decided
-   once for the report and `check_rap_condition`. The precondition w(e) = 1
-   of `enumerate_spherical` is the same comparison.
+   the report, and theta-invariance by `weighted.theta_invariant(wd,
+   partition, theta)`, decided once for the report and passed on as the
+   w_invariant of `check_rap_condition(sc, partition, theta, w_invariant)`.
+   The precondition w(e) = 1 of `enumerate_spherical` is the same
+   comparison, on the coset-level fields sc.wd[sc.identity_coset].
 2. A computed quantity passes when its residual is at most
    RTOL * max(1, scale), where scale is the magnitude of what the residual
    compares (1 where a check has none). A NaN residual fails. This covers

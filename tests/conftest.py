@@ -365,8 +365,8 @@ def refine_oracle(sc):
     joint eigenlines found by refining the identity basis with the
     Hermitian parts of every N_i, the identity coset's included, one eigh
     per block of width above 1."""
-    partition, d = sc.partition, sc.dim
-    sizes = partition.sizes.astype(float)
+    d = sc.dim
+    sizes = sc.sizes.astype(float)
     root = np.sqrt(sizes)
     blocks = [np.eye(d, dtype=complex)]
     _, j, k = sc.ijk
@@ -389,8 +389,8 @@ def refine_oracle(sc):
             blocks = out
     assert len(blocks) == d
     classical = np.hstack(blocks) / root[:, None]
-    classical /= classical[partition.identity_coset]
-    chi1 = sizes[:, None] * classical[partition.inverse_coset]
+    classical /= classical[sc.identity_coset]
+    chi1 = sizes[:, None] * classical[sc.inverse_coset]
     wd = sc.wd[:, None]
     chars, phis = (wd * chi1).T, (classical / wd).T
     order = character_order_oracle(chars)

@@ -28,6 +28,7 @@ from wgelfand import (
     InputSpecError,
     PreconditionError,
     SphericalSet,
+    StructureConstants,
     bi_invariance_witness,
 )
 from wgelfand.groups import _greedy_generators, _integers, _right_closure
@@ -95,6 +96,35 @@ def point_stabilizer(group: GroupTable, point: int) -> Subgroup:
     fixed = group.perms[:, point] == point
     gens = _greedy_generators(group.product, fixed, group.identity)
     return Subgroup(elements=tuple(np.flatnonzero(fixed).tolist()), generators=tuple(gens))
+
+
+def class_algebra(group: GroupTable) -> StructureConstants:
+    """The Hecke algebra of (G x G, diag G) with the uniform weight, built
+    from the conjugacy classes C_i of G without forming G x G. The double
+    coset of (x, y) is the class of x y^-1, so |D_i| = |G| |C_i| and
+    p[i,j,k] = |G| #{x in C_i : x^-1 c_k in C_j}, with c_k the least member
+    of C_k standing for the representative (c_k, e). The classes are found
+    by brute force: the least conjugate g x g^-1 of each x over every g."""
+    n = group.order
+    mul = mul_table(group)
+    conjugates = mul[mul, group.inv[:, None]]  # [g, x] is g x g^-1
+    reps, class_of, sizes = np.unique(
+        conjugates.min(axis=0), return_inverse=True, return_counts=True
+    )
+    d = len(reps)
+    p = np.zeros((d, d, d), dtype=np.int64)
+    for k, c in enumerate(reps):
+        np.add.at(p[:, :, k], (class_of, class_of[mul[group.inv, c]]), n)
+    keys = np.flatnonzero(p)
+    return StructureConstants(
+        keys=keys,
+        counts=p.ravel()[keys],
+        wd=np.ones(d),
+        sizes=n * sizes,
+        reps=reps,
+        inverse_coset=class_of[group.inv[reps]],
+        identity_coset=int(class_of[group.identity]),
+    )
 
 
 # ---------------------------------------------------------------- functions on G

@@ -118,7 +118,7 @@ def test_criterion_4_sufficient_condition():
             for _ in range(10):
                 w = random_symmetric_weight(group, rng)
                 sc = wg.hecke_structure_constants(group, part, w[part.reps])
-                assert wg.check_rap_condition(sc, theta, wg.theta_invariant(sc.wd, part, theta))
+                assert wg.check_rap_condition(sc, part, theta, wg.theta_invariant(sc.wd, part, theta))
                 assert sc.commutativity_witness is None
         group, K, part = _pair(wg.symmetric_group(3), [1])
         theta = wg.check_automorphism(group, np.arange(6))
@@ -128,7 +128,7 @@ def test_criterion_4_sufficient_condition():
             # closed under inversion
             assert np.array_equal(w[group.inv], w)
             sc = wg.hecke_structure_constants(group, part, w[part.reps])
-            assert wg.check_rap_condition(sc, theta, wg.theta_invariant(sc.wd, part, theta))
+            assert wg.check_rap_condition(sc, part, theta, wg.theta_invariant(sc.wd, part, theta))
             assert sc.commutativity_witness is None
 
     _run(4, "automorphism-based sufficient condition implies detection", body)
@@ -313,8 +313,8 @@ def test_criterion_11_projection_and_pullback_identities():
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
             # theta landing in K x^-1 K forces pullback = reflection
-            ok, _ = wg.theta_in_KxinvK(p3, theta_id)
-            assert ok
+            sc = wg.hecke_structure_constants(s3, p3, w[p3.reps])
+            assert wg.check_rap_condition(sc, p3, theta_id, True)
             assert np.max(
                 np.abs(oracles.theta_pullback(f, theta_id) - oracles.reflect(f, s3))
             ) < 1e-10

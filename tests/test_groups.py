@@ -792,31 +792,6 @@ def test_require_involutive():
         wg.automorphism_from_spec(c5, {"kind": "perm", "perm": doubling})
 
 
-def test_theta_in_KxinvK_inversion_abelian():
-    c6 = wg.cyclic_group(6)
-    K = oracles.subgroup_closure(c6, [])
-    part = wg.double_cosets(c6, K.generators)
-    ok, witness = wg.theta_in_KxinvK(part, wg.inversion_automorphism(c6))
-    assert ok and witness is None
-
-
-def test_theta_in_KxinvK_identity_on_s3(s3_pair):
-    group, K, part = s3_pair
-    theta = wg.check_automorphism(group, np.arange(6))
-    ok, _ = wg.theta_in_KxinvK(part, theta)
-    assert ok  # both double cosets are inverse-closed
-
-
-def test_theta_in_KxinvK_identity_fails_on_cyclic5():
-    c5 = wg.cyclic_group(5)
-    K = oracles.subgroup_closure(c5, [])
-    part = wg.double_cosets(c5, K.generators)
-    theta = wg.check_automorphism(c5, np.arange(5))
-    ok, witness = wg.theta_in_KxinvK(part, theta)
-    assert not ok
-    assert witness == 1
-
-
 def test_point_stabilizer_order(s4_pair):
     _, K, _ = s4_pair
     assert K.order == 6

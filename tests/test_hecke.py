@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 
 import wgelfand as wg
 from wgelfand.cli import main
-from wgelfand.errors import BiInvarianceError, InputSpecError, NotGelfandError
+from wgelfand.errors import BiInvarianceError, InputSpecError, NotGelfandError, WGelfandError
 
 import oracles
 from conftest import (
@@ -129,7 +130,7 @@ def test_rap_condition_cyclic5():
     w = np.array([1.0, 2.0, 3.0, 3.0, 2.0])
     sc = wg.hecke_structure_constants(c5, part, w[part.reps])
     assert wg.theta_invariant(sc.wd, part, theta)
-    assert wg.check_rap_condition(sc, theta, True)
+    assert wg.check_rap_condition(sc, part, theta, True)
     assert sc.commutativity_witness is None
 
 
@@ -137,7 +138,38 @@ def test_rap_condition_s3_identity_theta(s3_pair):
     group, K, part = s3_pair
     theta = wg.check_automorphism(group, np.arange(6))
     sc = wg.hecke_structure_constants(group, part, np.ones(2))
-    assert wg.check_rap_condition(sc, theta, wg.theta_invariant(sc.wd, part, theta))
+    # both double cosets are inverse-closed, so theta(x) = x lies in K x^-1 K
+    assert wg.check_rap_condition(sc, part, theta, wg.theta_invariant(sc.wd, part, theta))
+
+
+def test_rap_condition_inversion_on_cyclic6():
+    c6 = wg.cyclic_group(6)
+    part = wg.double_cosets(c6, [])
+    sc = wg.hecke_structure_constants(c6, part, np.ones(6))
+    assert wg.check_rap_condition(sc, part, wg.inversion_automorphism(c6), True)
+
+
+def test_rap_condition_identity_fails_on_cyclic5():
+    """With w∘theta = w granted, theta = id on C5 over 1 still fails: the
+    coset {1} is not its inverse coset {4}."""
+    c5 = wg.cyclic_group(5)
+    part = wg.double_cosets(c5, [])
+    theta = wg.check_automorphism(c5, np.arange(5))
+    sc = wg.hecke_structure_constants(c5, part, np.ones(5))
+    assert not wg.check_rap_condition(sc, part, theta, True)
+
+
+def test_rap_condition_raises_when_it_holds_on_a_noncommutative_algebra():
+    """A condition that holds (inversion on C6 over 1, w∘theta = w) given
+    with the noncommutative structure constants of S3 over 1 contradicts
+    the theorem: WGelfandError names the commutativity witness."""
+    c6, s3 = wg.cyclic_group(6), wg.symmetric_group(3)
+    part = wg.double_cosets(c6, [])
+    noncommutative = wg.hecke_structure_constants(s3, wg.double_cosets(s3, []), np.ones(6))
+    witness = noncommutative.commutativity_witness
+    assert witness is not None
+    with pytest.raises(WGelfandError, match=re.escape(f"witness {witness}")):
+        wg.check_rap_condition(noncommutative, part, wg.inversion_automorphism(c6), True)
 
 
 def test_rap_condition_fails_without_theta_invariance():
@@ -147,7 +179,7 @@ def test_rap_condition_fails_without_theta_invariance():
     w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])  # not symmetric
     sc = wg.hecke_structure_constants(c5, part, w[part.reps])
     assert not wg.theta_invariant(sc.wd, part, theta)
-    assert not wg.check_rap_condition(sc, theta, False)
+    assert not wg.check_rap_condition(sc, part, theta, False)
 
 
 def test_rap_condition_requires_involutive(tmp_path, monkeypatch, capsys):
@@ -221,7 +253,7 @@ def test_structure_constants_match_double_loop_oracle(make_pair):
     part = wg.double_cosets(group, K.generators)
     w = random_bi_invariant_weight(part, np.random.default_rng(4))
     sc = wg.hecke_structure_constants(group, part, w[part.reps])
-    assert sc.counts.dtype == np.int32
+    assert sc.counts.dtype == np.int64
     d = part.num_cosets
     eye = np.eye(d)
     for i in range(d):
@@ -364,8 +396,8 @@ def test_commutativity_witness_on_synthetic_sparse_p():
         elif trial % 3 == 2:
             p = p + p.transpose(1, 0, 2)
         keys = np.flatnonzero(p)
-        sc = wg.StructureConstants(keys=keys, counts=p.ravel()[keys].astype(np.int32),
-                                   wd=np.ones(5), partition=part)
+        sc = wg.StructureConstants(keys, p.ravel()[keys], np.ones(5), part.sizes, part.reps,
+                                   part.inverse_coset, part.identity_coset)
         assert sc.commutativity_witness == commutativity_oracle(p, part)
 
 

@@ -170,3 +170,27 @@ def test_only_the_cli_writes_the_report():
                 orjson_users.append(path.stem)
     assert to_json == []
     assert orjson_users == ["cli"]
+
+
+def test_the_spectral_stages_read_no_partition():
+    """The spherical functions, the Fourier table and the multipliers live on
+    the double-coset basis: `spherical` and `fourier` name neither
+    `DoubleCosetPartition` nor its |G|-sized `coset_of` nor a `partition`,
+    and read the coset-level fields of the structure constants alone."""
+    named = []
+    for stem in ("spherical", "fourier"):
+        path = SRC / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = (
+                [node.id] if isinstance(node, ast.Name)
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else [node.arg] if isinstance(node, ast.arg)
+                else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            named += [
+                f"{stem}.{name}"
+                for name in names
+                if name in ("DoubleCosetPartition", "coset_of", "partition")
+            ]
+    assert named == []

@@ -109,13 +109,13 @@ def test_integers_read_as_by_the_per_entry_rule(case):
     assert_same(outcome(groups._integers, value, "x", ndim), outcome(oracles.integers, value, "x", ndim))
 
 
-def _multiplier_sc():
+def _s3_over_a_transposition():
     group = wg.symmetric_group(3)
     part = wg.double_cosets(group, [1])
-    return wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
+    return part, wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
 
 
-SC = _multiplier_sc()  # S3 over a transposition: d = 2
+PART, SC = _s3_over_a_transposition()  # |G| = 6, d = 2
 
 
 @FUZZ
@@ -137,9 +137,6 @@ def test_multiplier_values_read_as_by_the_per_entry_rule(spec):
         T, h = ours[1]
         ours = ("ok", h if spec["kind"] == "kernel" else T)
     assert_same(ours, ref)
-
-
-PART = SC.partition  # |G| = 6, d = 2
 
 
 @FUZZ

@@ -534,6 +534,27 @@ def test_group_times_group_over_its_diagonal(family_n):
         d * d for d in dims)
 
 
+@pytest.mark.parametrize(
+    "family_n, squared_degrees",
+    [(("S", 3), [1, 1, 4]), (("S", 4), [1, 1, 4, 9, 9]), (("D", 5), [1, 1, 4, 4]),
+     (("S", 5), [1, 1, 16, 16, 25, 25, 36])],
+    ids=["S3", "S4", "D5", "S5"],
+)
+def test_class_algebra_needs_no_group(family_n, squared_degrees):
+    """The algebra of (G x G, diag G) from the conjugacy classes of G alone
+    (`oracles.class_algebra`): no group, partition or coset_of of G x G is
+    formed, and the structure constants are all that the spherical functions
+    and the Fourier table read. The rank is d, and the multiplicities are
+    the squared degrees of the irreducible representations of G."""
+    family, n = family_n
+    group = {"D": wg.dihedral_group, "S": wg.symmetric_group}[family](n)
+    sc = oracles.class_algebra(group)
+    sset = wg.enumerate_spherical(sc)
+    rank, _ = wg.injectivity_check(sset)
+    assert rank == sc.dim == len(squared_degrees)
+    assert sorted(sset.multiplicities.tolist()) == squared_degrees
+
+
 def test_closed_form_inverse_of_the_weight_free_table():
     """diag(m / |G|) F1^H diag(1 / |D|) F1 = I, with F1 the weight-free
     table `classical_characters.T`: the inverse that the orthogonality

@@ -217,8 +217,8 @@ def test_theta_pullback_and_reflect(s3):
 def test_theta_pullback_equals_reflect_for_bi_invariant(s3_pair):
     group, K, part = s3_pair
     theta = wg.check_automorphism(group, np.arange(6))
-    ok, _ = wg.theta_in_KxinvK(part, theta)
-    assert ok
+    sc = wg.hecke_structure_constants(group, part, np.ones(2))
+    assert wg.check_rap_condition(sc, part, theta, True)
     f = oracles.expand(np.array([1.0, 2.0 - 1.0j]), part)
     assert np.allclose(oracles.theta_pullback(f, theta), oracles.reflect(f, group))
 
