@@ -792,6 +792,15 @@ def test_require_involutive():
         wg.automorphism_from_spec(c5, {"kind": "perm", "perm": doubling})
 
 
+def test_theta_in_KxinvK_identity_on_s3(s3_pair):
+    group, K, part = s3_pair
+    theta = wg.check_automorphism(group, np.arange(6))
+    sc = wg.hecke_structure_constants(group, part, np.array([1.0, 2.0]))
+    # w∘theta = w is granted, so the verdict is the K x^-1 K comparison
+    # alone: both double cosets are inverse-closed
+    assert wg.check_rap_condition(sc, part, theta, True)
+
+
 def test_point_stabilizer_order(s4_pair):
     _, K, _ = s4_pair
     assert K.order == 6
