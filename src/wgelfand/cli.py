@@ -282,7 +282,7 @@ def _format_text(report: dict) -> str:
     if "fourier" in report:
         add(
             f"{'transform rank':<24}{report['fourier']['rank']}  "
-            f"condition={report['fourier']['condition']:.6g}"
+            "condition=[{:.6g}, {:.6g}]".format(*report["fourier"]["condition"])
         )
     for entry in report.get("multipliers", []):
         add(f"{'multiplier':<24}{entry['path']}: {entry['is_multiplier']}")
@@ -303,8 +303,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_DEGENERATE if isinstance(exc, DegenerateSpectrumError) else EXIT_INPUT
 
     if args.format == "json":
-        options = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-        data = orjson.dumps(report, option=options) + b"\n"
+        options = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+        data = orjson.dumps(report, option=options)
     else:
         data = _format_text(report).encode()
     if args.output:

@@ -55,6 +55,6 @@ class DegenerateSpectrumError(WGelfandError):
     """The spectral step failed: the joint spectrum split into fewer than d
     lines, a character failed multiplicativity on the rows S that the
     refinement consumed, two characters' tuples (chi(g))_{g in S} were not
-    separated by more than the tolerance, or a computed value (the
-    structure constants, the spherical functions, an operator L_h and its
-    multiplier check, a symbol or a commutation residual) is not finite."""
+    separated by more than the tolerance, the Fourier table is singular in
+    floating point, or a computed value (the spherical functions, its row
+    norms, an operator L_h, a symbol, a residual) is not finite."""

@@ -21,33 +21,37 @@ from .spherical import SphericalSet
 from .tolerance import within
 
 
-def injectivity_check(sset: SphericalSet) -> tuple[int, float]:
-    """Rank and condition number of the transform matrix
-    F[i, s] = chi_s(delta_i), which is `sset.characters.T`: the transform of
-    an indicator is the value of the character on it.
+def injectivity_check(sset: SphericalSet) -> tuple[int, tuple[float, float]]:
+    """Rank of the transform table F[i, s] = chi_s(delta_i), which is
+    `sset.characters.T`, and a bracket (L, U) of its condition number kappa_2.
 
-    The rank is d. `enumerate_spherical` certified the weight-free table
-    F1 = `sset.classical_characters.T` by the orthogonality relations,
-    F1^H diag(1 / |D|) F1 = diag(|G| / m), so F1 is invertible, with
-    F1^-1 = diag(m / |G|) F1^H diag(1 / |D|), and F = diag(w_i) F1 is too,
-    whatever the weight. The condition number is that of F, from its one
-    SVD. It is at least the ratio of the largest to the smallest row norm
-    of F (sigma_max is at least every row norm, sigma_min at most every
-    one); when that ratio reaches 1 / eps, sigma_min is below what an SVD
-    resolves and F is singular in floating point, as a wide weight makes
-    it. That, or a condition number that is not finite, raises
-    DegenerateSpectrumError.
+    The orthogonality relations that `enumerate_spherical` certified for
+    F1 = `sset.classical_characters.T` factor F = diag(w) F1 as
+    diag(w_i sqrt|D_i|) A diag(sqrt(|G| / m_s)) with A unitary, so F has
+    rank d whatever the weight. From P = |F|^2, at O(d^2): L is the larger
+    spread (max / min) of the row and the column norms, as sigma_max is at
+    least and sigma_min at most each of them; U = (max a / min a)
+    sqrt(max m / min m), as kappa_2 is submultiplicative, with
+    a_i = |F[i, :] sqrt(m)| = w_i sqrt|D_i| sqrt|G|, and U is raised to L
+    where rounding leaves it below. Where the |D_i| are all equal and so
+    are the m_s, as on C_n over 1, L = U. Row norms that overflow raise
+    DegenerateSpectrumError, and so do row norms that span 1 / eps or more
+    or a bound that is not finite: F is then singular in floating point.
     """
-    F = sset.characters.T
-    rows = np.linalg.norm(F, axis=1)
-    svals = np.linalg.svd(F, compute_uv=False)
+    F, m = sset.characters.T, sset.multiplicities
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        spread, cond = np.max(rows) / np.min(rows), float(svals[0] / svals[-1])
-    if not (spread * np.finfo(float).eps < 1 and np.isfinite(cond)):
+        P = F.real**2 + F.imag**2
+        rows, cols, a = np.sqrt(P.sum(axis=1)), np.sqrt(P.sum(axis=0)), np.sqrt(P @ m)
+        spread = np.max(rows) / np.min(rows)
+        lower = np.maximum(spread, np.max(cols) / np.min(cols))
+        upper = np.maximum(lower, np.max(a) / np.min(a) * np.sqrt(np.max(m) / np.min(m)))
+    if not np.isfinite(np.max(rows)):
+        raise DegenerateSpectrumError("Fourier table row norms overflow: weight range too wide")
+    if not (spread * np.finfo(float).eps < 1 and np.isfinite(upper)):
         raise DegenerateSpectrumError(
             "Fourier table is singular in floating point: weight range too wide"
         )
-    return len(sset), cond
+    return len(sset), (float(lower), float(upper))
 
 
 def multiplier_from_kernel(h: np.ndarray, sc: StructureConstants) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -162,32 +163,32 @@ def json_array(value, depth: int, dtype) -> Optional[np.ndarray]:
     """The one reader of spec numbers: `value` as a `depth`-dimensional
     array of exact integers (dtype np.int64; integral floats up to 2**53
     pass) or of finite floats (dtype float), else None for the caller to
-    word by its own rule. Entry types are scanned in C, level by level:
-    lists or tuples above `depth`, numbers but not booleans, which numpy
-    would cast to 0 or 1, at it. Then one `np.array` call converts, and
-    fails on ragged lists. An ndarray is taken as it is."""
+    word by its own rule. One `np.array` call converts; ragged lists,
+    strings, None and integers beyond 64 bits fail or leave the number
+    kinds. A boolean becomes 0 or 1 among numbers, so only the cells equal
+    to 0 or 1 are looked up in `value` for one. An ndarray is taken as is."""
+    array = value
     if not isinstance(value, np.ndarray):
-        level = [value]
-        for i in range(depth):
-            if not {list, tuple}.issuperset(map(type, level)):
-                return None
-            level = itertools.chain.from_iterable(level)
-            level = list(level) if i < depth - 1 else level  # the entries are scanned once
-        if not all(t is not bool and issubclass(t, _NUMBERS) for t in set(map(type, level))):
-            return None
         try:
-            value = np.array(value, dtype=None if dtype is np.int64 else dtype)
-        except (ValueError, OverflowError):  # ragged, or an integer beyond the float range
+            array = np.array(value)
+        except (ValueError, OverflowError):  # ragged, or nested past numpy's dimensions
             return None
-    if value.ndim != depth or value.dtype.kind not in "iuf":
+    if array.ndim != depth or array.dtype.kind not in "iuf":
         return None
+    if array is not value:
+        cells = np.argwhere((array == 0) | (array == 1))
+        entries = [value] * len(cells)
+        for axis in cells.T.tolist():  # one level of every cell at a time
+            entries = list(map(operator.getitem, entries, axis))
+        if bool in map(type, entries):
+            return None
     if dtype is float:
-        value = value.astype(float, copy=False)
-        return value if np.all(np.isfinite(value)) else None
-    exact = value.dtype.kind == "i" or (
-        value.dtype.kind == "f" and np.all((np.abs(value) <= 2**53) & (value == np.trunc(value)))
+        array = array.astype(float, copy=False)
+        return array if np.all(np.isfinite(array)) else None
+    exact = array.dtype.kind == "i" or (
+        array.dtype.kind == "f" and np.all((np.abs(array) <= 2**53) & (array == np.trunc(array)))
     )
-    return value.astype(np.int64) if exact else None
+    return array.astype(np.int64) if exact else None
 
 
 def json_floats(value, what: str) -> np.ndarray:

@@ -51,13 +51,6 @@ class StructureConstants:
         ij, k = np.divmod(self.keys, self.dim)
         return (*np.divmod(ij, self.dim), k)
 
-    @cached_property
-    def max_constant(self) -> float:
-        """max c[i,j,k]; inf where w_i w_j / w_k overflows on a nonzero."""
-        i, j, k = self.ijk
-        with np.errstate(over="ignore"):
-            return float(np.max(self.counts * (self.wd[i] * self.wd[j] / self.wd[k])))
-
     def left(self, h: np.ndarray) -> np.ndarray:
         """Matrix of f -> h *_w f on the indicator basis: W^-1 L^1_{W h} W,
         with L^1_g[k, j] = sum_i g_i p[i,j,k] binned over the nonzeros."""

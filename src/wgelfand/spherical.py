@@ -47,11 +47,13 @@ class SphericalSet:
 
 def _character_order(chars: np.ndarray) -> np.ndarray:
     """Stable lexicographic order of the rows of chars by their values rounded
-    to 9 decimals, real part before imaginary part: the rows are compared as
-    Python lists, which decide at their first unequal entry."""
-    keys = np.stack([np.round(chars.real, 9), np.round(chars.imag, 9)], axis=2)
-    rows = keys.reshape(len(chars), -1).tolist()
-    return np.array(sorted(range(len(rows)), key=rows.__getitem__), dtype=np.int64)
+    to 9 decimals, real part before imaginary part: one stable argsort of the
+    rows as records of 2d float fields. A key beyond about 1e299 is inf, for
+    a weight whose Fourier table is singular (`injectivity_check`)."""
+    with np.errstate(over="ignore"):
+        keys = np.stack([np.round(chars.real, 9), np.round(chars.imag, 9)], axis=2)
+    records = keys.reshape(len(chars), -1).view(np.dtype([("", float)] * keys[0].size))
+    return np.argsort(records[:, 0], kind="stable")
 
 
 def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
@@ -82,8 +84,6 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
         raise PreconditionError("spherical enumeration requires w(e) = 1")
     if sc.commutativity_witness is not None:
         raise NotGelfandError(*sc.commutativity_witness)
-    if not np.isfinite(sc.max_constant):
-        raise DegenerateSpectrumError("structure constants overflow: weight range too wide")
 
     d = sc.dim
     sizes = sc.sizes.astype(float)
@@ -103,9 +103,9 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
         N = np.zeros((d, d))
         N[k[s], j[s]] = entries[s]
         scale = float(np.max(np.abs(N)))
-        basis = _refine(basis, N + N.T, scale)
+        basis = _refine(basis, N + N.T, 1, scale)
         if sc.inverse_coset[i] != i:
-            basis = _refine(basis, 1j * (N - N.T), scale)
+            basis = _refine(basis, N - N.T, 1j, scale)
     Q, labels = basis or (np.eye(d), np.zeros(d, dtype=np.int64))
     if labels[-1] < d - 1:
         raise DegenerateSpectrumError(
@@ -133,21 +133,22 @@ def enumerate_spherical(sc: StructureConstants) -> SphericalSet:
 
 
 def _refine(
-    basis: tuple[np.ndarray, np.ndarray] | None, H: np.ndarray, scale: float
+    basis: tuple[np.ndarray, np.ndarray] | None, S: np.ndarray, phase: complex, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split each block of the orthonormal basis into eigenspaces of the
-    Hermitian H restricted to it, cutting where consecutive eigenvalues of
-    the restriction differ by more than the tolerance at scale.
+    Hermitian H = phase S restricted to it, S real and phase 1 (S symmetric)
+    or 1j (S skew), cutting where consecutive eigenvalues of the
+    restriction differ by more than the tolerance at scale.
 
     The basis is (Q, labels): a d x d orthonormal Q and the block number of
     each column, with the columns of a block adjacent and the blocks
     numbered in column order; the split blocks keep that order. None stands
     for the identity basis, whose restriction is H itself: one eigh of H,
-    real when H is. Blocks of one width share one product H Q_w over all
-    their columns, then the small products Q_b^H (H Q_b) and one stacked
-    eigh."""
+    real when phase is 1. Blocks of one width share one real product S Q_w
+    over all their columns (and their imaginary parts), then the small
+    products phase Q_b^H (S Q_b) and one stacked eigh."""
     if basis is None:
-        vals, Q = np.linalg.eigh(H)
+        vals, Q = np.linalg.eigh(phase * S)
         return Q, np.concatenate([[0], np.cumsum(~within(np.diff(vals), scale))])
     Q, labels = basis
     d = len(labels)
@@ -155,16 +156,17 @@ def _refine(
     widths = np.diff(starts, append=d)
     new = np.zeros(d, dtype=bool)  # the first column of each block
     new[starts] = True
-    Q = Q.astype(np.result_type(Q, H))
+    split = Q.astype(np.result_type(Q, phase))
     for width in np.unique(widths[widths > 1]):
         cols = starts[widths == width][:, None] + np.arange(width)  # one row per block
         Qw = Q[:, cols]  # (d, blocks, width)
-        HQ = (H @ Qw.reshape(d, -1)).reshape(Qw.shape)
-        Qw, HQ = Qw.transpose(1, 0, 2), HQ.transpose(1, 0, 2)
-        vals, U = np.linalg.eigh(Qw.conj().transpose(0, 2, 1) @ HQ)
-        Q[:, cols] = (Qw @ U).transpose(1, 0, 2)
+        parts = np.ascontiguousarray(Qw.reshape(d, -1)).view(float)  # real and imaginary columns
+        SQ = (S @ parts).view(Q.dtype).reshape(Qw.shape)
+        Qw, SQ = Qw.transpose(1, 0, 2), SQ.transpose(1, 0, 2)
+        vals, U = np.linalg.eigh(phase * (Qw.conj().transpose(0, 2, 1) @ SQ))
+        split[:, cols] = (Qw @ U).transpose(1, 0, 2)
         new[cols[:, 1:]] = ~within(np.diff(vals), scale)
-    return Q, np.cumsum(new) - 1
+    return split, np.cumsum(new) - 1
 
 
 def _check_multiplicative(sc: StructureConstants, chi1: np.ndarray, rows: list[int]) -> None:

@@ -27,10 +27,10 @@
    The commutation residual is reported only.
 3. A computed value that is not finite is a numerical degeneracy, not a
    result: it raises `DegenerateSpectrumError` (exit 3), and never reaches
-   the report. This covers the structure constants (`max_constant`), the
-   weighted spherical functions and characters, the condition number of
-   the Fourier table (also when its row norms span 1 / eps or more, which
-   makes it singular in floating point), the kernel operator L_h (also
+   the report. This covers the weighted spherical functions and
+   characters, the row norms of the Fourier table and the bracket of its
+   condition number (also when the row norms span 1 / eps or more, which
+   makes the table singular in floating point), the kernel operator L_h (also
    the L_{T u} that `is_multiplier` compares T with, and the scale of that
    comparison), the multiplier symbol, and the commutation residual.
 

@@ -4,7 +4,8 @@ The library computes in coset coordinates from the integer intersection
 numbers. The functions here are the definitions on G that those results are
 checked against: the weighted convolution, the two-sided K-average, the
 weighted translation, the spherical functional equation, the transform
-as a sum over G and a multiplier symbol checked on the whole basis.
+as a sum over G, the condition number of its table from an SVD and a
+multiplier symbol checked on the whole basis.
 Functions on G are plain complex numpy arrays of length |G|, bi-invariant
 ones also plain vectors of their d coset values with their partition, and
 a weight is a plain float array of its |G| values. Integrals over
@@ -334,6 +335,13 @@ def verify_convolution_theorem(
         return spherical_transform(h, partition, sset, group, w)
 
     return float(np.max(np.abs(transform(conv_bi) - transform(f) * transform(g))))
+
+
+def condition_number(F: np.ndarray) -> float:
+    """kappa_2(F) = sigma_max / sigma_min, from the singular values of F: the
+    reference for the bracket of `injectivity_check`."""
+    svals = np.linalg.svd(F, compute_uv=False)
+    return float(svals[0] / svals[-1])
 
 
 # ---------------------------------------------------------------- multipliers

@@ -10,7 +10,7 @@ import pytest
 
 import wgelfand as wg
 from wgelfand.cli import main
-from wgelfand.tolerance import within
+from wgelfand.tolerance import RTOL, within
 
 import oracles
 from conftest import C300_ONE_WRONG, LOOP_5, gelfand_instances
@@ -77,22 +77,19 @@ def test_analyze_s3_gelfand(tmp_path, capsys):
     assert report["fourier"]["rank"] == 2
 
 
-def test_analyze_runs_one_svd_and_reports_multiplicities(tmp_path, capsys, monkeypatch):
-    """The rank comes from the orthogonality certificate, so one analyze
-    runs one SVD, for the condition number. On S3 over a transposition,
-    Ind_K^G 1 is the permutation representation on 3 points, 1 + 2; on C12
-    over the trivial subgroup every m_s is 1. The text format prints them
-    on the spherical-count line."""
-    calls, svd = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+def test_analyze_reports_multiplicities(tmp_path, capsys):
+    """The rank and the multiplicities come from the orthogonality
+    certificate. On S3 over a transposition, Ind_K^G 1 is the permutation
+    representation on 3 points, 1 + 2; on C12 over the trivial subgroup
+    every m_s is 1. The text format prints them on the spherical-count
+    line."""
     for group, subgroup, want in ((S3, K_TRANSPOSITION, [2, 1]),
                                   ({"kind": "cyclic", "n": 12}, {"seeds": []}, [1] * 12)):
         paths = write_specs(tmp_path, group, subgroup, UNIFORM)
         args = ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
                 "--weight", paths["weight"]]
-        calls.clear()
         code, out = run_cli(args, capsys)
-        assert code == 0 and len(calls) == 1
+        assert code == 0
         report = json.loads(out)
         assert report["spherical"]["multiplicities"] == want
         code, out = run_cli(args + ["--format", "text"], capsys)
@@ -644,6 +641,20 @@ def test_overflowing_weight_exit_3_without_warnings(tmp_path, capsys):
     assert "overflow" in assert_one_line_error(code, capsys, expected_code=3)
 
 
+def test_character_keys_beyond_the_float_range_exit_3_without_warnings(tmp_path, capsys):
+    """On C3 over 1 with coset weights (1, 1e300, 1e300) the characters are
+    finite, but their order keys, rounded to 9 decimals, and the row norms
+    of F overflow: one error line, exit 3, and no RuntimeWarning (an error
+    under the test settings)."""
+    weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": 1e300, "2": 1e300}}
+    paths = write_specs(tmp_path, {"kind": "cyclic", "n": 3}, {"seeds": []}, weight)
+    code = main(
+        ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"]]
+    )
+    assert "row norms overflow" in assert_one_line_error(code, capsys, expected_code=3)
+
+
 HUGE_SCALAR = {"kind": "matrix", "rows": [[[1.5e308, 0], [0, 0]], [[0, 0], [1.5e308, 0]]]}
 # L_h for h = (a, b) on S3/<(0 1)> is [[2a, 4b], [2b, 2a + 2b]], with
 # eigenvalues (the symbol) 2a + 4b and 2a - 2b: a = 0.45e308, b = 0.4e308
@@ -717,9 +728,11 @@ def test_huge_scalar_multiplier_reports_its_symbol(tmp_path, capsys):
 @pytest.mark.parametrize("wide", [1e-10, 1e10, 1e100])
 def test_fourier_rank_does_not_depend_on_the_weight(tmp_path, capsys, wide):
     """On S3/<(0 1)> with coset weights {1, wide}, F = diag(wd) F1 has full
-    rank 2 whatever the weight: the rank is counted on F1. Its condition
-    number is reported while it is finite; at 1e100 F is singular in
-    floating point, which exits 3 instead of writing Infinity."""
+    rank 2 whatever the weight: the rank is counted on F1. The bracket of
+    its condition number is reported while it is finite; it holds the
+    SVD's kappa_2, and its upper end is max(2 wide, 1 / wide): the spread of
+    a = (sqrt 2, 2 wide) times sqrt 2 from m = (1, 2). At 1e100 F is
+    singular in floating point, which exits 3 instead of writing Infinity."""
     weight = {"kind": "by_double_coset", "values": {"0": 1.0, "1": wide}}
     paths = write_specs(tmp_path, S3, K_TRANSPOSITION, weight)
     argv = ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
@@ -731,7 +744,10 @@ def test_fourier_rank_does_not_depend_on_the_weight(tmp_path, capsys, wide):
     assert code == 0
     fourier = load_report(out)["fourier"]
     assert fourier["rank"] == 2
-    assert fourier["condition"] > 1e9
+    lower, upper = fourier["condition"]
+    F = np.asarray(fourier["matrix"]).view(complex)[..., 0]
+    assert 1e9 < lower <= oracles.condition_number(F) <= upper
+    assert upper == pytest.approx(max(2 * wide, 1 / wide), rel=RTOL)
 
 
 def _involution(group):

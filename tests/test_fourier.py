@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import wgelfand as wg
 from wgelfand.errors import InputSpecError
-from wgelfand.tolerance import within
+from wgelfand.tolerance import RTOL, within
 
 import oracles
 from conftest import (
     commutation_oracle,
     dense_c_oracle,
+    fuzz_group,
+    fuzz_pairs,
     gelfand_instances,
     is_multiplier_oracle,
     random_bi_invariant_weight,
@@ -90,12 +93,19 @@ def test_convolution_theorem_identity_element():
 
 
 def test_injectivity_s3(s3_uniform_setup):
+    """The rows of F are the transforms of the indicators, {2, 2} and
+    {4, -2} up to order: row and column norms sqrt 8 and sqrt 20 give
+    L = sqrt(5 / 2); a = sqrt|D| = (sqrt 2, 2) and m = (1, 2) give
+    U = sqrt 2 sqrt 2 = 2; and kappa_2 = sqrt((7 + sqrt 13) / (7 - sqrt 13))
+    lies between them."""
     group, K, part, w, sc, sset = s3_uniform_setup
-    # rows are transforms of the indicators: {2, 2} and {4, -2} up to order
     assert sorted(np.round(sset.characters.T.real.flatten()).tolist()) == [-2, 2, 2, 4]
-    rank, cond = wg.injectivity_check(sset)
+    rank, (lower, upper) = wg.injectivity_check(sset)
     assert rank == 2
-    assert np.isfinite(cond)
+    assert lower == pytest.approx(np.sqrt(2.5), rel=RTOL) and upper == pytest.approx(2.0, rel=RTOL)
+    kappa = oracles.condition_number(sset.characters.T)
+    assert kappa == pytest.approx(np.sqrt((7 + np.sqrt(13)) / (7 - np.sqrt(13))), rel=RTOL)
+    assert lower < kappa < upper
 
 
 def test_injectivity_weighted(s3_setup):
@@ -116,11 +126,11 @@ def test_injectivity_rank_one_for_full_subgroup(s3):
 def test_injectivity_singular_when_rows_span_one_over_eps(wide, singular):
     """cond(F) is at least the spread of the row norms of F; from 1 / eps
     (about 4.5e15) on, F is singular in floating point and the check
-    raises, whatever the SVD returns. C2 given by a table with the identity
-    at index 1, and weights 1 at the identity and `wide` at the other
-    element, has F = [[-wide, wide], [1, 1]]: orthogonal rows, so the exact
-    condition number `wide`, finite on both sides of the cut, which the SVD
-    returns to a few ulps as the large row comes first."""
+    raises. C2 given by a table with the identity at index 1, and weights 1
+    at the identity and `wide` at the other element, has
+    F = [[-wide, wide], [1, 1]]: orthogonal rows, equal column norms and
+    m = (1, 1), so both ends of the bracket are the exact condition number
+    `wide` to a few ulps, finite on both sides of the cut."""
     group = wg.group_from_spec({"kind": "table", "table": [[1, 0], [0, 1]]})
     K = oracles.subgroup_closure(group, [])
     part = wg.double_cosets(group, K.generators)
@@ -134,7 +144,35 @@ def test_injectivity_singular_when_rows_span_one_over_eps(wide, singular):
             wg.injectivity_check(sset)
     else:
         eps = np.finfo(float).eps
-        assert wg.injectivity_check(sset) == (2, pytest.approx(wide, rel=4 * eps))
+        assert wg.injectivity_check(sset) == (2, (pytest.approx(wide, rel=4 * eps),) * 2)
+        assert oracles.condition_number(sset.characters.T) == pytest.approx(wide, rel=4 * eps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fuzz_pairs())
+@example((*fuzz_group("C", 12, False), [], 0))  # C12 over 1: L = U
+@example((*fuzz_group("S", 5, True), [1, 8], 1))  # S5 over S3 x S2 as a table, m = (4, 5, 1)
+@example((*fuzz_group("D", 12, False), [12], 2))  # D12 over a reflection, d = 7
+def test_condition_bracket_holds_the_svd_condition_number(pair):
+    """On a weighted Gelfand pair with coset weights log-uniform over
+    1e+-3 and w(e) = 1, the kappa_2 of an SVD of F lies in the bracket
+    (L, U) of `injectivity_check`, to the tolerance. Where the |D_i| are
+    all equal and so are the m_s, as on C_n over 1, L = U."""
+    group, mul, seeds, seed = pair
+    part = wg.double_cosets(group, oracles.subgroup_closure(group, seeds).generators)
+    wd = 10.0 ** np.random.default_rng(seed).uniform(-3, 3, part.num_cosets)
+    wd[part.identity_coset] = 1.0
+    sc = wg.hecke_structure_constants(group, part, wd)
+    if sc.commutativity_witness is not None:
+        return
+    sset = wg.enumerate_spherical(sc)
+    rank, (lower, upper) = wg.injectivity_check(sset)
+    kappa = oracles.condition_number(sset.characters.T)
+    assert rank == part.num_cosets
+    assert lower <= upper
+    assert lower * (1 - RTOL) <= kappa <= upper * (1 + RTOL)
+    if len(set(part.sizes.tolist())) == 1 and len(set(sset.multiplicities.tolist())) == 1:
+        assert lower == pytest.approx(upper, rel=RTOL)
 
 
 def test_multiplier_from_kernel_identity(s3_setup):
@@ -405,7 +443,6 @@ def test_multiplier_check_scale_ignores_weight_spread(wide, diagonal):
     c2 = wg.cyclic_group(2)
     part = wg.double_cosets(c2, [])
     sc = wg.hecke_structure_constants(c2, part, np.array([1.0, wide]))
-    assert sc.max_constant == wide**2
     T = np.diag(diagonal).astype(complex)
     assert wg.is_multiplier(T, sc) == (False, (0, 1))
 

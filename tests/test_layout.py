@@ -194,3 +194,22 @@ def test_the_spectral_stages_read_no_partition():
                 if name in ("DoubleCosetPartition", "coset_of", "partition")
             ]
     assert named == []
+
+
+def test_no_module_runs_an_svd():
+    """The orthogonality relations certify the rank of the Fourier table and
+    bracket its condition number, so no module in the package calls
+    `linalg.svd`, `linalg.cond` or `linalg.matrix_rank` (the last two run
+    an SVD), by attribute or by import."""
+    svd = {"svd", "cond", "matrix_rank"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in svd:
+                base = node.value
+                base = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+                if base == "linalg":
+                    found.append(f"{path.stem}: linalg.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found += [f"{path.stem}: {alias.name}" for alias in node.names if alias.name in svd]
+    assert found == []

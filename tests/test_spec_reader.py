@@ -109,6 +109,27 @@ def test_integers_read_as_by_the_per_entry_rule(case):
     assert_same(outcome(groups._integers, value, "x", ndim), outcome(oracles.integers, value, "x", ndim))
 
 
+@pytest.mark.parametrize(
+    "value, depth, dtype",
+    [
+        ([1, True, 2], 1, np.int64),
+        ([[0, 1], [1, False]], 2, np.int64),
+        ([[2, 3], [True, 4]], 2, np.int64),
+        ([1.5, True, 0.25], 1, float),
+        ([[[1.0, 0.0], [True, 0.0]]], 3, float),
+        ([[[1.5, 2.0], [0.5, False]], [[0.0, 1.0], [1.0, 0.0]]], 3, float),
+    ],
+    ids=["ints-depth-1", "ints-depth-2", "ints-depth-2-true", "floats", "pair-re", "pair-im"],
+)
+def test_a_boolean_among_numbers_is_refused(value, depth, dtype):
+    """numpy converts a boolean among numbers to 0 or 1, so `json_array`
+    looks for one among the cells equal to 0 or 1 and refuses the value;
+    the same list without the boolean is read."""
+    assert groups.json_array(value, depth, dtype) is None
+    plain = json.loads(json.dumps(value).replace("true", "1").replace("false", "0"))
+    assert groups.json_array(plain, depth, dtype) is not None
+
+
 def _s3_over_a_transposition():
     group = wg.symmetric_group(3)
     part = wg.double_cosets(group, [1])

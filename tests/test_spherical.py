@@ -447,9 +447,10 @@ def test_refinement_skips_the_identity_coset_and_stacks_blocks(monkeypatch):
         calls[0] += 1
         return eigh(a)
 
-    def recording(blocks, H, scale):
-        seen.append(H)
-        return refine(blocks, H, scale)
+    def recording(blocks, S, phase, scale):
+        assert np.isrealobj(S)  # the products with the basis run in real arithmetic
+        seen.append(phase * S)
+        return refine(blocks, S, phase, scale)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     monkeypatch.setattr(spherical, "_refine", recording)
