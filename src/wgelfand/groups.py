@@ -286,10 +286,9 @@ def validate_group(mul: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     x^-1 is the one column where row x holds the identity. Associativity is
     Light's test, exhaustive at every order: the set of z with
     (x y) z = x (y z) for all x, y contains e and is closed under products,
-    so it is enough to check z on a generating set. The set is grown
-    greedily: each new z is the least element that the products of the
-    earlier ones do not reach, so it has at most log2(n) elements for a
-    group and the test costs O(n^2 log n). Products are read from the table:
+    so it is enough to check z on a generating set, grown by
+    _greedy_generators to at most log2(n) elements for a group, and the
+    test costs O(n^2 log n). Products are read from the table:
     the base images of its rows give x*y only once it is associative. Rows
     of x are compared in blocks of about ASSOC_BLOCK products, so the extra
     memory stays bounded.
@@ -312,7 +311,7 @@ def validate_group(mul: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     if mul.min() < 0 or mul.max() >= n:
         raise InputSpecError("table entries out of range")
     gens: list[int] = []
-    for z in _greedy_generators(lambda x, y: mul[x, y], np.ones(n, dtype=bool), identity):
+    for z in _greedy_generators(lambda x, y: mul[x, y], np.ones(n, dtype=bool), identity, inv):
         yz = mul[:, z]
         # (x*y)*z vs x*(y*z) for all y and a block of x at a time
         for rows in np.array_split(mul, -(-n * n // ASSOC_BLOCK)):
@@ -322,52 +321,41 @@ def validate_group(mul: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return identity, inv, np.array(gens, dtype=np.int64)
 
 
-def _right_closure(product: Callable, members: np.ndarray, step: np.ndarray, gens) -> None:
-    """Add to the boolean mask `members`, in place, the elements of `step`
-    and their right products with gens, until no product is new. Members
-    already in the mask are taken to be closed under gens already. Its one
-    caller, _greedy_generators, grows the reached set of Light's test and
-    of a subgroup given by its elements.
-
-    Each round also regrows along the newest powers g^(2^r) of the
-    generators, so that one generator of order m closes in about log2 m
-    rounds instead of m. Their squares come from the same product call as
-    the round's products; a power seen before repeats from then on, and is
-    dropped. The fixpoint does not change: x g^(2^r) is x g ... g, as
-    g^(2^r) is a product of generators (in a table under Light's test, the
-    generators checked so far, and so their products, associate with every
-    pair)."""
-    gens = np.asarray(gens, dtype=np.int64)
-    powers, seen, targets = gens, set(gens.tolist()), gens  # powers are the last targets
-    while True:
-        fresh = np.zeros_like(members)
-        fresh[step] = ~members[step]
-        frontier = np.flatnonzero(fresh)
-        if not len(frontier):
-            return
-        members[frontier] = True
-        out = product(np.concatenate([frontier, powers])[:, None], targets)
-        step = out[: len(frontier)].ravel()
-        if len(powers):
-            squares = dict.fromkeys(out[len(frontier) :, -len(powers) :].diagonal().tolist())
-            powers = np.array([p for p in squares if p not in seen], dtype=np.int64)
-            seen.update(squares)
-            targets = np.concatenate([gens, powers])
+def _label_round(label: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """One round of min-label propagation: the least label among x and its
+    neighbours, then one pointer jump (label <- label[label])."""
+    new = np.minimum(label, label[neighbours].min(axis=0))
+    return new[new]
 
 
-def _greedy_generators(product: Callable, inside: np.ndarray, identity: int) -> Iterator[int]:
-    """Yield a generating set of the subgroup on the mask `inside`: each
-    element is the least one that the products of the earlier ones do not
-    reach, so each at least doubles the reached set and there are at most
-    log2 of its order. The reached set is closed under the earlier
-    generators, so it regrows only from its products with the new one."""
-    reached = np.zeros(len(inside), dtype=bool)
-    reached[identity] = True
-    gens: list[int] = []
-    while (inside & ~reached).any():
-        gens.append(int(np.argmax(inside & ~reached)))
-        yield gens[-1]
-        _right_closure(product, reached, product(np.flatnonzero(reached), gens[-1]), gens)
+def _settle(label: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """_label_round until the labels no longer change."""
+    while not np.array_equal(new := _label_round(label, neighbours), label):
+        label = new
+    return label
+
+
+def _greedy_generators(
+    product: Callable, inside: np.ndarray, identity: int, inv: np.ndarray
+) -> Iterator[int]:
+    """Yield a generating set of the subgroup on the mask `inside`: each z
+    is its least member outside the identity's component, so each at least
+    doubles that component and there are at most log2 of its order. Once
+    the caller has consumed z, every x gets the neighbours x z and x z^-1,
+    and the labels settle again from where they were.
+
+    For a table this is exact once z has passed Light's test: with the
+    identity and the two-sided inverses checked, (x z^-1) z = x (z^-1 z) = x,
+    so x -> x z is a permutation and x -> x z^-1 its inverse, and the
+    identity's component is the set that right products with the
+    generators reach."""
+    n = len(inside)
+    label, moves = np.arange(n), np.empty((0, n), dtype=np.int64)
+    while (outside := inside & (label != label[identity])).any():
+        z = int(np.argmax(outside))
+        yield z
+        moves = np.concatenate([moves, product(np.arange(n), np.array([[z], [inv[z]]]))])
+        label = _settle(label, moves)
 
 
 def build_group_from_generators(generators: Sequence[Sequence[int]]) -> GroupTable:
@@ -469,13 +457,6 @@ def group_from_table(table: Sequence[Sequence[int]]) -> GroupTable:
     return GroupTable(perms=perms, inv=inv, generators=gens, identity=identity)
 
 
-def _label_round(label: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
-    """One round of min-label propagation: the least label among x and its
-    neighbours, then one pointer jump (label <- label[label])."""
-    new = np.minimum(label, label[neighbours].min(axis=0))
-    return new[new]
-
-
 def double_cosets(group: GroupTable, generators: Sequence[int]) -> DoubleCosetPartition:
     """Partition G into double cosets KxK of the subgroup K that the
     element indices `generators` span, ordered by smallest member. K is
@@ -502,11 +483,7 @@ def double_cosets(group: GroupTable, generators: Sequence[int]) -> DoubleCosetPa
         neighbours = np.concatenate(
             [group.product(kgens[:, None], label), group.product(label, kgens[:, None])]
         )
-        while True:
-            new = _label_round(label, neighbours)
-            if np.array_equal(new, label):
-                break
-            label = new
+        label = _settle(label, neighbours)
     reps, coset_of, sizes = np.unique(label, return_inverse=True, return_counts=True)
     return DoubleCosetPartition(
         coset_of=coset_of,
@@ -607,7 +584,8 @@ def _subgroup_generators(group: GroupTable, k: np.ndarray) -> np.ndarray:
         raise InputSpecError("subgroup must contain the identity")
     members = np.zeros(group.order, dtype=bool)
     members[k] = True
-    gens = np.fromiter(_greedy_generators(group.product, members, group.identity), dtype=np.int64)
+    gens = _greedy_generators(group.product, members, group.identity, group.inv)
+    gens = np.fromiter(gens, dtype=np.int64)
     if members[group.product(k[:, None], gens)].all():
         return gens
     for rows in np.array_split(k, -(-len(k) ** 2 // ASSOC_BLOCK)):

@@ -32,7 +32,7 @@ from wgelfand import (
     StructureConstants,
     bi_invariance_witness,
 )
-from wgelfand.groups import _greedy_generators, _integers, _right_closure
+from wgelfand.groups import _greedy_generators, _integers
 from wgelfand.tolerance import RTOL, within
 from wgelfand.weighted import checked_weights
 
@@ -76,9 +76,9 @@ class Subgroup:
 
 
 def subgroup_closure(group: GroupTable, seeds) -> Subgroup:
-    """Smallest subgroup of `group` containing the seed elements, grown by
-    right products with the seeds and their inverses; InputSpecError names
-    the first seed out of range."""
+    """Smallest subgroup of `group` containing the seed elements, grown
+    breadth first from the identity by right products with the seeds and
+    their inverses; InputSpecError names the first seed out of range."""
     n = group.order
     seeds = _integers(seeds, "seeds", ndim=1)
     out = seeds[(seeds < 0) | (seeds >= n)]
@@ -87,7 +87,11 @@ def subgroup_closure(group: GroupTable, seeds) -> Subgroup:
     # with the inverses, a cyclic subgroup is reached from both ends
     gens = np.union1d(seeds, group.inv[seeds])
     members = np.zeros(n, dtype=bool)
-    _right_closure(group.product, members, np.array([group.identity]), gens)
+    frontier = np.array([group.identity])
+    while len(frontier):
+        members[frontier] = True
+        step = group.product(frontier[:, None], gens).ravel()
+        frontier = np.unique(step[~members[step]])
     return Subgroup(elements=tuple(np.flatnonzero(members).tolist()), generators=tuple(gens.tolist()))
 
 
@@ -95,7 +99,7 @@ def point_stabilizer(group: GroupTable, point: int) -> Subgroup:
     """Stabiliser of a point in a group built from permutations, read off
     the group's own permutations, with its greedy generators."""
     fixed = group.perms[:, point] == point
-    gens = _greedy_generators(group.product, fixed, group.identity)
+    gens = _greedy_generators(group.product, fixed, group.identity, group.inv)
     return Subgroup(elements=tuple(np.flatnonzero(fixed).tolist()), generators=tuple(gens))
 
 

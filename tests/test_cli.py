@@ -390,6 +390,47 @@ def test_text_format(tmp_path, capsys):
     assert "transform rank" in out
 
 
+def test_text_format_prints_the_witness_the_condition_and_the_multipliers(tmp_path, capsys):
+    """The text lines that only some reports reach, each the same value as
+    the JSON report of the same call: the witness of a pair that is not
+    Gelfand (S3 over the trivial subgroup, exit 2), and the sufficient
+    condition, each multiplier with its symbol and the commutation residual
+    of a multiplier-check on C5 with the inversion."""
+    def both(argv):
+        code, out = run_cli(argv, capsys)
+        text_code, text = run_cli(argv + ["--format", "text"], capsys)
+        assert text_code == code
+        return code, json.loads(out), text.splitlines()
+
+    paths = write_specs(tmp_path, S3, {"seeds": []}, UNIFORM)
+    code, report, lines = both(["analyze", "--group", paths["group"], "--subgroup",
+                                paths["subgroup"], "--weight", paths["weight"]])
+    assert code == 2
+    assert f"{'witness':<24}{report['gelfand']['witness']}" in lines
+    assert not any(line.startswith("sufficient condition") for line in lines)
+
+    kernels = [{"kind": "kernel", "coset_values": [[1, 0], [2, 0], [0, 0], [0, 0], [2, 0]]},
+               {"kind": "kernel", "coset_values": [[0, 0], [1, 1], [3, 0], [3, 0], [1, -1]]}]
+    paths = write_specs(tmp_path, {"kind": "cyclic", "n": 5}, {"seeds": []},
+                        {"kind": "by_element", "values": [1, 2, 3, 3, 2]},
+                        automorphism={"kind": "inversion"}, multipliers=kernels)
+    code, report, lines = both(
+        ["multiplier-check", "--group", paths["group"], "--subgroup", paths["subgroup"],
+         "--weight", paths["weight"], "--automorphism", paths["automorphism"],
+         "--multiplier", paths["multipliers"][0], "--multiplier", paths["multipliers"][1]])
+    assert code == 0
+    assert f"{'sufficient condition':<24}True" in lines
+    assert not any(line.startswith("witness") for line in lines)
+    for entry in report["multipliers"]:
+        at = lines.index(f"{'multiplier':<24}{entry['path']}: True")
+        label, values = lines[at + 1].split(None, 1)
+        assert label == "symbol"
+        values = [complex(v) for v in values.split(", ")]
+        assert np.allclose(values, np.array(entry["symbol"]) @ [1, 1j], rtol=1e-5)
+    (pair,) = report["commutation"]
+    assert f"{'commutation':<24}pair [0, 1] residual={pair['residual']:.3g}" in lines
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     paths = write_specs(tmp_path, S3, K_TRANSPOSITION, UNIFORM)
     args = ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
@@ -896,6 +937,38 @@ def test_malformed_group_and_subgroup_specs_exit_1(tmp_path, capsys, group, subg
          "--weight", paths["weight"]]
     )
     assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "group, automorphism, message",
+    [
+        ({"kind": "table", "table": [[0, 1], [1, 0], [0, 1]]}, None,
+         "multiplication table must be square"),
+        ({"kind": "table", "table": [[0, 1, 2], [1, 0, 5], [2, 5, 0]]}, None,
+         "table entries out of range"),
+        ({"kind": "cyclic", "n": 0}, None, "cyclic group order must be >= 1"),
+        ({"kind": "dihedral", "n": 0}, None, "dihedral parameter must be >= 1"),
+        ({"kind": "symmetric", "n": 0}, None, "symmetric group degree must be >= 1"),
+        ({"kind": "generators"}, None, 'kind "generators" requires a "generators" field'),
+        ({"kind": "cyclic"}, None, 'kind "cyclic" requires an "n" field'),
+        ({"kind": "table"}, None, 'kind "table" requires a "table" field'),
+        (S3, {"kind": "perm"}, 'kind "perm" requires a "perm" field'),
+        (S3, {"kind": "perm", "perm": [0, 0, 2, 3, 4, 5]}, "not a permutation of 0..5"),
+    ],
+    ids=["table-not-square", "table-out-of-range", "cyclic-0", "dihedral-0", "symmetric-0",
+         "no-generators", "no-n", "no-table", "no-perm", "perm-not-a-permutation"],
+)
+def test_group_and_automorphism_spec_errors_exit_1(tmp_path, capsys, group, automorphism,
+                                                   message):
+    """Each spec error exits 1 through the CLI with one line naming it. The
+    out-of-range table has an identity and two-sided inverses, so only its
+    entry 5 on 3 elements fails."""
+    paths = write_specs(tmp_path, group, {"seeds": []}, UNIFORM, automorphism=automorphism)
+    argv = ["analyze", "--group", paths["group"], "--subgroup", paths["subgroup"],
+            "--weight", paths["weight"]]
+    if automorphism is not None:
+        argv += ["--automorphism", paths["automorphism"]]
+    assert assert_one_line_error(main(argv), capsys) == f"error: {message}"
 
 
 @pytest.mark.parametrize("seeds, bad", [([-1], -1), ([7], 7), ([1, 9, -2], 9)])

@@ -213,3 +213,22 @@ def test_no_module_runs_an_svd():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 found += [f"{path.stem}: {alias.name}" for alias in node.names if alias.name in svd]
     assert found == []
+
+
+def test_the_reference_closure_uses_no_closure_of_the_package():
+    """`tests/oracles.py` grows a subgroup by its own breadth-first search:
+    it neither imports nor names the label fixpoint of `groups`
+    (`_label_round`, `_settle`) or a closure helper (`_right_closure`), so
+    the reference stays independent of the code it checks."""
+    path = ROOT / "tests" / "oracles.py"
+    closures = {"_right_closure", "_settle", "_label_round"}
+    named = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        names = (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.name for alias in node.names] if isinstance(node, (ast.Import, ast.ImportFrom))
+            else []
+        )
+        named += [name for name in names if name.split(".")[-1] in closures]
+    assert named == []

@@ -151,7 +151,12 @@ PART, SC = _s3_over_a_transposition()  # |G| = 6, d = 2
 @example({"kind": "kernel", "coset_values": [[10**400, 0], [float("nan"), 0]]})
 @example({"kind": "matrix", "rows": [[[1, 0], [0, float("nan")]], [[0, 0]]]})
 @example({"kind": "matrix", "rows": [[[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]]})
+@example({"kind": "kernel", "coset_values": [[2**64, -1], [1, 0]]})
+@example({"kind": "matrix", "rows": [[[2**64, -1], [0, 0]], [[0, 0], [1, 0]]]})
 def test_multiplier_values_read_as_by_the_per_entry_rule(spec):
+    """A spec that `json_array` refuses but every entry of which is a finite
+    number (2**64 beside -1 fits no 64-bit integer dtype) is read again row
+    by row, and gives the same values."""
     ours = outcome(lambda: wg.multiplier_from_spec(spec, SC))
     ref = outcome(lambda: oracles.multiplier_values(spec, SC.dim))
     if ours[0] == "ok":

@@ -588,6 +588,39 @@ def test_orthogonality_certificate_catches_single_entry_mutations(monkeypatch):
     assert mutations == 408
 
 
+def test_a_joint_spectrum_that_splits_nothing_raises():
+    """A hand-built commutative record on two cosets whose one non-identity
+    row is N_1 = I: its Hermitian part 2 I splits nothing and the row is
+    self-inverse, so the refinement ends with one line where two are
+    needed."""
+    keys = np.array([0, 2, 4, 7])  # (i d + j) d + k of (0,0,0), (0,1,0), (1,0,0), (1,1,1)
+    sc = wg.StructureConstants(
+        keys=keys, counts=np.ones(4, dtype=np.int64), wd=np.ones(2),
+        sizes=np.ones(2, dtype=np.int64), reps=np.arange(2),
+        inverse_coset=np.arange(2), identity_coset=0,
+    )
+    assert sc.commutativity_witness is None
+    with pytest.raises(DegenerateSpectrumError, match="splits into 1 lines, expected 2"):
+        wg.enumerate_spherical(sc)
+
+
+def test_scaled_characters_fail_the_multiplicity_certificate(monkeypatch):
+    """Scaling one column of chi1 by 1.1 keeps it orthogonal to the others
+    but divides its m_s by 1.21, which is no integer; chi1 / sqrt(2) doubles
+    every m_s, integers that sum to 2 |G:K|."""
+    group, K, part = _pair(wg.dihedral_group(6), [2])
+    sc = wg.hecke_structure_constants(group, part, np.ones(part.num_cosets))
+    chi1, _ = _checked(monkeypatch, sc)
+    index = group.order // K.order
+    assert spherical._multiplicities(chi1, sc).sum() == index
+    scaled = chi1.copy()
+    scaled[:, 1] *= 1.1
+    with pytest.raises(DegenerateSpectrumError, match="is not a positive integer"):
+        spherical._multiplicities(scaled, sc)
+    with pytest.raises(DegenerateSpectrumError, match=f"sum to {2 * index}, expected"):
+        spherical._multiplicities(chi1 / np.sqrt(2), sc)
+
+
 def _eigh_inputs(monkeypatch, sc):
     """(dtype kind, shape) of every matrix that enumerate_spherical hands to
     np.linalg.eigh."""
