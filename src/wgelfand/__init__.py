@@ -22,7 +22,6 @@ from .fourier import (
 )
 from .groups import (
     DoubleCosetPartition,
-    GroupAutomorphism,
     GroupTable,
     build_group_from_generators,
     check_automorphism,
@@ -31,7 +30,6 @@ from .groups import (
     double_cosets,
     group_from_spec,
     group_from_table,
-    inversion_automorphism,
     subgroup_from_spec,
     symmetric_group,
     symmetric_group_generators,

@@ -161,7 +161,6 @@ def run(args) -> tuple[dict, int]:
     timings["setup"] = time.perf_counter() - t0
 
     unit_at_identity = bool(wd[partition.identity_coset] == 1.0)
-    w_invariant = None if theta is None else theta_invariant(wd, partition, theta)
     report = {
         "tool": {"name": "wgelfand", "version": __version__},
         "command": args.command,
@@ -179,7 +178,7 @@ def run(args) -> tuple[dict, int]:
             "k_bi_invariant": True,
             "symmetric": bool(np.array_equal(wd[partition.inverse_coset], wd)),
             "unit_at_identity": unit_at_identity,
-            "theta_invariant": w_invariant,
+            "theta_invariant": None if theta is None else theta_invariant(wd, partition, theta),
         },
     }
 
@@ -189,7 +188,7 @@ def run(args) -> tuple[dict, int]:
     report["gelfand"] = {
         "gelfand": witness is None,
         "witness": witness and dict(zip(("basis_i", "basis_j", "element"), witness)),
-        "rap": None if theta is None else check_rap_condition(sc, partition, theta, w_invariant),
+        "rap": None if theta is None else check_rap_condition(sc, partition, theta),
     }
     timings["gelfand"] = time.perf_counter() - t1
 

@@ -147,14 +147,6 @@ class DoubleCosetPartition:
         return len(self.reps)
 
 
-@dataclass(frozen=True)
-class GroupAutomorphism:
-    """A verified involutive automorphism of a GroupTable, stored as a
-    permutation."""
-
-    perm: np.ndarray
-
-
 # the Python types of a number in a spec; bool, a subclass of int, is not one
 _NUMBERS = (int, float, np.integer, np.floating)
 
@@ -460,9 +452,10 @@ def group_from_table(table: Sequence[Sequence[int]]) -> GroupTable:
 def double_cosets(group: GroupTable, generators: Sequence[int]) -> DoubleCosetPartition:
     """Partition G into double cosets KxK of the subgroup K that the
     element indices `generators` span, ordered by smallest member. K is
-    never listed: it is the double coset of the identity, KeK = K. An
-    index outside 0..|G|-1 raises InputSpecError, the first in the given
-    order.
+    never listed: it is the double coset of the identity, KeK = K. The
+    indices are read as the seeds of a spec are (`_integers`): anything but
+    exact integers, or an index outside 0..|G|-1, the first in the given
+    order, raises InputSpecError.
 
     Every element starts as its own label. The neighbours of x are k x and
     x k for k and k^-1 in the generators, so labels flow both ways along
@@ -474,7 +467,7 @@ def double_cosets(group: GroupTable, generators: Sequence[int]) -> DoubleCosetPa
     """
     n = group.order
     label = np.arange(n)
-    kgens = np.asarray(generators, dtype=np.int64)
+    kgens = _integers(generators, "seeds", ndim=1)
     out = kgens[(kgens < 0) | (kgens >= n)]
     if len(out):
         raise InputSpecError(f"seed index {out[0]} out of range for order {n}")
@@ -494,10 +487,10 @@ def double_cosets(group: GroupTable, generators: Sequence[int]) -> DoubleCosetPa
     )
 
 
-def check_automorphism(group: GroupTable, perm: Sequence[int]) -> GroupAutomorphism:
-    """Verify that perm is an involutive group automorphism; a failed
-    homomorphism check raises with a witness pair, and then theta^2 != id
-    raises NotInvolutiveError.
+def check_automorphism(group: GroupTable, perm: Sequence[int]) -> np.ndarray:
+    """perm as an int64 array once it is verified to be an involutive group
+    automorphism; a failed homomorphism check raises with a witness pair,
+    and then theta^2 != id raises NotInvolutiveError.
 
     theta(x z) = theta(x) theta(z) is checked for every x and every z in the
     group's generating set S: the z that satisfy it for all x are closed
@@ -517,12 +510,7 @@ def check_automorphism(group: GroupTable, perm: Sequence[int]) -> GroupAutomorph
         raise NotAutomorphismError(row, int(z[col]))
     if not np.array_equal(p[p], np.arange(n)):
         raise NotInvolutiveError("automorphism is not involutive")
-    return GroupAutomorphism(perm=p)
-
-
-def inversion_automorphism(group: GroupTable) -> GroupAutomorphism:
-    """x -> x^-1 as an automorphism; only valid on abelian groups."""
-    return check_automorphism(group, group.inv)
+    return p
 
 
 def group_from_spec(spec: dict) -> GroupTable:
@@ -595,8 +583,9 @@ def _subgroup_generators(group: GroupTable, k: np.ndarray) -> np.ndarray:
             raise InputSpecError(f"subgroup not closed under product at ({x}, {y})")
 
 
-def automorphism_from_spec(group: GroupTable, spec: dict) -> GroupAutomorphism:
-    """Build an automorphism from {"kind": "perm"|"inversion"|"identity"}."""
+def automorphism_from_spec(group: GroupTable, spec: dict) -> np.ndarray:
+    """The verified automorphism, as its permutation, of {"kind":
+    "perm"|"inversion"|"identity"}; inversion passes on abelian groups only."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputSpecError('automorphism spec must be an object with a "kind" field')
     kind = spec["kind"]
@@ -605,7 +594,7 @@ def automorphism_from_spec(group: GroupTable, spec: dict) -> GroupAutomorphism:
             raise InputSpecError('kind "perm" requires a "perm" field')
         return check_automorphism(group, spec["perm"])
     if kind == "inversion":
-        return inversion_automorphism(group)
+        return check_automorphism(group, group.inv)
     if kind == "identity":
         return check_automorphism(group, np.arange(group.order))
     raise InputSpecError(f"unknown automorphism kind: {kind!r}")

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputSpecError, WGelfandError
-from .groups import DoubleCosetPartition, GroupAutomorphism, GroupTable
+from .groups import DoubleCosetPartition, GroupTable
 from .weighted import checked_weights
 
 
@@ -109,23 +109,22 @@ def hecke_structure_constants(
 
 
 def check_rap_condition(
-    sc: StructureConstants,
-    partition: DoubleCosetPartition,
-    theta: GroupAutomorphism,
-    w_invariant: bool,
+    sc: StructureConstants, partition: DoubleCosetPartition, theta: np.ndarray
 ) -> bool:
     """Sufficient condition for the weighted Gelfand property of sc, the
-    structure constants on the double cosets `partition`.
+    structure constants on the double cosets `partition`, with theta the
+    permutation of a verified involutive automorphism.
 
-    True iff w∘theta = w and theta(x) lies in K x^-1 K, the inverse coset of
-    the coset of x, for all x. Precondition: w_invariant is
-    `theta_invariant(sc.wd, partition, theta)`, which the report also shows,
-    so w∘theta = w is compared once and trusted here. Whenever both hold,
-    the commutativity of sc is cross-validated and a failure raises (it
-    would contradict the theorem).
+    True iff theta(x) lies in K x^-1 K, the inverse coset of the coset of
+    x, for all x, and w∘theta = w. Given the first, w(theta(x)) is the
+    weight of the inverse coset of x's coset, so the second is the symmetry
+    of the coset weights, wd[inverse_coset] == wd, compared exactly.
+    Whenever both hold, the commutativity of sc is cross-validated and a
+    failure raises (it would contradict the theorem).
     """
     coset_of = partition.coset_of
-    ok = w_invariant and np.array_equal(partition.inverse_coset[coset_of], coset_of[theta.perm])
+    lands = np.array_equal(partition.inverse_coset[coset_of], coset_of[theta])
+    ok = lands and np.array_equal(sc.wd[sc.inverse_coset], sc.wd)
     if ok and sc.commutativity_witness is not None:
         raise WGelfandError(
             "sufficient condition held but the algebra is noncommutative; "

@@ -5,9 +5,10 @@
    checked for K-bi-invariance there, by `weighted.bi_invariance_witness`.
    Every later property is an equality on wd: symmetry
    wd[inverse_coset] == wd and w(e) = 1 as wd[identity_coset] == 1 for
-   the report, and theta-invariance by `weighted.theta_invariant(wd,
-   partition, theta)`, decided once for the report and passed on as the
-   w_invariant of `check_rap_condition(sc, partition, theta, w_invariant)`.
+   the report, theta-invariance by `weighted.theta_invariant(wd,
+   partition, theta)` for the report, and in `check_rap_condition(sc,
+   partition, theta)` the symmetry sc.wd[sc.inverse_coset] == sc.wd, which
+   is w∘theta = w once theta(x) lies in K x^-1 K.
    The precondition w(e) = 1 of `enumerate_spherical` is the same
    comparison, on the coset-level fields sc.wd[sc.identity_coset].
 2. A computed quantity passes when its residual is at most

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BiInvarianceError, InputSpecError
-from .groups import DoubleCosetPartition, GroupAutomorphism, json_floats
+from .groups import DoubleCosetPartition, json_floats
 
 
 def weight_from_spec(spec: dict, partition: DoubleCosetPartition) -> np.ndarray:
@@ -38,7 +38,7 @@ def weight_from_spec(spec: dict, partition: DoubleCosetPartition) -> np.ndarray:
             raw = spec.get("values", [])
             if np.shape(raw) != (n,):
                 raise InputSpecError(f"weight needs {n} values, got {np.shape(raw)}")
-            values = checked_weights(json_floats(raw, "weight values"))
+            values = checked_weights(raw)
             witness = bi_invariance_witness(values, partition)
             if witness is not None:
                 raise BiInvarianceError(*witness)
@@ -73,8 +73,9 @@ def weight_from_spec(spec: dict, partition: DoubleCosetPartition) -> np.ndarray:
 
 
 def checked_weights(values) -> np.ndarray:
-    """values as a float array, finite and > 0."""
-    vals = np.asarray(values, dtype=np.float64)
+    """values as a float array, finite and > 0, read as a spec's numbers are
+    (`json_floats`): a string or a boolean raises InputSpecError."""
+    vals = json_floats(values, "weight values")
     if not np.all(np.isfinite(vals) & (vals > 0)):
         raise InputSpecError("weight must be finite and strictly positive")
     return vals
@@ -92,10 +93,9 @@ def bi_invariance_witness(
     return (int(ref[bad[0]]), int(flat[bad[0]])) if len(bad) else None
 
 
-def theta_invariant(
-    wd: np.ndarray, partition: DoubleCosetPartition, theta: GroupAutomorphism
-) -> bool:
-    """w(theta(x)) = w(x) for every x, compared exactly on the coset
-    weights: w(x) is the weight of the coset of x."""
+def theta_invariant(wd: np.ndarray, partition: DoubleCosetPartition, theta: np.ndarray) -> bool:
+    """w(theta(x)) = w(x) for every x, with theta a permutation of G,
+    compared exactly on the coset weights: w(x) is the weight of the coset
+    of x."""
     coset_of = partition.coset_of
-    return bool(np.array_equal(wd[coset_of[theta.perm]], wd[coset_of]))
+    return bool(np.array_equal(wd[coset_of[theta]], wd[coset_of]))

@@ -165,6 +165,16 @@ def fuzz_pairs(draw):
     return group, mul, seeds, draw(st.integers(0, 2**32 - 1))
 
 
+def involution(group):
+    """Inversion on an abelian group, else conjugation by the first element
+    of order 2: an involutive automorphism that moves elements."""
+    x = np.arange(group.order)
+    if np.array_equal(group.product(x[:, None], x), group.product(x, x[:, None])):
+        return group.inv
+    t = int(np.flatnonzero((group.inv == x) & (x != group.identity))[0])
+    return group.product(group.product(t, x), t)
+
+
 def check_subgroup_oracle(group, elements):
     """The error _check_subgroup should raise for a sorted element list, or
     None: the identity first, then the first (x, y) in row-major order whose

@@ -24,7 +24,6 @@ import numpy as np
 from wgelfand import (
     BiInvarianceError,
     DoubleCosetPartition,
-    GroupAutomorphism,
     GroupTable,
     InputSpecError,
     PreconditionError,
@@ -191,9 +190,9 @@ def sharp_projection(f: np.ndarray, group: GroupTable, K: Subgroup) -> np.ndarra
     return out / (K.order ** 2)
 
 
-def theta_pullback(f: np.ndarray, theta: GroupAutomorphism) -> np.ndarray:
-    """f^theta(x) = f(theta(x))."""
-    return np.asarray(f, dtype=complex)[theta.perm]
+def theta_pullback(f: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """f^theta(x) = f(theta(x)), with theta a permutation of G."""
+    return np.asarray(f, dtype=complex)[theta]
 
 
 def reflect(f: np.ndarray, group: GroupTable) -> np.ndarray:

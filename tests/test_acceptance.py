@@ -114,11 +114,11 @@ def test_criterion_4_sufficient_condition():
         rng = np.random.default_rng(4)
         for order in (5, 7):
             group, K, part = _pair(wg.cyclic_group(order), [])
-            theta = wg.inversion_automorphism(group)
+            theta = wg.check_automorphism(group, group.inv)
             for _ in range(10):
                 w = random_symmetric_weight(group, rng)
                 sc = wg.hecke_structure_constants(group, part, w[part.reps])
-                assert wg.check_rap_condition(sc, part, theta, wg.theta_invariant(sc.wd, part, theta))
+                assert wg.check_rap_condition(sc, part, theta)
                 assert sc.commutativity_witness is None
         group, K, part = _pair(wg.symmetric_group(3), [1])
         theta = wg.check_automorphism(group, np.arange(6))
@@ -128,7 +128,7 @@ def test_criterion_4_sufficient_condition():
             # closed under inversion
             assert np.array_equal(w[group.inv], w)
             sc = wg.hecke_structure_constants(group, part, w[part.reps])
-            assert wg.check_rap_condition(sc, part, theta, wg.theta_invariant(sc.wd, part, theta))
+            assert wg.check_rap_condition(sc, part, theta)
             assert sc.commutativity_witness is None
 
     _run(4, "automorphism-based sufficient condition implies detection", body)
@@ -283,7 +283,7 @@ def test_criterion_11_projection_and_pullback_identities():
         s3, K3, p3 = _pair(wg.symmetric_group(3), [1])
         theta_id = wg.check_automorphism(s3, np.arange(6))
         c6 = wg.cyclic_group(6)
-        theta_inv = wg.inversion_automorphism(c6)
+        theta_inv = wg.check_automorphism(c6, c6.inv)
         mul3 = oracles.mul_table(s3)
         for _ in range(50):
             # projection identities on the S3 pair with bi-invariant weight
@@ -314,7 +314,7 @@ def test_criterion_11_projection_and_pullback_identities():
 
             # theta landing in K x^-1 K forces pullback = reflection
             sc = wg.hecke_structure_constants(s3, p3, w[p3.reps])
-            assert wg.check_rap_condition(sc, p3, theta_id, True)
+            assert wg.check_rap_condition(sc, p3, theta_id)
             assert np.max(
                 np.abs(oracles.theta_pullback(f, theta_id) - oracles.reflect(f, s3))
             ) < 1e-10

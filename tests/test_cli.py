@@ -13,7 +13,7 @@ from wgelfand.cli import main
 from wgelfand.tolerance import RTOL, within
 
 import oracles
-from conftest import C300_ONE_WRONG, LOOP_5, gelfand_instances
+from conftest import C300_ONE_WRONG, LOOP_5, gelfand_instances, involution
 
 
 def write_specs(tmp_path, group, subgroup, weight, automorphism=None, multipliers=()):
@@ -791,16 +791,6 @@ def test_fourier_rank_does_not_depend_on_the_weight(tmp_path, capsys, wide):
     assert upper == pytest.approx(max(2 * wide, 1 / wide), rel=RTOL)
 
 
-def _involution(group):
-    """Inversion on an abelian group, else conjugation by the first element
-    of order 2: an involutive automorphism that moves elements."""
-    x = np.arange(group.order)
-    if np.array_equal(group.product(x[:, None], x), group.product(x, x[:, None])):
-        return group.inv
-    t = int(np.flatnonzero((group.inv == x) & (x != group.identity))[0])
-    return group.product(group.product(t, x), t)
-
-
 def test_report_weight_flags_match_their_per_element_definitions(tmp_path, capsys):
     """The report reads its flags off the coset weights; on random
     bi-invariant weights with values in {1, 2} over every Gelfand instance
@@ -808,7 +798,7 @@ def test_report_weight_flags_match_their_per_element_definitions(tmp_path, capsy
     rng = np.random.default_rng(31)
     seen = set()
     for name, group, K, part, _ in gelfand_instances():
-        theta = _involution(group)
+        theta = involution(group)
         for trial in range(6):
             v = rng.integers(1, 3, part.num_cosets).astype(float)[part.coset_of]
             spec_dir = tmp_path / f"{name}-{trial}"

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wgelfand as wg
 from wgelfand.cli import main
@@ -17,9 +18,11 @@ from conftest import (
     commutativity_oracle,
     dense_c_oracle,
     dense_p_oracle,
+    double_cosets_oracle,
     fuzz_group,
     fuzz_pairs,
     gelfand_instances,
+    involution,
     random_bi_invariant_weight,
     structure_tensor,
     weighted_convolve_oracle,
@@ -126,11 +129,11 @@ def test_weighted_transfer_invariant(s3_pair):
 def test_rap_condition_cyclic5():
     c5 = wg.cyclic_group(5)
     part = wg.double_cosets(c5, [])
-    theta = wg.inversion_automorphism(c5)
+    theta = wg.check_automorphism(c5, c5.inv)
     w = np.array([1.0, 2.0, 3.0, 3.0, 2.0])
     sc = wg.hecke_structure_constants(c5, part, w[part.reps])
     assert wg.theta_invariant(sc.wd, part, theta)
-    assert wg.check_rap_condition(sc, part, theta, True)
+    assert wg.check_rap_condition(sc, part, theta)
     assert sc.commutativity_witness is None
 
 
@@ -139,24 +142,24 @@ def test_rap_condition_s3_identity_theta(s3_pair):
     theta = wg.check_automorphism(group, np.arange(6))
     sc = wg.hecke_structure_constants(group, part, np.ones(2))
     # both double cosets are inverse-closed, so theta(x) = x lies in K x^-1 K
-    assert wg.check_rap_condition(sc, part, theta, wg.theta_invariant(sc.wd, part, theta))
+    assert wg.check_rap_condition(sc, part, theta)
 
 
 def test_rap_condition_inversion_on_cyclic6():
     c6 = wg.cyclic_group(6)
     part = wg.double_cosets(c6, [])
     sc = wg.hecke_structure_constants(c6, part, np.ones(6))
-    assert wg.check_rap_condition(sc, part, wg.inversion_automorphism(c6), True)
+    assert wg.check_rap_condition(sc, part, wg.check_automorphism(c6, c6.inv))
 
 
 def test_rap_condition_identity_fails_on_cyclic5():
-    """With w∘theta = w granted, theta = id on C5 over 1 still fails: the
-    coset {1} is not its inverse coset {4}."""
+    """With the uniform weight, so w∘theta = w, theta = id on C5 over 1
+    still fails: the coset {1} is not its inverse coset {4}."""
     c5 = wg.cyclic_group(5)
     part = wg.double_cosets(c5, [])
     theta = wg.check_automorphism(c5, np.arange(5))
     sc = wg.hecke_structure_constants(c5, part, np.ones(5))
-    assert not wg.check_rap_condition(sc, part, theta, True)
+    assert not wg.check_rap_condition(sc, part, theta)
 
 
 def test_rap_condition_raises_when_it_holds_on_a_noncommutative_algebra():
@@ -169,17 +172,45 @@ def test_rap_condition_raises_when_it_holds_on_a_noncommutative_algebra():
     witness = noncommutative.commutativity_witness
     assert witness is not None
     with pytest.raises(WGelfandError, match=re.escape(f"witness {witness}")):
-        wg.check_rap_condition(noncommutative, part, wg.inversion_automorphism(c6), True)
+        wg.check_rap_condition(noncommutative, part, wg.check_automorphism(c6, c6.inv))
 
 
 def test_rap_condition_fails_without_theta_invariance():
+    """Inversion on C5 over 1 lands in K x^-1 K, but the weight is not
+    symmetric, so w∘theta != w: the condition reads that off the coset
+    weights and fails."""
     c5 = wg.cyclic_group(5)
     part = wg.double_cosets(c5, [])
-    theta = wg.inversion_automorphism(c5)
+    theta = wg.check_automorphism(c5, c5.inv)
     w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])  # not symmetric
     sc = wg.hecke_structure_constants(c5, part, w[part.reps])
     assert not wg.theta_invariant(sc.wd, part, theta)
-    assert not wg.check_rap_condition(sc, part, theta, False)
+    assert not wg.check_rap_condition(sc, part, theta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fuzz_pairs(), st.booleans())
+@example((*fuzz_group("C", 5, False), [], 0), False)  # inversion, weight not symmetric
+@example((*fuzz_group("C", 12, True), [], 1), True)  # inversion on a table, symmetric
+@example((*fuzz_group("S", 3, False), [1], 2), False)  # conjugation by (0 1), over S2
+def test_rap_condition_equals_its_definition_on_g(pair, symmetric):
+    """check_rap_condition decides on coset data what the definition asks
+    of every x in G: coset(theta x) = coset(x^-1) and w(theta x) = w(x).
+    theta is inversion on an abelian G, else conjugation by an involution;
+    the bi-invariant weight is drawn symmetric or not. The cosets of the
+    definition are the oracle's orbits KxK on the table."""
+    group, mul, seeds, seed = pair
+    K = oracles.subgroup_closure(group, seeds)
+    part = wg.double_cosets(group, K.generators)
+    theta = wg.check_automorphism(group, involution(group))
+    wd = np.random.default_rng(seed).integers(1, 4, part.num_cosets).astype(float)
+    if symmetric:
+        wd += wd[part.inverse_coset]
+    sc = wg.hecke_structure_constants(group, part, wd)
+    _, coset_of = double_cosets_oracle(mul, K)
+    inv, w = np.argmax(mul == 0, axis=1), wd[part.coset_of]
+    definition = np.array_equal(coset_of[theta], coset_of[inv]) and np.array_equal(w[theta], w)
+    assert wg.check_rap_condition(sc, part, theta) == definition
 
 
 def test_rap_condition_requires_involutive(tmp_path, monkeypatch, capsys):
@@ -327,7 +358,7 @@ def test_analyze_builds_structure_constants_once(tmp_path, monkeypatch, capsys):
     assert len(builds) == 1
     assert convolutions == []
     assert len(scans) == 1  # weight_from_spec reads the by_element weight
-    assert len(theta_checks) == 1  # shared by the report's flag and the sufficient condition
+    assert len(theta_checks) == 1  # the report's flag; the sufficient condition needs none
     assert len(partitions) == 1
 
 

@@ -215,6 +215,21 @@ def test_no_module_runs_an_svd():
     assert found == []
 
 
+def test_no_function_takes_a_bool_parameter():
+    """A verdict is derived where it is used, not passed in: no function or
+    method in the package has a parameter annotated `bool`."""
+    flags = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
+                if arg and arg.annotation and re.search(r"\bbool\b", ast.unparse(arg.annotation)):
+                    flags.append(f"{path.stem}.{node.name}({arg.arg})")
+    assert flags == []
+
+
 def test_the_reference_closure_uses_no_closure_of_the_package():
     """`tests/oracles.py` grows a subgroup by its own breadth-first search:
     it neither imports nor names the label fixpoint of `groups`

@@ -32,6 +32,31 @@ def test_weight_rejects_nonpositive():
         wg.weight_from_spec({"kind": "by_element", "values": [1.0, 0.0]}, part)
 
 
+@pytest.mark.parametrize(
+    "values, shown",
+    [(["1", "2"], "'1'"), ([True, True], "True"), (np.array([True, True]), "np.True_")],
+)
+def test_coset_weights_are_read_as_spec_numbers(s3_pair, values, shown):
+    """Strings and booleans, also a boolean array, are not weights: the
+    structure constants reject them with the message of the spec path."""
+    group, K, part = s3_pair
+    with pytest.raises(InputSpecError, match=f"^weight values must be numbers, got {shown}$"):
+        wg.hecke_structure_constants(group, part, values)
+
+
+class _NoEntries(np.ndarray):
+    """A float array that fails if it is read entry by entry."""
+
+    def __iter__(self):
+        raise AssertionError("read entry by entry")
+
+
+def test_coset_weights_as_a_float_array_pass_without_per_entry_work(s3_pair):
+    group, K, part = s3_pair
+    wd = np.array([1.0, 2.5]).view(_NoEntries)
+    assert wg.hecke_structure_constants(group, part, wd).wd is wd
+
+
 def test_weighted_l1_norm_delta():
     c4 = wg.cyclic_group(4)
     w = np.ones(c4.order)
@@ -218,7 +243,7 @@ def test_theta_pullback_equals_reflect_for_bi_invariant(s3_pair):
     group, K, part = s3_pair
     theta = wg.check_automorphism(group, np.arange(6))
     sc = wg.hecke_structure_constants(group, part, np.ones(2))
-    assert wg.check_rap_condition(sc, part, theta, True)
+    assert wg.check_rap_condition(sc, part, theta)
     f = oracles.expand(np.array([1.0, 2.0 - 1.0j]), part)
     assert np.allclose(oracles.theta_pullback(f, theta), oracles.reflect(f, group))
 
@@ -298,7 +323,7 @@ def test_sharp_convolution_identities(s3_pair):
 
 def test_theta_homomorphism():
     c6 = wg.cyclic_group(6)
-    theta = wg.inversion_automorphism(c6)
+    theta = wg.check_automorphism(c6, c6.inv)
     part = wg.double_cosets(c6, [])
     rng = np.random.default_rng(12)
     for _ in range(20):
