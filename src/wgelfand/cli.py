@@ -28,7 +28,13 @@ from .fourier import (
     multiplier_from_spec,
     verify_commutation,
 )
-from .groups import automorphism_from_spec, double_cosets, group_from_spec, subgroup_from_spec
+from .groups import (
+    GroupTable,
+    automorphism_from_spec,
+    double_cosets,
+    group_from_spec,
+    subgroup_from_spec,
+)
 from .hecke import check_rap_condition, hecke_structure_constants
 from .spherical import enumerate_spherical
 from .tolerance import RTOL, within
@@ -67,30 +73,52 @@ def _orjson_reads_as_json(raw: bytes) -> bool:
     return int(np.cumsum(steps).max(initial=0)) <= MAX_DEPTH
 
 
-def _load_json(path: str) -> tuple[dict, str]:
-    """(spec, sha256 of its bytes). orjson parses the spec where
+def _read(path: str) -> tuple[bytes, str]:
+    """A spec file's bytes and their sha256."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputSpecError(f"{path}: {exc}") from exc
+    return raw, hashlib.sha256(raw).hexdigest()
+
+
+def _parse(path: str, raw: bytes):
+    """The spec in `raw`, read from `path`. orjson parses it where
     `_orjson_reads_as_json` holds. json decides every other document and
     every one orjson refuses (NaN and Infinity, UTF-16 or -32, a BOM, a lone
     surrogate), and words the errors, so specs and messages are json's."""
-    p = Path(path)
-    try:
-        raw = p.read_bytes()
-    except OSError as exc:
-        raise InputSpecError(f"{path}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
     if _orjson_reads_as_json(raw):
         try:
-            return orjson.loads(raw), digest
+            return orjson.loads(raw)
         except orjson.JSONDecodeError:
             pass
     try:
-        return json.loads(raw), digest
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputSpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:  # bytes that are not UTF-8, -16 or -32
         raise InputSpecError(f"{path}: {exc}") from exc
     except RecursionError:  # arrays or objects nested too deeply to parse
         raise InputSpecError(f"{path}: JSON nested too deeply") from None
+
+
+# (sha256 of a group spec, its group): the last group built, which the next
+# call reuses when its group spec has the same bytes. It holds a successful
+# build only and is replaced whole by one assignment, so an exception raised
+# at any point of a call never pairs a digest with another spec's group.
+_last_group: Optional[tuple[str, GroupTable]] = None
+
+
+def _group(path: str, raw: bytes, digest: str) -> GroupTable:
+    """The group of the spec `raw` read from `path`: the last one built if
+    its spec had the sha256 `digest`, else built from the spec and kept.
+    A group's arrays are read-only, so calls can share it."""
+    global _last_group
+    if _last_group is not None and _last_group[0] == digest:
+        return _last_group[1]
+    group = group_from_spec(_parse(path, raw))
+    _last_group = (digest, group)
+    return group
 
 
 def _pairs(z) -> np.ndarray:
@@ -147,12 +175,15 @@ def run(args) -> tuple[dict, int]:
     timings = {}
     inputs = {}
 
-    def load(name: str, path: str) -> dict:
-        spec, digest = _load_json(path)
+    def read(name: str, path: str) -> tuple[bytes, str]:
+        raw, digest = _read(path)
         inputs[name] = {"path": path, "sha256": digest}
-        return spec
+        return raw, digest
 
-    group = group_from_spec(load("group", args.group))
+    def load(name: str, path: str) -> dict:
+        return _parse(path, read(name, path)[0])
+
+    group = _group(args.group, *read("group", args.group))
     partition = double_cosets(group, subgroup_from_spec(group, load("subgroup", args.subgroup)))
     wd = weight_from_spec(load("weight", args.weight), partition)
     theta = None
@@ -218,11 +249,11 @@ def run(args) -> tuple[dict, int]:
             results = []
             operators = []
             for mpath in args.multiplier:
-                mspec, digest = _load_json(mpath)
+                raw, digest = _read(mpath)
                 inputs.setdefault("multipliers", []).append(
                     {"path": mpath, "sha256": digest}
                 )
-                T, h = multiplier_from_spec(mspec, sc)
+                T, h = multiplier_from_spec(_parse(mpath, raw), sc)
                 # a kernel operator is L_h, a multiplier by Wendel's theorem
                 ok, witness = (True, None) if h is not None else is_multiplier(T, sc)
                 entry = {"path": mpath, "is_multiplier": ok}

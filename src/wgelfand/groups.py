@@ -42,8 +42,9 @@ class GroupTable:
     of the points it was built on, or, for a group given by a table, of the
     elements themselves (row x of the table). inv[x] is the index of x^-1
     and `generators` the indices of a generating set; product(x, y) is the
-    index of x*y. Immutable after construction; safe to share between
-    threads.
+    index of x*y. Immutable after construction: the builders mark the
+    three arrays read-only, and the base tree is read-only too. Safe to
+    share between threads and calls.
     """
 
     perms: np.ndarray
@@ -67,27 +68,34 @@ class GroupTable:
         base has at most log2 |G| points. steps[j] is a flat table of
         (classes before b_j) x degree entries: entry c * degree + i holds
         c' * degree for the class c' of the elements of class c with image i
-        at b_j, and in the last step the element itself. Entries are below
-        |G| * degree, and the class counts at least double from step to
-        step, so there are fewer than |G| * degree of them.
+        at b_j, and in the last step the element itself; entries that no
+        element reaches hold 0. Entries are below |G| * degree, and the
+        class counts at least double from step to step, so there are fewer
+        than |G| * degree of them. The new classes are numbered in key order
+        without a sort: by the running count of the keys present.
         """
         n, degree = self.perms.shape
         dtype = np.min_scalar_type(n * degree)
-        labels, base, steps = np.zeros(n, dtype=np.intp), [], []
+        labels, classes, base, steps = np.zeros(n, dtype=np.intp), 1, [], []
         for point in range(degree):
-            if labels.max() == n - 1:
+            if classes == n:
                 break
             key = labels * degree + self.perms[:, point]
-            split = np.unique(key, return_inverse=True)[1].reshape(n)
-            if split.max() > labels.max():
-                step = np.zeros((labels.max() + 1) * degree, dtype=dtype)
-                step[key] = split * degree
-                labels, last = split, key
+            present = np.zeros(classes * degree, dtype=bool)
+            present[key] = True
+            number = np.cumsum(present) - 1
+            if number[-1] >= classes:
+                step = np.zeros(classes * degree, dtype=dtype)
+                labels, classes, last = number[key], int(number[-1]) + 1, key
+                step[key] = labels * degree
                 base.append(point)
                 steps.append(step)
         if steps:  # the last classes are single elements
             steps[-1][last] = np.arange(n)
-        return np.array(base, dtype=np.intp), steps
+        base = np.array(base, dtype=np.intp)
+        for array in (base, *steps):  # shared, as the group is
+            array.flags.writeable = False
+        return base, steps
 
     @property
     def base(self) -> np.ndarray:
@@ -153,12 +161,13 @@ _NUMBERS = (int, float, np.integer, np.floating)
 
 def json_array(value, depth: int, dtype) -> Optional[np.ndarray]:
     """The one reader of spec numbers: `value` as a `depth`-dimensional
-    array of exact integers (dtype np.int64; integral floats up to 2**53
-    pass) or of finite floats (dtype float), else None for the caller to
-    word by its own rule. One `np.array` call converts; ragged lists,
-    strings, None and integers beyond 64 bits fail or leave the number
-    kinds. A boolean becomes 0 or 1 among numbers, so only the cells equal
-    to 0 or 1 are looked up in `value` for one. An ndarray is taken as is."""
+    array of exact integers (dtype np.int64; signed or unsigned integers
+    below 2**63 and integral floats up to 2**53 pass) or of finite floats
+    (dtype float), else None for the caller to word by its own rule. One
+    `np.array` call converts; ragged lists, strings, None and integers
+    beyond 64 bits fail or leave the number kinds. A boolean becomes 0 or 1
+    among numbers, so only the cells equal to 0 or 1 are looked up in
+    `value` for one. An ndarray is taken as is."""
     array = value
     if not isinstance(value, np.ndarray):
         try:
@@ -177,9 +186,10 @@ def json_array(value, depth: int, dtype) -> Optional[np.ndarray]:
     if dtype is float:
         array = array.astype(float, copy=False)
         return array if np.all(np.isfinite(array)) else None
-    exact = array.dtype.kind == "i" or (
-        array.dtype.kind == "f" and np.all((np.abs(array) <= 2**53) & (array == np.trunc(array)))
-    )
+    if array.dtype.kind == "f":
+        exact = np.all((np.abs(array) <= 2**53) & (array == np.trunc(array)))
+    else:  # an unsigned value from 2**63 on would wrap negative in int64
+        exact = array.dtype.kind == "i" or np.all(array < 2**63)
     return array.astype(np.int64) if exact else None
 
 
@@ -350,6 +360,14 @@ def _greedy_generators(
         label = _settle(label, moves)
 
 
+def _read_only(group: GroupTable) -> GroupTable:
+    """group, with perms, inv and generators marked read-only, as a built
+    group may be shared between calls."""
+    for array in (group.perms, group.inv, group.generators):
+        array.flags.writeable = False
+    return group
+
+
 def build_group_from_generators(generators: Sequence[Sequence[int]]) -> GroupTable:
     """Close a set of permutations under composition into a GroupTable.
 
@@ -364,7 +382,7 @@ def build_group_from_generators(generators: Sequence[Sequence[int]]) -> GroupTab
     inverse_perms = np.empty_like(perms)
     inverse_perms[np.arange(n)[:, None], perms] = np.arange(degree, dtype=perms.dtype)
     group.inv[:] = group._lookup(inverse_perms[:, group.base])
-    return group
+    return _read_only(group)
 
 
 def _check_known_order(factors: Iterable[int]) -> None:
@@ -446,7 +464,7 @@ def group_from_table(table: Sequence[Sequence[int]]) -> GroupTable:
     mul = _integers(table, "table", ndim=2)
     identity, inv, gens = validate_group(mul)
     perms = mul.astype(np.min_scalar_type(len(mul) - 1))
-    return GroupTable(perms=perms, inv=inv, generators=gens, identity=identity)
+    return _read_only(GroupTable(perms=perms, inv=inv, generators=gens, identity=identity))
 
 
 def double_cosets(group: GroupTable, generators: Sequence[int]) -> DoubleCosetPartition:

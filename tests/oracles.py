@@ -61,6 +61,28 @@ def mul_table(group: GroupTable) -> np.ndarray:
     return out
 
 
+def base_tree(group: GroupTable) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(base, steps) of `GroupTable._tree`, with every split of the classes
+    numbered by a sort: `np.unique` of the keys class * degree + image."""
+    n, degree = group.perms.shape
+    dtype = np.min_scalar_type(n * degree)
+    labels, base, steps = np.zeros(n, dtype=np.intp), [], []
+    for point in range(degree):
+        if labels.max() == n - 1:
+            break
+        key = labels * degree + group.perms[:, point]
+        split = np.unique(key, return_inverse=True)[1].reshape(n)
+        if split.max() > labels.max():
+            step = np.zeros((labels.max() + 1) * degree, dtype=dtype)
+            step[key] = split * degree
+            labels, last = split, key
+            base.append(point)
+            steps.append(step)
+    if steps:
+        steps[-1][last] = np.arange(n)
+    return np.array(base, dtype=np.intp), steps
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup listed in full: its sorted element indices, and the

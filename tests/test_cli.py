@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -471,6 +472,104 @@ def test_report_bytes_are_written_as_encoded(tmp_path, capsys, monkeypatch):
     assert printed == orjson.dumps(reports[-1][0], option=options).decode() + "\n"
     assert main(args + ["--output", str(out), "--format", "text"]) == 0
     assert out.read_bytes() == wgelfand.cli._format_text(reports[-1][0]).encode()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The group specs that `main` builds a group from, one entry per
+    `group_from_spec` call, with no group kept from an earlier test."""
+    import wgelfand.cli
+
+    monkeypatch.setattr(wgelfand.cli, "_last_group", None)
+    specs = []
+    build = wgelfand.cli.group_from_spec
+    monkeypatch.setattr(wgelfand.cli, "group_from_spec", lambda spec: specs.append(spec) or build(spec))
+    return specs
+
+
+def _analyze(paths, group, output):
+    """main's exit code for analyze on `group`, with the subgroup and weight
+    of `paths`, and the report written to `output` without its timings, or
+    None."""
+    code = main(["analyze", "--group", str(group), "--subgroup", paths["subgroup"],
+                 "--weight", paths["weight"], "--output", str(output)])
+    if not output.exists():
+        return code, None
+    report = json.loads(output.read_bytes())
+    report.pop("timings")
+    output.unlink()
+    return code, report
+
+
+D6 = {"kind": "dihedral", "n": 6}
+
+
+def test_byte_identical_group_specs_build_one_group(tmp_path, builds):
+    """Two calls on the same group spec bytes at two paths build the group
+    once, and their reports differ only in the path of the group spec."""
+    paths = write_specs(tmp_path, D6, {"seeds": [2]}, UNIFORM)
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(Path(paths["group"]).read_bytes())
+    first = _analyze(paths, paths["group"], tmp_path / "out.json")
+    second = _analyze(paths, copy, tmp_path / "out.json")
+    assert builds == [D6]
+    assert first[0] == second[0] == 0
+    assert first[1]["inputs"]["group"]["path"] == paths["group"]
+    assert second[1]["inputs"]["group"]["path"] == str(copy)
+    second[1]["inputs"]["group"]["path"] = paths["group"]
+    assert first == second
+
+
+def test_a_one_byte_change_builds_again(tmp_path, builds):
+    paths = write_specs(tmp_path, D6, {"seeds": [2]}, UNIFORM)
+    changed = tmp_path / "changed.json"
+    changed.write_bytes(Path(paths["group"]).read_bytes() + b"\n")
+    first = _analyze(paths, paths["group"], tmp_path / "out.json")
+    second = _analyze(paths, changed, tmp_path / "out.json")
+    assert builds == [D6, D6]
+    assert first[1]["inputs"]["group"]["sha256"] != second[1]["inputs"]["group"]["sha256"]
+    assert first[1]["group"] == second[1]["group"]
+
+
+def test_a_failing_group_spec_is_not_kept(tmp_path, capsys, builds):
+    """Good A, bad B, A, B: B fails with its own message both times, and A,
+    kept from its first call, is built once."""
+    paths = write_specs(tmp_path, D6, {"seeds": []}, UNIFORM)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "cyclic", "n": 0}))
+    out = tmp_path / "out.json"
+    for group, want in [(paths["group"], 0), (bad, 1), (paths["group"], 0), (bad, 1)]:
+        code, report = _analyze(paths, group, out)
+        if want:
+            assert report is None
+            line = assert_one_line_error(code, capsys)
+            assert line == "error: cyclic group order must be >= 1"
+        else:
+            assert code == 2 and report["group"]["order"] == 12
+    assert builds == [D6, {"kind": "cyclic", "n": 0}, {"kind": "cyclic", "n": 0}]
+
+
+def test_alternating_group_specs_build_every_time(tmp_path, builds):
+    """One group is kept: A, B, A builds three groups."""
+    paths = write_specs(tmp_path, D6, {"seeds": []}, UNIFORM)
+    other = tmp_path / "c12.json"
+    other.write_text(json.dumps({"kind": "cyclic", "n": 12}))
+    orders = [_analyze(paths, g, tmp_path / "out.json")[1]["group"]["order"]
+              for g in (paths["group"], other, paths["group"])]
+    assert orders == [12, 12, 12]
+    assert builds == [D6, {"kind": "cyclic", "n": 12}, D6]
+
+
+def test_the_kept_group_refuses_writes(tmp_path, builds):
+    import wgelfand.cli
+
+    paths = write_specs(tmp_path, D6, {"seeds": [2]}, UNIFORM)
+    assert _analyze(paths, paths["group"], tmp_path / "out.json")[0] == 0
+    digest, group = wgelfand.cli._last_group
+    assert digest == hashlib.sha256(Path(paths["group"]).read_bytes()).hexdigest()
+    for array in (group.perms, group.inv, group.generators):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 
 def _reject_constant(name):

@@ -172,6 +172,41 @@ def test_base_grows_past_eight_points():
         assert g.order == 2**k and len(g.base) == k
 
 
+def test_base_tree_matches_the_sorted_construction(monkeypatch):
+    """The tree numbers each split of the classes in key order without a
+    sort: its base and steps, dtype included, equal those of `np.unique`
+    on the keys, for S6, S7, S8 (past the element cap, raised here), D100,
+    C10080 and a table group."""
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 40320)
+    built = [wg.symmetric_group(6), wg.symmetric_group(7), wg.symmetric_group(8),
+             wg.dihedral_group(100), wg.cyclic_group(10080)]
+    table = wg.group_from_table(oracles.mul_table(wg.dihedral_group(12)).tolist())
+    for g in built + [table]:
+        base, steps = g._tree
+        want_base, want_steps = oracles.base_tree(g)
+        assert np.array_equal(base, want_base)
+        assert len(steps) == len(want_steps)
+        for step, want in zip(steps, want_steps):
+            assert step.dtype == want.dtype and np.array_equal(step, want)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: wg.build_group_from_generators([(1, 2, 0), (1, 0, 2)]),
+     lambda: wg.cyclic_group(12), lambda: wg.dihedral_group(5), lambda: wg.symmetric_group(4),
+     lambda: wg.group_from_table(oracles.mul_table(wg.symmetric_group(3)).tolist())],
+    ids=["generators", "cyclic", "dihedral", "symmetric", "table"],
+)
+def test_builders_make_read_only_arrays(build):
+    """A built group can be shared between calls: its perms, inv and
+    generators refuse writes, and so does its base."""
+    g = build()
+    for array in (g.perms, g.inv, g.generators, g.base):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
 def test_cyclic_closure_from_cycle():
     g = wg.build_group_from_generators([(1, 2, 3, 0)])
     assert g.order == 4
@@ -602,6 +637,19 @@ def test_double_cosets_read_generators_as_spec_integers(s3, seeds):
 def test_double_cosets_take_an_empty_list_or_an_int64_array(s3):
     assert wg.double_cosets(s3, []).sizes.tolist() == [1] * 6
     assert wg.double_cosets(s3, np.array([1], dtype=np.int64)).sizes.tolist() == [2, 4]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+def test_unsigned_seeds_and_automorphisms_are_exact_integers(s3, dtype):
+    """Unsigned arrays, the dtypes `GroupTable.perms` is stored in, read as
+    the integers they hold; a uint64 of 2**63 or more, which int64 would
+    wrap negative, is refused."""
+    assert wg.double_cosets(s3, np.array([1], dtype=dtype)).sizes.tolist() == [2, 4]
+    theta = wg.check_automorphism(s3, np.arange(6, dtype=dtype))
+    assert theta.dtype == np.int64 and np.array_equal(theta, np.arange(6))
+    if dtype == np.uint64:
+        with pytest.raises(InputSpecError, match="seeds must be"):
+            wg.double_cosets(s3, np.array([2**63], dtype=dtype))
 
 
 def test_double_cosets_s3(s3_pair):

@@ -247,3 +247,25 @@ def test_the_reference_closure_uses_no_closure_of_the_package():
         )
         named += [name for name in names if name.split(".")[-1] in closures]
     assert named == []
+
+
+def test_cross_call_state_lives_in_the_cli_alone():
+    """State that outlives a call sits in one audited place, where the
+    benchmark's spans still time it: only `cli` has a `global` statement,
+    and no function is decorated with `functools.cache` or `lru_cache` but
+    `cli.build_parser`, the one parser of the process. A decorated function
+    is no plain function, which the spans would skip."""
+    globals_, cached = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Global) and path.stem != "cli":
+                globals_.append(f"{path.stem}: global {', '.join(node.names)}")
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    cached.append(f"{path.stem}.{node.name}")
+    assert globals_ == []
+    assert cached == ["cli.build_parser"]

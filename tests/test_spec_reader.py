@@ -1,6 +1,6 @@
 """Spec input: the one vectorised number reader (`groups.json_array`)
 against the per-entry rules it replaced (`tests/oracles.py`), the orjson
-route of `cli._load_json` against stdlib json, and count guards on the
+route of `cli._parse` against stdlib json, and count guards on the
 work a valid spec costs."""
 
 import io
@@ -250,7 +250,9 @@ SPEC_BYTES = st.one_of(
 @example("group", b'["' + b"]" * 100_000 + b'", ' + b"[" * 100_000 + b"]" * 100_001)
 def test_main_reads_spec_files_as_json_does(tmp_path, which, raw):
     """A report or exactly one `error:` line; and the same exit code, report
-    (but for `timings`) and stderr when every file is read by json alone."""
+    (but for `timings`) and stderr when every file is read by json alone.
+    The group kept from the first call is dropped, so json reads the group
+    spec too."""
     files = dict(VALID, **{which: raw})
     code, report, err = _main(tmp_path, files)
     if report is None:
@@ -258,7 +260,8 @@ def test_main_reads_spec_files_as_json_does(tmp_path, which, raw):
         assert len(err.splitlines()) == 1 and err.startswith("error:")
     else:
         assert err == ""
-    with mock.patch.object(cli, "_orjson_reads_as_json", lambda raw: False):
+    with mock.patch.object(cli, "_orjson_reads_as_json", lambda raw: False), \
+            mock.patch.object(cli, "_last_group", None):
         assert _main(tmp_path, files) == (code, report, err)
 
 
